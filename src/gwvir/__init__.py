@@ -3,7 +3,7 @@
 from .engine import (CorrelatorKey, Engine, InvariantCache, PrimaryBackend,
                      dimension_admissible, kontsevich_nd, make_key)
 from .series import (Monomial, TruncatedSeries, TruncationPolicy, VarId,
-                     series_add, series_coefficient, series_derive, series_mul)
+                     series_derive, series_mul)
 from .target import TargetSpace, load_target, preset, preset_names
 from .virasoro import (VirasoroOperator, apply_operator, build_operator,
                        coeff_A, coeff_B, commutator_residual, psi, psi_tilde)

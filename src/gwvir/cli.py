@@ -15,14 +15,13 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import engine as eng
 from . import errors, identities, target, virasoro
 from .rationals import format_rational
-from .series import Monomial, TruncatedSeries, TruncationPolicy
+from .series import TruncatedSeries, TruncationPolicy
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -71,12 +70,8 @@ def _policy_dict(policy: TruncationPolicy | None) -> dict:
             "max_degree": list(policy.max_degree)}
 
 
-def render_monomial(mon: Monomial) -> str:
-    return identities.render_monomial(mon)
-
-
 def _series_details(series: TruncatedSeries) -> list:
-    return [{"monomial": render_monomial(mon), "value": format_rational(c)}
+    return [{"monomial": identities.render_monomial(mon), "value": format_rational(c)}
             for mon, c in series.items_sorted()]
 
 
@@ -111,14 +106,20 @@ def _policy_from_args(args, ts: target.TargetSpace) -> TruncationPolicy:
     if args.degree is None:
         degs = (2,) * r
     else:
-        parts = [int(x) for x in str(args.degree).split(",")]
+        try:
+            parts = [int(x) for x in str(args.degree).split(",")]
+        except ValueError as exc:
+            raise errors.ParseError(f"--degree: {exc}") from exc
         if len(parts) == 1:
             degs = tuple(parts * r)
         elif len(parts) == r:
             degs = tuple(parts)
         else:
             raise errors.ParseError(f"--degree needs 1 or {r} components")
-    return TruncationPolicy(args.insertions, args.level, degs)
+    try:
+        return TruncationPolicy(args.insertions, args.level, degs)
+    except ValueError as exc:
+        raise errors.ParseError(str(exc)) from exc
 
 
 def _cache_dir() -> Path:
@@ -154,6 +155,9 @@ def _add_common(p: argparse.ArgumentParser, with_policy=True, with_target=True):
         p.add_argument("--table", default=None,
                        help="primary-invariant table file for Table backends")
     p.add_argument("--format", choices=("text", "structured"), default="text")
+    # Accepted for compatibility and ignored: work runs in one thread.  A
+    # thread pool was slower (the interpreter lock serialises it) and lost
+    # the shared correlation and contraction caches.
     p.add_argument("--jobs", type=int, default=1)
 
 
@@ -322,17 +326,9 @@ def _cmd_identities(args) -> RunReport:
     else:
         raise errors.ParseError("identities needs --tags or --all")
     engine = _make_engine(args, ts)
-
-    def run_tag(tag: str):
-        return identities.verify_identity(engine, tag, policy)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run_tag, tags))
-    else:
-        shared = identities.IdentityContext(engine, policy)
-        results = [identities.verify_identity(engine, tag, policy, ctx=shared)
-                   for tag in tags]
+    shared = identities.IdentityContext(engine, policy)
+    results = [identities.verify_identity(engine, tag, policy, ctx=shared)
+               for tag in tags]
     details = []
     outcome = "pass"
     for tag, findings in zip(tags, results):

@@ -17,14 +17,17 @@ cache order-independent.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import math
-import threading
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import CacheMismatch, NotApplicable, TargetUnsupported, ValidationError
+from .errors import (CacheMismatch, NotApplicable, ParseError, TargetUnsupported,
+                     ValidationError)
 from .rationals import format_rational, parse_rational
 from .series import Monomial, TruncatedSeries, TruncationPolicy, VarId
 from .target import TargetSpace
@@ -84,24 +87,27 @@ class InvariantCache:
     def __init__(self, fingerprint: str, entries: dict[CorrelatorKey, Fraction] | None = None):
         self.fingerprint = fingerprint
         self.entries: dict[CorrelatorKey, Fraction] = dict(entries or {})
-        self.lock = threading.Lock()
 
     @classmethod
     def for_target(cls, ts: TargetSpace) -> "InvariantCache":
         return cls(ts.fingerprint)
 
     def publish(self, key: CorrelatorKey, value: Fraction) -> Fraction:
-        # Publish-once: concurrent duplicate computations must agree.
-        with self.lock:
-            existing = self.entries.get(key)
-            if existing is None:
-                self.entries[key] = value
-                return value
-            if existing != value:
-                raise CacheMismatch(f"conflicting values for {key}")
-            return existing
+        # Publish-once: a second computation of a key must agree with the
+        # first.  setdefault is one step, so threads sharing an engine cannot
+        # both store a value.
+        existing = self.entries.setdefault(key, value)
+        if existing != value:
+            raise CacheMismatch(f"conflicting values for {key}")
+        return existing
 
     def save(self, path: str) -> None:
+        """Write the cache to ``path`` atomically.
+
+        The records go to a temporary file in the same directory, which then
+        replaces ``path`` in one step, so a crash during the write leaves the
+        previous file whole.
+        """
         lines = [json.dumps({"fingerprint": self.fingerprint}, sort_keys=True)]
         for key in sorted(self.entries):
             rec = {
@@ -110,42 +116,58 @@ class InvariantCache:
                 "val": format_rational(self.entries[key]),
             }
             lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str, expected_fingerprint: str) -> "InvariantCache":
+        """Read a cache file; a malformed header or record is a CacheMismatch."""
         with open(path, encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            fingerprint = header.get("fingerprint")
+            try:
+                header = json.loads(fh.readline())
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise CacheMismatch(f"cache header of {path} is not JSON: {exc}") from exc
+            fingerprint = header.get("fingerprint") if isinstance(header, dict) else None
             if fingerprint != expected_fingerprint:
                 raise CacheMismatch(
                     f"cache fingerprint {fingerprint!r} does not match target {expected_fingerprint!r}"
                 )
-            entries: dict[CorrelatorKey, Fraction] = {}
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                key = make_key([(m, a) for m, a in rec["ins"]], rec["deg"])
-                entries[key] = parse_rational(rec["val"])
+            try:
+                entries = dict(_read_records(fh))
+            except (ValueError, KeyError, TypeError, ParseError) as exc:
+                raise CacheMismatch(f"bad record in cache {path}: {exc}") from exc
         return cls(fingerprint, entries)
+
+
+def _read_records(lines: Iterable[str]) -> Iterator[tuple[CorrelatorKey, Fraction]]:
+    """Parse cache-format records, skipping blank lines and a header."""
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        rec = json.loads(line)
+        if "fingerprint" in rec:
+            continue
+        key = make_key([(m, a) for m, a in rec["ins"]], rec["deg"])
+        yield key, parse_rational(rec["val"])
 
 
 def load_table_backend(path: str) -> PrimaryBackend:
     """Read primary invariants in the cache record format (no header required)."""
-    table: dict[CorrelatorKey, Fraction] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if "fingerprint" in rec:
-                continue
-            key = make_key([(m, a) for m, a in rec["ins"]], rec["deg"])
-            table[key] = parse_rational(rec["val"])
+        try:
+            table = dict(_read_records(fh))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParseError(f"table file {path} is not in the cache record format: {exc}") from exc
     return PrimaryBackend("Table", table)
 
 
@@ -330,12 +352,13 @@ def trr_reduce(ts: TargetSpace, key: CorrelatorKey, chosen: int
     return out
 
 
-def kontsevich_nd(d: int, _memo: dict[int, Fraction] = {1: _ONE}) -> Fraction:
+@functools.cache
+def kontsevich_nd(d: int) -> Fraction:
     """Degree-d count of rational plane curves through 3d-1 points."""
     if d < 1:
         raise NotApplicable("degree must be >= 1")
-    if d in _memo:
-        return _memo[d]
+    if d == 1:
+        return _ONE
     total = _ZERO
     for da in range(1, d):
         db = d - da
@@ -343,7 +366,6 @@ def kontsevich_nd(d: int, _memo: dict[int, Fraction] = {1: _ONE}) -> Fraction:
             kontsevich_nd(da) * kontsevich_nd(db) * da * da * db
             * (db * math.comb(3 * d - 4, 3 * da - 2) - da * math.comb(3 * d - 4, 3 * da - 1))
         )
-    _memo[d] = total
     return total
 
 
@@ -359,6 +381,7 @@ class Engine:
         elif cache.fingerprint != ts.fingerprint:
             raise CacheMismatch("cache fingerprint does not match the active target")
         self.cache = cache
+        self._indexes: dict[TruncationPolicy, list[tuple[int, list[_PolicyEntry]]]] = {}
 
     # -- scalar invariants -------------------------------------------------
 
@@ -438,8 +461,16 @@ class Engine:
 
     def admissible_degrees(self, ins: Insertions, cap: Degree) -> list[Degree]:
         """Degrees <= cap making the key dimension-admissible."""
+        return self._degrees_for_balance(
+            _weight(self.ts, ins) - (self.ts.complex_dim - 3), cap)
+
+    def _degrees_for_balance(self, balance: int, cap: Degree) -> list[Degree]:
+        """Degrees <= cap with sum d * c1_deg == balance.
+
+        The balance of a key is its insertion weight sum (m + q_a - 1) minus
+        (dim - 3); the selection rule asks the degree to make up the rest.
+        """
         ts = self.ts
-        balance = sum(m + ts.q[a - 1] for m, a in ins) - (ts.complex_dim - 3 + len(ins))
         r = ts.novikov_rank
         if r == 0:
             return [()] if balance == 0 else []
@@ -455,17 +486,17 @@ class Engine:
                 out.append(deg)
         return out
 
-    def _policy_entries(self, policy: TruncationPolicy
-                        ) -> list[tuple[tuple[tuple[VarId, int], ...], Insertions, Fraction]]:
-        entries = []
-        for mon in _iter_t_monomials(policy, self.ts.classes):
-            ins: list[VarId] = []
-            fact = 1
-            for v, e in mon:
-                ins.extend([v] * e)
-                fact *= math.factorial(e)
-            entries.append((mon, tuple(ins), Fraction(1, fact)))
-        return entries
+    def _policy_index(self, policy: TruncationPolicy) -> list[tuple[int, list[_PolicyEntry]]]:
+        """The policy's t-monomials grouped by weight, built once per policy."""
+        index = self._indexes.get(policy)
+        if index is None:
+            groups: dict[int, list[_PolicyEntry]] = {}
+            for mon, weight in _iter_t_monomials(policy, self.ts):
+                fact = math.prod(math.factorial(e) for _, e in mon)
+                groups.setdefault(weight, []).append(
+                    (mon, _insertions(mon), Fraction(1, fact)))
+            index = self._indexes[policy] = list(groups.items())
+        return index
 
     def correlation_series(self, fixed: Iterable[tuple[int, int]],
                            policy: TruncationPolicy) -> TruncatedSeries:
@@ -473,18 +504,26 @@ class Engine:
 
         Each coefficient is computed directly from the defining invariant, so
         the result agrees with iterated derivatives of the free energy without
-        any truncation loss.
+        any truncation loss.  A weight group of the policy's monomials whose
+        balance admits no degree under the cap is skipped whole.
         """
         fixed_ins = tuple(sorted(VarId(m, a) for m, a in fixed))
+        base = _weight(self.ts, fixed_ins) - (self.ts.complex_dim - 3)
+        cap = policy.max_degree
         terms: dict[Monomial, Fraction] = {}
-        for mon, ins, invfact in self._policy_entries(policy):
-            full = tuple(sorted(fixed_ins + ins))
-            for deg in self.admissible_degrees(full, policy.max_degree):
-                if not any(deg) and len(full) < 3:
-                    continue
-                value = self.invariant(CorrelatorKey(full, deg))
-                if value:
-                    terms[Monomial(mon, deg)] = value * invfact
+        for weight, entries in self._policy_index(policy):
+            degrees = self._degrees_for_balance(base + weight, cap)
+            if not degrees:
+                continue
+            for mon, ins, invfact in entries:
+                full = tuple(sorted(fixed_ins + ins))
+                short = len(full) < 3
+                for deg in degrees:
+                    if short and not any(deg):
+                        continue
+                    value = self.invariant(CorrelatorKey(full, deg))
+                    if value:
+                        terms[Monomial(mon, deg)] = value * invfact
         series = TruncatedSeries(policy)
         series.terms = terms
         return series
@@ -493,14 +532,44 @@ class Engine:
         return self.correlation_series((), policy)
 
     def admissible_keys(self, policy: TruncationPolicy) -> list[CorrelatorKey]:
-        """Every admissible key whose monomial the policy admits (cache warming)."""
+        """Every admissible key whose monomial the policy admits (cache warming).
+
+        Streams the policy's monomials and keeps none of them: insertion
+        tuples are built only for weights that admit a degree.
+        """
+        offset = self.ts.complex_dim - 3
+        cap = policy.max_degree
+        by_weight: dict[int, list[Degree]] = {}
         keys = []
-        for _, ins, _ in self._policy_entries(policy):
-            for deg in self.admissible_degrees(ins, policy.max_degree):
+        for mon, weight in _iter_t_monomials(policy, self.ts):
+            degrees = by_weight.get(weight)
+            if degrees is None:
+                degrees = by_weight[weight] = self._degrees_for_balance(weight - offset, cap)
+            if not degrees:
+                continue
+            ins = _insertions(mon)
+            for deg in degrees:
                 if not any(deg) and len(ins) < 3:
                     continue
                 keys.append(CorrelatorKey(ins, deg))
         return keys
+
+
+# (t-monomial exponents, its insertion tuple, 1 / prod of exponent factorials)
+_PolicyEntry = tuple[tuple[tuple[VarId, int], ...], Insertions, Fraction]
+
+
+def _weight(ts: TargetSpace, ins: Iterable[VarId]) -> int:
+    """Sum of (m + q_a - 1) over the insertions.
+
+    A key is dimension-admissible exactly when its weight equals
+    dim - 3 + sum d * c1_deg, so the weight alone decides its degrees.
+    """
+    return sum(m + ts.q[a - 1] - 1 for m, a in ins)
+
+
+def _insertions(mon: tuple[tuple[VarId, int], ...]) -> Insertions:
+    return tuple(v for v, e in mon for _ in range(e))
 
 
 def _degree_box(cap: Degree) -> Iterator[Degree]:
@@ -512,35 +581,24 @@ def _degree_box(cap: Degree) -> Iterator[Degree]:
             yield (a,) + rest
 
 
-def _iter_t_monomials(policy: TruncationPolicy, n_classes: int
-                      ) -> Iterator[tuple[tuple[VarId, int], ...]]:
-    varids = [VarId(m, a) for m in range(policy.max_level + 1)
-              for a in range(1, n_classes + 1)]
+def _iter_t_monomials(policy: TruncationPolicy, ts: TargetSpace
+                      ) -> Iterator[tuple[tuple[tuple[VarId, int], ...], int]]:
+    """(monomial exponents, weight) for every t-monomial the policy admits.
 
-    def rec(start: int, budget: int, acc: list[tuple[VarId, int]]):
-        yield tuple(acc)
+    Depth-first: each monomial comes before its extensions by later variables,
+    the constant monomial first.
+    """
+    varids = [VarId(m, a) for m in range(policy.max_level + 1)
+              for a in range(1, ts.classes + 1)]
+    weights = [_weight(ts, (v,)) for v in varids]
+
+    def rec(start: int, budget: int, weight: int, acc: list[tuple[VarId, int]]):
+        yield tuple(acc), weight
         for i in range(start, len(varids)):
+            v, w = varids[i], weights[i]
             for e in range(1, budget + 1):
-                acc.append((varids[i], e))
-                yield from rec(i + 1, budget - e, acc)
+                acc.append((v, e))
+                yield from rec(i + 1, budget - e, weight + e * w, acc)
                 acc.pop()
 
-    yield from rec(0, policy.max_insertions, [])
-
-
-# Spec-level functional wrappers ------------------------------------------------
-
-def invariant(ts: TargetSpace, backend: PrimaryBackend, cache: InvariantCache,
-              key: CorrelatorKey) -> Fraction:
-    return Engine(ts, backend, cache).invariant(key)
-
-
-def free_energy(ts: TargetSpace, backend: PrimaryBackend, cache: InvariantCache,
-                policy: TruncationPolicy) -> TruncatedSeries:
-    return Engine(ts, backend, cache).free_energy(policy)
-
-
-def correlation_series(ts: TargetSpace, backend: PrimaryBackend, cache: InvariantCache,
-                       fixed: Iterable[tuple[int, int]], policy: TruncationPolicy
-                       ) -> TruncatedSeries:
-    return Engine(ts, backend, cache).correlation_series(fixed, policy)
+    yield from rec(0, policy.max_insertions, 0, [])

@@ -89,9 +89,9 @@ class IdentityContext(CorrContext):
 
     def field_raised(self, terms: tuple[LinearTerm, ...], sigma: int,
                      *slots: tuple[int, int]) -> TruncatedSeries:
-        out = TruncatedSeries.zero(self.policy)
+        out = TruncatedSeries(self.policy)
         for rho, coeff in self.ts.raised(sigma):
-            out = out + self.field_series(terms, (0, rho), *slots).scale(coeff)
+            out.add_scaled(self.field_series(terms, (0, rho), *slots), coeff)
         return out
 
     # polynomial helpers ----------------------------------------------------

@@ -8,7 +8,10 @@ a series is a finite map from monomials to nonzero Fractions, truncated by a
 degree cap D).  The ring is a plain finitely supported polynomial ring: any
 product monomial falling outside the policy is discarded.
 
-All values are immutable after construction and safe to share across threads.
+Every operator returns a new series and leaves its operands alone, so a series
+can be cached and shared.  The one exception is ``add_scaled``, which updates
+its receiver in place; call it only on a series the caller has just created
+and not yet handed out.
 """
 
 from __future__ import annotations
@@ -141,6 +144,20 @@ class TruncatedSeries:
         res.terms = out
         return res
 
+    def add_scaled(self, other: "TruncatedSeries", factor: Fraction | int) -> "TruncatedSeries":
+        """In place: self += factor * other.  Returns self."""
+        self._check(other)
+        if factor:
+            terms = self.terms
+            unit = factor == 1
+            for mon, coeff in other.terms.items():
+                acc = terms.get(mon, _ZERO) + (coeff if unit else factor * coeff)
+                if acc:
+                    terms[mon] = acc
+                else:
+                    terms.pop(mon, None)
+        return self
+
     def __neg__(self) -> "TruncatedSeries":
         res = TruncatedSeries(self.policy)
         res.terms = {m: -c for m, c in self.terms.items()}
@@ -176,10 +193,6 @@ class TruncatedSeries:
         res = TruncatedSeries(policy)
         res.terms = out
         return res
-
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a + b
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -235,7 +248,3 @@ def series_derive(s: TruncatedSeries, v: VarId) -> TruncatedSeries:
     res = TruncatedSeries(s.policy)
     res.terms = out
     return res
-
-
-def series_coefficient(s: TruncatedSeries, mon: Monomial) -> Fraction:
-    return s.coefficient(mon)

@@ -233,6 +233,20 @@ def _classical_series(matrix: Matrix, policy: TruncationPolicy) -> TruncatedSeri
     return series
 
 
+def add_ttilde(acc: TruncatedSeries, src: VarId, series: TruncatedSeries,
+               coeff: Fraction) -> None:
+    """In place: acc += coeff * ttilde_src * series, with ttilde = t - delta_{(1,1)}.
+
+    This is the dilaton shift of the operator convention: coeff * t_src * series,
+    plus -coeff * series when src is the dilaton variable t^1_1.  ``acc`` must
+    be a series the caller has just created.
+    """
+    if src.level <= acc.policy.max_level:
+        acc.add_scaled(series.times_var(src), coeff)
+    if src == DILATON_VAR:
+        acc.add_scaled(series, -coeff)
+
+
 def apply_operator(op: VirasoroOperator, f0: TruncatedSeries,
                    policy: TruncationPolicy) -> TruncatedSeries:
     """Genus-0 residual of ``op`` against a free-energy series.
@@ -250,40 +264,39 @@ def apply_operator(op: VirasoroOperator, f0: TruncatedSeries,
             a < b for a, b in zip(f0.policy.max_degree, policy.max_degree)):
         raise PolicyTooTight("free energy needs the full degree window")
 
-    def fit(series: TruncatedSeries) -> TruncatedSeries:
-        out = TruncatedSeries(policy)
-        out.terms = {m: c for m, c in series.terms.items() if policy.admits(m)}
-        return out
-
-    result = TruncatedSeries.zero(policy)
     derivs: dict[VarId, TruncatedSeries] = {}
 
     def deriv(v: VarId) -> TruncatedSeries:
+        """d f0 / dt_v restricted to ``policy``."""
         if v not in derivs:
-            derivs[v] = series_derive(f0, v)
+            derivs[v] = TruncatedSeries(policy, series_derive(f0, v).terms)
         return derivs[v]
 
+    result = _classical_series(op.classical, policy)
     for src, dst, coeff in op.linear:
-        d = deriv(dst)
-        if src.level <= policy.max_level:
-            result = result + fit(d).times_var(src).scale(coeff)
-        if src == DILATON_VAR:
-            result = result + fit(d).scale(-coeff)
+        add_ttilde(result, src, deriv(dst), coeff)
     half = Fraction(1, 2)
     for u, v, coeff in op.quadratic:
-        prod = series_mul(fit(deriv(u)), fit(deriv(v)))
-        result = result + prod.scale(half * coeff)
-    result = result + _classical_series(op.classical, policy)
+        result.add_scaled(series_mul(deriv(u), deriv(v)), half * coeff)
     return result
 
 
 class CorrContext:
-    """Correlation-series cache plus vector-field application helpers."""
+    """Correlation-series cache plus vector-field application helpers.
+
+    Each correlation series <<tau_slots>>, raised series <<O^sigma tau_slots>>
+    and contraction <<W tau_slots>> is built once per context and then
+    shared: callers must not mutate a series they get from ``corr``,
+    ``corr_raised`` or ``field_series``.
+    """
 
     def __init__(self, engine: Engine, policy: TruncationPolicy):
         self.engine = engine
         self.policy = policy
         self._corr: dict[tuple[VarId, ...], TruncatedSeries] = {}
+        self._raised: dict[tuple[int, tuple[VarId, ...]], TruncatedSeries] = {}
+        self._contracted: dict[tuple[tuple[LinearTerm, ...], tuple[VarId, ...]],
+                               TruncatedSeries] = {}
 
     @property
     def ts(self) -> TargetSpace:
@@ -302,63 +315,45 @@ class CorrContext:
 
     def corr_raised(self, sigma: int, *slots: tuple[int, int]) -> TruncatedSeries:
         """<<O^sigma tau_slots>> = eta^{sigma rho} <<O_rho tau_slots>>."""
-        out = TruncatedSeries.zero(self.policy)
-        for rho, coeff in self.ts.raised(sigma):
-            out = out + self.corr((0, rho), *slots).scale(coeff)
+        key = (sigma, tuple(sorted(VarId(m, a) for m, a in slots)))
+        out = self._raised.get(key)
+        if out is None:
+            out = TruncatedSeries(self.policy)
+            for rho, coeff in self.ts.raised(sigma):
+                out.add_scaled(self.corr((0, rho), *key[1]), coeff)
+            self._raised[key] = out
         return out
 
     def field_series(self, terms: tuple[LinearTerm, ...],
                      *slots: tuple[int, int]) -> TruncatedSeries:
         """<<W tau_slots>> for W = sum coeff ttilde_src d_dst (tensor slot)."""
-        out = TruncatedSeries.zero(self.policy)
-        for src, dst, coeff in terms:
-            base = self.corr(dst, *slots)
-            if base.is_zero():
-                continue
-            if src.level <= self.policy.max_level:
-                out = out + base.times_var(src).scale(coeff)
-            if src == DILATON_VAR:
-                out = out + base.scale(-coeff)
+        return self._contract(terms, tuple(sorted(VarId(m, a) for m, a in slots)))
+
+    def _contract(self, terms: tuple[LinearTerm, ...],
+                  vids: tuple[VarId, ...]) -> TruncatedSeries:
+        """Memoised <<W tau_vids>>; ``vids`` sorted, so slot order cannot split the memo."""
+        key = (terms, vids)
+        out = self._contracted.get(key)
+        if out is None:
+            out = TruncatedSeries(self.policy)
+            for src, dst, coeff in terms:
+                base = self.corr(dst, *vids)
+                if base.terms:
+                    add_ttilde(out, src, base, coeff)
+            self._contracted[key] = out
         return out
 
     def field2_series(self, first: tuple[LinearTerm, ...],
                       second: tuple[LinearTerm, ...],
                       *slots: tuple[int, int]) -> TruncatedSeries:
-        """<<W1 W2 tau_slots>> with both vector-field slots expanded."""
-        out = TruncatedSeries.zero(self.policy)
-        max_level = self.policy.max_level
-        for src1, dst1, c1 in first:
-            for src2, dst2, c2 in second:
-                base = self.corr(dst1, dst2, *slots)
-                if base.is_zero():
-                    continue
-                coeff = c1 * c2
-                if src1.level <= max_level and src2.level <= max_level:
-                    out = out + base.times_var(src1).times_var(src2).scale(coeff)
-                if src1 == DILATON_VAR and src2.level <= max_level:
-                    out = out + base.times_var(src2).scale(-coeff)
-                if src2 == DILATON_VAR and src1.level <= max_level:
-                    out = out + base.times_var(src1).scale(-coeff)
-                if src1 == DILATON_VAR and src2 == DILATON_VAR:
-                    out = out + base.scale(coeff)
+        """<<W1 W2 tau_slots>> = sum c1 ttilde_src1 <<W2 tau_dst1 tau_slots>>."""
+        vids = tuple(VarId(m, a) for m, a in slots)
+        out = TruncatedSeries(self.policy)
+        for src, dst, coeff in first:
+            inner = self._contract(second, tuple(sorted(vids + (dst,))))
+            if inner.terms:
+                add_ttilde(out, src, inner, coeff)
         return out
-
-    def polynomial(self, build) -> TruncatedSeries:
-        """Helper: assemble a plain polynomial via a term callback."""
-        series = TruncatedSeries(self.policy)
-        terms: dict[Monomial, Fraction] = {}
-        zero_deg = (0,) * len(self.policy.max_degree)
-        for exps, coeff in build(zero_deg):
-            mon = Monomial(tuple(sorted(exps)), zero_deg)
-            if not self.policy.admits(mon):
-                continue
-            acc = terms.get(mon, _ZERO) + coeff
-            if acc:
-                terms[mon] = acc
-            else:
-                terms.pop(mon, None)
-        series.terms = terms
-        return series
 
 
 def psi(ts_or_engine, n: int, policy: TruncationPolicy,
@@ -392,12 +387,11 @@ def _as_engine(ts_or_engine, backend, cache) -> Engine:
 def _psi_generic(ctx: CorrContext, n: int) -> TruncatedSeries:
     policy = ctx.policy
     op = build_operator(ctx.ts, n, policy.max_level)
-    out = ctx.field_series(op.linear)
+    out = _classical_series(op.classical, policy)
+    out.add_scaled(ctx.field_series(op.linear), _ONE)
     half = Fraction(1, 2)
     for u, v, coeff in op.quadratic:
-        prod = series_mul(ctx.corr(u), ctx.corr(v))
-        out = out + prod.scale(half * coeff)
-    out = out + _classical_series(op.classical, policy)
+        out.add_scaled(series_mul(ctx.corr(u), ctx.corr(v)), half * coeff)
     return out
 
 
@@ -409,56 +403,48 @@ def _psi_closed_form(ctx: CorrContext, n: int) -> TruncatedSeries:
     c3 = ts.chern_power(3)
     half = Fraction(1, 2)
 
-    def tpart(src: VarId, series: TruncatedSeries, coeff: Fraction) -> TruncatedSeries:
-        acc = TruncatedSeries.zero(policy)
-        if src.level <= policy.max_level:
-            acc = acc + series.times_var(src).scale(coeff)
-        if src == DILATON_VAR:
-            acc = acc + series.scale(-coeff)
-        return acc
-
     if n == 1:
         for m in range(policy.max_level + 1):
             for a in range(1, N + 1):
                 b = ts.b[a - 1]
                 src = VarId(m, a)
-                out = out + tpart(src, ctx.corr((m + 1, a)), (m + b) * (m + b + 1))
+                add_ttilde(out, src, ctx.corr((m + 1, a)), (m + b) * (m + b + 1))
                 for be in range(1, N + 1):
                     if c1[a - 1][be - 1]:
-                        out = out + tpart(src, ctx.corr((m, be)),
-                                          (2 * m + 2 * b + 1) * c1[a - 1][be - 1])
+                        add_ttilde(out, src, ctx.corr((m, be)),
+                                   (2 * m + 2 * b + 1) * c1[a - 1][be - 1])
                     if m >= 1 and c2[a - 1][be - 1]:
-                        out = out + tpart(src, ctx.corr((m - 1, be)), c2[a - 1][be - 1])
+                        add_ttilde(out, src, ctx.corr((m - 1, be)), c2[a - 1][be - 1])
         for a in range(1, N + 1):
             b = ts.b[a - 1]
             prod = series_mul(ctx.corr((0, a)), ctx.corr_raised(a))
-            out = out + prod.scale(half * b * (1 - b))
+            out.add_scaled(prod, half * b * (1 - b))
     elif n == 2:
         for m in range(policy.max_level + 1):
             for a in range(1, N + 1):
                 b = ts.b[a - 1]
                 src = VarId(m, a)
-                out = out + tpart(src, ctx.corr((m + 2, a)),
-                                  (m + b) * (m + b + 1) * (m + b + 2))
+                add_ttilde(out, src, ctx.corr((m + 2, a)),
+                           (m + b) * (m + b + 1) * (m + b + 2))
                 for be in range(1, N + 1):
                     if c1[a - 1][be - 1]:
-                        out = out + tpart(src, ctx.corr((m + 1, be)),
-                                          (3 * (m + b) ** 2 + 6 * (m + b) + 2) * c1[a - 1][be - 1])
+                        add_ttilde(out, src, ctx.corr((m + 1, be)),
+                                   (3 * (m + b) ** 2 + 6 * (m + b) + 2) * c1[a - 1][be - 1])
                     if c2[a - 1][be - 1]:
-                        out = out + tpart(src, ctx.corr((m, be)),
-                                          3 * (m + b + 1) * c2[a - 1][be - 1])
+                        add_ttilde(out, src, ctx.corr((m, be)),
+                                   3 * (m + b + 1) * c2[a - 1][be - 1])
                     if m >= 1 and c3[a - 1][be - 1]:
-                        out = out + tpart(src, ctx.corr((m - 1, be)), c3[a - 1][be - 1])
+                        add_ttilde(out, src, ctx.corr((m - 1, be)), c3[a - 1][be - 1])
         for a in range(1, N + 1):
             b = ts.b[a - 1]
             prod = series_mul(ctx.corr((1, a)), ctx.corr_raised(a))
-            out = out + prod.scale(-(b - 1) * b * (b + 1))
+            out.add_scaled(prod, -(b - 1) * b * (b + 1))
         for a in range(1, N + 1):
             b = ts.b[a - 1]
             for be in range(1, N + 1):
                 if c1[a - 1][be - 1]:
                     prod = series_mul(ctx.corr((0, be)), ctx.corr_raised(a))
-                    out = out + prod.scale(-half * (3 * b * b - 1) * c1[a - 1][be - 1])
+                    out.add_scaled(prod, -half * (3 * b * b - 1) * c1[a - 1][be - 1])
     else:
         raise UnsupportedIndex("hand-expanded closed forms exist only for n in {1, 2}")
     return out
@@ -474,40 +460,32 @@ def psi_tilde(ts_or_engine, n: int, policy: TruncationPolicy,
     ts = ctx.ts
     N = ts.classes
     half = Fraction(1, 2)
-    out = TruncatedSeries.zero(policy)
-
-    def tpart(src: VarId, series: TruncatedSeries, coeff: Fraction) -> TruncatedSeries:
-        acc = TruncatedSeries.zero(policy)
-        if src.level <= policy.max_level:
-            acc = acc + series.times_var(src).scale(coeff)
-        if src == DILATON_VAR:
-            acc = acc + series.scale(-coeff)
-        return acc
+    out = TruncatedSeries(policy)
 
     if n == 1:
         for m in range(policy.max_level + 1):
             for a in range(1, N + 1):
-                out = out + tpart(VarId(m, a), ctx.corr((m + 1, a)), -_ONE)
+                add_ttilde(out, VarId(m, a), ctx.corr((m + 1, a)), -_ONE)
         for a in range(1, N + 1):
-            out = out + series_mul(ctx.corr((0, a)), ctx.corr_raised(a)).scale(half)
+            out.add_scaled(series_mul(ctx.corr((0, a)), ctx.corr_raised(a)), half)
     else:
         c1 = ts.c1_mat
         for m in range(policy.max_level + 1):
             for a in range(1, N + 1):
                 b = ts.b[a - 1]
                 src = VarId(m, a)
-                out = out + tpart(src, ctx.corr((m + 2, a)), m + b + 1)
+                add_ttilde(out, src, ctx.corr((m + 2, a)), m + b + 1)
                 for be in range(1, N + 1):
                     if c1[a - 1][be - 1]:
-                        out = out + tpart(src, ctx.corr((m + 1, be)), c1[a - 1][be - 1])
+                        add_ttilde(out, src, ctx.corr((m + 1, be)), c1[a - 1][be - 1])
         for a in range(1, N + 1):
             b = ts.b[a - 1]
-            out = out + series_mul(ctx.corr_raised(a), ctx.corr((1, a))).scale(-b)
+            out.add_scaled(series_mul(ctx.corr_raised(a), ctx.corr((1, a))), -b)
         for a in range(1, N + 1):
             for be in range(1, N + 1):
                 if c1[a - 1][be - 1]:
                     prod = series_mul(ctx.corr_raised(a), ctx.corr((0, be)))
-                    out = out + prod.scale(-half * c1[a - 1][be - 1])
+                    out.add_scaled(prod, -half * c1[a - 1][be - 1])
     return out
 
 
@@ -605,13 +583,12 @@ def _apply_to_poly(op: VirasoroOperator, poly: _GradedPoly) -> _GradedPoly:
     classical = _classical_series(op.classical, policy)
     half = Fraction(1, 2)
     for power, series in poly.parts.items():
+        linear = TruncatedSeries(policy)
         for src, dst, coeff in op.linear:
             d = series_derive(series, dst)
-            if d.is_zero():
-                continue
-            out.add(power, d.times_var(src).scale(coeff))
-            if src == DILATON_VAR:
-                out.add(power, d.scale(-coeff))
+            if d.terms:
+                add_ttilde(linear, src, d, coeff)
+        out.add(power, linear)
         # The quadratic block of the operator is (lambda^2/2) sum coeff d_u d_v.
         for u, v, coeff in op.quadratic:
             d2 = series_derive(series_derive(series, u), v)

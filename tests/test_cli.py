@@ -223,3 +223,24 @@ def test_psi_families_flag():
                          "--format", "structured")
     assert code == 0
     assert {"shift_relations": "hold"} in report.details
+
+
+def test_negative_policy_bound_is_usage_error():
+    code, report, text = go("psi", "--target", "P2", "--n", "1", "--insertions", "-1")
+    assert code == 2 and report is None and "policy bounds" in text
+
+
+def test_corrupt_cache_header_is_engine_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("GW_CACHE_DIR", str(tmp_path))
+    (tmp_path / f"{preset('P1').fingerprint}.jsonl").write_text("{not json\n")
+    code, report, text = go("invariant", "--target", "P1", "--key", "deg=1;ins=(0,2)(0,2)")
+    assert code == 3 and report.outcome == "error"
+    assert report.details[0]["error"] == "CacheMismatch"
+
+
+def test_non_json_table_is_usage_error(tmp_path):
+    table = tmp_path / "table.jsonl"
+    table.write_text("deg=1 ins=(0,3)(0,3) val=1\n")
+    code, report, text = go("invariant", "--target", "P2", "--table", str(table),
+                            "--key", "deg=1;ins=(0,3)(0,3)")
+    assert code == 2 and report is None and "table file" in text

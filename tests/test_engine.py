@@ -8,12 +8,13 @@ from fractions import Fraction
 
 import pytest
 
+from gwvir import engine as engine_module
 from gwvir.engine import (CorrelatorKey, Engine, InvariantCache, PrimaryBackend,
                           degree_zero_value, dilaton_reduce, dimension_admissible,
                           divisor_lift, divisor_reduce, kontsevich_nd, make_key,
-                          string_reduce, trr_reduce)
+                          string_reduce, trr_reduce, _degree_box, _iter_t_monomials)
 from gwvir.errors import CacheMismatch, NotApplicable, TargetUnsupported, ValidationError
-from gwvir.series import Monomial, TruncationPolicy, VarId
+from gwvir.series import Monomial, TruncatedSeries, TruncationPolicy, VarId
 from gwvir.target import preset
 
 from oracles import point_string_oracle, wdvv_associativity_nd
@@ -241,6 +242,38 @@ def test_cache_round_trip(tmp_path, p2_engine):
         InvariantCache.load(str(path), "deadbeef")
 
 
+def test_cache_save_is_atomic(tmp_path, monkeypatch):
+    engine = Engine(preset("P1"))
+    for key in engine.admissible_keys(TruncationPolicy(3, 1, (2,))):
+        engine.invariant(key)
+    path = tmp_path / "cache.jsonl"
+    path.write_text("previous contents\n")
+
+    def crash(fd):
+        raise OSError("disk full")
+
+    # The records are written to a temporary file before the crash.
+    monkeypatch.setattr(engine_module.os, "fsync", crash)
+    with pytest.raises(OSError):
+        engine.cache.save(str(path))
+    monkeypatch.undo()
+    assert path.read_text() == "previous contents\n"
+    engine.cache.save(str(path))
+    assert InvariantCache.load(str(path), engine.ts.fingerprint).entries == engine.cache.entries
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.jsonl"]
+
+
+def test_cache_load_rejects_corrupt_records(tmp_path):
+    fingerprint = preset("P1").fingerprint
+    header = '{"fingerprint": "%s"}\n' % fingerprint
+    for body in ("{not json\n", header + "[1, 2]\n", header + '{"ins": [[0, 2]]}\n',
+                 header + '{"ins":[[0,2]],"deg":[1],"val":"x"}\n', "[1]\n"):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(body)
+        with pytest.raises(CacheMismatch):
+            InvariantCache.load(str(path), fingerprint)
+
+
 def test_cache_determinism_cold_runs(tmp_path):
     files = []
     policy = TruncationPolicy(3, 2, (2,))
@@ -335,3 +368,48 @@ def test_correlation_series_equals_derivative_of_f0(p2_engine):
     for mon, coeff in derived.terms.items():
         if policy.admits(mon):
             assert direct.coefficient(mon) == coeff
+
+
+# --- weight-indexed policy monomials -----------------------------------------------
+
+INDEX_CASES = [("point", TruncationPolicy(5, 4, ())),
+               ("P1", TruncationPolicy(5, 4, (3,))),
+               ("P2", TruncationPolicy(5, 4, (3,)))]
+
+
+def _insertions(mon):
+    return tuple(v for v, e in mon for _ in range(e))
+
+
+@pytest.mark.parametrize("name,policy", INDEX_CASES)
+def test_admissible_keys_match_brute_force(name, policy):
+    ts = preset(name)
+    expect = []
+    for mon, weight in _iter_t_monomials(policy, ts):
+        ins = _insertions(mon)
+        assert weight == sum(m + ts.q[a - 1] - 1 for m, a in ins)
+        for deg in _degree_box(policy.max_degree):
+            key = CorrelatorKey(ins, deg)
+            if dimension_admissible(ts, key) and (any(deg) or len(ins) >= 3):
+                expect.append(key)
+    assert Engine(ts).admissible_keys(policy) == expect
+
+
+@pytest.mark.parametrize("name", ["point", "P1", "P2"])
+def test_correlation_series_match_brute_force(name):
+    ts = preset(name)
+    policy = TruncationPolicy(3, 2, (2,) * ts.novikov_rank)
+    engine = Engine(ts)
+    for level in range(policy.max_level + 2):
+        for cls in range(1, ts.classes + 1):
+            fixed = (VarId(level, cls),)
+            terms = {}
+            for mon, _ in _iter_t_monomials(policy, ts):
+                full = tuple(sorted(fixed + _insertions(mon)))
+                fact = math.prod(math.factorial(e) for _, e in mon)
+                for deg in _degree_box(policy.max_degree):
+                    key = CorrelatorKey(full, deg)
+                    if dimension_admissible(ts, key) and (any(deg) or len(full) >= 3):
+                        terms[Monomial(mon, deg)] = Fraction(engine.invariant(key), fact)
+            expect = TruncatedSeries(policy, terms)
+            assert engine.correlation_series(fixed, policy) == expect

@@ -8,8 +8,7 @@ import pytest
 from gwvir.errors import ParseError, PolicyMismatch
 from gwvir.rationals import format_rational, parse_rational
 from gwvir.series import (TruncatedSeries, TruncationPolicy, VarId,
-                          monomial, series_add, series_coefficient,
-                          series_derive, series_mul)
+                          monomial, series_derive, series_mul)
 
 POLICY = TruncationPolicy(4, 2, (2,))
 X = VarId(0, 1)
@@ -72,7 +71,22 @@ def test_add_rationals():
 def test_add_identity():
     rng = random.Random(7)
     s = rand_series(rng)
-    assert series_add(s, TruncatedSeries.zero(POLICY)) == s
+    assert s + TruncatedSeries.zero(POLICY) == s
+
+
+def test_add_scaled_matches_add_and_scale():
+    rng = random.Random(8)
+    for factor in (Fraction(-3, 2), Fraction(1), Fraction(0), Fraction(2, 5)):
+        a, b = rand_series(rng), rand_series(rng)
+        expect = a + b.scale(factor)
+        b_before = dict(b.terms)
+        acc = TruncatedSeries.zero(POLICY) + a
+        assert acc.add_scaled(b, factor) is acc
+        assert acc == expect and b.terms == b_before
+        assert 0 not in acc.terms.values()
+    a = rand_series(rng)
+    acc = TruncatedSeries.zero(POLICY) + a
+    assert acc.add_scaled(a, -1).is_zero()
 
 
 def test_mul_simple_and_truncation_boundary():
@@ -95,7 +109,9 @@ def test_mul_difference_of_squares():
 def test_policy_mismatch():
     other = TruncationPolicy(3, 2, (2,))
     with pytest.raises(PolicyMismatch):
-        series_add(TruncatedSeries.zero(POLICY), TruncatedSeries.zero(other))
+        TruncatedSeries.zero(POLICY) + TruncatedSeries.zero(other)
+    with pytest.raises(PolicyMismatch):
+        TruncatedSeries.zero(POLICY).add_scaled(TruncatedSeries.zero(other), 1)
     with pytest.raises(PolicyMismatch):
         series_mul(TruncatedSeries.zero(POLICY), TruncatedSeries.zero(other))
 
@@ -116,10 +132,10 @@ def test_derive_mixed_partials_commute():
 
 def test_coefficient_queries():
     s = var(POLICY, X).scale(Fraction(5, 7))
-    assert series_coefficient(s, monomial([(X, 1)], (0,))) == Fraction(5, 7)
-    assert series_coefficient(s, monomial([(Y, 1)], (0,))) == 0
+    assert s.coefficient(monomial([(X, 1)], (0,))) == Fraction(5, 7)
+    assert s.coefficient(monomial([(Y, 1)], (0,))) == 0
     before = dict(s.terms)
-    series_coefficient(s, monomial([(Y, 2)], (1,)))
+    s.coefficient(monomial([(Y, 2)], (1,)))
     assert s.terms == before
 
 

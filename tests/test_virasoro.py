@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gwvir.engine import Engine, make_key
+from gwvir.identities import IDENTITY_TAGS, IdentityContext, verify_identity
 from gwvir.errors import (IndexOutOfRange, PolicyTooTight, UnsupportedIndex)
 from gwvir.series import TruncationPolicy, VarId
 from gwvir.target import preset
@@ -281,3 +282,22 @@ def test_residual_nonzero_for_wrong_rhs_scale():
     records = _residual_records(basis, build_operator(ts, 1, 6),
                                 build_operator(ts, 2, 6), rhs)
     assert _record_map(records)
+
+
+def test_shared_context_series_stay_exact_after_registry():
+    # Every tag runs on one context, as ``gw identities`` does; no in-place
+    # accumulation may have written into a cached series.
+    policy = TruncationPolicy(3, 2, (1,))
+    engine = Engine(preset("P2"))
+    ctx = IdentityContext(engine, policy)
+    for tag in IDENTITY_TAGS:
+        assert all(f.status == "pass" for f in verify_identity(engine, tag, policy, ctx=ctx))
+    fresh = Engine(preset("P2"))
+    assert ctx._corr
+    for vids, series in ctx._corr.items():
+        assert series == fresh.correlation_series(vids, policy)
+    fresh_ctx = CorrContext(fresh, policy)
+    assert ctx._contracted
+    for (terms, vids), series in ctx._contracted.items():
+        assert series == fresh_ctx.field_series(terms, *reversed(vids))
+        assert ctx.field_series(terms, *reversed(vids)) is series
