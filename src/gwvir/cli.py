@@ -137,7 +137,7 @@ def _make_engine(args, ts: target.TargetSpace) -> eng.Engine:
     cache = None
     path = _cache_path(ts)
     if path.exists():
-        cache = eng.InvariantCache.load(str(path), ts.fingerprint)
+        cache = eng.InvariantCache.load(str(path), ts.fingerprint, ts)
     return eng.Engine(ts, backend, cache)
 
 
@@ -366,7 +366,7 @@ def _cmd_cache(args) -> RunReport:
     # verify: recompute a deterministic 5% sample with a cold engine
     if not path.exists():
         raise errors.CacheMismatch(f"no cache file at {path}")
-    cache = eng.InvariantCache.load(str(path), ts.fingerprint)
+    cache = eng.InvariantCache.load(str(path), ts.fingerprint, ts)
     cold = eng.Engine(ts, eng.load_table_backend(args.table) if args.table else None)
     sample = sorted(cache.entries)[::20]
     bad = []

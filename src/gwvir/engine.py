@@ -1,18 +1,21 @@
 """Genus-0 descendent invariants by exact reduction with a memo cache.
 
 A correlator key is a canonically sorted multiset of insertions tau_m(O_alpha)
-plus a Novikov degree vector.  The master evaluator reduces every key to base
-data in a fixed order:
+plus a Novikov degree vector.  The master evaluator looks a key up in the
+cache as given and canonicalises it only on a miss; a missing key is reduced
+to base data in a fixed order:
 
-  1. canonicalize, 2. dimension filter, 3. degree zero -> closed form,
-  4. fewer than 3 insertions -> divisor lift, 5. any positive level -> TRR
-  on the first maximal-level insertion, 6. all-primary -> backend (identity
-  insertions kill the key at nonzero degree, divisor insertions strip off,
-  the rest is a base value or a table lookup).
+  1. dimension filter, 2. degree zero -> closed form, 3. fewer than 3
+  insertions -> divisor lift, 4. any positive level -> TRR on the first
+  maximal-level insertion (only the dimension-admissible terms), 5.
+  all-primary -> backend (identity insertions kill the key at nonzero
+  degree, divisor insertions strip off, the rest is a base value or a table
+  lookup).
 
 Each step strictly decreases (total level, insertion deficit below 3, degree)
-lexicographically, so the recursion terminates; canonical keys make the memo
-cache order-independent.
+lexicographically, so the reduction terminates; it runs on an explicit work
+stack rather than by recursion, so deep keys do not hit the recursion limit.
+Canonical keys make the memo cache order-independent.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ import functools
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Generator, Iterable, Iterator, NamedTuple
 
 from .errors import (CacheMismatch, NotApplicable, ParseError, TargetUnsupported,
                      ValidationError)
@@ -129,8 +133,14 @@ class InvariantCache:
             raise
 
     @classmethod
-    def load(cls, path: str, expected_fingerprint: str) -> "InvariantCache":
-        """Read a cache file; a malformed header or record is a CacheMismatch."""
+    def load(cls, path: str, expected_fingerprint: str,
+             ts: TargetSpace | None = None) -> "InvariantCache":
+        """Read a cache file; a malformed header or record is a CacheMismatch.
+
+        Given the target, a record whose key is not a dimension-admissible key
+        of it is a CacheMismatch too: such a key is 0 and never cached, and
+        the reduction never asks for it.
+        """
         with open(path, encoding="utf-8") as fh:
             try:
                 header = json.loads(fh.readline())
@@ -143,9 +153,21 @@ class InvariantCache:
                 )
             try:
                 entries = dict(_read_records(fh))
+                if ts is not None:
+                    for key in entries:
+                        if not _admissible_on(ts, key):
+                            raise ValueError(f"{key} is not an admissible key of {ts.name}")
             except (ValueError, KeyError, TypeError, ParseError) as exc:
                 raise CacheMismatch(f"bad record in cache {path}: {exc}") from exc
         return cls(fingerprint, entries)
+
+
+def _admissible_on(ts: TargetSpace, key: CorrelatorKey) -> bool:
+    """A key of ``ts`` (levels, classes and degree in range) that is admissible."""
+    ins, deg = key
+    return (len(deg) == ts.novikov_rank and all(d >= 0 for d in deg)
+            and all(m >= 0 and 1 <= a <= ts.classes for m, a in ins)
+            and dimension_admissible(ts, key))
 
 
 def _read_records(lines: Iterable[str]) -> Iterator[tuple[CorrelatorKey, Fraction]]:
@@ -325,6 +347,11 @@ def trr_reduce(ts: TargetSpace, key: CorrelatorKey, chosen: int
     second factor; spectators are distributed over both factors with
     multiplicity binomials, the degree splits, and eta^{-1} contracts the two
     new primary insertions.
+
+    Only terms whose two keys are both dimension-admissible are returned (the
+    others vanish by the selection rule).  For each spectator split and each
+    sigma, the first key's weight fixes c1 . deg1, so only the degree splits
+    with that pairing are visited; the second key is checked explicitly.
     """
     ins, deg = key
     if len(ins) < 3:
@@ -339,16 +366,38 @@ def trr_reduce(ts: TargetSpace, key: CorrelatorKey, chosen: int
     for v in spectators:
         counts[v] = counts.get(v, 0) + 1
     lowered = VarId(m - 1, alpha)
+    c1 = ts.c1_deg
+    # Degree splits keyed by c1 . deg1, each with c1 . deg2.
+    by_pairing: dict[int, list[tuple[Degree, Degree, int]]] = {}
+    for deg1, deg2 in _degree_splits(deg):
+        by_pairing.setdefault(sum(d * c for d, c in zip(deg1, c1)), []).append(
+            (deg1, deg2, sum(d * c for d, c in zip(deg2, c1))))
+    # (tau_0(O_sigma), its weight, [(tau_0(O_rho), its weight, eta^{sigma rho})])
+    q = ts.q
+    raised = [(VarId(0, sigma), q[sigma - 1] - 1,
+               [(VarId(0, rho), q[rho - 1] - 1, eta_inv) for rho, eta_inv in ts.raised(sigma)])
+              for sigma in range(1, ts.classes + 1)]
+    # Balances of the two keys before the new primaries are added.
+    offset = ts.complex_dim - 3
+    base1 = _weight(ts, (lowered,)) - offset
+    base2 = _weight(ts, fixed) - offset
+    w_spect = _weight(ts, spectators)
     out: list[tuple[Fraction, CorrelatorKey, CorrelatorKey]] = []
     for left, right, ways in _sub_multisets(sorted(counts.items())):
-        for deg1, deg2 in _degree_splits(deg):
-            for sigma in range(1, ts.classes + 1):
-                for rho, eta_inv in ts.raised(sigma):
-                    key1 = CorrelatorKey(
-                        tuple(sorted(left + (lowered, VarId(0, sigma)))), deg1)
-                    key2 = CorrelatorKey(
-                        tuple(sorted(right + fixed + (VarId(0, rho),))), deg2)
-                    out.append((eta_inv * ways, key1, key2))
+        w_left = _weight(ts, left)
+        bal1 = base1 + w_left
+        bal2 = base2 + w_spect - w_left
+        for var_s, w_s, partners in raised:
+            splits = by_pairing.get(bal1 + w_s)
+            if not splits:
+                continue
+            ins1 = tuple(sorted(left + (lowered, var_s)))
+            for deg1, deg2, p2 in splits:
+                key1 = CorrelatorKey(ins1, deg1)
+                for var_r, w_r, eta_inv in partners:
+                    if bal2 + w_r == p2:
+                        key2 = CorrelatorKey(tuple(sorted(right + fixed + (var_r,))), deg2)
+                        out.append((eta_inv * ways, key1, key2))
     return out
 
 
@@ -369,6 +418,12 @@ def kontsevich_nd(d: int) -> Fraction:
     return total
 
 
+class _EvaluationState(threading.local):
+    """Per thread: whether ``Engine._evaluate`` is running on this thread."""
+
+    evaluating = False
+
+
 class Engine:
     """Master evaluator bound to one target, backend, and cache."""
 
@@ -382,38 +437,98 @@ class Engine:
             raise CacheMismatch("cache fingerprint does not match the active target")
         self.cache = cache
         self._indexes: dict[TruncationPolicy, list[tuple[int, list[_PolicyEntry]]]] = {}
+        self._state = _EvaluationState()
 
     # -- scalar invariants -------------------------------------------------
 
     def invariant(self, key: CorrelatorKey) -> Fraction:
+        """Exact value of ``key``; a cache miss is reduced and published.
+
+        The key is looked up as given and canonicalised only on a miss: keys
+        built by the reduction rules are canonical already.  A miss is reduced
+        by ``_evaluate``'s work stack, not by recursion, so no key runs into
+        the interpreter's recursion limit.  The reduction steps ask for every
+        sub-key through this method; while this thread is evaluating, a miss
+        is handed back as its canonical key, for the step to yield to the
+        stack.
+        """
+        entries = self.cache.entries
+        try:
+            cached = entries.get(key)
+        except TypeError:  # unhashable parts, e.g. lists: canonicalise first
+            cached = None
+        if cached is not None:
+            return cached
         key = CorrelatorKey(tuple(sorted(VarId(*v) for v in key.insertions)),
                             tuple(key.degree))
-        cached = self.cache.entries.get(key)
+        cached = entries.get(key)
         if cached is not None:
             return cached
         if not dimension_admissible(self.ts, key):
             return _ZERO
-        value = self._reduce(key)
-        return self.cache.publish(key, value)
+        if self._state.evaluating:
+            return key
+        return self._evaluate(key)
 
-    def _reduce(self, key: CorrelatorKey) -> Fraction:
+    def _evaluate(self, key: CorrelatorKey) -> Fraction:
+        """Reduce a missing key depth-first with an explicit stack of steps.
+
+        Each frame is a ``_reduce`` generator.  A frame that yields a sub-key
+        waits while a frame for the sub-key runs; the sub-key's value, once
+        published, is sent back to it.  This is the order plain recursion
+        would take, with the same keys published.
+        """
+        state = self._state
+        state.evaluating = True
+        try:
+            stack = [(key, self._reduce(key))]
+            value = None
+            while True:
+                top, steps = stack[-1]
+                try:
+                    sub = steps.send(value)
+                except StopIteration as done:
+                    value = self.cache.publish(top, done.value)
+                    stack.pop()
+                    if not stack:
+                        return value
+                else:
+                    stack.append((sub, self._reduce(sub)))
+                    value = None
+        finally:
+            state.evaluating = False
+
+    def _reduce(self, key: CorrelatorKey) -> Generator[CorrelatorKey, Fraction, Fraction]:
+        """Reduction steps of one admissible key, run as a frame of ``_evaluate``.
+
+        Yields each sub-key whose value is not cached yet and receives that
+        value back; returns the key's value.
+        """
         ins, deg = key
         if not any(deg):
             return degree_zero_value(self.ts, key)
+        invariant = self.invariant
         if len(ins) < 3:
             lifted, lowering, pairing = divisor_lift(self.ts, key)
-            value = self.invariant(lifted)
-            for low_key, coeff in lowering:
-                value -= coeff * self.invariant(low_key)
-            return value / pairing
+            total = _ZERO
+            for coeff, sub in [(_ONE, lifted)] + [(-c, k) for k, c in lowering]:
+                value = invariant(sub)
+                if value.__class__ is CorrelatorKey:
+                    value = yield value
+                total += coeff * value
+            return total / pairing
         top = max(range(len(ins)), key=lambda i: ins[i].level)
         if ins[top].level > 0:
             chosen = next(i for i in range(len(ins)) if ins[i].level == ins[top].level)
             total = _ZERO
             for coeff, key1, key2 in trr_reduce(self.ts, key, chosen):
-                v1 = self.invariant(key1)
+                v1 = invariant(key1)
+                if v1.__class__ is CorrelatorKey:
+                    v1 = yield v1
                 if v1:
-                    v2 = self.invariant(key2)
+                    v2 = invariant(key2)
+                    if v2.__class__ is CorrelatorKey:
+                        v2 = yield v2
                     if v2:
                         total += coeff * v1 * v2
             return total
@@ -539,9 +654,11 @@ class Engine:
         """
         offset = self.ts.complex_dim - 3
         cap = policy.max_degree
+        # Largest balance any degree under the cap can make up.
+        top = offset + sum(max(c, 0) * d for c, d in zip(self.ts.c1_deg, cap))
         by_weight: dict[int, list[Degree]] = {}
         keys = []
-        for mon, weight in _iter_t_monomials(policy, self.ts):
+        for mon, weight in _iter_t_monomials(policy, self.ts, top):
             degrees = by_weight.get(weight)
             if degrees is None:
                 degrees = by_weight[weight] = self._degrees_for_balance(weight - offset, cap)
@@ -581,22 +698,29 @@ def _degree_box(cap: Degree) -> Iterator[Degree]:
             yield (a,) + rest
 
 
-def _iter_t_monomials(policy: TruncationPolicy, ts: TargetSpace
+def _iter_t_monomials(policy: TruncationPolicy, ts: TargetSpace, max_weight: int | None = None
                       ) -> Iterator[tuple[tuple[tuple[VarId, int], ...], int]]:
     """(monomial exponents, weight) for every t-monomial the policy admits.
 
     Depth-first: each monomial comes before its extensions by later variables,
-    the constant monomial first.
+    the constant monomial first.  With ``max_weight``, a monomial heavier than
+    that is skipped with all its extensions, as long as no later variable has
+    negative weight (so no extension can come back under the bound).
     """
     varids = [VarId(m, a) for m in range(policy.max_level + 1)
               for a in range(1, ts.classes + 1)]
     weights = [_weight(ts, (v,)) for v in varids]
+    # prunable[i]: no variable after i has negative weight.
+    prunable = [max_weight is not None and min(weights[i + 1:], default=0) >= 0
+                for i in range(len(varids))]
 
     def rec(start: int, budget: int, weight: int, acc: list[tuple[VarId, int]]):
         yield tuple(acc), weight
         for i in range(start, len(varids)):
             v, w = varids[i], weights[i]
             for e in range(1, budget + 1):
+                if prunable[i] and w >= 0 and weight + e * w > max_weight:
+                    break
                 acc.append((v, e))
                 yield from rec(i + 1, budget - e, weight + e * w, acc)
                 acc.pop()

@@ -182,16 +182,20 @@ class TruncatedSeries:
         return self.scale(other)
 
     def times_var(self, v: VarId) -> "TruncatedSeries":
-        """Multiply by the variable t_v; overflowing monomials are discarded."""
+        """Multiply by the variable t_v; overflowing monomials are discarded.
+
+        Every term is admitted by the policy, so a lifted term is admitted
+        exactly when t_v is within the level bound and the term has room for
+        one more exponent; only those are built.
+        """
         policy = self.policy
-        shift = monomial([(v, 1)], (0,) * len(policy.max_degree))
-        out: dict[Monomial, Fraction] = {}
-        for mon, coeff in self.terms.items():
-            lifted = monomial_mul(mon, shift)
-            if policy.admits(lifted):
-                out[lifted] = coeff
         res = TruncatedSeries(policy)
-        res.terms = out
+        if v.level > policy.max_level:
+            return res
+        shift = monomial([(v, 1)], (0,) * len(policy.max_degree))
+        room = policy.max_insertions - 1
+        res.terms = {monomial_mul(mon, shift): coeff for mon, coeff in self.terms.items()
+                     if mon.total_exponent() <= room}
         return res
 
 

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import io
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
 from gwvir.cli import RunReport, parse_key, run
 from gwvir.engine import make_key
 from gwvir.errors import ParseError
+from gwvir.rationals import format_rational
 from gwvir.target import preset, serialize_target
 
 
@@ -244,3 +247,19 @@ def test_non_json_table_is_usage_error(tmp_path):
     code, report, text = go("invariant", "--target", "P2", "--table", str(table),
                             "--key", "deg=1;ins=(0,3)(0,3)")
     assert code == 2 and report is None and "table file" in text
+
+
+def test_cache_with_inadmissible_key_is_engine_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("GW_CACHE_DIR", str(tmp_path))
+    path = tmp_path / f"{preset('P1').fingerprint}.jsonl"
+    path.write_text('{"fingerprint": "%s"}\n{"deg":[2],"ins":[[0,2]],"val":"5"}\n'
+                    % preset("P1").fingerprint)
+    code, report, _ = go("invariant", "--target", "P1", "--key", "deg=2;ins=(0,2)")
+    assert code == 3 and report.details[0]["error"] == "CacheMismatch"
+
+
+def test_deep_descendent_key_has_no_recursion_limit():
+    code, report, _ = go("invariant", "--target", "P1", "--key", "deg=150;ins=(298,2)")
+    assert code == 0
+    assert report.details[0]["value"] == format_rational(
+        Fraction(1, math.factorial(150) ** 2))

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
+import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -15,7 +18,7 @@ from gwvir.engine import (CorrelatorKey, Engine, InvariantCache, PrimaryBackend,
                           string_reduce, trr_reduce, _degree_box, _iter_t_monomials)
 from gwvir.errors import CacheMismatch, NotApplicable, TargetUnsupported, ValidationError
 from gwvir.series import Monomial, TruncatedSeries, TruncationPolicy, VarId
-from gwvir.target import preset
+from gwvir.target import load_target, preset
 
 from oracles import point_string_oracle, wdvv_associativity_nd
 
@@ -28,6 +31,22 @@ def closed_form_point(levels):
     for m in levels:
         value /= math.factorial(m)
     return value
+
+
+def _p1xp1():
+    """P1 x P1 from its cohomology alone: classes 1, H1, H2, pt; c1 = 2H1 + 2H2."""
+    cup = [[1, b, b, "1"] for b in range(1, 5)] + [[b, 1, b, "1"] for b in range(2, 5)]
+    cup += [[2, 3, 4, "1"], [3, 2, 4, "1"]]
+    eta = [["1" if a + b == 5 else "0" for b in range(1, 5)] for a in range(1, 5)]
+    c1 = [["0", "2", "2", "0"], ["0", "0", "0", "2"], ["0", "0", "0", "2"], ["0"] * 4]
+    return load_target(json.dumps({
+        "name": "P1xP1", "classes": 4, "complex_dim": 2, "q": [0, 1, 1, 2],
+        "eta": eta, "cup": cup, "c1_mat": c1, "novikov_rank": 2, "c1_deg": [2, 2],
+        "divisors": [[2, [1, 0]], [3, [0, 1]]], "euler_char": 4, "c1_cdm1": "8"}))
+
+
+def _target(name):
+    return _p1xp1() if name == "P1xP1" else preset(name)
 
 
 # --- dimension filter -----------------------------------------------------------
@@ -162,6 +181,56 @@ def test_trr_examples(point_engine, p2_engine):
         trr_reduce(pt, make_key([(0, 1)] * 3, ()), 0)
 
 
+def _trr_full_expansion(ts, key, chosen):
+    """Every TRR term, admissible or not, as the rule writes it out."""
+    ins, deg = key
+    m, alpha = ins[chosen]
+    rest = ins[:chosen] + ins[chosen + 1:]
+    fixed, spectators = rest[-2:], rest[:-2]
+    distinct = sorted(set(spectators))
+    mults = [spectators.count(v) for v in distinct]
+    out = []
+    for takes in itertools.product(*(range(n + 1) for n in mults)):
+        left = tuple(v for v, t in zip(distinct, takes) for _ in range(t))
+        right = tuple(v for v, t, n in zip(distinct, takes, mults) for _ in range(n - t))
+        ways = math.prod(math.comb(n, t) for n, t in zip(mults, takes))
+        for deg1 in _degree_box(deg):
+            deg2 = tuple(d - a for d, a in zip(deg, deg1))
+            for sigma in range(1, ts.classes + 1):
+                for rho in range(1, ts.classes + 1):
+                    eta_inv = ts.eta_inv[sigma - 1][rho - 1]
+                    if eta_inv:
+                        key1 = make_key(left + ((m - 1, alpha), (0, sigma)), deg1)
+                        key2 = make_key(right + fixed + ((0, rho),), deg2)
+                        out.append((eta_inv * ways, key1, key2))
+    return out
+
+
+@pytest.mark.parametrize("name,policy", [("point", TruncationPolicy(7, 3, ())),
+                                         ("P1", TruncationPolicy(4, 2, (2,))),
+                                         ("P2", TruncationPolicy(4, 2, (2,))),
+                                         ("P1xP1", TruncationPolicy(4, 1, (1, 2)))])
+def test_trr_reduce_is_full_expansion_filtered(name, policy):
+    ts = _target(name)
+    checked = 0
+    for mon, _ in _iter_t_monomials(policy, ts):
+        ins = _insertions(mon)
+        if len(ins) < 3:
+            continue
+        for deg in _degree_box(policy.max_degree):
+            key = CorrelatorKey(ins, deg)
+            for chosen in range(len(ins)):
+                if ins[chosen].level == 0:
+                    continue
+                expect = Counter(
+                    (c, k1, k2) for c, k1, k2 in _trr_full_expansion(ts, key, chosen)
+                    if dimension_admissible(ts, k1) and dimension_admissible(ts, k2))
+                got = trr_reduce(ts, key, chosen)
+                assert Counter(got) == expect
+                checked += bool(got)
+    assert checked >= 10
+
+
 # --- confluence: every applicable route gives the engine's value -----------------
 
 def _admissible_keys(ts, k_max, m_max, d_max):
@@ -274,6 +343,24 @@ def test_cache_load_rejects_corrupt_records(tmp_path):
             InvariantCache.load(str(path), fingerprint)
 
 
+def test_cache_load_rejects_keys_off_the_target(tmp_path):
+    p1 = preset("P1")
+    header = '{"fingerprint": "%s"}\n' % p1.fingerprint
+    good = '{"deg":[1],"ins":[[0,2],[0,2]],"val":"1"}\n'
+    path = tmp_path / "cache.jsonl"
+    path.write_text(header + good)
+    assert InvariantCache.load(str(path), p1.fingerprint, p1).entries == {
+        make_key([(0, 2), (0, 2)], (1,)): 1}
+    # Not admissible; a degree of the wrong length; a class P1 does not have.
+    for record in ('{"deg":[2],"ins":[[0,2]],"val":"5"}',
+                   '{"deg":[1,0],"ins":[[0,2],[0,2]],"val":"1"}',
+                   '{"deg":[1],"ins":[[0,2],[0,3]],"val":"1"}'):
+        path.write_text(header + good + record + "\n")
+        assert InvariantCache.load(str(path), p1.fingerprint).entries  # unchecked
+        with pytest.raises(CacheMismatch):
+            InvariantCache.load(str(path), p1.fingerprint, p1)
+
+
 def test_cache_determinism_cold_runs(tmp_path):
     files = []
     policy = TruncationPolicy(3, 2, (2,))
@@ -293,15 +380,23 @@ def test_cache_fingerprint_guard():
 
 
 def test_concurrent_invariants():
+    # Threads share one engine and its cache; each evaluates on its own work
+    # stack.  A short switch interval makes them interleave mid-reduction.
     engine = Engine(preset("P2"))
-    keys = [make_key([(0, 3)] * 5, (2,)), make_key([(1, 3), (0, 3), (0, 3)], (1,)),
-            make_key([(0, 2), (0, 3), (0, 3)], (1,))]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        results = list(pool.map(lambda k: [engine.invariant(k) for _ in range(3)],
-                                keys * 4))
+    keys = engine.admissible_keys(TruncationPolicy(4, 3, (2,)))
+    orders = [random.Random(seed).sample(keys, len(keys)) for seed in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(lambda ks: [engine.invariant(k) for k in ks], ks)
+                       for ks in orders]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
     reference = Engine(preset("P2"))
-    for key, values in zip(keys * 4, results):
-        assert all(v == reference.invariant(key) for v in values)
+    for ks, values in zip(orders, results):
+        assert values == [reference.invariant(k) for k in ks]
 
 
 def test_table_backend():
@@ -374,7 +469,8 @@ def test_correlation_series_equals_derivative_of_f0(p2_engine):
 
 INDEX_CASES = [("point", TruncationPolicy(5, 4, ())),
                ("P1", TruncationPolicy(5, 4, (3,))),
-               ("P2", TruncationPolicy(5, 4, (3,)))]
+               ("P2", TruncationPolicy(5, 4, (3,))),
+               ("P1xP1", TruncationPolicy(4, 3, (2, 2)))]
 
 
 def _insertions(mon):
@@ -383,7 +479,7 @@ def _insertions(mon):
 
 @pytest.mark.parametrize("name,policy", INDEX_CASES)
 def test_admissible_keys_match_brute_force(name, policy):
-    ts = preset(name)
+    ts = _target(name)
     expect = []
     for mon, weight in _iter_t_monomials(policy, ts):
         ins = _insertions(mon)

@@ -106,6 +106,14 @@ def test_mul_difference_of_squares():
     assert s == expect
 
 
+def test_times_var_is_product_with_variable():
+    rng = random.Random(23)
+    for _ in range(40):
+        s = rand_series(rng)
+        for v in (X, Y, VarId(2, 1), VarId(3, 2)):
+            assert s.times_var(v) == s * var(POLICY, v)
+
+
 def test_policy_mismatch():
     other = TruncationPolicy(3, 2, (2,))
     with pytest.raises(PolicyMismatch):
