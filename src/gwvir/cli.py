@@ -208,6 +208,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cache", help="manage the invariant cache")
     p.add_argument("action", choices=("warm", "verify", "clear"))
+    p.add_argument("--full", action="store_true",
+                   help="verify: recompute every entry, not every 20th")
     _add_common(p)
     return parser
 
@@ -363,12 +365,13 @@ def _cmd_cache(args) -> RunReport:
         return RunReport("cache warm", ts.fingerprint, _policy_dict(policy), "pass",
                          [{"keys_requested": len(keys),
                            "entries": len(engine.cache.entries), "path": str(path)}])
-    # verify: recompute a deterministic 5% sample with a cold engine
+    # verify: recompute every entry (--full) or a deterministic 5% sample
+    # with a cold engine
     if not path.exists():
         raise errors.CacheMismatch(f"no cache file at {path}")
     cache = eng.InvariantCache.load(str(path), ts.fingerprint, ts)
     cold = eng.Engine(ts, eng.load_table_backend(args.table) if args.table else None)
-    sample = sorted(cache.entries)[::20]
+    sample = sorted(cache.entries)[::1 if args.full else 20]
     bad = []
     for key in sample:
         fresh = cold.invariant(key)

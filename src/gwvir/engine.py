@@ -33,7 +33,7 @@ from typing import Generator, Iterable, Iterator, NamedTuple
 from .errors import (CacheMismatch, NotApplicable, ParseError, TargetUnsupported,
                      ValidationError)
 from .rationals import format_rational, parse_rational
-from .series import Monomial, TruncatedSeries, TruncationPolicy, VarId
+from .series import TruncatedSeries, TruncationPolicy, VarId
 from .target import TargetSpace
 
 _ZERO = Fraction(0)
@@ -605,11 +605,12 @@ class Engine:
         """The policy's t-monomials grouped by weight, built once per policy."""
         index = self._indexes.get(policy)
         if index is None:
+            exps_key = policy.packing.exps_key
             groups: dict[int, list[_PolicyEntry]] = {}
             for mon, weight in _iter_t_monomials(policy, self.ts):
                 fact = math.prod(math.factorial(e) for _, e in mon)
                 groups.setdefault(weight, []).append(
-                    (mon, _insertions(mon), Fraction(1, fact)))
+                    (exps_key(mon), _insertions(mon), Fraction(1, fact)))
             index = self._indexes[policy] = list(groups.items())
         return index
 
@@ -625,20 +626,22 @@ class Engine:
         fixed_ins = tuple(sorted(VarId(m, a) for m, a in fixed))
         base = _weight(self.ts, fixed_ins) - (self.ts.complex_dim - 3)
         cap = policy.max_degree
-        terms: dict[Monomial, Fraction] = {}
+        degree_key = policy.packing.degree_key
+        terms: dict[int, Fraction] = {}
         for weight, entries in self._policy_index(policy):
-            degrees = self._degrees_for_balance(base + weight, cap)
+            degrees = [(deg, degree_key(deg))
+                       for deg in self._degrees_for_balance(base + weight, cap)]
             if not degrees:
                 continue
-            for mon, ins, invfact in entries:
+            for tkey, ins, invfact in entries:
                 full = tuple(sorted(fixed_ins + ins))
                 short = len(full) < 3
-                for deg in degrees:
+                for deg, dkey in degrees:
                     if short and not any(deg):
                         continue
                     value = self.invariant(CorrelatorKey(full, deg))
                     if value:
-                        terms[Monomial(mon, deg)] = value * invfact
+                        terms[tkey + dkey] = value * invfact
         series = TruncatedSeries(policy)
         series.terms = terms
         return series
@@ -672,8 +675,8 @@ class Engine:
         return keys
 
 
-# (t-monomial exponents, its insertion tuple, 1 / prod of exponent factorials)
-_PolicyEntry = tuple[tuple[tuple[VarId, int], ...], Insertions, Fraction]
+# (packed key of the t-monomial, its insertion tuple, 1 / prod of exponent factorials)
+_PolicyEntry = tuple[int, Insertions, Fraction]
 
 
 def _weight(ts: TargetSpace, ins: Iterable[VarId]) -> int:

@@ -16,6 +16,7 @@ from typing import Callable, Iterator
 
 from .engine import Engine
 from .errors import UnknownIdentity
+from .rationals import format_rational
 from .series import Monomial, TruncatedSeries, TruncationPolicy, VarId, series_mul
 from .virasoro import (CorrContext, LinearTerm, apply_operator, build_operator,
                        coeff_A, coeff_B, dilaton_field, euler_field,
@@ -105,7 +106,7 @@ class IdentityContext(CorrContext):
     def ttilde(self, level: int, cls: int) -> TruncatedSeries:
         out = self.tvar(level, cls)
         if (level, cls) == (1, 1):
-            out = out + self.const(-1)
+            out.add_scaled(self.const(-1))
         return out
 
     def zero(self) -> TruncatedSeries:
@@ -125,7 +126,7 @@ def _eta_quad(ctx: IdentityContext, matrix) -> TruncatedSeries:
     for a in ctx.classes():
         for b in ctx.classes():
             if matrix[a - 1][b - 1]:
-                out = out + ctx.tvar(0, a).times_var(VarId(0, b)).scale(half * matrix[a - 1][b - 1])
+                out.add_scaled(ctx.tvar(0, a).times_var(VarId(0, b)), half * matrix[a - 1][b - 1])
     return out
 
 
@@ -156,11 +157,11 @@ def _check_string_corr1(ctx: IdentityContext):
 def _check_string_corr2(ctx: IdentityContext):
     for m in ctx.levels():
         for a in ctx.classes():
-            rhs = ctx.corr((m - 1, a))
+            rhs = ctx.zero().add_scaled(ctx.corr((m - 1, a)))
             if m == 0:
                 for b in ctx.classes():
                     if ctx.ts.eta[a - 1][b - 1]:
-                        rhs = rhs + ctx.tvar(0, b).scale(ctx.ts.eta[a - 1][b - 1])
+                        rhs.add_scaled(ctx.tvar(0, b), ctx.ts.eta[a - 1][b - 1])
             yield ((m, a), ctx.field_series(ctx.field("S"), (m, a)), rhs)
 
 
@@ -171,7 +172,7 @@ def _check_string_corr3(ctx: IdentityContext):
                 for b in ctx.classes():
                     rhs = ctx.corr((m, a), (n - 1, b)) + ctx.corr((m - 1, a), (n, b))
                     if m == 0 and n == 0:
-                        rhs = rhs + ctx.const(ctx.ts.eta[a - 1][b - 1])
+                        rhs.add_scaled(ctx.const(ctx.ts.eta[a - 1][b - 1]))
                     yield ((m, a, n, b),
                            ctx.field_series(ctx.field("S"), (m, a), (n, b)), rhs)
 
@@ -198,7 +199,7 @@ def _check_dilaton_corr3(ctx: IdentityContext):
 
 
 def _check_quasi_homog(ctx: IdentityContext):
-    rhs = ctx.corr().scale(3 - ctx.ts.complex_dim) + _eta_quad(ctx, ctx.ts.chern_power_eta(1))
+    rhs = _eta_quad(ctx, ctx.ts.chern_power_eta(1)).add_scaled(ctx.corr(), 3 - ctx.ts.complex_dim)
     yield ((), ctx.field_series(ctx.field("X")), rhs)
 
 
@@ -208,7 +209,7 @@ def _check_euler_corr1(ctx: IdentityContext):
     shift = Fraction(3 - ctx.ts.complex_dim, 2)
     terms = ctx.field_minus_kD("L0", -shift)  # L0 + shift*D = -X
     lhs = ctx.field_series(terms).scale(-1)
-    rhs = ctx.corr().scale(3 - ctx.ts.complex_dim) + _eta_quad(ctx, ctx.ts.chern_power_eta(1))
+    rhs = _eta_quad(ctx, ctx.ts.chern_power_eta(1)).add_scaled(ctx.corr(), 3 - ctx.ts.complex_dim)
     yield ((), lhs, rhs)
 
 
@@ -222,11 +223,11 @@ def _check_euler_corr2(ctx: IdentityContext):
             for be in ctx.classes():
                 c = ts.c1_mat[a - 1][be - 1]
                 if c:
-                    rhs = rhs + ctx.corr((m - 1, be)).scale(c)
+                    rhs.add_scaled(ctx.corr((m - 1, be)), c)
             if m == 0:
                 for be in ctx.classes():
                     if ceta[a - 1][be - 1]:
-                        rhs = rhs + ctx.tvar(0, be).scale(ceta[a - 1][be - 1])
+                        rhs.add_scaled(ctx.tvar(0, be), ceta[a - 1][be - 1])
             yield ((m, a), ctx.field_series(ctx.field("X"), (m, a)), rhs)
 
 
@@ -239,14 +240,14 @@ def _check_euler_corr3(ctx: IdentityContext):
                 for b in ctx.classes():
                     rhs = ctx.corr((m, a), (n, b)).scale(m + n + ts.b[a - 1] + ts.b[b - 1])
                     if m == 0 and n == 0:
-                        rhs = rhs + ctx.const(ceta[a - 1][b - 1])
+                        rhs.add_scaled(ctx.const(ceta[a - 1][b - 1]))
                     for g in ctx.classes():
                         c = ts.c1_mat[a - 1][g - 1]
                         if c:
-                            rhs = rhs + ctx.corr((m - 1, g), (n, b)).scale(c)
+                            rhs.add_scaled(ctx.corr((m - 1, g), (n, b)), c)
                         c = ts.c1_mat[b - 1][g - 1]
                         if c:
-                            rhs = rhs + ctx.corr((m, a), (n - 1, g)).scale(c)
+                            rhs.add_scaled(ctx.corr((m, a), (n - 1, g)), c)
                     yield ((m, a, n, b),
                            ctx.field_series(ctx.field("X"), (m, a), (n, b)), rhs)
 
@@ -263,9 +264,8 @@ def _check_trr(ctx: IdentityContext):
                             lhs = ctx.corr((m, a), (n, b), (k, g))
                             rhs = ctx.zero()
                             for s in ctx.classes():
-                                rhs = rhs + series_mul(
-                                    ctx.corr((m - 1, a), (0, s)),
-                                    ctx.corr_raised(s, (n, b), (k, g)))
+                                rhs.add_product(ctx.corr((m - 1, a), (0, s)),
+                                                ctx.corr_raised(s, (n, b), (k, g)))
                             yield ((m, a, n, b, k, g), lhs, rhs)
 
 
@@ -280,8 +280,8 @@ def _check_gen_wdvv(ctx: IdentityContext):
         if pp not in prods:
             (p1, p2), acc = pp, ctx.zero()
             for s in ctx.classes():
-                acc = acc + series_mul(ctx.corr(p1[0], p1[1], (0, s)),
-                                       ctx.corr_raised(s, p2[0], p2[1]))
+                acc.add_product(ctx.corr(p1[0], p1[1], (0, s)),
+                                ctx.corr_raised(s, p2[0], p2[1]))
             prods[pp] = acc
         return prods[pp]
 
@@ -316,7 +316,7 @@ def _check_frr(ctx: IdentityContext):
         for nu in ctx.classes():
             m_series = ctx.corr((0, mu), (0, nu)).scale(ts.b[mu - 1] + ts.b[nu - 1])
             if ceta[mu - 1][nu - 1]:
-                m_series = m_series + ctx.const(ceta[mu - 1][nu - 1])
+                m_series.add_scaled(ctx.const(ceta[mu - 1][nu - 1]))
             mid[(mu, nu)] = m_series
     for m in ctx.levels():
         for a in ctx.classes():
@@ -335,17 +335,17 @@ def _check_frr(ctx: IdentityContext):
                                 right = right + ctx.const(1 if nu == b else 0)
                             if right.is_zero():
                                 continue
-                            lhs = lhs + series_mul(series_mul(left, mid[(mu, nu)]), right)
+                            lhs.add_product(series_mul(left, mid[(mu, nu)]), right)
                     rhs = ctx.corr((m, a), (n, b)).scale(m + n + ts.b[a - 1] + ts.b[b - 1])
                     if m == 0 and n == 0:
-                        rhs = rhs + ctx.const(ceta[a - 1][b - 1])
+                        rhs.add_scaled(ctx.const(ceta[a - 1][b - 1]))
                     for s in ctx.classes():
                         c = ts.c1_mat[a - 1][s - 1]
                         if c:
-                            rhs = rhs + ctx.corr((m - 1, s), (n, b)).scale(c)
+                            rhs.add_scaled(ctx.corr((m - 1, s), (n, b)), c)
                         c = ts.c1_mat[b - 1][s - 1]
                         if c:
-                            rhs = rhs + ctx.corr((m, a), (n - 1, s)).scale(c)
+                            rhs.add_scaled(ctx.corr((m, a), (n - 1, s)), c)
                     yield ((m, a, n, b), lhs, rhs)
 
 
@@ -357,12 +357,12 @@ def _check_string_rec(ctx: IdentityContext):
                     lhs = ctx.corr((m, a), (n - 1, b)) + ctx.corr((m - 1, a), (n, b))
                     rhs = ctx.zero()
                     if m == 0:
-                        rhs = rhs + ctx.corr((0, a), (n - 1, b))
+                        rhs.add_scaled(ctx.corr((0, a), (n - 1, b)))
                     if n == 0:
-                        rhs = rhs + ctx.corr((m - 1, a), (0, b))
+                        rhs.add_scaled(ctx.corr((m - 1, a), (0, b)))
                     for s in ctx.classes():
-                        rhs = rhs + series_mul(ctx.corr((m - 1, a), (0, s)),
-                                               ctx.corr_raised(s, (n - 1, b)))
+                        rhs.add_product(ctx.corr((m - 1, a), (0, s)),
+                                        ctx.corr_raised(s, (n - 1, b)))
                     yield ((m, a, n, b), lhs, rhs)
 
 
@@ -379,10 +379,8 @@ def _check_swdvv(ctx: IdentityContext):
                         lhs = ctx.zero()
                         rhs = ctx.zero()
                         for s in ctx.classes():
-                            lhs = lhs + series_mul(left_factor[s],
-                                                   ctx.corr_raised(s, (k, mu), (l, nu)))
-                            rhs = rhs + series_mul(ln_k[s],
-                                                   ctx.field_raised(l0d, s, (l, nu)))
+                            lhs.add_product(left_factor[s], ctx.corr_raised(s, (k, mu), (l, nu)))
+                            rhs.add_product(ln_k[s], ctx.field_raised(l0d, s, (l, nu)))
                         yield ((n, k, mu, l, nu), lhs, rhs)
 
 
@@ -417,24 +415,24 @@ def _check_xx_corr(ctx: IdentityContext):
         for a in ctx.classes():
             b = ts.b[a - 1]
             lhs = ctx.field2_series(l0, l0d, (m, a))
-            rhs = ctx.field_series(tilde_part, (m, a))
-            rhs = rhs + ctx.corr((m, a)).scale((m + b) * (m + b - 1))
+            rhs = ctx.corr((m, a)).scale((m + b) * (m + b - 1))
+            rhs.add_scaled(ctx.field_series(tilde_part, (m, a)))
             for s in ctx.classes():
                 c = ts.c1_mat[a - 1][s - 1]
                 if c:
-                    rhs = rhs + ctx.corr((m - 1, s)).scale((b + ts.b[s - 1] + 2 * m - 2) * c)
+                    rhs.add_scaled(ctx.corr((m - 1, s)), (b + ts.b[s - 1] + 2 * m - 2) * c)
                 if c2[a - 1][s - 1]:
-                    rhs = rhs + ctx.corr((m - 2, s)).scale(c2[a - 1][s - 1])
+                    rhs.add_scaled(ctx.corr((m - 2, s)), c2[a - 1][s - 1])
             if m == 0:
                 for s in ctx.classes():
                     if ceta[a - 1][s - 1]:
-                        rhs = rhs + ctx.tvar(0, s).scale((2 * b - 1) * ceta[a - 1][s - 1])
+                        rhs.add_scaled(ctx.tvar(0, s), (2 * b - 1) * ceta[a - 1][s - 1])
                     if c2eta[a - 1][s - 1]:
-                        rhs = rhs - ctx.ttilde(1, s).scale(c2eta[a - 1][s - 1])
+                        rhs.add_scaled(ctx.ttilde(1, s), -c2eta[a - 1][s - 1])
             if m == 1:
                 for s in ctx.classes():
                     if c2eta[a - 1][s - 1]:
-                        rhs = rhs + ctx.tvar(0, s).scale(c2eta[a - 1][s - 1])
+                        rhs.add_scaled(ctx.tvar(0, s), c2eta[a - 1][s - 1])
             yield ((m, a), lhs, rhs)
 
 
@@ -451,18 +449,18 @@ def _check_qf1(ctx: IdentityContext):
                     for a in ctx.classes():
                         w = ts.b[a - 1] * gap - (k + bm) * (l + bn + 1)
                         if w:
-                            lhs = lhs + series_mul(ctx.corr((k, mu), (0, a)),
-                                                   ctx.corr_raised(a, (l, nu))).scale(w)
+                            lhs.add_product(ctx.corr((k, mu), (0, a)),
+                                            ctx.corr_raised(a, (l, nu)), w)
                     rhs = ctx.zero()
                     for a in ctx.classes():
                         c = ts.c1_mat[nu - 1][a - 1]
                         if c:
-                            rhs = rhs + ctx.corr((k, mu), (l, a)).scale(gap * c)
+                            rhs.add_scaled(ctx.corr((k, mu), (l, a)), gap * c)
                         c = ts.c1_mat[mu - 1][a - 1]
                         if c:
-                            rhs = rhs - ctx.corr((k, a), (l, nu)).scale(gap * c)
-                    rhs = rhs - ctx.corr((k + 1, mu), (l, nu)).scale((k + bm) * (k + bm + 1))
-                    rhs = rhs - ctx.corr((k, mu), (l + 1, nu)).scale((l + bn) * (l + bn + 1))
+                            rhs.add_scaled(ctx.corr((k, a), (l, nu)), -gap * c)
+                    rhs.add_scaled(ctx.corr((k + 1, mu), (l, nu)), -(k + bm) * (k + bm + 1))
+                    rhs.add_scaled(ctx.corr((k, mu), (l + 1, nu)), -(l + bn) * (l + bn + 1))
                     yield ((k, mu, l, nu), lhs, rhs)
 
 
@@ -483,9 +481,8 @@ def _check_qf2(ctx: IdentityContext):
                                 continue
                             w = (k + ts.b[a - 1] + bm) * cnb
                             if w:
-                                lhs = lhs + series_mul(
-                                    ctx.corr((k, mu), (0, a)),
-                                    ctx.corr_raised(a, (l - 1, be))).scale(w)
+                                lhs.add_product(ctx.corr((k, mu), (0, a)),
+                                                ctx.corr_raised(a, (l - 1, be)), w)
                     for a in ctx.classes():
                         cma = ts.c1_mat[mu - 1][a - 1]
                         if not cma:
@@ -495,17 +492,15 @@ def _check_qf2(ctx: IdentityContext):
                             if not cnb:
                                 continue
                             for s in ctx.classes():
-                                lhs = lhs + series_mul(
-                                    ctx.corr((k - 1, a), (0, s)),
-                                    ctx.corr_raised(s, (l - 1, be))).scale(cma * cnb)
+                                lhs.add_product(ctx.corr((k - 1, a), (0, s)),
+                                                ctx.corr_raised(s, (l - 1, be)), cma * cnb)
                     rhs = ctx.zero()
                     for a in ctx.classes():
                         c = ts.c1_mat[nu - 1][a - 1]
                         if c:
-                            rhs = rhs + ctx.corr((k, mu), (l, a)).scale(
-                                (k + bm + l + bn + 1) * c)
+                            rhs.add_scaled(ctx.corr((k, mu), (l, a)), (k + bm + l + bn + 1) * c)
                         if c2[nu - 1][a - 1]:
-                            rhs = rhs + ctx.corr((k, mu), (l - 1, a)).scale(c2[nu - 1][a - 1])
+                            rhs.add_scaled(ctx.corr((k, mu), (l - 1, a)), c2[nu - 1][a - 1])
                     for a in ctx.classes():
                         cma = ts.c1_mat[mu - 1][a - 1]
                         if not cma:
@@ -513,7 +508,7 @@ def _check_qf2(ctx: IdentityContext):
                         for be in ctx.classes():
                             cnb = ts.c1_mat[nu - 1][be - 1]
                             if cnb:
-                                rhs = rhs + ctx.corr((k - 1, a), (l, be)).scale(cma * cnb)
+                                rhs.add_scaled(ctx.corr((k - 1, a), (l, be)), cma * cnb)
                     if k == 0:
                         for a in ctx.classes():
                             cma = ts.c1_mat[mu - 1][a - 1]
@@ -522,15 +517,15 @@ def _check_qf2(ctx: IdentityContext):
                             for be in ctx.classes():
                                 cnb = ts.c1_mat[nu - 1][be - 1]
                                 if cnb:
-                                    rhs = rhs - ctx.corr((0, a), (l - 1, be)).scale(cma * cnb)
+                                    rhs.add_scaled(ctx.corr((0, a), (l - 1, be)), -cma * cnb)
                     if l == 0:
                         for a in ctx.classes():
                             c = ts.c1_mat[nu - 1][a - 1]
                             if c:
-                                rhs = rhs - ctx.field_series(
-                                    ctx.field("X"), (k, mu), (0, a)).scale(c)
+                                rhs.add_scaled(
+                                    ctx.field_series(ctx.field("X"), (k, mu), (0, a)), -c)
                     if k == 0 and l == 0:
-                        rhs = rhs + ctx.const(c2eta[mu - 1][nu - 1])
+                        rhs.add_scaled(ctx.const(c2eta[mu - 1][nu - 1]))
                     yield ((k, mu, l, nu), lhs, rhs)
 
 
@@ -547,27 +542,27 @@ def _check_wdvv_right(ctx: IdentityContext):
                     bn = ts.b[nu - 1]
                     lhs = ctx.zero()
                     for a in ctx.classes():
-                        lhs = lhs + series_mul(ctx.field_series(l0, (k, mu), (0, a)),
-                                               ctx.field_raised(l0d, a, (l, nu)))
+                        lhs.add_product(ctx.field_series(l0, (k, mu), (0, a)),
+                                        ctx.field_raised(l0d, a, (l, nu)))
                     rhs = ctx.corr((k + 1, mu), (l, nu)).scale((k + bm) * (k + bm + 1))
-                    rhs = rhs + ctx.corr((k, mu), (l + 1, nu)).scale((l + bn) * (l + bn + 1))
+                    rhs.add_scaled(ctx.corr((k, mu), (l + 1, nu)), (l + bn) * (l + bn + 1))
                     for a in ctx.classes():
                         c = ts.c1_mat[mu - 1][a - 1]
                         if c:
-                            rhs = rhs + ctx.corr((k, a), (l, nu)).scale((2 * k + 2 * bm + 1) * c)
+                            rhs.add_scaled(ctx.corr((k, a), (l, nu)), (2 * k + 2 * bm + 1) * c)
                         c = ts.c1_mat[nu - 1][a - 1]
                         if c:
-                            rhs = rhs + ctx.corr((k, mu), (l, a)).scale((2 * l + 2 * bn + 1) * c)
+                            rhs.add_scaled(ctx.corr((k, mu), (l, a)), (2 * l + 2 * bn + 1) * c)
                         if c2[mu - 1][a - 1]:
-                            rhs = rhs + ctx.corr((k - 1, a), (l, nu)).scale(c2[mu - 1][a - 1])
+                            rhs.add_scaled(ctx.corr((k - 1, a), (l, nu)), c2[mu - 1][a - 1])
                         if c2[nu - 1][a - 1]:
-                            rhs = rhs + ctx.corr((k, mu), (l - 1, a)).scale(c2[nu - 1][a - 1])
+                            rhs.add_scaled(ctx.corr((k, mu), (l - 1, a)), c2[nu - 1][a - 1])
                         w = ts.b[a - 1] * (1 - ts.b[a - 1])
                         if w:
-                            rhs = rhs + series_mul(ctx.corr((k, mu), (0, a)),
-                                                   ctx.corr_raised(a, (l, nu))).scale(w)
+                            rhs.add_product(ctx.corr((k, mu), (0, a)),
+                                            ctx.corr_raised(a, (l, nu)), w)
                     if k == 0 and l == 0:
-                        rhs = rhs + ctx.const(c2eta[mu - 1][nu - 1])
+                        rhs.add_scaled(ctx.const(c2eta[mu - 1][nu - 1]))
                     yield ((k, mu, l, nu), lhs, rhs)
 
 
@@ -585,26 +580,26 @@ def _check_l1_corr(ctx: IdentityContext):
                     bb = ts.b[be - 1]
                     lhs = ctx.field_series(l1, (m, a), (n, be))
                     rhs = ctx.corr((m + 1, a), (n, be)).scale(-(m + ba) * (m + ba + 1))
-                    rhs = rhs - ctx.corr((m, a), (n + 1, be)).scale((n + bb) * (n + bb + 1))
+                    rhs.add_scaled(ctx.corr((m, a), (n + 1, be)), -(n + bb) * (n + bb + 1))
                     for s in ctx.classes():
                         c = ts.c1_mat[a - 1][s - 1]
                         if c:
-                            rhs = rhs - ctx.corr((m, s), (n, be)).scale((2 * m + 2 * ba + 1) * c)
+                            rhs.add_scaled(ctx.corr((m, s), (n, be)), -(2 * m + 2 * ba + 1) * c)
                         c = ts.c1_mat[be - 1][s - 1]
                         if c:
-                            rhs = rhs - ctx.corr((m, a), (n, s)).scale((2 * n + 2 * bb + 1) * c)
+                            rhs.add_scaled(ctx.corr((m, a), (n, s)), -(2 * n + 2 * bb + 1) * c)
                         if c2[a - 1][s - 1]:
-                            rhs = rhs - ctx.corr((m - 1, s), (n, be)).scale(c2[a - 1][s - 1])
+                            rhs.add_scaled(ctx.corr((m - 1, s), (n, be)), -c2[a - 1][s - 1])
                         if c2[be - 1][s - 1]:
-                            rhs = rhs - ctx.corr((m, a), (n - 1, s)).scale(c2[be - 1][s - 1])
+                            rhs.add_scaled(ctx.corr((m, a), (n - 1, s)), -c2[be - 1][s - 1])
                         w = ts.b[s - 1] * (1 - ts.b[s - 1])
                         if w:
-                            rhs = rhs - series_mul(ctx.corr((m, a), (n, be), (0, s)),
-                                                   ctx.corr_raised(s)).scale(w)
-                            rhs = rhs - series_mul(ctx.corr((m, a), (0, s)),
-                                                   ctx.corr_raised(s, (n, be))).scale(w)
+                            rhs.add_product(ctx.corr((m, a), (n, be), (0, s)),
+                                            ctx.corr_raised(s), -w)
+                            rhs.add_product(ctx.corr((m, a), (0, s)),
+                                            ctx.corr_raised(s, (n, be)), -w)
                     if m == 0 and n == 0:
-                        rhs = rhs - ctx.const(c2eta[a - 1][be - 1])
+                        rhs.add_scaled(ctx.const(c2eta[a - 1][be - 1]), -1)
                     yield ((m, a, n, be), lhs, rhs)
 
 
@@ -644,40 +639,38 @@ def _check_l1_l0_corr(ctx: IdentityContext):
         for be in ctx.classes():
             b = ts.b[be - 1]
             lhs = ctx.field2_series(l1, l0d2, (n, be))
-            rhs = ctx.field_series(tilde_part, (n, be))
-            rhs = rhs + ctx.corr((n + 1, be)).scale((n + b) * (n + b + 1) * (n + b - 1))
+            rhs = ctx.corr((n + 1, be)).scale((n + b) * (n + b + 1) * (n + b - 1))
+            rhs.add_scaled(ctx.field_series(tilde_part, (n, be)))
             for s in ctx.classes():
                 if c1[be - 1][s - 1]:
-                    rhs = rhs + ctx.corr((n, s)).scale(
-                        (3 * (n + b) ** 2 - 1) * c1[be - 1][s - 1])
+                    rhs.add_scaled(ctx.corr((n, s)), (3 * (n + b) ** 2 - 1) * c1[be - 1][s - 1])
                 if c2[be - 1][s - 1]:
-                    rhs = rhs + ctx.corr((n - 1, s)).scale(3 * (n + b) * c2[be - 1][s - 1])
+                    rhs.add_scaled(ctx.corr((n - 1, s)), 3 * (n + b) * c2[be - 1][s - 1])
                 if c3[be - 1][s - 1]:
-                    rhs = rhs + ctx.corr((n - 2, s)).scale(c3[be - 1][s - 1])
+                    rhs.add_scaled(ctx.corr((n - 2, s)), c3[be - 1][s - 1])
             for s in ctx.classes():
                 bs = ts.b[s - 1]
                 w = (bs - 1) * bs * (n + b - 1)
                 if w:
-                    rhs = rhs - series_mul(ctx.corr_raised(s),
-                                           ctx.corr((0, s), (n, be))).scale(w)
+                    rhs.add_product(ctx.corr_raised(s), ctx.corr((0, s), (n, be)), -w)
                 if (bs - 1) * bs:
                     for r in ctx.classes():
                         c = c1[be - 1][r - 1]
                         if c:
-                            rhs = rhs - series_mul(ctx.corr((n - 1, r), (0, s)),
-                                                   ctx.corr_raised(s)).scale((bs - 1) * bs * c)
+                            rhs.add_product(ctx.corr((n - 1, r), (0, s)),
+                                            ctx.corr_raised(s), -(bs - 1) * bs * c)
             if n == 0:
                 for s in ctx.classes():
                     if ceta[be - 1][s - 1]:
-                        rhs = rhs - ctx.corr_raised(s).scale(b * (b + 1) * ceta[be - 1][s - 1])
+                        rhs.add_scaled(ctx.corr_raised(s), -b * (b + 1) * ceta[be - 1][s - 1])
                     if c2eta[be - 1][s - 1]:
-                        rhs = rhs + ctx.tvar(0, s).scale(3 * b * c2eta[be - 1][s - 1])
+                        rhs.add_scaled(ctx.tvar(0, s), 3 * b * c2eta[be - 1][s - 1])
                     if c3eta[be - 1][s - 1]:
-                        rhs = rhs - ctx.ttilde(1, s).scale(c3eta[be - 1][s - 1])
+                        rhs.add_scaled(ctx.ttilde(1, s), -c3eta[be - 1][s - 1])
             if n == 1:
                 for s in ctx.classes():
                     if c3eta[be - 1][s - 1]:
-                        rhs = rhs + ctx.tvar(0, s).scale(c3eta[be - 1][s - 1])
+                        rhs.add_scaled(ctx.tvar(0, s), c3eta[be - 1][s - 1])
             yield ((n, be), lhs, rhs)
 
 
@@ -690,10 +683,10 @@ def _check_quadrel_i(ctx: IdentityContext):
                     lhs = ctx.zero()
                     rhs = ctx.zero()
                     for be in ctx.classes():
-                        lhs = lhs + series_mul(ctx.field_series(x, (k, mu), (1, be)),
-                                               ctx.field_raised(x, be, (l, nu)))
-                        rhs = rhs + series_mul(ctx.field_raised(x, be, (k, mu)),
-                                               ctx.field_series(x, (1, be), (l, nu)))
+                        lhs.add_product(ctx.field_series(x, (k, mu), (1, be)),
+                                        ctx.field_raised(x, be, (l, nu)))
+                        rhs.add_product(ctx.field_raised(x, be, (k, mu)),
+                                        ctx.field_series(x, (1, be), (l, nu)))
                     yield ((k, mu, l, nu), lhs, rhs)
 
 
@@ -706,13 +699,13 @@ def _check_quadrel_ii(ctx: IdentityContext):
                     lhs = ctx.zero()
                     rhs = ctx.zero()
                     for be in ctx.classes():
-                        lhs = lhs + series_mul(ctx.corr_raised(be, (k - 1, mu)),
-                                               ctx.field_series(x, (1, be), (l, nu)))
-                        rhs = rhs + series_mul(ctx.corr((k - 1, mu), (1, be)),
-                                               ctx.field_raised(x, be, (l, nu)))
-                    rhs = rhs + ctx.field_series(x, (k + 1, mu), (l, nu))
+                        lhs.add_product(ctx.corr_raised(be, (k - 1, mu)),
+                                        ctx.field_series(x, (1, be), (l, nu)))
+                        rhs.add_product(ctx.corr((k - 1, mu), (1, be)),
+                                        ctx.field_raised(x, be, (l, nu)))
+                    rhs.add_scaled(ctx.field_series(x, (k + 1, mu), (l, nu)))
                     if k == 0:
-                        rhs = rhs - ctx.field_series(x, (1, mu), (l, nu))
+                        rhs.add_scaled(ctx.field_series(x, (1, mu), (l, nu)), -1)
                     yield ((k, mu, l, nu), lhs, rhs)
 
 
@@ -724,12 +717,10 @@ def _check_quadrel_iii(ctx: IdentityContext):
                     lhs = ctx.zero()
                     rhs = ctx.zero()
                     for be in ctx.classes():
-                        lhs = lhs + series_mul(ctx.corr_raised(be, (k, mu)),
-                                               ctx.corr((1, be), (l, nu)))
-                        rhs = rhs + series_mul(ctx.corr((k, mu), (1, be)),
-                                               ctx.corr_raised(be, (l, nu)))
-                    rhs = rhs + ctx.corr((k + 2, mu), (l, nu))
-                    rhs = rhs - ctx.corr((k, mu), (l + 2, nu))
+                        lhs.add_product(ctx.corr_raised(be, (k, mu)), ctx.corr((1, be), (l, nu)))
+                        rhs.add_product(ctx.corr((k, mu), (1, be)), ctx.corr_raised(be, (l, nu)))
+                    rhs.add_scaled(ctx.corr((k + 2, mu), (l, nu)))
+                    rhs.add_scaled(ctx.corr((k, mu), (l + 2, nu)), -1)
                     yield ((k, mu, l, nu), lhs, rhs)
 
 
@@ -747,37 +738,32 @@ def _check_quad_form(ctx: IdentityContext):
                     for be in ctx.classes():
                         bb = ts.b[be - 1]
                         if bb * (bb + 1):
-                            lhs = lhs + series_mul(
-                                ctx.corr((k, mu), (1, be)),
-                                ctx.corr_raised(be, (l, nu))).scale(bb * (bb + 1))
+                            lhs.add_product(ctx.corr((k, mu), (1, be)),
+                                            ctx.corr_raised(be, (l, nu)), bb * (bb + 1))
                         if bb * (1 - bb):
-                            lhs = lhs + series_mul(
-                                ctx.corr_raised(be, (k, mu)),
-                                ctx.corr((1, be), (l, nu))).scale(bb * (1 - bb))
+                            lhs.add_product(ctx.corr_raised(be, (k, mu)),
+                                            ctx.corr((1, be), (l, nu)), bb * (1 - bb))
                     for a in ctx.classes():
                         for be in ctx.classes():
                             c = ceta[a - 1][be - 1]
                             if c:
-                                lhs = lhs + series_mul(
-                                    ctx.corr_raised(a, (k, mu)),
-                                    ctx.corr_raised(be, (l, nu))).scale(
-                                        (2 * ts.b[be - 1] + 1) * c)
+                                lhs.add_product(ctx.corr_raised(a, (k, mu)),
+                                                ctx.corr_raised(be, (l, nu)),
+                                                (2 * ts.b[be - 1] + 1) * c)
                     rhs = ctx.corr((k + 2, mu), (l, nu)).scale(-(k + bm) * (k + bm + 1))
-                    rhs = rhs + ctx.corr((k, mu), (l + 2, nu)).scale(
-                        (l + bn + 1) * (l + bn + 2))
+                    rhs.add_scaled(ctx.corr((k, mu), (l + 2, nu)), (l + bn + 1) * (l + bn + 2))
                     for a in ctx.classes():
                         c = ts.c1_mat[mu - 1][a - 1]
                         if c:
-                            rhs = rhs - ctx.corr((k + 1, a), (l, nu)).scale(
-                                (2 * k + 2 * bm + 1) * c)
+                            rhs.add_scaled(ctx.corr((k + 1, a), (l, nu)),
+                                           -(2 * k + 2 * bm + 1) * c)
                         c = ts.c1_mat[nu - 1][a - 1]
                         if c:
-                            rhs = rhs + ctx.corr((k, mu), (l + 1, a)).scale(
-                                (2 * l + 2 * bn + 3) * c)
+                            rhs.add_scaled(ctx.corr((k, mu), (l + 1, a)), (2 * l + 2 * bn + 3) * c)
                         if c2[mu - 1][a - 1]:
-                            rhs = rhs - ctx.corr((k, a), (l, nu)).scale(c2[mu - 1][a - 1])
+                            rhs.add_scaled(ctx.corr((k, a), (l, nu)), -c2[mu - 1][a - 1])
                         if c2[nu - 1][a - 1]:
-                            rhs = rhs + ctx.corr((k, mu), (l, a)).scale(c2[nu - 1][a - 1])
+                            rhs.add_scaled(ctx.corr((k, mu), (l, a)), c2[nu - 1][a - 1])
                     yield ((k, mu, l, nu), lhs, rhs)
 
 
@@ -789,7 +775,7 @@ def _check_tilde1_corr(ctx: IdentityContext):
         for a in ctx.classes():
             rhs = ctx.corr((m + 1, a)).scale(-1)
             for s in ctx.classes():
-                rhs = rhs + series_mul(ctx.corr((m, a), (0, s)), ctx.corr_raised(s))
+                rhs.add_product(ctx.corr((m, a), (0, s)), ctx.corr_raised(s))
             yield ((m, a), ctx.field_series(lt1, (m, a)), rhs)
     for m in ctx.levels():
         for a in ctx.classes():
@@ -797,8 +783,7 @@ def _check_tilde1_corr(ctx: IdentityContext):
                 for b in ctx.classes():
                     rhs = ctx.zero()
                     for s in ctx.classes():
-                        rhs = rhs + series_mul(ctx.corr((m, a), (n, b), (0, s)),
-                                               ctx.corr_raised(s))
+                        rhs.add_product(ctx.corr((m, a), (n, b), (0, s)), ctx.corr_raised(s))
                     yield ((m, a, n, b), ctx.field_series(lt1, (m, a), (n, b)), rhs)
 
 
@@ -814,26 +799,25 @@ def _check_tilde_quad_form(ctx: IdentityContext):
                     for s in ctx.classes():
                         bs = ts.b[s - 1]
                         if bs:
-                            lhs = lhs + series_mul(ctx.corr_raised(s, (m, a)),
-                                                   ctx.corr((1, s), (n, be))).scale(bs)
-                            lhs = lhs + series_mul(ctx.corr((m, a), (1, s)),
-                                                   ctx.corr_raised(s, (n, be))).scale(bs)
+                            lhs.add_product(ctx.corr_raised(s, (m, a)),
+                                            ctx.corr((1, s), (n, be)), bs)
+                            lhs.add_product(ctx.corr((m, a), (1, s)),
+                                            ctx.corr_raised(s, (n, be)), bs)
                     rhs = ctx.corr((m + 2, a), (n, be)).scale(m + ba + 1)
-                    rhs = rhs + ctx.corr((m, a), (n + 2, be)).scale(n + bb + 1)
+                    rhs.add_scaled(ctx.corr((m, a), (n + 2, be)), n + bb + 1)
                     for s in ctx.classes():
                         c = ts.c1_mat[a - 1][s - 1]
                         if c:
-                            rhs = rhs + ctx.corr((m + 1, s), (n, be)).scale(c)
+                            rhs.add_scaled(ctx.corr((m + 1, s), (n, be)), c)
                         c = ts.c1_mat[be - 1][s - 1]
                         if c:
-                            rhs = rhs + ctx.corr((m, a), (n + 1, s)).scale(c)
+                            rhs.add_scaled(ctx.corr((m, a), (n + 1, s)), c)
                     for s in ctx.classes():
                         for r in ctx.classes():
                             c = ts.c1_mat[s - 1][r - 1]
                             if c:
-                                rhs = rhs - series_mul(
-                                    ctx.corr_raised(s, (m, a)),
-                                    ctx.corr((0, r), (n, be))).scale(c)
+                                rhs.add_product(ctx.corr_raised(s, (m, a)),
+                                                ctx.corr((0, r), (n, be)), -c)
                     yield ((m, a, n, be), lhs, rhs)
 
 
@@ -931,12 +915,11 @@ def verify_identity(ts_or_engine, tag: str, policy: TruncationPolicy,
         ctx = IdentityContext(engine, policy, idx_max)
     findings: list[IdentityFinding] = []
     for indices, lhs, rhs in REGISTRY[tag](ctx):
-        diff = lhs - rhs
-        if diff.is_zero():
+        if lhs == rhs:
             findings.append(IdentityFinding(tag, indices, "pass"))
         else:
-            mon, _ = diff.items_sorted()[0]
+            mon, _ = (lhs - rhs).items_sorted()[0]
             findings.append(IdentityFinding(
                 tag, indices, "fail", render_monomial(mon),
-                str(lhs.coefficient(mon)), str(rhs.coefficient(mon))))
+                format_rational(lhs.coefficient(mon)), format_rational(rhs.coefficient(mon))))
     return findings

@@ -4,6 +4,12 @@ Rationals are stdlib ``fractions.Fraction`` throughout: arbitrary precision,
 always in lowest terms with positive denominator.  The wire format is the
 decimal string ``p/q`` (or just ``p`` when q = 1), no whitespace; round trips
 are bit-exact.
+
+Python refuses to convert an integer of more than 4,300 decimal digits to or
+from a string (``sys.get_int_max_str_digits``).  Rather than raise that
+interpreter-wide limit, longer integers are split at a power of ten, so that
+every single conversion stays under 640 digits, the least value the limit
+can be set to.
 """
 
 from __future__ import annotations
@@ -15,12 +21,35 @@ from .errors import ParseError
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
+_CHUNK_DIGITS = 600
+_CHUNK = 10 ** 572  # an int below this in absolute value has at most 572 digits
+
+
+def _int_to_decimal(n: int) -> str:
+    if -_CHUNK < n < _CHUNK:
+        return str(n)
+    if n < 0:
+        return "-" + _int_to_decimal(-n)
+    # Split near half the digit count (log10(2) ~ 0.30103).
+    k = n.bit_length() * 30103 // 200000
+    hi, lo = divmod(n, 10 ** k)
+    return _int_to_decimal(hi) + _int_to_decimal(lo).rjust(k, "0")
+
+
+def _decimal_to_int(text: str) -> int:
+    if len(text) <= _CHUNK_DIGITS:
+        return int(text)
+    if text.startswith("-"):
+        return -_decimal_to_int(text[1:])
+    k = len(text) // 2
+    return _decimal_to_int(text[:-k]) * 10 ** k + _decimal_to_int(text[-k:])
+
 
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as ``p/q`` or ``p`` (lowest terms, no spaces)."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _int_to_decimal(value.numerator)
+    return f"{_int_to_decimal(value.numerator)}/{_int_to_decimal(value.denominator)}"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -28,6 +57,6 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text)
     if m is None:
         raise ParseError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num = _decimal_to_int(m.group(1))
+    den = _decimal_to_int(m.group(2)) if m.group(2) else 1
     return Fraction(num, den)

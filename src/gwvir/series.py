@@ -8,17 +8,30 @@ a series is a finite map from monomials to nonzero Fractions, truncated by a
 degree cap D).  The ring is a plain finitely supported polynomial ring: any
 product monomial falling outside the policy is discarded.
 
+Inside a series each monomial is one packed integer (Kronecker substitution,
+as in Monagan and Pearce's sparse polynomial arithmetic).  Each policy derives
+its ``Packing`` once.  From the least significant bit up, a key holds a field
+for the total t-exponent (values up to K), one field per Novikov component
+(values up to D_i), each followed by a guard bit, and then one slot per
+variable, ``VarId(m, a)`` in slot (a - 1)(M + 1) + m, wide enough for an
+exponent of K.  The product of two monomials is the sum of their keys, and it
+is admitted exactly when adding ``Packing.add`` sets no guard bit; a carry
+between variable slots needs a total above K, which that test rejects.
+``Monomial`` stays the type at the API edge: the constructor, ``coefficient``,
+``monomials`` and ``items_sorted`` encode and decode, in Monomial order.
+
 Every operator returns a new series and leaves its operands alone, so a series
-can be cached and shared.  The one exception is ``add_scaled``, which updates
-its receiver in place; call it only on a series the caller has just created
-and not yet handed out.
+can be cached and shared.  The exceptions are ``add_scaled`` and
+``add_product``, which update their receiver in place; call them only on a
+series the caller has just created and not yet handed out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import PolicyMismatch
 
@@ -56,6 +69,62 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return Monomial(tuple(sorted(exps.items())), degree)
 
 
+class Packing:
+    """The packed-key layout of one policy (see the module docstring)."""
+
+    __slots__ = ("total_mask", "deg_fields", "add", "guard",
+                 "var_shift", "var_bits", "var_mask", "stride")
+
+    def __init__(self, policy: "TruncationPolicy"):
+        shift = add = guard = 0
+        fields = []
+        for bound in (policy.max_insertions, *policy.max_degree):
+            width = bound.bit_length()
+            fields.append((shift, (1 << width) - 1))
+            add |= ((1 << width) - 1 - bound) << shift
+            guard |= 1 << (shift + width)
+            shift += width + 1
+        self.total_mask = fields[0][1]
+        self.deg_fields = tuple(fields[1:])
+        self.add, self.guard = add, guard
+        self.var_shift = shift
+        self.var_bits = max(policy.max_insertions.bit_length(), 1)
+        self.var_mask = (1 << self.var_bits) - 1
+        self.stride = policy.max_level + 1
+
+    def var_offset(self, v: VarId) -> int:
+        """Bit offset of t_v's slot (v within the level bound, cls >= 1)."""
+        return self.var_shift + ((v.cls - 1) * self.stride + v.level) * self.var_bits
+
+    def unit(self, v: VarId) -> int:
+        """Key of the monomial t_v."""
+        return 1 + (1 << self.var_offset(v))
+
+    def degree_key(self, degree: Iterable[int]) -> int:
+        return sum(d << shift for d, (shift, _) in zip(degree, self.deg_fields))
+
+    def exps_key(self, exps: Iterable[tuple[VarId, int]]) -> int:
+        return sum(e * self.unit(v) for v, e in exps)
+
+    def encode(self, mon: Monomial) -> int:
+        """Key of a monomial the policy admits."""
+        return self.exps_key(mon.exps) + self.degree_key(mon.degree)
+
+    def decode(self, key: int) -> Monomial:
+        degree = tuple((key >> shift) & mask for shift, mask in self.deg_fields)
+        exps = []
+        rest, slot = key >> self.var_shift, 0
+        while rest:
+            e = rest & self.var_mask
+            if e:
+                cls, level = divmod(slot, self.stride)
+                exps.append((VarId(level, cls + 1), e))
+            rest >>= self.var_bits
+            slot += 1
+        exps.sort()
+        return Monomial(tuple(exps), degree)
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     max_insertions: int
@@ -72,28 +141,38 @@ class TruncationPolicy:
     def admits(self, mon: Monomial) -> bool:
         if len(mon.degree) != len(self.max_degree):
             return False
-        if any(a > b for a, b in zip(mon.degree, self.max_degree)):
+        if any(not 0 <= a <= b for a, b in zip(mon.degree, self.max_degree)):
             return False
         total = 0
         for v, e in mon.exps:
-            if v.level > self.max_level:
+            if v.level > self.max_level or v.cls < 1:
                 return False
             total += e
         return total <= self.max_insertions
 
+    @cached_property
+    def packing(self) -> Packing:
+        """Derived once per policy object; not a field, so ==, hash and repr ignore it."""
+        return Packing(self)
+
 
 class TruncatedSeries:
-    """Finitely supported series under a fixed truncation policy."""
+    """Finitely supported series under a fixed truncation policy.
+
+    ``terms`` maps packed monomial keys (see ``Packing``) to nonzero
+    Fractions; every stored key is admitted by the policy.
+    """
 
     __slots__ = ("terms", "policy")
 
     def __init__(self, policy: TruncationPolicy, terms: dict[Monomial, Fraction] | None = None):
         self.policy = policy
-        self.terms: dict[Monomial, Fraction] = {}
+        self.terms: dict[int, Fraction] = {}
         if terms:
+            encode = policy.packing.encode
             for mon, coeff in terms.items():
                 if coeff != 0 and policy.admits(mon):
-                    self.terms[mon] = coeff
+                    self.terms[encode(mon)] = coeff
 
     @classmethod
     def zero(cls, policy: TruncationPolicy) -> "TruncatedSeries":
@@ -118,10 +197,17 @@ class TruncatedSeries:
         return not self.terms
 
     def coefficient(self, mon: Monomial) -> Fraction:
-        return self.terms.get(mon, _ZERO)
+        if not self.policy.admits(mon):
+            return _ZERO
+        return self.terms.get(self.policy.packing.encode(mon), _ZERO)
+
+    def monomials(self) -> Iterator[tuple[Monomial, Fraction]]:
+        """(monomial, coefficient) for every term, in no particular order."""
+        decode = self.policy.packing.decode
+        return ((decode(key), coeff) for key, coeff in self.terms.items())
 
     def items_sorted(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items())
+        return sorted(self.monomials())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -132,35 +218,78 @@ class TruncatedSeries:
         raise TypeError("TruncatedSeries is not hashable")
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        out = dict(self.terms)
-        for mon, coeff in other.terms.items():
-            acc = out.get(mon, _ZERO) + coeff
-            if acc:
-                out[mon] = acc
-            else:
-                out.pop(mon, None)
         res = TruncatedSeries(self.policy)
-        res.terms = out
-        return res
+        res.terms = dict(self.terms)
+        return res.add_scaled(other)
 
-    def add_scaled(self, other: "TruncatedSeries", factor: Fraction | int) -> "TruncatedSeries":
+    def add_scaled(self, other: "TruncatedSeries",
+                   factor: Fraction | int = 1) -> "TruncatedSeries":
         """In place: self += factor * other.  Returns self."""
         self._check(other)
         if factor:
             terms = self.terms
+            get = terms.get
             unit = factor == 1
-            for mon, coeff in other.terms.items():
-                acc = terms.get(mon, _ZERO) + (coeff if unit else factor * coeff)
-                if acc:
-                    terms[mon] = acc
+            for key, coeff in other.terms.items():
+                if not unit:
+                    coeff = factor * coeff
+                old = get(key)
+                if old is None:
+                    terms[key] = coeff
                 else:
-                    terms.pop(mon, None)
+                    acc = old + coeff
+                    if acc:
+                        terms[key] = acc
+                    else:
+                        del terms[key]
+        return self
+
+    def add_product(self, a: "TruncatedSeries", b: "TruncatedSeries",
+                    factor: Fraction | int = 1) -> "TruncatedSeries":
+        """In place: self += factor * a * b, dropping what the policy does not admit.
+
+        Returns self.  ``a`` and ``b`` are read only and must not be self.
+        """
+        self._check(a)
+        self._check(b)
+        if not factor or not a.terms or not b.terms:
+            return self
+        packing = self.policy.packing
+        total_mask, add, guard = packing.total_mask, packing.add, packing.guard
+        kmax = self.policy.max_insertions
+        # Bucket one factor by total exponent so oversize pairs are skipped early.
+        buckets: dict[int, list[tuple[int, Fraction]]] = {}
+        for kb, cb in b.terms.items():
+            buckets.setdefault(kb & total_mask, []).append((kb, cb))
+        by_total = sorted(buckets.items())
+        terms = self.terms
+        get = terms.get
+        unit = factor == 1
+        for ka, ca in a.terms.items():
+            room = kmax - (ka & total_mask)
+            if not unit:
+                ca = factor * ca
+            for tb, bucket in by_total:
+                if tb > room:
+                    break
+                for kb, cb in bucket:
+                    key = ka + kb
+                    if (key + add) & guard:
+                        continue
+                    old = get(key)
+                    if old is None:
+                        terms[key] = ca * cb
+                    else:
+                        acc = old + ca * cb
+                        if acc:
+                            terms[key] = acc
+                        else:
+                            del terms[key]
         return self
 
     def __neg__(self) -> "TruncatedSeries":
         res = TruncatedSeries(self.policy)
-        res.terms = {m: -c for m, c in self.terms.items()}
+        res.terms = {k: -c for k, c in self.terms.items()}
         return res
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -170,7 +299,7 @@ class TruncatedSeries:
         factor = Fraction(factor)
         res = TruncatedSeries(self.policy)
         if factor:
-            res.terms = {m: c * factor for m, c in self.terms.items()}
+            res.terms = {k: c * factor for k, c in self.terms.items()}
         return res
 
     def __mul__(self, other):
@@ -182,73 +311,37 @@ class TruncatedSeries:
         return self.scale(other)
 
     def times_var(self, v: VarId) -> "TruncatedSeries":
-        """Multiply by the variable t_v; overflowing monomials are discarded.
-
-        Every term is admitted by the policy, so a lifted term is admitted
-        exactly when t_v is within the level bound and the term has room for
-        one more exponent; only those are built.
-        """
+        """Multiply by the variable t_v; overflowing monomials are discarded."""
         policy = self.policy
         res = TruncatedSeries(policy)
         if v.level > policy.max_level:
             return res
-        shift = monomial([(v, 1)], (0,) * len(policy.max_degree))
-        room = policy.max_insertions - 1
-        res.terms = {monomial_mul(mon, shift): coeff for mon, coeff in self.terms.items()
-                     if mon.total_exponent() <= room}
+        packing = policy.packing
+        unit, guard = packing.unit(v), packing.guard
+        lift = unit + packing.add
+        res.terms = {key + unit: coeff for key, coeff in self.terms.items()
+                     if not (key + lift) & guard}
         return res
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Convolution product; monomials exceeding the shared policy are dropped."""
     a._check(b)
-    policy = a.policy
-    if not a.terms or not b.terms:
-        return TruncatedSeries.zero(policy)
-    # Bucket one factor by total exponent so oversize pairs are skipped early.
-    buckets: dict[int, list[tuple[Monomial, Fraction]]] = {}
-    for mon, coeff in b.terms.items():
-        buckets.setdefault(mon.total_exponent(), []).append((mon, coeff))
-    kmax = policy.max_insertions
-    dmax = policy.max_degree
-    out: dict[Monomial, Fraction] = {}
-    for ma, ca in a.terms.items():
-        room = kmax - ma.total_exponent()
-        dega = ma.degree
-        for tb, bucket in buckets.items():
-            if tb > room:
-                continue
-            for mb, cb in bucket:
-                degree = tuple(x + y for x, y in zip(dega, mb.degree))
-                if any(x > y for x, y in zip(degree, dmax)):
-                    continue
-                mon = monomial_mul(ma, mb)
-                acc = out.get(mon, _ZERO) + ca * cb
-                if acc:
-                    out[mon] = acc
-                else:
-                    out.pop(mon, None)
-    res = TruncatedSeries(policy)
-    res.terms = out
-    return res
+    return TruncatedSeries(a.policy).add_product(a, b)
 
 
 def series_derive(s: TruncatedSeries, v: VarId) -> TruncatedSeries:
     """Formal partial derivative with respect to t_v."""
     v = VarId(*v)
-    out: dict[Monomial, Fraction] = {}
-    for mon, coeff in s.terms.items():
-        for i, (var, e) in enumerate(mon.exps):
-            if var == v:
-                exps = mon.exps[:i] + ((var, e - 1),) if e > 1 else mon.exps[:i]
-                exps += mon.exps[i + 1:]
-                lowered = Monomial(exps, mon.degree)
-                acc = out.get(lowered, _ZERO) + coeff * e
-                if acc:
-                    out[lowered] = acc
-                else:
-                    out.pop(lowered, None)
-                break
     res = TruncatedSeries(s.policy)
+    if v.level > s.policy.max_level or v.cls < 1:
+        return res  # t_v occurs in no admitted monomial
+    packing = s.policy.packing
+    shift, mask, unit = packing.var_offset(v), packing.var_mask, packing.unit(v)
+    out: dict[int, Fraction] = {}
+    for key, coeff in s.terms.items():
+        e = (key >> shift) & mask
+        if e:
+            out[key - unit] = coeff * e if e > 1 else coeff
     res.terms = out
     return res

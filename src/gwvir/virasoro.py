@@ -228,9 +228,7 @@ def _classical_series(matrix: Matrix, policy: TruncationPolicy) -> TruncatedSeri
                 terms[mon] = acc
             else:
                 terms.pop(mon, None)
-    series = TruncatedSeries(policy)
-    series.terms = {m: c for m, c in terms.items() if policy.admits(m)}
-    return series
+    return TruncatedSeries(policy, terms)
 
 
 def add_ttilde(acc: TruncatedSeries, src: VarId, series: TruncatedSeries,
@@ -269,7 +267,7 @@ def apply_operator(op: VirasoroOperator, f0: TruncatedSeries,
     def deriv(v: VarId) -> TruncatedSeries:
         """d f0 / dt_v restricted to ``policy``."""
         if v not in derivs:
-            derivs[v] = TruncatedSeries(policy, series_derive(f0, v).terms)
+            derivs[v] = TruncatedSeries(policy, dict(series_derive(f0, v).monomials()))
         return derivs[v]
 
     result = _classical_series(op.classical, policy)
@@ -498,7 +496,7 @@ def derivative_families(series: TruncatedSeries):
     constants: dict[tuple, Fraction] = {}
     firsts: dict[tuple, Fraction] = {}
     seconds: dict[tuple, Fraction] = {}
-    for mon, coeff in series.terms.items():
+    for mon, coeff in series.monomials():
         if not mon.exps:
             constants[mon.degree] = coeff
         elif mon.total_exponent() == 1:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from gwvir.cli import RunReport, parse_key, run
-from gwvir.engine import make_key
+from gwvir.engine import InvariantCache, make_key
 from gwvir.errors import ParseError
 from gwvir.rationals import format_rational
 from gwvir.target import preset, serialize_target
@@ -185,6 +185,27 @@ def test_cache_poison_detected(tmp_path, monkeypatch):
     path.write_text("\n".join(lines) + "\n")
     code, _, text = go("cache", "verify", "--target", "P1")
     assert code == 3
+
+
+def test_cache_verify_full_checks_every_entry(tmp_path, monkeypatch):
+    monkeypatch.setenv("GW_CACHE_DIR", str(tmp_path))
+    code, _, _ = go("cache", "warm", "--target", "P1", "--insertions", "3",
+                    "--level", "1", "--degree", "2")
+    assert code == 0
+    path = tmp_path / f"{preset('P1').fingerprint}.jsonl"
+    keys = sorted(InvariantCache.load(str(path), preset("P1").fingerprint).entries)
+    victim = keys[1]  # the sample takes keys[0], keys[20], ...
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines[1:], start=1):
+        rec = json.loads(line)
+        if make_key([tuple(v) for v in rec["ins"]], tuple(rec["deg"])) == victim:
+            rec["val"] = "999"
+            lines[i] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    code, report, _ = go("cache", "verify", "--target", "P1")
+    assert code == 0 and report.details[0]["sampled"] < len(keys)
+    code, _, text = go("cache", "verify", "--target", "P1", "--full")
+    assert code == 3 and "999" in text
 
 
 def test_free_energy_command():
