@@ -79,8 +79,12 @@ _KEY_RE = re.compile(r"^deg=([0-9,]*);ins=((?:\(\d+,\d+\))*)$")
 _INS_RE = re.compile(r"\((\d+),(\d+)\)")
 
 
-def parse_key(text: str, rank: int) -> eng.CorrelatorKey:
-    """Key syntax: deg=a1,..,ar;ins=(m,alpha)(m,alpha)..."""
+def parse_key(text: str, rank: int, classes: int | None = None) -> eng.CorrelatorKey:
+    """Key syntax: deg=a1,..,ar;ins=(m,alpha)(m,alpha)...
+
+    Given the target's class count, a class index alpha outside 1..classes is
+    a ``ParseError``; ``gw invariant`` always gives it.
+    """
     m = _KEY_RE.match(text)
     if m is None:
         raise errors.ParseError(f"bad key syntax: {text!r}")
@@ -89,6 +93,9 @@ def parse_key(text: str, rank: int) -> eng.CorrelatorKey:
     if len(deg) != rank:
         raise errors.ParseError(f"degree has {len(deg)} components, target has rank {rank}")
     ins = [(int(a), int(b)) for a, b in _INS_RE.findall(m.group(2))]
+    bad = [a for _, a in ins if classes is not None and not 1 <= a <= classes]
+    if bad:
+        raise errors.ParseError(f"class index {bad[0]} not in [1, {classes}]")
     return eng.make_key(ins, deg)
 
 
@@ -234,7 +241,7 @@ def _cmd_targets(args) -> RunReport:
 def _cmd_invariant(args) -> RunReport:
     ts = _load_target(args.target)
     policy = _policy_from_args(args, ts)
-    key = parse_key(args.key, ts.novikov_rank)
+    key = parse_key(args.key, ts.novikov_rank, ts.classes)
     value = _make_engine(args, ts).invariant(key)
     detail = {"key": args.key, "value": format_rational(value),
               "admissible": eng.dimension_admissible(ts, key)}

@@ -55,9 +55,17 @@ def make_key(insertions: Iterable[tuple[int, int]], degree: Iterable[int]) -> Co
 
 
 def dimension_admissible(ts: TargetSpace, key: CorrelatorKey) -> bool:
-    """Selection rule: sum of (m_i + q_i) must hit the virtual dimension."""
+    """Selection rule: sum of (m_i + q_i) must hit the virtual dimension.
+
+    A key with a class index outside 1..classes is not admissible.
+    """
     ins, deg = key
-    lhs = sum(m + ts.q[a - 1] for m, a in ins)
+    q, classes = ts.q, ts.classes
+    lhs = 0
+    for m, a in ins:
+        if not 1 <= a <= classes:
+            return False
+        lhs += m + q[a - 1]
     rhs = ts.complex_dim - 3 + len(ins) + sum(d * c for d, c in zip(deg, ts.c1_deg))
     return lhs == rhs
 
@@ -166,7 +174,7 @@ def _admissible_on(ts: TargetSpace, key: CorrelatorKey) -> bool:
     """A key of ``ts`` (levels, classes and degree in range) that is admissible."""
     ins, deg = key
     return (len(deg) == ts.novikov_rank and all(d >= 0 for d in deg)
-            and all(m >= 0 and 1 <= a <= ts.classes for m, a in ins)
+            and all(m >= 0 for m, _ in ins)
             and dimension_admissible(ts, key))
 
 
@@ -609,8 +617,7 @@ class Engine:
             groups: dict[int, list[_PolicyEntry]] = {}
             for mon, weight in _iter_t_monomials(policy, self.ts):
                 fact = math.prod(math.factorial(e) for _, e in mon)
-                groups.setdefault(weight, []).append(
-                    (exps_key(mon), _insertions(mon), Fraction(1, fact)))
+                groups.setdefault(weight, []).append((exps_key(mon), _insertions(mon), fact))
             index = self._indexes[policy] = list(groups.items())
         return index
 
@@ -627,13 +634,15 @@ class Engine:
         base = _weight(self.ts, fixed_ins) - (self.ts.complex_dim - 3)
         cap = policy.max_degree
         degree_key = policy.packing.degree_key
-        terms: dict[int, Fraction] = {}
+        # (key, numerator, denominator) of each coefficient value / prod e!
+        found: list[tuple[int, int, int]] = []
+        den = 1
         for weight, entries in self._policy_index(policy):
             degrees = [(deg, degree_key(deg))
                        for deg in self._degrees_for_balance(base + weight, cap)]
             if not degrees:
                 continue
-            for tkey, ins, invfact in entries:
+            for tkey, ins, fact in entries:
                 full = tuple(sorted(fixed_ins + ins))
                 short = len(full) < 3
                 for deg, dkey in degrees:
@@ -641,9 +650,13 @@ class Engine:
                         continue
                     value = self.invariant(CorrelatorKey(full, deg))
                     if value:
-                        terms[tkey + dkey] = value * invfact
+                        d = value.denominator * fact
+                        if den % d:
+                            den = math.lcm(den, d)
+                        found.append((tkey + dkey, value.numerator, d))
         series = TruncatedSeries(policy)
-        series.terms = terms
+        series.terms = {key: num * (den // d) for key, num, d in found}
+        series.den = den
         return series
 
     def free_energy(self, policy: TruncationPolicy) -> TruncatedSeries:
@@ -675,8 +688,8 @@ class Engine:
         return keys
 
 
-# (packed key of the t-monomial, its insertion tuple, 1 / prod of exponent factorials)
-_PolicyEntry = tuple[int, Insertions, Fraction]
+# (packed key of the t-monomial, its insertion tuple, prod of exponent factorials)
+_PolicyEntry = tuple[int, Insertions, int]
 
 
 def _weight(ts: TargetSpace, ins: Iterable[VarId]) -> int:

@@ -3,7 +3,7 @@
 Variables are descendent coordinates t^alpha_m, identified by ``VarId(level,
 cls)`` with level m >= 0 and 1-based cohomology class index.  A monomial is a
 sorted tuple of (VarId, exponent) pairs together with a Novikov degree vector;
-a series is a finite map from monomials to nonzero Fractions, truncated by a
+a series is a finite map from monomials to nonzero rationals, truncated by a
 ``TruncationPolicy`` (total t-exponent bound K, level bound M, componentwise
 degree cap D).  The ring is a plain finitely supported polynomial ring: any
 product monomial falling outside the policy is discarded.
@@ -17,8 +17,19 @@ variable, ``VarId(m, a)`` in slot (a - 1)(M + 1) + m, wide enough for an
 exponent of K.  The product of two monomials is the sum of their keys, and it
 is admitted exactly when adding ``Packing.add`` sets no guard bit; a carry
 between variable slots needs a total above K, which that test rejects.
-``Monomial`` stays the type at the API edge: the constructor, ``coefficient``,
-``monomials`` and ``items_sorted`` encode and decode, in Monomial order.
+Coefficients are integer numerators over one positive denominator per series
+(``terms[key] / den``), the other half of the same sparse design: the inner
+loops of ``add_scaled`` and ``add_product`` are plain integer multiply-adds.
+Each first raises the receiver's ``den`` to a multiple of the incoming
+denominator, rescaling the numerators only when it has to grow.  ``den`` need
+not be in lowest terms, so ``==`` compares the key sets and then each pair of
+numerators cross-multiplied by the other side's denominator; it never
+normalises either side.
+
+``Monomial`` and ``Fraction`` stay the types at the API edge: the constructor
+takes ``{Monomial: Fraction}``, and ``coefficient``, ``monomials`` and
+``items_sorted`` decode keys and return coefficients in lowest terms, in
+Monomial order.  Scalar factors may be ``Fraction``s or ints.
 
 Every operator returns a new series and leaves its operands alone, so a series
 can be cached and shared.  The exceptions are ``add_scaled`` and
@@ -31,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import PolicyMismatch
@@ -159,20 +171,24 @@ class TruncationPolicy:
 class TruncatedSeries:
     """Finitely supported series under a fixed truncation policy.
 
-    ``terms`` maps packed monomial keys (see ``Packing``) to nonzero
-    Fractions; every stored key is admitted by the policy.
+    ``terms`` maps packed monomial keys (see ``Packing``) to nonzero integer
+    numerators over the one positive denominator ``den``: the coefficient of
+    key ``k`` is ``terms[k] / den``.  Every stored key is admitted by the
+    policy; ``den`` need not be in lowest terms.
     """
 
-    __slots__ = ("terms", "policy")
+    __slots__ = ("terms", "den", "policy")
 
     def __init__(self, policy: TruncationPolicy, terms: dict[Monomial, Fraction] | None = None):
         self.policy = policy
-        self.terms: dict[int, Fraction] = {}
+        self.terms: dict[int, int] = {}
+        self.den = 1
         if terms:
             encode = policy.packing.encode
-            for mon, coeff in terms.items():
-                if coeff != 0 and policy.admits(mon):
-                    self.terms[encode(mon)] = coeff
+            kept = [(encode(mon), Fraction(coeff)) for mon, coeff in terms.items()
+                    if coeff != 0 and policy.admits(mon)]
+            den = self.den = lcm(*(c.denominator for _, c in kept))
+            self.terms = {key: c.numerator * (den // c.denominator) for key, c in kept}
 
     @classmethod
     def zero(cls, policy: TruncationPolicy) -> "TruncatedSeries":
@@ -180,107 +196,141 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, policy: TruncationPolicy, value: Fraction | int) -> "TruncatedSeries":
-        value = Fraction(value)
         mon = Monomial((), (0,) * len(policy.max_degree))
         return cls(policy, {mon: value})
 
     @classmethod
     def variable(cls, policy: TruncationPolicy, v: VarId) -> "TruncatedSeries":
         mon = monomial([(v, 1)], (0,) * len(policy.max_degree))
-        return cls(policy, {mon: Fraction(1)})
+        return cls(policy, {mon: 1})
 
     def _check(self, other: "TruncatedSeries") -> None:
         if self.policy != other.policy:
             raise PolicyMismatch("series policies differ")
 
+    def _like(self, terms: dict[int, int], den: int) -> "TruncatedSeries":
+        res = TruncatedSeries(self.policy)
+        res.terms, res.den = terms, den
+        return res
+
+    def _common(self, den: int) -> int:
+        """Make ``self.den`` a multiple of ``den``; return ``self.den // den``.
+
+        The numerators are rescaled only when the denominator has to grow.
+        """
+        if not self.terms:
+            self.den = den
+            return 1
+        mine = self.den
+        if mine % den:
+            grow = den // gcd(mine, den)
+            terms = self.terms
+            for key, num in terms.items():
+                terms[key] = num * grow
+            mine = self.den = mine * grow
+        return mine // den
+
     def is_zero(self) -> bool:
         return not self.terms
 
     def coefficient(self, mon: Monomial) -> Fraction:
+        """The coefficient of ``mon``, in lowest terms."""
         if not self.policy.admits(mon):
             return _ZERO
-        return self.terms.get(self.policy.packing.encode(mon), _ZERO)
+        num = self.terms.get(self.policy.packing.encode(mon))
+        return _ZERO if num is None else Fraction(num, self.den)
 
     def monomials(self) -> Iterator[tuple[Monomial, Fraction]]:
-        """(monomial, coefficient) for every term, in no particular order."""
-        decode = self.policy.packing.decode
-        return ((decode(key), coeff) for key, coeff in self.terms.items())
+        """(monomial, coefficient in lowest terms) for every term, in no particular order."""
+        decode, den = self.policy.packing.decode, self.den
+        return ((decode(key), Fraction(num, den)) for key, num in self.terms.items())
 
     def items_sorted(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.monomials())
 
     def __eq__(self, other) -> bool:
+        """Same policy and the same coefficients; neither side is normalised."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.policy == other.policy and self.terms == other.terms
+        if self.policy != other.policy or self.terms.keys() != other.terms.keys():
+            return False
+        mine, theirs = self.den, other.den
+        if mine == theirs:
+            return self.terms == other.terms
+        other_terms = other.terms
+        return all(num * theirs == other_terms[key] * mine
+                   for key, num in self.terms.items())
 
     def __hash__(self):
         raise TypeError("TruncatedSeries is not hashable")
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        res = TruncatedSeries(self.policy)
-        res.terms = dict(self.terms)
-        return res.add_scaled(other)
+        return self._like(dict(self.terms), self.den).add_scaled(other)
 
     def add_scaled(self, other: "TruncatedSeries",
                    factor: Fraction | int = 1) -> "TruncatedSeries":
         """In place: self += factor * other.  Returns self."""
         self._check(other)
-        if factor:
-            terms = self.terms
-            get = terms.get
-            unit = factor == 1
-            for key, coeff in other.terms.items():
-                if not unit:
-                    coeff = factor * coeff
-                old = get(key)
-                if old is None:
-                    terms[key] = coeff
+        if not factor or not other.terms:
+            return self
+        if other is self:  # the rescale in _common would change other too
+            other = self._like(dict(self.terms), self.den)
+        mult = self._common(other.den * factor.denominator) * factor.numerator
+        terms = self.terms
+        get = terms.get
+        for key, num in other.terms.items():
+            num *= mult
+            old = get(key)
+            if old is None:
+                terms[key] = num
+            else:
+                num += old
+                if num:
+                    terms[key] = num
                 else:
-                    acc = old + coeff
-                    if acc:
-                        terms[key] = acc
-                    else:
-                        del terms[key]
+                    del terms[key]
         return self
 
     def add_product(self, a: "TruncatedSeries", b: "TruncatedSeries",
                     factor: Fraction | int = 1) -> "TruncatedSeries":
         """In place: self += factor * a * b, dropping what the policy does not admit.
 
-        Returns self.  ``a`` and ``b`` are read only and must not be self.
+        Returns self.  ``a`` and ``b`` are read only.
         """
         self._check(a)
         self._check(b)
         if not factor or not a.terms or not b.terms:
             return self
+        if a is self or b is self:  # read a copy, not the terms being written
+            alias = self._like(dict(self.terms), self.den)
+            a = alias if a is self else a
+            b = alias if b is self else b
+        mult = self._common(a.den * b.den * factor.denominator) * factor.numerator
         packing = self.policy.packing
         total_mask, add, guard = packing.total_mask, packing.add, packing.guard
         kmax = self.policy.max_insertions
         # Bucket one factor by total exponent so oversize pairs are skipped early.
-        buckets: dict[int, list[tuple[int, Fraction]]] = {}
-        for kb, cb in b.terms.items():
-            buckets.setdefault(kb & total_mask, []).append((kb, cb))
+        buckets: dict[int, list[tuple[int, int]]] = {}
+        for kb, nb in b.terms.items():
+            buckets.setdefault(kb & total_mask, []).append((kb, nb))
         by_total = sorted(buckets.items())
         terms = self.terms
         get = terms.get
-        unit = factor == 1
-        for ka, ca in a.terms.items():
+        for ka, na in a.terms.items():
             room = kmax - (ka & total_mask)
-            if not unit:
-                ca = factor * ca
+            na *= mult
             for tb, bucket in by_total:
                 if tb > room:
                     break
-                for kb, cb in bucket:
+                for kb, nb in bucket:
                     key = ka + kb
                     if (key + add) & guard:
                         continue
                     old = get(key)
                     if old is None:
-                        terms[key] = ca * cb
+                        terms[key] = na * nb
                     else:
-                        acc = old + ca * cb
+                        acc = old + na * nb
                         if acc:
                             terms[key] = acc
                         else:
@@ -288,19 +338,18 @@ class TruncatedSeries:
         return self
 
     def __neg__(self) -> "TruncatedSeries":
-        res = TruncatedSeries(self.policy)
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
+        return self._like({k: -n for k, n in self.terms.items()}, self.den)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
 
     def scale(self, factor: Fraction | int) -> "TruncatedSeries":
         factor = Fraction(factor)
-        res = TruncatedSeries(self.policy)
-        if factor:
-            res.terms = {k: c * factor for k, c in self.terms.items()}
-        return res
+        num = factor.numerator
+        if not num:
+            return TruncatedSeries(self.policy)
+        return self._like({k: n * num for k, n in self.terms.items()},
+                          self.den * factor.denominator)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -313,15 +362,13 @@ class TruncatedSeries:
     def times_var(self, v: VarId) -> "TruncatedSeries":
         """Multiply by the variable t_v; overflowing monomials are discarded."""
         policy = self.policy
-        res = TruncatedSeries(policy)
         if v.level > policy.max_level:
-            return res
+            return TruncatedSeries(policy)
         packing = policy.packing
         unit, guard = packing.unit(v), packing.guard
         lift = unit + packing.add
-        res.terms = {key + unit: coeff for key, coeff in self.terms.items()
-                     if not (key + lift) & guard}
-        return res
+        return self._like({key + unit: num for key, num in self.terms.items()
+                           if not (key + lift) & guard}, self.den)
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -333,15 +380,13 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 def series_derive(s: TruncatedSeries, v: VarId) -> TruncatedSeries:
     """Formal partial derivative with respect to t_v."""
     v = VarId(*v)
-    res = TruncatedSeries(s.policy)
     if v.level > s.policy.max_level or v.cls < 1:
-        return res  # t_v occurs in no admitted monomial
+        return TruncatedSeries(s.policy)  # t_v occurs in no admitted monomial
     packing = s.policy.packing
     shift, mask, unit = packing.var_offset(v), packing.var_mask, packing.unit(v)
-    out: dict[int, Fraction] = {}
-    for key, coeff in s.terms.items():
+    out: dict[int, int] = {}
+    for key, num in s.terms.items():
         e = (key >> shift) & mask
         if e:
-            out[key - unit] = coeff * e if e > 1 else coeff
-    res.terms = out
-    return res
+            out[key - unit] = num * e
+    return s._like(out, s.den)

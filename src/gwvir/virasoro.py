@@ -293,8 +293,11 @@ class CorrContext:
         self.policy = policy
         self._corr: dict[tuple[VarId, ...], TruncatedSeries] = {}
         self._raised: dict[tuple[int, tuple[VarId, ...]], TruncatedSeries] = {}
-        self._contracted: dict[tuple[tuple[LinearTerm, ...], tuple[VarId, ...]],
-                               TruncatedSeries] = {}
+        self._contracted: dict[tuple[int, tuple[VarId, ...]], TruncatedSeries] = {}
+        # id(terms) -> (terms, tag): each vector field's terms are hashed once
+        # per context, and holding them here keeps their id from being reused.
+        self._field_ids: dict[int, tuple[tuple[LinearTerm, ...], int]] = {}
+        self._field_tags: dict[tuple[LinearTerm, ...], int] = {}
 
     @property
     def ts(self) -> TargetSpace:
@@ -327,10 +330,18 @@ class CorrContext:
         """<<W tau_slots>> for W = sum coeff ttilde_src d_dst (tensor slot)."""
         return self._contract(terms, tuple(sorted(VarId(m, a) for m, a in slots)))
 
+    def _field_tag(self, terms: tuple[LinearTerm, ...]) -> int:
+        """A small int naming ``terms`` by value; equal fields share a tag."""
+        seen = self._field_ids.get(id(terms))
+        if seen is None:
+            tag = self._field_tags.setdefault(terms, len(self._field_tags))
+            seen = self._field_ids[id(terms)] = (terms, tag)
+        return seen[1]
+
     def _contract(self, terms: tuple[LinearTerm, ...],
                   vids: tuple[VarId, ...]) -> TruncatedSeries:
         """Memoised <<W tau_vids>>; ``vids`` sorted, so slot order cannot split the memo."""
-        key = (terms, vids)
+        key = (self._field_tag(terms), vids)
         out = self._contracted.get(key)
         if out is None:
             out = TruncatedSeries(self.policy)

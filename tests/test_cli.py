@@ -57,6 +57,17 @@ def test_invariant_command():
     assert code == 0 and report.details[0]["value"] == "1"
 
 
+def test_invariant_class_above_range_is_usage_error():
+    code, report, text = go("invariant", "--target", "P2", "--key", "deg=1;ins=(0,9)")
+    assert code == 2 and report is None and "class index 9 not in [1, 3]" in text
+
+
+def test_invariant_class_zero_is_usage_error():
+    code, report, text = go("invariant", "--target", "P2",
+                            "--key", "deg=0;ins=(0,0)(0,1)(0,1)")
+    assert code == 2 and report is None and "class index 0 not in [1, 3]" in text
+
+
 def test_psi_pass_and_exit_codes():
     code, report, text = go("psi", "--target", "point", "--n", "1",
                             "--insertions", "4", "--level", "3")

@@ -56,6 +56,9 @@ def test_dimension_examples(p2_engine, point_engine):
     assert dimension_admissible(p2, make_key([(0, 3), (0, 3)], (1,)))
     assert not dimension_admissible(p2, make_key([(0, 3)], (1,)))
     assert dimension_admissible(point_engine.ts, make_key([(0, 1)] * 3, ()))
+    # Class indices outside 1..classes: not admissible, neither wrapped nor raised.
+    assert not dimension_admissible(p2, make_key([(0, 0), (0, 1), (0, 1)], (0,)))
+    assert not dimension_admissible(p2, make_key([(0, 9)], (1,)))
 
 
 def test_dimension_vanishing(p2_engine):

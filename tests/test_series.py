@@ -108,6 +108,23 @@ def test_add_scaled_matches_add_and_scale():
     assert acc.add_scaled(a, -1).is_zero()
 
 
+def test_accumulate_into_an_operand():
+    rng = random.Random(9)
+    for factor in (Fraction(1, 2), Fraction(-1), Fraction(3, 7), 2):
+        s = rand_series(rng)
+        if s.is_zero():
+            continue
+        expect_scaled = s + s.scale(factor)
+        expect_product = s + series_mul(s, s).scale(factor)
+        expect_mixed = s + series_mul(s, var(POLICY, X)).scale(factor)
+        acc = s + TruncatedSeries.zero(POLICY)
+        assert acc.add_scaled(acc, factor) == expect_scaled
+        acc = s + TruncatedSeries.zero(POLICY)
+        assert acc.add_product(acc, acc, factor) == expect_product
+        acc = s + TruncatedSeries.zero(POLICY)
+        assert acc.add_product(var(POLICY, X), acc, factor) == expect_mixed
+
+
 def test_mul_simple_and_truncation_boundary():
     xy = series_mul(var(POLICY, X), var(POLICY, Y))
     assert xy.coefficient(monomial([(X, 1), (Y, 1)], (0,))) == 1

@@ -298,6 +298,9 @@ def test_shared_context_series_stay_exact_after_registry():
         assert series == fresh.correlation_series(vids, policy)
     fresh_ctx = CorrContext(fresh, policy)
     assert ctx._contracted
-    for (terms, vids), series in ctx._contracted.items():
+    # The memo is keyed by a per-context tag for each distinct field.
+    terms_of = {tag: terms for terms, tag in ctx._field_tags.items()}
+    for (tag, vids), series in ctx._contracted.items():
+        terms = terms_of[tag]
         assert series == fresh_ctx.field_series(terms, *reversed(vids))
         assert ctx.field_series(terms, *reversed(vids)) is series
