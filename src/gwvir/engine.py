@@ -582,11 +582,6 @@ class Engine:
 
     # -- generating functions ------------------------------------------------
 
-    def admissible_degrees(self, ins: Insertions, cap: Degree) -> list[Degree]:
-        """Degrees <= cap making the key dimension-admissible."""
-        return self._degrees_for_balance(
-            _weight(self.ts, ins) - (self.ts.complex_dim - 3), cap)
-
     def _degrees_for_balance(self, balance: int, cap: Degree) -> list[Degree]:
         """Degrees <= cap with sum d * c1_deg == balance.
 

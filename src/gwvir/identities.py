@@ -19,10 +19,9 @@ from .errors import UnknownIdentity
 from .rationals import format_rational
 from .series import Monomial, TruncatedSeries, TruncationPolicy, VarId, series_mul
 from .virasoro import (CorrContext, LinearTerm, apply_operator, build_operator,
-                       coeff_A, coeff_B, dilaton_field, euler_field,
-                       string_field, _psi_closed_form, _psi_generic)
+                       coeff_A, coeff_B, combine_fields, dilaton_field, euler_field,
+                       string_field, _as_engine, _psi_closed_form, _psi_generic)
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 Check = tuple[tuple, TruncatedSeries, TruncatedSeries]
@@ -81,12 +80,7 @@ class IdentityContext(CorrContext):
 
     def field_minus_kD(self, name: str, k: int) -> tuple[LinearTerm, ...]:
         """Terms of (field - k * D)."""
-        acc: dict[tuple[VarId, VarId], Fraction] = {}
-        for src, dst, c in self.field(name):
-            acc[(src, dst)] = acc.get((src, dst), _ZERO) + c
-        for src, dst, c in self.field("D"):
-            acc[(src, dst)] = acc.get((src, dst), _ZERO) - k * c
-        return tuple((s, d, c) for (s, d), c in sorted(acc.items()) if c)
+        return combine_fields((self.field(name), 1), (self.field("D"), -k))
 
     def field_raised(self, terms: tuple[LinearTerm, ...], sigma: int,
                      *slots: tuple[int, int]) -> TruncatedSeries:
@@ -261,29 +255,16 @@ def _check_trr(ctx: IdentityContext):
                 for b in ctx.classes():
                     for k in ctx.levels():
                         for g in ctx.classes():
-                            lhs = ctx.corr((m, a), (n, b), (k, g))
-                            rhs = ctx.zero()
-                            for s in ctx.classes():
-                                rhs.add_product(ctx.corr((m - 1, a), (0, s)),
-                                                ctx.corr_raised(s, (n, b), (k, g)))
-                            yield ((m, a, n, b, k, g), lhs, rhs)
+                            yield ((m, a, n, b, k, g), ctx.corr((m, a), (n, b), (k, g)),
+                                   ctx.pair([(m - 1, a)], [(n, b), (k, g)]))
 
 
 def _check_gen_wdvv(ctx: IdentityContext):
     vids = [(m, a) for m in ctx.levels() for a in ctx.classes()]
+    # Canonical (pair, pair) -> its splitting.  pair(A, B) == pair(B, A) at
+    # level 0 unweighted, so both the slot pairs and their order are sorted.
     prods: dict[tuple, TruncatedSeries] = {}
-    diffs: dict[tuple, TruncatedSeries] = {}
     zero = ctx.zero()
-
-    def pairing(pp: tuple) -> TruncatedSeries:
-        # pp = (pair1, pair2), both canonically sorted slot pairs.
-        if pp not in prods:
-            (p1, p2), acc = pp, ctx.zero()
-            for s in ctx.classes():
-                acc.add_product(ctx.corr(p1[0], p1[1], (0, s)),
-                                ctx.corr_raised(s, p2[0], p2[1]))
-            prods[pp] = acc
-        return prods[pp]
 
     def canon(a, b, c, d) -> tuple:
         p = (a, b) if a <= b else (b, a)
@@ -299,13 +280,10 @@ def _check_gen_wdvv(ctx: IdentityContext):
                     if kl == kr:
                         yield ((*u, *v, *w, *x), zero, zero)
                         continue
-                    dkey = (kl, kr) if kl <= kr else (kr, kl)
-                    if dkey not in diffs:
-                        diffs[dkey] = pairing(dkey[0]) - pairing(dkey[1])
-                    if diffs[dkey].is_zero():
-                        yield ((*u, *v, *w, *x), zero, zero)
-                    else:
-                        yield ((*u, *v, *w, *x), pairing(kl), pairing(kr))
+                    for key in (kl, kr):
+                        if key not in prods:
+                            prods[key] = ctx.pair(*key)
+                    yield ((*u, *v, *w, *x), prods[kl], prods[kr])
 
 
 def _check_frr(ctx: IdentityContext):
@@ -355,14 +333,11 @@ def _check_string_rec(ctx: IdentityContext):
             for n in ctx.levels():
                 for b in ctx.classes():
                     lhs = ctx.corr((m, a), (n - 1, b)) + ctx.corr((m - 1, a), (n, b))
-                    rhs = ctx.zero()
+                    rhs = ctx.pair([(m - 1, a)], [(n - 1, b)])
                     if m == 0:
                         rhs.add_scaled(ctx.corr((0, a), (n - 1, b)))
                     if n == 0:
                         rhs.add_scaled(ctx.corr((m - 1, a), (0, b)))
-                    for s in ctx.classes():
-                        rhs.add_product(ctx.corr((m - 1, a), (0, s)),
-                                        ctx.corr_raised(s, (n - 1, b)))
                     yield ((m, a, n, b), lhs, rhs)
 
 
@@ -445,12 +420,8 @@ def _check_qf1(ctx: IdentityContext):
                 for nu in ctx.classes():
                     bn = ts.b[nu - 1]
                     gap = k + bm - l - bn
-                    lhs = ctx.zero()
-                    for a in ctx.classes():
-                        w = ts.b[a - 1] * gap - (k + bm) * (l + bn + 1)
-                        if w:
-                            lhs.add_product(ctx.corr((k, mu), (0, a)),
-                                            ctx.corr_raised(a, (l, nu)), w)
+                    lhs = ctx.pair([(k, mu)], [(l, nu)],
+                                   tuple(b * gap - (k + bm) * (l + bn + 1) for b in ts.b))
                     rhs = ctx.zero()
                     for a in ctx.classes():
                         c = ts.c1_mat[nu - 1][a - 1]
@@ -470,30 +441,20 @@ def _check_qf2(ctx: IdentityContext):
     for k in ctx.levels():
         for mu in ctx.classes():
             bm = ts.b[mu - 1]
+            shifted = tuple(k + b + bm for b in ts.b)
             for l in ctx.levels():
                 for nu in ctx.classes():
                     bn = ts.b[nu - 1]
                     lhs = ctx.zero()
-                    for a in ctx.classes():
-                        for be in ctx.classes():
-                            cnb = ts.c1_mat[nu - 1][be - 1]
-                            if not cnb:
-                                continue
-                            w = (k + ts.b[a - 1] + bm) * cnb
-                            if w:
-                                lhs.add_product(ctx.corr((k, mu), (0, a)),
-                                                ctx.corr_raised(a, (l - 1, be)), w)
-                    for a in ctx.classes():
-                        cma = ts.c1_mat[mu - 1][a - 1]
-                        if not cma:
+                    for be in ctx.classes():
+                        cnb = ts.c1_mat[nu - 1][be - 1]
+                        if not cnb:
                             continue
-                        for be in ctx.classes():
-                            cnb = ts.c1_mat[nu - 1][be - 1]
-                            if not cnb:
-                                continue
-                            for s in ctx.classes():
-                                lhs.add_product(ctx.corr((k - 1, a), (0, s)),
-                                                ctx.corr_raised(s, (l - 1, be)), cma * cnb)
+                        lhs.add_scaled(ctx.pair([(k, mu)], [(l - 1, be)], shifted), cnb)
+                        for a in ctx.classes():
+                            cma = ts.c1_mat[mu - 1][a - 1]
+                            if cma:
+                                lhs.add_scaled(ctx.pair([(k - 1, a)], [(l - 1, be)]), cma * cnb)
                     rhs = ctx.zero()
                     for a in ctx.classes():
                         c = ts.c1_mat[nu - 1][a - 1]
@@ -534,6 +495,7 @@ def _check_wdvv_right(ctx: IdentityContext):
     l0 = ctx.field("L0")
     l0d = ctx.field_minus_kD("L0", 1)
     c2, c2eta = ts.chern_power(2), ts.chern_power_eta(2)
+    weights = tuple(b * (1 - b) for b in ts.b)
     for k in ctx.levels():
         for mu in ctx.classes():
             bm = ts.b[mu - 1]
@@ -544,7 +506,8 @@ def _check_wdvv_right(ctx: IdentityContext):
                     for a in ctx.classes():
                         lhs.add_product(ctx.field_series(l0, (k, mu), (0, a)),
                                         ctx.field_raised(l0d, a, (l, nu)))
-                    rhs = ctx.corr((k + 1, mu), (l, nu)).scale((k + bm) * (k + bm + 1))
+                    rhs = ctx.pair([(k, mu)], [(l, nu)], weights)
+                    rhs.add_scaled(ctx.corr((k + 1, mu), (l, nu)), (k + bm) * (k + bm + 1))
                     rhs.add_scaled(ctx.corr((k, mu), (l + 1, nu)), (l + bn) * (l + bn + 1))
                     for a in ctx.classes():
                         c = ts.c1_mat[mu - 1][a - 1]
@@ -557,10 +520,6 @@ def _check_wdvv_right(ctx: IdentityContext):
                             rhs.add_scaled(ctx.corr((k - 1, a), (l, nu)), c2[mu - 1][a - 1])
                         if c2[nu - 1][a - 1]:
                             rhs.add_scaled(ctx.corr((k, mu), (l - 1, a)), c2[nu - 1][a - 1])
-                        w = ts.b[a - 1] * (1 - ts.b[a - 1])
-                        if w:
-                            rhs.add_product(ctx.corr((k, mu), (0, a)),
-                                            ctx.corr_raised(a, (l, nu)), w)
                     if k == 0 and l == 0:
                         rhs.add_scaled(ctx.const(c2eta[mu - 1][nu - 1]))
                     yield ((k, mu, l, nu), lhs, rhs)
@@ -572,6 +531,7 @@ def _check_l1_corr(ctx: IdentityContext):
     ts = ctx.ts
     l1 = ctx.field("L1")
     c2, c2eta = ts.chern_power(2), ts.chern_power_eta(2)
+    weights = tuple(b * (b - 1) for b in ts.b)
     for m in ctx.levels():
         for a in ctx.classes():
             ba = ts.b[a - 1]
@@ -579,7 +539,9 @@ def _check_l1_corr(ctx: IdentityContext):
                 for be in ctx.classes():
                     bb = ts.b[be - 1]
                     lhs = ctx.field_series(l1, (m, a), (n, be))
-                    rhs = ctx.corr((m + 1, a), (n, be)).scale(-(m + ba) * (m + ba + 1))
+                    rhs = ctx.pair([(m, a), (n, be)], [], weights)
+                    rhs.add_scaled(ctx.pair([(m, a)], [(n, be)], weights))
+                    rhs.add_scaled(ctx.corr((m + 1, a), (n, be)), -(m + ba) * (m + ba + 1))
                     rhs.add_scaled(ctx.corr((m, a), (n + 1, be)), -(n + bb) * (n + bb + 1))
                     for s in ctx.classes():
                         c = ts.c1_mat[a - 1][s - 1]
@@ -592,12 +554,6 @@ def _check_l1_corr(ctx: IdentityContext):
                             rhs.add_scaled(ctx.corr((m - 1, s), (n, be)), -c2[a - 1][s - 1])
                         if c2[be - 1][s - 1]:
                             rhs.add_scaled(ctx.corr((m, a), (n - 1, s)), -c2[be - 1][s - 1])
-                        w = ts.b[s - 1] * (1 - ts.b[s - 1])
-                        if w:
-                            rhs.add_product(ctx.corr((m, a), (n, be), (0, s)),
-                                            ctx.corr_raised(s), -w)
-                            rhs.add_product(ctx.corr((m, a), (0, s)),
-                                            ctx.corr_raised(s, (n, be)), -w)
                     if m == 0 and n == 0:
                         rhs.add_scaled(ctx.const(c2eta[a - 1][be - 1]), -1)
                     yield ((m, a, n, be), lhs, rhs)
@@ -635,30 +591,22 @@ def _check_l1_l0_corr(ctx: IdentityContext):
     ceta, c2eta, c3eta = (ts.chern_power_eta(1), ts.chern_power_eta(2),
                           ts.chern_power_eta(3))
     tilde_part = _l1_l0_tilde_fields(ctx)
+    weights = tuple((1 - bs) * bs for bs in ts.b)
     for n in ctx.levels():
         for be in ctx.classes():
             b = ts.b[be - 1]
             lhs = ctx.field2_series(l1, l0d2, (n, be))
-            rhs = ctx.corr((n + 1, be)).scale((n + b) * (n + b + 1) * (n + b - 1))
+            rhs = ctx.pair([(n, be)], [], weights).scale(n + b - 1)
+            rhs.add_scaled(ctx.corr((n + 1, be)), (n + b) * (n + b + 1) * (n + b - 1))
             rhs.add_scaled(ctx.field_series(tilde_part, (n, be)))
             for s in ctx.classes():
                 if c1[be - 1][s - 1]:
                     rhs.add_scaled(ctx.corr((n, s)), (3 * (n + b) ** 2 - 1) * c1[be - 1][s - 1])
+                    rhs.add_scaled(ctx.pair([(n - 1, s)], [], weights), c1[be - 1][s - 1])
                 if c2[be - 1][s - 1]:
                     rhs.add_scaled(ctx.corr((n - 1, s)), 3 * (n + b) * c2[be - 1][s - 1])
                 if c3[be - 1][s - 1]:
                     rhs.add_scaled(ctx.corr((n - 2, s)), c3[be - 1][s - 1])
-            for s in ctx.classes():
-                bs = ts.b[s - 1]
-                w = (bs - 1) * bs * (n + b - 1)
-                if w:
-                    rhs.add_product(ctx.corr_raised(s), ctx.corr((0, s), (n, be)), -w)
-                if (bs - 1) * bs:
-                    for r in ctx.classes():
-                        c = c1[be - 1][r - 1]
-                        if c:
-                            rhs.add_product(ctx.corr((n - 1, r), (0, s)),
-                                            ctx.corr_raised(s), -(bs - 1) * bs * c)
             if n == 0:
                 for s in ctx.classes():
                     if ceta[be - 1][s - 1]:
@@ -714,11 +662,8 @@ def _check_quadrel_iii(ctx: IdentityContext):
         for mu in ctx.classes():
             for l in ctx.levels():
                 for nu in ctx.classes():
-                    lhs = ctx.zero()
-                    rhs = ctx.zero()
-                    for be in ctx.classes():
-                        lhs.add_product(ctx.corr_raised(be, (k, mu)), ctx.corr((1, be), (l, nu)))
-                        rhs.add_product(ctx.corr((k, mu), (1, be)), ctx.corr_raised(be, (l, nu)))
+                    lhs = ctx.pair([(l, nu)], [(k, mu)], level=1)
+                    rhs = ctx.pair([(k, mu)], [(l, nu)], level=1)
                     rhs.add_scaled(ctx.corr((k + 2, mu), (l, nu)))
                     rhs.add_scaled(ctx.corr((k, mu), (l + 2, nu)), -1)
                     yield ((k, mu, l, nu), lhs, rhs)
@@ -728,21 +673,16 @@ def _check_quad_form(ctx: IdentityContext):
     ts = ctx.ts
     ceta = ts.chern_power_eta(1)
     c2 = ts.chern_power(2)
+    plus = tuple(b * (b + 1) for b in ts.b)
+    minus = tuple(b * (1 - b) for b in ts.b)
     for k in ctx.levels():
         for mu in ctx.classes():
             bm = ts.b[mu - 1]
             for l in ctx.levels():
                 for nu in ctx.classes():
                     bn = ts.b[nu - 1]
-                    lhs = ctx.zero()
-                    for be in ctx.classes():
-                        bb = ts.b[be - 1]
-                        if bb * (bb + 1):
-                            lhs.add_product(ctx.corr((k, mu), (1, be)),
-                                            ctx.corr_raised(be, (l, nu)), bb * (bb + 1))
-                        if bb * (1 - bb):
-                            lhs.add_product(ctx.corr_raised(be, (k, mu)),
-                                            ctx.corr((1, be), (l, nu)), bb * (1 - bb))
+                    lhs = ctx.pair([(k, mu)], [(l, nu)], plus, 1)
+                    lhs.add_scaled(ctx.pair([(l, nu)], [(k, mu)], minus, 1))
                     for a in ctx.classes():
                         for be in ctx.classes():
                             c = ceta[a - 1][be - 1]
@@ -773,18 +713,14 @@ def _check_tilde1_corr(ctx: IdentityContext):
     lt1 = ctx.field("Ltilde1")
     for m in ctx.levels():
         for a in ctx.classes():
-            rhs = ctx.corr((m + 1, a)).scale(-1)
-            for s in ctx.classes():
-                rhs.add_product(ctx.corr((m, a), (0, s)), ctx.corr_raised(s))
+            rhs = ctx.pair([(m, a)], []).add_scaled(ctx.corr((m + 1, a)), -1)
             yield ((m, a), ctx.field_series(lt1, (m, a)), rhs)
     for m in ctx.levels():
         for a in ctx.classes():
             for n in ctx.levels():
                 for b in ctx.classes():
-                    rhs = ctx.zero()
-                    for s in ctx.classes():
-                        rhs.add_product(ctx.corr((m, a), (n, b), (0, s)), ctx.corr_raised(s))
-                    yield ((m, a, n, b), ctx.field_series(lt1, (m, a), (n, b)), rhs)
+                    yield ((m, a, n, b), ctx.field_series(lt1, (m, a), (n, b)),
+                           ctx.pair([(m, a), (n, b)], []))
 
 
 def _check_tilde_quad_form(ctx: IdentityContext):
@@ -795,14 +731,8 @@ def _check_tilde_quad_form(ctx: IdentityContext):
             for n in ctx.levels():
                 for be in ctx.classes():
                     bb = ts.b[be - 1]
-                    lhs = ctx.zero()
-                    for s in ctx.classes():
-                        bs = ts.b[s - 1]
-                        if bs:
-                            lhs.add_product(ctx.corr_raised(s, (m, a)),
-                                            ctx.corr((1, s), (n, be)), bs)
-                            lhs.add_product(ctx.corr((m, a), (1, s)),
-                                            ctx.corr_raised(s, (n, be)), bs)
+                    lhs = ctx.pair([(n, be)], [(m, a)], ts.b, 1)
+                    lhs.add_scaled(ctx.pair([(m, a)], [(n, be)], ts.b, 1))
                     rhs = ctx.corr((m + 2, a), (n, be)).scale(m + ba + 1)
                     rhs.add_scaled(ctx.corr((m, a), (n + 2, be)), n + bb + 1)
                     for s in ctx.classes():
@@ -910,9 +840,7 @@ def verify_identity(ts_or_engine, tag: str, policy: TruncationPolicy,
     if tag not in REGISTRY:
         raise UnknownIdentity(f"unknown identity tag {tag!r}")
     if ctx is None:
-        engine = ts_or_engine if isinstance(ts_or_engine, Engine) \
-            else Engine(ts_or_engine, backend, cache)
-        ctx = IdentityContext(engine, policy, idx_max)
+        ctx = IdentityContext(_as_engine(ts_or_engine, backend, cache), policy, idx_max)
     findings: list[IdentityFinding] = []
     for indices, lhs, rhs in REGISTRY[tag](ctx):
         if lhs == rhs:

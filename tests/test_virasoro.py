@@ -8,7 +8,7 @@ import pytest
 from gwvir.engine import Engine, make_key
 from gwvir.identities import IDENTITY_TAGS, IdentityContext, verify_identity
 from gwvir.errors import (IndexOutOfRange, PolicyTooTight, UnsupportedIndex)
-from gwvir.series import TruncationPolicy, VarId
+from gwvir.series import TruncatedSeries, TruncationPolicy, VarId, series_mul
 from gwvir.target import preset
 from gwvir.virasoro import (CorrContext, VirasoroOperator, apply_operator,
                             bracket_l0_scale, build_operator,
@@ -284,6 +284,30 @@ def test_residual_nonzero_for_wrong_rhs_scale():
     assert _record_map(records)
 
 
+@pytest.mark.parametrize("target", ["P1", "P2"])
+def test_pair_is_the_weighted_class_sum(target):
+    # P2's b(1-b) is the same on classes 1 and 3, which O^1 = O_3 swaps; its
+    # grading b is not, so weights indexed by the raised class instead of the
+    # lowered one change the sum there.
+    ts = preset(target)
+    ctx = CorrContext(Engine(ts), TruncationPolicy(3, 2, (1,)))
+    sides = [(), ((1, 2),), ((0, ts.classes), (1, 1))]
+    for weights in (None, ts.b, tuple(b * (1 - b) for b in ts.b)):
+        for level in (0, 1):
+            for left in sides:
+                for right in sides:
+                    expect = TruncatedSeries(ctx.policy)
+                    for s in range(1, ts.classes + 1):
+                        w = 1 if weights is None else weights[s - 1]
+                        expect.add_scaled(series_mul(ctx.corr(*left, (level, s)),
+                                                     ctx.corr_raised(s, *right)), w)
+                    assert ctx.pair(left, right, weights, level) == expect
+    # GenWDVV's canonical ordering of the two sides relies on this symmetry.
+    for left in sides:
+        for right in sides:
+            assert ctx.pair(left, right) == ctx.pair(right, left)
+
+
 def test_shared_context_series_stay_exact_after_registry():
     # Every tag runs on one context, as ``gw identities`` does; no in-place
     # accumulation may have written into a cached series.
@@ -304,3 +328,6 @@ def test_shared_context_series_stay_exact_after_registry():
         terms = terms_of[tag]
         assert series == fresh_ctx.field_series(terms, *reversed(vids))
         assert ctx.field_series(terms, *reversed(vids)) is series
+    assert ctx._raised
+    for (sigma, vids), series in ctx._raised.items():
+        assert series == fresh_ctx.corr_raised(sigma, *reversed(vids))
