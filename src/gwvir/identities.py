@@ -11,6 +11,7 @@ slots under the same policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -18,9 +19,10 @@ from .engine import Engine
 from .errors import UnknownIdentity
 from .rationals import format_rational
 from .series import Monomial, TruncatedSeries, TruncationPolicy, VarId, series_mul
-from .virasoro import (CorrContext, LinearTerm, apply_operator, build_operator,
-                       coeff_A, coeff_B, combine_fields, dilaton_field, euler_field,
-                       string_field, _as_engine, _psi_closed_form, _psi_generic)
+from .virasoro import (CLOSED_A, CorrContext, LinearTerm, add_ttilde, apply_operator,
+                       build_operator, coeff_A, coeff_B, combine_fields, dilaton_field,
+                       euler_field, linear_field, string_field, _as_engine,
+                       _psi_closed_form, _psi_generic)
 
 _ONE = Fraction(1)
 
@@ -69,8 +71,7 @@ class IdentityContext(CorrContext):
             elif name == "X":
                 terms = euler_field(ts, M)
             elif name == "Ltilde1":
-                terms = tuple((VarId(m, a), VarId(m + 1, a), _ONE)
-                              for m in range(M + 1) for a in range(1, ts.classes + 1))
+                terms = linear_field(ts, (lambda x: _ONE,), 1, M)
             elif name.startswith("L"):
                 terms = build_operator(ts, int(name[1:]), M).linear
             else:
@@ -98,10 +99,7 @@ class IdentityContext(CorrContext):
         return TruncatedSeries.variable(self.policy, VarId(level, cls))
 
     def ttilde(self, level: int, cls: int) -> TruncatedSeries:
-        out = self.tvar(level, cls)
-        if (level, cls) == (1, 1):
-            out.add_scaled(self.const(-1))
-        return out
+        return add_ttilde(self.zero(), VarId(level, cls), self.const(1), _ONE)
 
     def zero(self) -> TruncatedSeries:
         return TruncatedSeries.zero(self.policy)
@@ -126,21 +124,15 @@ def _eta_quad(ctx: IdentityContext, matrix) -> TruncatedSeries:
 
 # --- section 2 lemmas ---------------------------------------------------------
 
-def _check_string_eq(ctx: IdentityContext):
-    # Operator route: the L_{-1} residual against F_0 vanishes identically.
+def _operator_route(ctx: IdentityContext, n: int):
+    # The genus-0 L_n residual against F_0 vanishes identically (no constant).
+    # F_0 keeps level 1 even at max_level 0: L_0's source ttilde^1_1, kept for
+    # its dilaton shift, differentiates F_0 at level 1.
     policy = ctx.policy
-    big = TruncationPolicy(policy.max_insertions + 1, policy.max_level, policy.max_degree)
+    big = TruncationPolicy(policy.max_insertions + 1, max(policy.max_level, 1),
+                           policy.max_degree)
     f0 = ctx.engine.correlation_series((), big)
-    op = build_operator(ctx.ts, -1, policy.max_level)
-    yield ((), apply_operator(op, f0, policy), ctx.zero())
-
-
-def _check_hori_l0(ctx: IdentityContext):
-    # Operator route for the L_0 constraint (genus-0 part; no constant).
-    policy = ctx.policy
-    big = TruncationPolicy(policy.max_insertions + 1, policy.max_level, policy.max_degree)
-    f0 = ctx.engine.correlation_series((), big)
-    op = build_operator(ctx.ts, 0, policy.max_level)
+    op = build_operator(ctx.ts, n, policy.max_level)
     yield ((), apply_operator(op, f0, policy), ctx.zero())
 
 
@@ -363,20 +355,7 @@ def _check_swdvv(ctx: IdentityContext):
 
 def _l0_l0d_rhs_fields(ctx: IdentityContext) -> tuple[LinearTerm, ...]:
     """The ttilde-weighted 2-point sums shared by the Lemma 4.1 right side."""
-    ts = ctx.ts
-    terms: list[LinearTerm] = []
-    c2 = ts.chern_power(2)
-    for n in range(ctx.policy.max_level + 1):
-        for s in ctx.classes():
-            b = ts.b[s - 1]
-            terms.append((VarId(n, s), VarId(n, s), -(n + b) * (n + b + 1)))
-            for r in ctx.classes():
-                c = ts.c1_mat[s - 1][r - 1]
-                if c and n >= 1:
-                    terms.append((VarId(n, s), VarId(n - 1, r), -(2 * n + 2 * b + 1) * c))
-                if c2[s - 1][r - 1] and n >= 2:
-                    terms.append((VarId(n, s), VarId(n - 2, r), -c2[s - 1][r - 1]))
-    return tuple(terms)
+    return combine_fields((linear_field(ctx.ts, CLOSED_A[1], 0, ctx.policy.max_level), -1))
 
 
 def _check_xx_corr(ctx: IdentityContext):
@@ -561,25 +540,7 @@ def _check_l1_corr(ctx: IdentityContext):
 
 def _l1_l0_tilde_fields(ctx: IdentityContext) -> tuple[LinearTerm, ...]:
     """ttilde-weighted sums on the right side of the Lemma 5.2 display."""
-    ts = ctx.ts
-    c2, c3 = ts.chern_power(2), ts.chern_power(3)
-    terms: list[LinearTerm] = []
-    for m in range(ctx.policy.max_level + 1):
-        for a in ctx.classes():
-            b = ts.b[a - 1]
-            terms.append((VarId(m, a), VarId(m + 1, a),
-                          -(m + b) * (m + b + 1) * (m + b + 2)))
-            for s in ctx.classes():
-                c = ts.c1_mat[a - 1][s - 1]
-                if c:
-                    terms.append((VarId(m, a), VarId(m, s),
-                                  -(3 * (m + b) ** 2 + 6 * (m + b) + 2) * c))
-                if c2[a - 1][s - 1] and m >= 1:
-                    terms.append((VarId(m, a), VarId(m - 1, s),
-                                  -3 * (m + b + 1) * c2[a - 1][s - 1]))
-                if c3[a - 1][s - 1] and m >= 2:
-                    terms.append((VarId(m, a), VarId(m - 2, s), -c3[a - 1][s - 1]))
-    return tuple(terms)
+    return combine_fields((linear_field(ctx.ts, CLOSED_A[2], 1, ctx.policy.max_level), -1))
 
 
 def _check_l1_l0_corr(ctx: IdentityContext):
@@ -758,22 +719,8 @@ def _check_psi_closed_form(ctx: IdentityContext, n: int):
     for a in ctx.classes():
         b = ts.b[a - 1]
         for m in range(ctx.idx + 3):
-            if n == 1:
-                closed = {
-                    (0,): (m + b) * (m + b + 1),
-                    (1,): 2 * m + 2 * b + 1,
-                    (2,): _ONE,
-                }
-            else:
-                closed = {
-                    (0,): (m + b) * (m + b + 1) * (m + b + 2),
-                    (1,): 3 * (m + b) ** 2 + 6 * (m + b) + 2,
-                    (2,): 3 * (m + b + 1),
-                    (3,): _ONE,
-                }
-            for (j,), expect in closed.items():
-                got = coeff_A(b, j, m, n)
-                yield ((a, m, "A", j), ctx.const(got), ctx.const(expect))
+            for j, poly in enumerate(CLOSED_A[n]):
+                yield ((a, m, "A", j), ctx.const(coeff_A(b, j, m, n)), ctx.const(poly(m + b)))
         if n == 1:
             quads = {(0, 0): b * (1 - b)}
         else:
@@ -788,16 +735,8 @@ def _check_psi_closed_form(ctx: IdentityContext, n: int):
     yield (("series", n), _psi_generic(ctx, n), _psi_closed_form(ctx, n))
 
 
-def _check_psi_closed_form1(ctx: IdentityContext):
-    yield from _check_psi_closed_form(ctx, 1)
-
-
-def _check_psi_closed_form2(ctx: IdentityContext):
-    yield from _check_psi_closed_form(ctx, 2)
-
-
 REGISTRY: dict[str, Checker] = {
-    "StringEq": _check_string_eq,
+    "StringEq": partial(_operator_route, n=-1),
     "StringCorr1": _check_string_corr1,
     "StringCorr2": _check_string_corr2,
     "StringCorr3": _check_string_corr3,
@@ -808,7 +747,7 @@ REGISTRY: dict[str, Checker] = {
     "EulerCorr1": _check_euler_corr1,
     "EulerCorr2": _check_euler_corr2,
     "EulerCorr3": _check_euler_corr3,
-    "HoriL0": _check_hori_l0,
+    "HoriL0": partial(_operator_route, n=0),
     "TRR": _check_trr,
     "GenWDVV": _check_gen_wdvv,
     "FRR": _check_frr,
@@ -826,8 +765,8 @@ REGISTRY: dict[str, Checker] = {
     "QuadForm": _check_quad_form,
     "Tilde1Corr": _check_tilde1_corr,
     "TildeQuadForm": _check_tilde_quad_form,
-    "PsiClosedForm1": _check_psi_closed_form1,
-    "PsiClosedForm2": _check_psi_closed_form2,
+    "PsiClosedForm1": partial(_check_psi_closed_form, n=1),
+    "PsiClosedForm2": partial(_check_psi_closed_form, n=2),
 }
 
 IDENTITY_TAGS = tuple(REGISTRY)

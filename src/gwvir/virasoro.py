@@ -19,8 +19,10 @@ the literal Gamma-ratio form has poles.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 from fractions import Fraction
 
 from .engine import Engine
@@ -89,37 +91,54 @@ def coeff_B(b: Fraction, j: int, k: int, n: int) -> Fraction:
     return total if (k + 1) % 2 == 0 else -total
 
 
-def _zero_matrix(n: int) -> Matrix:
-    return tuple((Fraction(0),) * n for _ in range(n))
+def linear_field(ts: TargetSpace, coeffs: tuple[Callable[[Fraction], Fraction], ...],
+                 top: int, max_level: int) -> tuple[LinearTerm, ...]:
+    """sum_{m,a,j} coeffs[j](m + b_a) (C^j)_a^beta ttilde^a_m d/dt^beta_{m+top-j}.
+
+    Every linear vector field of the operator calculus has this shape.  Source
+    levels run over 0..max(max_level, 1): ttilde^1_1 = t^1_1 - 1 carries the
+    dilaton shift even when t_1 is truncated away.  Zero coefficients and
+    negative destination levels are dropped; the result is sorted.
+    """
+    N = ts.classes
+    terms: list[LinearTerm] = []
+    for m in range(max(max_level, 1) + 1):
+        for a in range(1, N + 1):
+            x = m + ts.b[a - 1]
+            for j, poly in enumerate(coeffs):
+                level = m + top - j
+                coeff = poly(x) if level >= 0 else 0
+                if not coeff:
+                    continue
+                row = ts.chern_power(j)[a - 1]
+                terms.extend((VarId(m, a), VarId(level, be), coeff * row[be - 1])
+                             for be in range(1, N + 1) if row[be - 1])
+    return tuple(sorted(terms))
+
+
+# The hand-expanded A-coefficients of L_1 and L_2 as polynomials in x = m + b,
+# equal to coeff_A(b, j, m, n) for j = 0..n+1.
+CLOSED_A = {
+    1: (lambda x: x * (x + 1), lambda x: 2 * x + 1, lambda x: _ONE),
+    2: (lambda x: x * (x + 1) * (x + 2), lambda x: 3 * x * x + 6 * x + 2,
+        lambda x: 3 * (x + 1), lambda x: _ONE),
+}
 
 
 def string_field(ts: TargetSpace, max_level: int) -> tuple[LinearTerm, ...]:
     """S = -sum ttilde^a_m d/dt^a_{m-1}."""
-    return tuple((VarId(m, a), VarId(m - 1, a), -_ONE)
-                 for m in range(1, max_level + 1) for a in range(1, ts.classes + 1))
+    return linear_field(ts, (lambda x: -_ONE,), -1, max_level)
 
 
 def dilaton_field(ts: TargetSpace, max_level: int) -> tuple[LinearTerm, ...]:
     """D = -sum ttilde^a_m d/dt^a_m."""
-    return tuple((VarId(m, a), VarId(m, a), -_ONE)
-                 for m in range(max_level + 1) for a in range(1, ts.classes + 1))
+    return linear_field(ts, (lambda x: -_ONE,), 0, max_level)
 
 
 def euler_field(ts: TargetSpace, max_level: int) -> tuple[LinearTerm, ...]:
     """X = -sum (m + b_a - (3-d)/2) ttilde^a_m d_m - sum C_a^b ttilde^a_m d_{m-1}."""
     shift = Fraction(3 - ts.complex_dim, 2)
-    terms: list[LinearTerm] = []
-    for m in range(max_level + 1):
-        for a in range(1, ts.classes + 1):
-            coeff = -(m + ts.b[a - 1] - shift)
-            if coeff:
-                terms.append((VarId(m, a), VarId(m, a), coeff))
-            if m >= 1:
-                for be in range(1, ts.classes + 1):
-                    c = ts.c1_mat[a - 1][be - 1]
-                    if c:
-                        terms.append((VarId(m, a), VarId(m - 1, be), -c))
-    return tuple(terms)
+    return linear_field(ts, (lambda x: shift - x, lambda x: -_ONE), 0, max_level)
 
 
 def combine_fields(*pieces: tuple[tuple[LinearTerm, ...], Fraction]) -> tuple[LinearTerm, ...]:
@@ -132,21 +151,10 @@ def combine_fields(*pieces: tuple[tuple[LinearTerm, ...], Fraction]) -> tuple[Li
 
 
 def build_operator(ts: TargetSpace, n: int, max_level: int) -> VirasoroOperator:
-    """Assemble L_n exactly; linear terms are generated for src levels <= max_level."""
+    """Assemble L_n exactly; linear terms come from ``linear_field``."""
     if n < -1:
         raise UnsupportedIndex("operators below L_{-1} are out of scope")
     N = ts.classes
-    linear: dict[tuple[VarId, VarId], Fraction] = {}
-
-    def add_linear(src: VarId, dst: VarId, coeff: Fraction) -> None:
-        if coeff and dst.level >= 0:
-            key = (src, dst)
-            acc = linear.get(key, _ZERO) + coeff
-            if acc:
-                linear[key] = acc
-            else:
-                linear.pop(key, None)
-
     quadratic: dict[tuple[VarId, VarId], Fraction] = {}
 
     def add_quadratic(u: VarId, v: VarId, coeff: Fraction) -> None:
@@ -158,32 +166,19 @@ def build_operator(ts: TargetSpace, n: int, max_level: int) -> VirasoroOperator:
             else:
                 quadratic.pop(key, None)
 
-    classical = _zero_matrix(N)
     constant = _ZERO
-
     if n == -1:
-        for m in range(1, max_level + 1):
-            for a in range(1, N + 1):
-                add_linear(VarId(m, a), VarId(m - 1, a), _ONE)
+        linear = linear_field(ts, (lambda x: _ONE,), -1, max_level)
         classical = ts.eta
     elif n == 0:
-        for m in range(max_level + 1):
-            for a in range(1, N + 1):
-                add_linear(VarId(m, a), VarId(m, a), m + ts.b[a - 1])
-                for be in range(1, N + 1):
-                    add_linear(VarId(m, a), VarId(m - 1, be), ts.c1_mat[a - 1][be - 1])
+        linear = linear_field(ts, (lambda x: x, lambda x: _ONE), 0, max_level)
         classical = ts.chern_power_eta(1)
         constant = (Fraction(3 - ts.complex_dim, 2) * ts.euler_char - ts.c1_cdm1) / 24
     else:
-        for m in range(max_level + 1):
-            for a in range(1, N + 1):
-                b = ts.b[a - 1]
-                for j in range(n + 2):
-                    cj = ts.chern_power(j)
-                    coeff = coeff_A(b, j, m, n)
-                    for be in range(1, N + 1):
-                        add_linear(VarId(m, a), VarId(m + n - j, be),
-                                   coeff * cj[a - 1][be - 1])
+        # coeff_A(b, j, m, n) == coeff_A(m + b, j, 0, n): shift l -> l - m.
+        linear = linear_field(
+            ts, tuple(lambda x, j=j: coeff_A(x, j, 0, n) for j in range(n + 2)),
+            n, max_level)
         for a in range(1, N + 1):
             b = ts.b[a - 1]
             for j in range(n):
@@ -200,7 +195,7 @@ def build_operator(ts: TargetSpace, n: int, max_level: int) -> VirasoroOperator:
         classical = ts.chern_power_eta(n + 1)
 
     return VirasoroOperator(
-        tuple((s, d, c) for (s, d), c in sorted(linear.items())),
+        linear,
         tuple((u, v, c) for (u, v), c in sorted(quadratic.items())),
         classical,
         constant,
@@ -232,17 +227,18 @@ def _classical_series(matrix: Matrix, policy: TruncationPolicy) -> TruncatedSeri
 
 
 def add_ttilde(acc: TruncatedSeries, src: VarId, series: TruncatedSeries,
-               coeff: Fraction) -> None:
+               coeff: Fraction) -> TruncatedSeries:
     """In place: acc += coeff * ttilde_src * series, with ttilde = t - delta_{(1,1)}.
 
     This is the dilaton shift of the operator convention: coeff * t_src * series,
     plus -coeff * series when src is the dilaton variable t^1_1.  ``acc`` must
-    be a series the caller has just created.
+    be a series the caller has just created; it is returned.
     """
     if src.level <= acc.policy.max_level:
         acc.add_scaled(series.times_var(src), coeff)
     if src == DILATON_VAR:
         acc.add_scaled(series, -coeff)
+    return acc
 
 
 def apply_operator(op: VirasoroOperator, f0: TruncatedSeries,
@@ -378,7 +374,8 @@ class CorrContext:
         if out is None:
             out = TruncatedSeries(self.policy)
             for src, dst, coeff in terms:
-                base = self.corr(dst, *vids)
+                i = bisect.bisect(vids, dst)
+                base = self.corr(*vids[:i], dst, *vids[i:])
                 if base.terms:
                     add_ttilde(out, src, base, coeff)
             self._contracted[key] = out
@@ -437,51 +434,23 @@ def _psi_generic(ctx: CorrContext, n: int) -> TruncatedSeries:
 
 
 def _psi_closed_form(ctx: CorrContext, n: int) -> TruncatedSeries:
+    if n not in CLOSED_A:
+        raise UnsupportedIndex("hand-expanded closed forms exist only for n in {1, 2}")
     ts, policy = ctx.ts, ctx.policy
-    N = ts.classes
     out = _classical_series(ts.chern_power_eta(n + 1), policy)
-    c1, c2 = ts.c1_mat, ts.chern_power(2)
-    c3 = ts.chern_power(3)
+    out.add_scaled(ctx.field_series(linear_field(ts, CLOSED_A[n], n, policy.max_level)))
     half = Fraction(1, 2)
-
     if n == 1:
-        for m in range(policy.max_level + 1):
-            for a in range(1, N + 1):
-                b = ts.b[a - 1]
-                src = VarId(m, a)
-                add_ttilde(out, src, ctx.corr((m + 1, a)), (m + b) * (m + b + 1))
-                for be in range(1, N + 1):
-                    if c1[a - 1][be - 1]:
-                        add_ttilde(out, src, ctx.corr((m, be)),
-                                   (2 * m + 2 * b + 1) * c1[a - 1][be - 1])
-                    if m >= 1 and c2[a - 1][be - 1]:
-                        add_ttilde(out, src, ctx.corr((m - 1, be)), c2[a - 1][be - 1])
         out.add_scaled(ctx.pair((), (), tuple(half * b * (1 - b) for b in ts.b)))
-    elif n == 2:
-        for m in range(policy.max_level + 1):
-            for a in range(1, N + 1):
-                b = ts.b[a - 1]
-                src = VarId(m, a)
-                add_ttilde(out, src, ctx.corr((m + 2, a)),
-                           (m + b) * (m + b + 1) * (m + b + 2))
-                for be in range(1, N + 1):
-                    if c1[a - 1][be - 1]:
-                        add_ttilde(out, src, ctx.corr((m + 1, be)),
-                                   (3 * (m + b) ** 2 + 6 * (m + b) + 2) * c1[a - 1][be - 1])
-                    if c2[a - 1][be - 1]:
-                        add_ttilde(out, src, ctx.corr((m, be)),
-                                   3 * (m + b + 1) * c2[a - 1][be - 1])
-                    if m >= 1 and c3[a - 1][be - 1]:
-                        add_ttilde(out, src, ctx.corr((m - 1, be)), c3[a - 1][be - 1])
+    else:
+        c1 = ts.c1_mat
         out.add_scaled(ctx.pair((), (), tuple(-(b - 1) * b * (b + 1) for b in ts.b), 1))
-        for a in range(1, N + 1):
+        for a in range(1, ts.classes + 1):
             b = ts.b[a - 1]
-            for be in range(1, N + 1):
+            for be in range(1, ts.classes + 1):
                 if c1[a - 1][be - 1]:
                     prod = series_mul(ctx.corr((0, be)), ctx.corr_raised(a))
                     out.add_scaled(prod, -half * (3 * b * b - 1) * c1[a - 1][be - 1])
-    else:
-        raise UnsupportedIndex("hand-expanded closed forms exist only for n in {1, 2}")
     return out
 
 
@@ -493,28 +462,17 @@ def psi_tilde(ts_or_engine, n: int, policy: TruncationPolicy,
     engine = _as_engine(ts_or_engine, backend, cache)
     ctx = CorrContext(engine, policy)
     ts = ctx.ts
-    N = ts.classes
     half = Fraction(1, 2)
+    coeffs = (lambda x: -_ONE,) if n == 1 else (lambda x: x + 1, lambda x: _ONE)
     out = TruncatedSeries(policy)
-
+    out.add_scaled(ctx.field_series(linear_field(ts, coeffs, n, policy.max_level)))
     if n == 1:
-        for m in range(policy.max_level + 1):
-            for a in range(1, N + 1):
-                add_ttilde(out, VarId(m, a), ctx.corr((m + 1, a)), -_ONE)
         out.add_scaled(ctx.pair((), ()), half)
     else:
         c1 = ts.c1_mat
-        for m in range(policy.max_level + 1):
-            for a in range(1, N + 1):
-                b = ts.b[a - 1]
-                src = VarId(m, a)
-                add_ttilde(out, src, ctx.corr((m + 2, a)), m + b + 1)
-                for be in range(1, N + 1):
-                    if c1[a - 1][be - 1]:
-                        add_ttilde(out, src, ctx.corr((m + 1, be)), c1[a - 1][be - 1])
         out.add_scaled(ctx.pair((), (), tuple(-b for b in ts.b), 1))
-        for a in range(1, N + 1):
-            for be in range(1, N + 1):
+        for a in range(1, ts.classes + 1):
+            for be in range(1, ts.classes + 1):
                 if c1[a - 1][be - 1]:
                     prod = series_mul(ctx.corr_raised(a), ctx.corr((0, be)))
                     out.add_scaled(prod, -half * c1[a - 1][be - 1])

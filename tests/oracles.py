@@ -122,3 +122,43 @@ def gamma_ratio_B(b: Fraction, j: int, m: int, n: int) -> Fraction:
 def _subsets(pool: list[int], size: int):
     import itertools
     return itertools.combinations(pool, size)
+
+
+def linear_field_oracle(ts, name: str, max_level: int) -> tuple:
+    """A linear vector field of the genus-0 operator calculus, by plain loops.
+
+    ``name`` is ``"L<n>"`` (n >= -1) for the linear part of L_n, or one of
+    ``"S"``, ``"D"``, ``"X"`` and ``"Ltilde1"``.  Returns the sorted terms
+    ((m, a), (level, beta), coeff), each one coeff ttilde^a_m d/dt^beta_level.
+    The linear part of L_n is sum p_j(m + b_a) (C^j)_a^beta ttilde^a_m
+    d/dt^beta_{m+n-j}, p_j(x) the z^j coefficient of prod_{l=0}^{n} (z + x + l),
+    with b_a = q_a - (d - 1)/2.  Sources run over levels 0..max(max_level, 1):
+    ttilde^1_1 = t^1_1 - 1 is nonzero even when t_1 is truncated away.
+    """
+    N, d = ts.classes, ts.complex_dim
+    shift = Fraction(3 - d, 2)
+    powers = [[[Fraction(int(r == c)) for c in range(N)] for r in range(N)]]  # C^j
+    terms = []
+    for m in range(max(max_level, 1) + 1):
+        for a in range(1, N + 1):
+            x = m + Fraction(ts.q[a - 1]) - Fraction(d - 1, 2)
+            if name.startswith("L") and name != "Ltilde1":
+                top = int(name[1:])
+                poly = [Fraction(1)]  # coefficients in z, lowest first
+                for l in range(top + 1):
+                    poly = [(poly[i] if i < len(poly) else 0) * (x + l)
+                            + (poly[i - 1] if i >= 1 else 0) for i in range(len(poly) + 1)]
+            else:
+                top, poly = {"S": (-1, [-1]), "D": (0, [-1]),
+                             "X": (0, [shift - x, -1]), "Ltilde1": (1, [1])}[name]
+            while len(powers) < len(poly):
+                prev = powers[-1]
+                powers.append([[sum((prev[r][k] * ts.c1_mat[k][c] for k in range(N)),
+                                    Fraction(0)) for c in range(N)] for r in range(N)])
+            for j, p in enumerate(poly):
+                level = m + top - j
+                for be in range(1, N + 1):
+                    coeff = p * powers[j][a - 1][be - 1]
+                    if level >= 0 and coeff:
+                        terms.append(((m, a), (level, be), coeff))
+    return tuple(sorted(terms))

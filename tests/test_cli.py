@@ -75,6 +75,15 @@ def test_psi_pass_and_exit_codes():
     assert "all coefficients zero" in text
 
 
+@pytest.mark.parametrize("target", ["point", "P1", "P2"])
+def test_level_zero_commands_pass(target):
+    # ttilde^1_1 = t^1_1 - 1 enters every residual even when t_1 is truncated away.
+    for argv in (("psi", "--n", "1"), ("psi", "--n", "2"), ("psi-tilde", "--n", "1"),
+                 ("psi-tilde", "--n", "2"), ("identities", "--all")):
+        code, report, text = go(*argv, "--target", target, "--level", "0")
+        assert code == 0 and report.outcome == "pass", text
+
+
 def test_psi_usage_error_bad_target(tmp_path):
     bad = tmp_path / "bad.json"
     doc = json.loads(serialize_target(preset("P2")))

@@ -10,14 +10,15 @@ from gwvir.identities import IDENTITY_TAGS, IdentityContext, verify_identity
 from gwvir.errors import (IndexOutOfRange, PolicyTooTight, UnsupportedIndex)
 from gwvir.series import TruncatedSeries, TruncationPolicy, VarId, series_mul
 from gwvir.target import preset
-from gwvir.virasoro import (CorrContext, VirasoroOperator, apply_operator,
+from gwvir.virasoro import (CLOSED_A, CorrContext, VirasoroOperator, apply_operator,
                             bracket_l0_scale, build_operator,
                             check_shift_relations, coeff_A, coeff_B,
                             combine_fields, commutator_residual, dilaton_field,
-                            euler_field, psi, psi_tilde, string_field,
+                            euler_field, linear_field, psi, psi_tilde, string_field,
                             _psi_generic)
 
-from oracles import gamma_ratio_A, gamma_ratio_B
+from oracles import gamma_ratio_A, gamma_ratio_B, linear_field_oracle
+from test_engine import _target
 
 
 # --- A and B coefficient functions -------------------------------------------
@@ -97,6 +98,21 @@ def test_l0_linear_is_minus_x_minus_half_d():
         assert op.classical == ts.chern_power_eta(1)
         lhs, rhs, _ = ts.central_condition()
         assert op.constant == rhs
+
+
+@pytest.mark.parametrize("target", ["point", "P1", "P2", "P1xP1"])
+def test_linear_fields_match_the_displays(target):
+    # C is not symmetric on P1, P2 and P1xP1, so a transposed C shows; M = 0
+    # needs the level-1 sources that carry the dilaton shift.
+    ts = _target(target)
+    for M in (0, 1, 3):
+        for n in range(-1, 4):
+            assert build_operator(ts, n, M).linear == linear_field_oracle(ts, f"L{n}", M)
+        for n in (1, 2):
+            assert linear_field(ts, CLOSED_A[n], n, M) == linear_field_oracle(ts, f"L{n}", M)
+        ctx = IdentityContext(Engine(ts), TruncationPolicy(2, M, (0,) * ts.novikov_rank))
+        for name in ("S", "D", "X", "Ltilde1"):
+            assert ctx.field(name) == linear_field_oracle(ts, name, M)
 
 
 def test_l1_quadratic_coefficient_on_p2():
