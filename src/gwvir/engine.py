@@ -16,10 +16,17 @@ Each step strictly decreases (total level, insertion deficit below 3, degree)
 lexicographically, so the reduction terminates; it runs on an explicit work
 stack rather than by recursion, so deep keys do not hit the recursion limit.
 Canonical keys make the memo cache order-independent.
+
+What a reduction step needs of the target (the class weights q_a - 1, the
+raised index, the degree splits grouped by c1 pairing) is built once per
+target (``TargetSpace.class_weight``, ``raised_table``, ``degree_splits``).
+A miss sums its terms in integers, one numerator over one lcm denominator,
+and makes a single Fraction.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import json
@@ -34,13 +41,12 @@ from .errors import (CacheMismatch, NotApplicable, ParseError, TargetUnsupported
                      ValidationError)
 from .rationals import format_rational, parse_rational
 from .series import TruncatedSeries, TruncationPolicy, VarId
-from .target import TargetSpace
+from .target import Degree, TargetSpace, _degree_box
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 Insertions = tuple[VarId, ...]
-Degree = tuple[int, ...]
 
 
 class CorrelatorKey(NamedTuple):
@@ -60,14 +66,14 @@ def dimension_admissible(ts: TargetSpace, key: CorrelatorKey) -> bool:
     A key with a class index outside 1..classes is not admissible.
     """
     ins, deg = key
-    q, classes = ts.q, ts.classes
-    lhs = 0
+    w = ts.class_weight
+    weight = 0
     for m, a in ins:
-        if not 1 <= a <= classes:
+        wa = w.get(a)
+        if wa is None:
             return False
-        lhs += m + q[a - 1]
-    rhs = ts.complex_dim - 3 + len(ins) + sum(d * c for d, c in zip(deg, ts.c1_deg))
-    return lhs == rhs
+        weight += m + wa
+    return weight == ts.complex_dim - 3 + sum(d * c for d, c in zip(deg, ts.c1_deg))
 
 
 @dataclass(frozen=True)
@@ -120,14 +126,15 @@ class InvariantCache:
         replaces ``path`` in one step, so a crash during the write leaves the
         previous file whole.
         """
+        # Each record is the text json.dumps(..., sort_keys=True,
+        # separators=(",", ":")) gives for {"ins", "deg", "val"}.
+        entries = self.entries
         lines = [json.dumps({"fingerprint": self.fingerprint}, sort_keys=True)]
-        for key in sorted(self.entries):
-            rec = {
-                "ins": [[m, a] for m, a in key.insertions],
-                "deg": list(key.degree),
-                "val": format_rational(self.entries[key]),
-            }
-            lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+        for key in sorted(entries):
+            ins, deg = key
+            lines.append(f'{{"deg":[{",".join(map(str, deg))}],'
+                         f'"ins":[{",".join(["[%s,%s]" % v for v in ins])}],'
+                         f'"val":"{format_rational(entries[key])}"}}')
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
@@ -179,16 +186,34 @@ def _admissible_on(ts: TargetSpace, key: CorrelatorKey) -> bool:
 
 
 def _read_records(lines: Iterable[str]) -> Iterator[tuple[CorrelatorKey, Fraction]]:
-    """Parse cache-format records, skipping blank lines and a header."""
+    """Parse cache-format records, skipping blank lines and a header.
+
+    Keys come out canonical; equal insertions share one ``VarId``.  Levels,
+    classes and degrees must be JSON integers, the only values ``save``
+    writes there (with ``str``, which would write ``true`` as ``True``).
+    """
+    decode = json.JSONDecoder().decode
+    vids: dict[tuple[int, int], VarId] = {}
     for line in lines:
         line = line.strip()
         if not line:
             continue
-        rec = json.loads(line)
+        rec = decode(line)
         if "fingerprint" in rec:
             continue
-        key = make_key([(m, a) for m, a in rec["ins"]], rec["deg"])
-        yield key, parse_rational(rec["val"])
+        ins = []
+        for m, a in rec["ins"]:
+            if m.__class__ is not int or a.__class__ is not int:
+                raise ValueError(f"insertion {[m, a]} is not a pair of integers")
+            vid = vids.get((m, a))
+            if vid is None:
+                vid = vids[m, a] = VarId(m, a)
+            ins.append(vid)
+        ins.sort()
+        deg = tuple(rec["deg"])
+        if any(d.__class__ is not int for d in deg):
+            raise ValueError(f"degree {list(deg)} is not a list of integers")
+        yield CorrelatorKey(tuple(ins), deg), parse_rational(rec["val"])
 
 
 def load_table_backend(path: str) -> PrimaryBackend:
@@ -336,30 +361,22 @@ def _sub_multisets(counts: list[tuple[VarId, int]]
                    ways * math.comb(mult, take))
 
 
-def _degree_splits(deg: Degree) -> Iterator[tuple[Degree, Degree]]:
-    if not deg:
-        yield (), ()
-        return
-    head, rest = deg[0], deg[1:]
-    for tail1, tail2 in _degree_splits(rest):
-        for a in range(head + 1):
-            yield (a,) + tail1, (head - a,) + tail2
-
-
 def trr_reduce(ts: TargetSpace, key: CorrelatorKey, chosen: int
-               ) -> list[tuple[Fraction, CorrelatorKey, CorrelatorKey]]:
+               ) -> list[tuple[int | Fraction, CorrelatorKey, CorrelatorKey]]:
     """Genus-0 topological recursion relation at coefficient level.
 
     The chosen insertion tau_m (m > 0) loses one level and lands in the first
     factor; the two canonically largest remaining insertions stay in the
     second factor; spectators are distributed over both factors with
     multiplicity binomials, the degree splits, and eta^{-1} contracts the two
-    new primary insertions.
+    new primary insertions.  A coefficient is an ``int`` when it is integral.
 
     Only terms whose two keys are both dimension-admissible are returned (the
     others vanish by the selection rule).  For each spectator split and each
     sigma, the first key's weight fixes c1 . deg1, so only the degree splits
-    with that pairing are visited; the second key is checked explicitly.
+    with that pairing are visited; the second key is checked explicitly.  The
+    raised index, the class weights and the degree splits are the target's
+    tables, built once per target.
     """
     ins, deg = key
     if len(ins) < 3:
@@ -374,28 +391,19 @@ def trr_reduce(ts: TargetSpace, key: CorrelatorKey, chosen: int
     for v in spectators:
         counts[v] = counts.get(v, 0) + 1
     lowered = VarId(m - 1, alpha)
-    c1 = ts.c1_deg
-    # Degree splits keyed by c1 . deg1, each with c1 . deg2.
-    by_pairing: dict[int, list[tuple[Degree, Degree, int]]] = {}
-    for deg1, deg2 in _degree_splits(deg):
-        by_pairing.setdefault(sum(d * c for d, c in zip(deg1, c1)), []).append(
-            (deg1, deg2, sum(d * c for d, c in zip(deg2, c1))))
-    # (tau_0(O_sigma), its weight, [(tau_0(O_rho), its weight, eta^{sigma rho})])
-    q = ts.q
-    raised = [(VarId(0, sigma), q[sigma - 1] - 1,
-               [(VarId(0, rho), q[rho - 1] - 1, eta_inv) for rho, eta_inv in ts.raised(sigma)])
-              for sigma in range(1, ts.classes + 1)]
+    by_pairing = ts.degree_splits(deg)
     # Balances of the two keys before the new primaries are added.
     offset = ts.complex_dim - 3
-    base1 = _weight(ts, (lowered,)) - offset
+    base1 = m - 1 + ts.class_weight[alpha] - offset
     base2 = _weight(ts, fixed) - offset
     w_spect = _weight(ts, spectators)
-    out: list[tuple[Fraction, CorrelatorKey, CorrelatorKey]] = []
+    out: list[tuple[int | Fraction, CorrelatorKey, CorrelatorKey]] = []
     for left, right, ways in _sub_multisets(sorted(counts.items())):
         w_left = _weight(ts, left)
         bal1 = base1 + w_left
         bal2 = base2 + w_spect - w_left
-        for var_s, w_s, partners in raised:
+        right_fixed = right + fixed
+        for var_s, w_s, partners in ts.raised_table:
             splits = by_pairing.get(bal1 + w_s)
             if not splits:
                 continue
@@ -404,7 +412,7 @@ def trr_reduce(ts: TargetSpace, key: CorrelatorKey, chosen: int
                 key1 = CorrelatorKey(ins1, deg1)
                 for var_r, w_r, eta_inv in partners:
                     if bal2 + w_r == p2:
-                        key2 = CorrelatorKey(tuple(sorted(right + fixed + (var_r,))), deg2)
+                        key2 = CorrelatorKey(tuple(sorted(right_fixed + (var_r,))), deg2)
                         out.append((eta_inv * ways, key1, key2))
     return out
 
@@ -515,32 +523,41 @@ class Engine:
         ins, deg = key
         if not any(deg):
             return degree_zero_value(self.ts, key)
-        invariant = self.invariant
         if len(ins) < 3:
-            lifted, lowering, pairing = divisor_lift(self.ts, key)
-            total = _ZERO
-            for coeff, sub in [(_ONE, lifted)] + [(-c, k) for k, c in lowering]:
-                value = invariant(sub)
-                if value.__class__ is CorrelatorKey:
-                    value = yield value
-                total += coeff * value
-            return total / pairing
-        top = max(range(len(ins)), key=lambda i: ins[i].level)
-        if ins[top].level > 0:
-            chosen = next(i for i in range(len(ins)) if ins[i].level == ins[top].level)
-            total = _ZERO
-            for coeff, key1, key2 in trr_reduce(self.ts, key, chosen):
-                v1 = invariant(key1)
-                if v1.__class__ is CorrelatorKey:
-                    v1 = yield v1
-                if v1:
-                    v2 = invariant(key2)
-                    if v2.__class__ is CorrelatorKey:
-                        v2 = yield v2
-                    if v2:
-                        total += coeff * v1 * v2
-            return total
-        return self._primary_value(key)
+            # <key> = (<lifted> - sum kappa <lowered>) / pairing
+            lifted, lowering, scale = divisor_lift(self.ts, key)
+            terms = [(1, lifted, None)] + [(-c, k, None) for k, c in lowering]
+        else:
+            level = ins[-1].level  # canonical: the last insertion has the top level
+            if not level:
+                return self._primary_value(key)
+            # TRR on the first insertion of the top level
+            terms = trr_reduce(self.ts, key, bisect.bisect_left(ins, (level,)))
+            scale = 1
+        # sum of coeff * <key1> (* <key2>) as num / den in integers
+        invariant = self.invariant
+        num, den = 0, 1
+        for coeff, key1, key2 in terms:
+            v = invariant(key1)
+            if v.__class__ is CorrelatorKey:
+                v = yield v
+            if not v:
+                continue
+            n, d = coeff.numerator * v.numerator, coeff.denominator * v.denominator
+            if key2 is not None:
+                v = invariant(key2)
+                if v.__class__ is CorrelatorKey:
+                    v = yield v
+                if not v:
+                    continue
+                n *= v.numerator
+                d *= v.denominator
+            if den % d:
+                lcm = math.lcm(den, d)
+                num *= lcm // den
+                den = lcm
+            num += n * (den // d)
+        return Fraction(num * scale.denominator, den * scale.numerator)
 
     def _primary_value(self, key: CorrelatorKey) -> Fraction:
         """All-primary key at nonzero degree: strip and hit the backend."""
@@ -693,20 +710,12 @@ def _weight(ts: TargetSpace, ins: Iterable[VarId]) -> int:
     A key is dimension-admissible exactly when its weight equals
     dim - 3 + sum d * c1_deg, so the weight alone decides its degrees.
     """
-    return sum(m + ts.q[a - 1] - 1 for m, a in ins)
+    w = ts.class_weight
+    return sum(m + w[a] for m, a in ins)
 
 
 def _insertions(mon: tuple[tuple[VarId, int], ...]) -> Insertions:
     return tuple(v for v, e in mon for _ in range(e))
-
-
-def _degree_box(cap: Degree) -> Iterator[Degree]:
-    if not cap:
-        yield ()
-        return
-    for rest in _degree_box(cap[1:]):
-        for a in range(cap[0] + 1):
-            yield (a,) + rest
 
 
 def _iter_t_monomials(policy: TruncationPolicy, ts: TargetSpace, max_weight: int | None = None

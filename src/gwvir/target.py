@@ -16,11 +16,18 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterator
 
 from .errors import IndexOutOfRange, ParseError, UnknownPreset, ValidationError
 from .rationals import format_rational, parse_rational
+from .series import VarId
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+Degree = tuple[int, ...]
+# (c1 . deg1 -> [(deg1, deg2, c1 . deg2)]) over the splits deg = deg1 + deg2
+DegreeSplits = dict[int, list[tuple[Degree, Degree, int]]]
+# (tau_0(O_sigma), its weight, ((tau_0(O_rho), its weight, eta^{sigma rho}), ...))
+RaisedRow = tuple[VarId, int, tuple[tuple[VarId, int, int | Fraction], ...]]
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,50 @@ class TargetSpace:
         """Nonzero pairs (rho, eta^{sigma rho}) realizing the raised index."""
         return [(r + 1, c) for r, c in enumerate(self.eta_inv[sigma - 1]) if c]
 
+    @cached_property
+    def class_weight(self) -> dict[int, int]:
+        """Class index a -> q_a - 1, so a slot tau_m(O_a) weighs m + class_weight[a].
+
+        A key is dimension-admissible exactly when its weight equals
+        dim - 3 + sum d * c1_deg; a class index not in 1..classes has no weight.
+        """
+        return {a: qa - 1 for a, qa in enumerate(self.q, start=1)}
+
+    @cached_property
+    def raised_table(self) -> tuple[RaisedRow, ...]:
+        """One row per sigma: the raised index as the TRR contracts it.
+
+        Built from ``raised``; eta^{sigma rho} is an ``int`` when integral, so
+        products with it stay in integers.
+        """
+        w = self.class_weight
+        return tuple(
+            (VarId(0, sigma), w[sigma],
+             tuple((VarId(0, rho), w[rho], c.numerator if c.denominator == 1 else c)
+                   for rho, c in self.raised(sigma)))
+            for sigma in range(1, self.classes + 1))
+
+    def degree_splits(self, deg: Degree) -> DegreeSplits:
+        """The splits deg = deg1 + deg2 grouped by c1 . deg1, each with c1 . deg2.
+
+        Memoised per degree for the life of the target; the reduction asks only
+        for degrees inside the box of the keys it reduces.
+        """
+        splits = self._degree_splits.get(deg)
+        if splits is None:
+            c1 = self.c1_deg
+            splits = {}
+            for deg1 in _degree_box(deg):
+                deg2 = tuple(d - a for d, a in zip(deg, deg1))
+                splits.setdefault(sum(d * c for d, c in zip(deg1, c1)), []).append(
+                    (deg1, deg2, sum(d * c for d, c in zip(deg2, c1))))
+            self._degree_splits[deg] = splits
+        return splits
+
+    @cached_property
+    def _degree_splits(self) -> dict[Degree, DegreeSplits]:
+        return {}
+
     def divisor_pairing(self, cls: int) -> tuple[int, ...] | None:
         for idx, vec in self.divisors:
             if idx == cls:
@@ -115,6 +166,16 @@ class TargetSpace:
     @cached_property
     def fingerprint(self) -> str:
         return hashlib.sha256(self.serialize().encode()).hexdigest()
+
+
+def _degree_box(cap: Degree) -> Iterator[Degree]:
+    """Every degree vector below ``cap`` componentwise, first coordinate fastest."""
+    if not cap:
+        yield ()
+        return
+    for rest in _degree_box(cap[1:]):
+        for a in range(cap[0] + 1):
+            yield (a,) + rest
 
 
 def _identity(n: int) -> Matrix:

@@ -347,10 +347,15 @@ class CorrContext:
         ones when None); a zero weight skips that class.
         """
         out = TruncatedSeries(self.policy)
+        # The class slot goes in at its sorted place, so that ``corr`` finds
+        # canonical slots as given.
+        left = sorted(left)
         for s in range(1, self.ts.classes + 1):
             w = 1 if weights is None else weights[s - 1]
             if w:
-                out.add_product(self.corr(*left, (level, s)), self.corr_raised(s, *right), w)
+                i = bisect.bisect(left, (level, s))
+                out.add_product(self.corr(*left[:i], (level, s), *left[i:]),
+                                self.corr_raised(s, *right), w)
         return out
 
     def field_series(self, terms: tuple[LinearTerm, ...],

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -17,6 +18,7 @@ from gwvir.engine import (CorrelatorKey, Engine, InvariantCache, PrimaryBackend,
                           divisor_lift, divisor_reduce, kontsevich_nd, make_key,
                           string_reduce, trr_reduce, _degree_box, _iter_t_monomials)
 from gwvir.errors import CacheMismatch, NotApplicable, TargetUnsupported, ValidationError
+from gwvir.rationals import format_rational
 from gwvir.series import Monomial, TruncatedSeries, TruncationPolicy, VarId
 from gwvir.target import load_target, preset
 
@@ -45,7 +47,15 @@ def _p1xp1():
         "divisors": [[2, [1, 0]], [3, [0, 1]]], "euler_char": 4, "c1_cdm1": "8"}))
 
 
+def _p2_rational_eta():
+    """P2 with criterion 9's eta_11 = 1 and eta_22 = 2: eta^{-1} has entries -1 and 1/2."""
+    eta = tuple(tuple(Fraction(x) for x in row) for row in ((1, 0, 1), (0, 2, 0), (1, 0, 0)))
+    return dataclasses.replace(preset("P2"), name="P2-rational-eta", eta=eta)
+
+
 def _target(name):
+    if name == "P2-rational-eta":
+        return _p2_rational_eta()
     return _p1xp1() if name == "P1xP1" else preset(name)
 
 
@@ -212,9 +222,12 @@ def _trr_full_expansion(ts, key, chosen):
 @pytest.mark.parametrize("name,policy", [("point", TruncationPolicy(7, 3, ())),
                                          ("P1", TruncationPolicy(4, 2, (2,))),
                                          ("P2", TruncationPolicy(4, 2, (2,))),
-                                         ("P1xP1", TruncationPolicy(4, 1, (1, 2)))])
+                                         ("P1xP1", TruncationPolicy(4, 1, (1, 2))),
+                                         ("P2-rational-eta", TruncationPolicy(4, 2, (2,)))])
 def test_trr_reduce_is_full_expansion_filtered(name, policy):
     ts = _target(name)
+    if name == "P2-rational-eta":
+        assert {Fraction(-1), Fraction(1, 2)} <= set(itertools.chain(*ts.eta_inv))
     checked = 0
     for mon, _ in _iter_t_monomials(policy, ts):
         ins = _insertions(mon)
@@ -323,6 +336,34 @@ def test_cache_round_trip_past_int_str_digit_limit(tmp_path):
     assert InvariantCache.load(str(path), cache.fingerprint).entries == {key: huge}
 
 
+@pytest.mark.parametrize("name", ["P1", "P1xP1"])
+def test_cache_save_writes_json_dumps_text(tmp_path, name):
+    """Each record line is json.dumps(rec, sort_keys=True, separators=(",", ":"))."""
+    ts = _target(name)
+    if name == "P1":
+        engine = Engine(ts)
+        for key in engine.admissible_keys(TruncationPolicy(4, 2, (2,))):
+            engine.invariant(key)
+        entries = dict(engine.cache.entries)
+        assert entries[make_key([], (1,))] == 1  # a key with no insertions
+        entries[make_key([(0, 2)] * 6, (1,))] = Fraction(-sum(3 * 10 ** i for i in range(5000)), 7)
+    else:  # rank-2 degrees; the empty table backend cannot evaluate them
+        entries = {make_key([(0, 4)], (1, 0)): Fraction(1),
+                   make_key([(1, 2), (0, 2), (0, 3)], (0, 1)): Fraction(-3, 2),
+                   make_key([(0, 4)] * 3, (1, 1)): Fraction(2)}
+    assert min(entries.values()) < 0
+    assert max(v.denominator for v in entries.values()) > 1
+    path = tmp_path / "cache.jsonl"
+    InvariantCache(ts.fingerprint, entries).save(str(path))
+    expect = [json.dumps({"fingerprint": ts.fingerprint}, sort_keys=True)]
+    for key in sorted(entries):
+        rec = {"ins": [[m, a] for m, a in key.insertions], "deg": list(key.degree),
+               "val": format_rational(entries[key])}
+        expect.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+    assert path.read_text(encoding="utf-8").split("\n") == expect + [""]
+    assert InvariantCache.load(str(path), ts.fingerprint, ts).entries == entries
+
+
 def test_cache_save_is_atomic(tmp_path, monkeypatch):
     engine = Engine(preset("P1"))
     for key in engine.admissible_keys(TruncationPolicy(3, 1, (2,))):
@@ -348,7 +389,11 @@ def test_cache_load_rejects_corrupt_records(tmp_path):
     fingerprint = preset("P1").fingerprint
     header = '{"fingerprint": "%s"}\n' % fingerprint
     for body in ("{not json\n", header + "[1, 2]\n", header + '{"ins": [[0, 2]]}\n',
-                 header + '{"ins":[[0,2]],"deg":[1],"val":"x"}\n', "[1]\n"):
+                 header + '{"ins":[[0,2]],"deg":[1],"val":"x"}\n', "[1]\n",
+                 # A level, class or degree that is not an integer.
+                 header + '{"deg":[1],"ins":[[0,2],[true,2]],"val":"1"}\n',
+                 header + '{"deg":[1],"ins":[[0,2],[0,2.0]],"val":"1"}\n',
+                 header + '{"deg":[true],"ins":[[0,2],[0,2]],"val":"1"}\n'):
         path = tmp_path / "cache.jsonl"
         path.write_text(body)
         with pytest.raises(CacheMismatch):
