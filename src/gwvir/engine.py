@@ -32,7 +32,6 @@ import functools
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Generator, Iterable, Iterator, NamedTuple
@@ -167,33 +166,31 @@ class InvariantCache:
                     f"cache fingerprint {fingerprint!r} does not match target {expected_fingerprint!r}"
                 )
             try:
-                entries = dict(_read_records(fh))
-                if ts is not None:
-                    for key in entries:
-                        if not _admissible_on(ts, key):
-                            raise ValueError(f"{key} is not an admissible key of {ts.name}")
+                entries = dict(_read_records(fh, ts))
             except (ValueError, KeyError, TypeError, ParseError) as exc:
                 raise CacheMismatch(f"bad record in cache {path}: {exc}") from exc
         return cls(fingerprint, entries)
 
 
-def _admissible_on(ts: TargetSpace, key: CorrelatorKey) -> bool:
-    """A key of ``ts`` (levels, classes and degree in range) that is admissible."""
-    ins, deg = key
-    return (len(deg) == ts.novikov_rank and all(d >= 0 for d in deg)
-            and all(m >= 0 for m, _ in ins)
-            and dimension_admissible(ts, key))
-
-
-def _read_records(lines: Iterable[str]) -> Iterator[tuple[CorrelatorKey, Fraction]]:
+def _read_records(lines: Iterable[str], ts: TargetSpace | None = None
+                  ) -> Iterator[tuple[CorrelatorKey, Fraction]]:
     """Parse cache-format records, skipping blank lines and a header.
 
-    Keys come out canonical; equal insertions share one ``VarId``.  Levels,
-    classes and degrees must be JSON integers, the only values ``save``
-    writes there (with ``str``, which would write ``true`` as ``True``).
+    Keys come out canonical; equal insertions share one ``VarId`` and equal
+    value strings one parsed ``Fraction``.  Levels, classes and degrees must
+    be JSON integers, the only values ``save`` writes there (with ``str``,
+    which would write ``true`` as ``True``).  Given the target, a record whose
+    key is not a dimension-admissible key of it (a negative level or degree,
+    a class or degree length the target lacks, or the wrong weight) is a
+    ValueError as it is read.
     """
     decode = json.JSONDecoder().decode
     vids: dict[tuple[int, int], VarId] = {}
+    vals: dict[str, Fraction] = {}
+    # Given the target: the weight m + q_a - 1 of each interned slot, and the
+    # weight dim - 3 + c1 . deg that a key of each degree read must have.
+    weights: dict[VarId, int] = {}
+    balances: dict[Degree, int] = {}
     for line in lines:
         line = line.strip()
         if not line:
@@ -203,17 +200,36 @@ def _read_records(lines: Iterable[str]) -> Iterator[tuple[CorrelatorKey, Fractio
             continue
         ins = []
         for m, a in rec["ins"]:
+            # Before the lookup: (True, 2) and (1.0, 2) hash as (1, 2).
             if m.__class__ is not int or a.__class__ is not int:
                 raise ValueError(f"insertion {[m, a]} is not a pair of integers")
             vid = vids.get((m, a))
             if vid is None:
                 vid = vids[m, a] = VarId(m, a)
+                if ts is not None:
+                    if m < 0 or a not in ts.class_weight:
+                        raise ValueError(f"insertion {[m, a]} is not a slot of {ts.name}")
+                    weights[vid] = m + ts.class_weight[a]
             ins.append(vid)
         ins.sort()
         deg = tuple(rec["deg"])
         if any(d.__class__ is not int for d in deg):
             raise ValueError(f"degree {list(deg)} is not a list of integers")
-        yield CorrelatorKey(tuple(ins), deg), parse_rational(rec["val"])
+        key = CorrelatorKey(tuple(ins), deg)
+        if ts is not None:
+            balance = balances.get(deg)
+            if balance is None:
+                if len(deg) != ts.novikov_rank or any(d < 0 for d in deg):
+                    raise ValueError(f"degree {list(deg)} is not a degree of {ts.name}")
+                balance = balances[deg] = ts.complex_dim - 3 + sum(
+                    d * c for d, c in zip(deg, ts.c1_deg))
+            if sum(map(weights.__getitem__, ins)) != balance:
+                raise ValueError(f"{key} is not an admissible key of {ts.name}")
+        text = rec["val"]
+        value = vals.get(text)
+        if value is None:
+            value = vals[text] = parse_rational(text)
+        yield key, value
 
 
 def load_table_backend(path: str) -> PrimaryBackend:
@@ -434,12 +450,6 @@ def kontsevich_nd(d: int) -> Fraction:
     return total
 
 
-class _EvaluationState(threading.local):
-    """Per thread: whether ``Engine._evaluate`` is running on this thread."""
-
-    evaluating = False
-
-
 class Engine:
     """Master evaluator bound to one target, backend, and cache."""
 
@@ -453,20 +463,16 @@ class Engine:
             raise CacheMismatch("cache fingerprint does not match the active target")
         self.cache = cache
         self._indexes: dict[TruncationPolicy, list[tuple[int, list[_PolicyEntry]]]] = {}
-        self._state = _EvaluationState()
 
     # -- scalar invariants -------------------------------------------------
 
     def invariant(self, key: CorrelatorKey) -> Fraction:
         """Exact value of ``key``; a cache miss is reduced and published.
 
-        The key is looked up as given and canonicalised only on a miss: keys
-        built by the reduction rules are canonical already.  A miss is reduced
+        The key is looked up as given and canonicalised only on a miss: the
+        keys callers build are usually canonical already.  A miss is reduced
         by ``_evaluate``'s work stack, not by recursion, so no key runs into
-        the interpreter's recursion limit.  The reduction steps ask for every
-        sub-key through this method; while this thread is evaluating, a miss
-        is handed back as its canonical key, for the step to yield to the
-        stack.
+        the interpreter's recursion limit.
         """
         entries = self.cache.entries
         try:
@@ -482,8 +488,6 @@ class Engine:
             return cached
         if not dimension_admissible(self.ts, key):
             return _ZERO
-        if self._state.evaluating:
-            return key
         return self._evaluate(key)
 
     def _evaluate(self, key: CorrelatorKey) -> Fraction:
@@ -494,31 +498,27 @@ class Engine:
         published, is sent back to it.  This is the order plain recursion
         would take, with the same keys published.
         """
-        state = self._state
-        state.evaluating = True
-        try:
-            stack = [(key, self._reduce(key))]
-            value = None
-            while True:
-                top, steps = stack[-1]
-                try:
-                    sub = steps.send(value)
-                except StopIteration as done:
-                    value = self.cache.publish(top, done.value)
-                    stack.pop()
-                    if not stack:
-                        return value
-                else:
-                    stack.append((sub, self._reduce(sub)))
-                    value = None
-        finally:
-            state.evaluating = False
+        stack = [(key, self._reduce(key))]
+        value = None
+        while True:
+            top, steps = stack[-1]
+            try:
+                sub = steps.send(value)
+            except StopIteration as done:
+                value = self.cache.publish(top, done.value)
+                stack.pop()
+                if not stack:
+                    return value
+            else:
+                stack.append((sub, self._reduce(sub)))
+                value = None
 
     def _reduce(self, key: CorrelatorKey) -> Generator[CorrelatorKey, Fraction, Fraction]:
         """Reduction steps of one admissible key, run as a frame of ``_evaluate``.
 
-        Yields each sub-key whose value is not cached yet and receives that
-        value back; returns the key's value.
+        Yields each admissible sub-key whose value is not cached yet and
+        receives that value back; returns the key's value.  The rules build
+        their sub-keys canonical, so each is looked up in the cache as built.
         """
         ins, deg = key
         if not any(deg):
@@ -535,19 +535,19 @@ class Engine:
             terms = trr_reduce(self.ts, key, bisect.bisect_left(ins, (level,)))
             scale = 1
         # sum of coeff * <key1> (* <key2>) as num / den in integers
-        invariant = self.invariant
+        ts, entries = self.ts, self.cache.entries
         num, den = 0, 1
         for coeff, key1, key2 in terms:
-            v = invariant(key1)
-            if v.__class__ is CorrelatorKey:
-                v = yield v
+            v = entries.get(key1)
+            if v is None:
+                v = (yield key1) if dimension_admissible(ts, key1) else _ZERO
             if not v:
                 continue
             n, d = coeff.numerator * v.numerator, coeff.denominator * v.denominator
             if key2 is not None:
-                v = invariant(key2)
-                if v.__class__ is CorrelatorKey:
-                    v = yield v
+                v = entries.get(key2)
+                if v is None:
+                    v = (yield key2) if dimension_admissible(ts, key2) else _ZERO
                 if not v:
                     continue
                 n *= v.numerator
@@ -625,11 +625,9 @@ class Engine:
         """The policy's t-monomials grouped by weight, built once per policy."""
         index = self._indexes.get(policy)
         if index is None:
-            exps_key = policy.packing.exps_key
             groups: dict[int, list[_PolicyEntry]] = {}
-            for mon, weight in _iter_t_monomials(policy, self.ts):
-                fact = math.prod(math.factorial(e) for _, e in mon)
-                groups.setdefault(weight, []).append((exps_key(mon), _insertions(mon), fact))
+            for weight, tkey, ins, fact in _walk_t_monomials(policy, self.ts):
+                groups.setdefault(weight, []).append((tkey, ins, fact))
             index = self._indexes[policy] = list(groups.items())
         return index
 
@@ -677,8 +675,8 @@ class Engine:
     def admissible_keys(self, policy: TruncationPolicy) -> list[CorrelatorKey]:
         """Every admissible key whose monomial the policy admits (cache warming).
 
-        Streams the policy's monomials and keeps none of them: insertion
-        tuples are built only for weights that admit a degree.
+        Streams the policy's monomials and keeps none of them; the walk skips
+        monomials too heavy for any degree under the cap.
         """
         offset = self.ts.complex_dim - 3
         cap = policy.max_degree
@@ -686,13 +684,10 @@ class Engine:
         top = offset + sum(max(c, 0) * d for c, d in zip(self.ts.c1_deg, cap))
         by_weight: dict[int, list[Degree]] = {}
         keys = []
-        for mon, weight in _iter_t_monomials(policy, self.ts, top):
+        for weight, _, ins, _ in _walk_t_monomials(policy, self.ts, top):
             degrees = by_weight.get(weight)
             if degrees is None:
                 degrees = by_weight[weight] = self._degrees_for_balance(weight - offset, cap)
-            if not degrees:
-                continue
-            ins = _insertions(mon)
             for deg in degrees:
                 if not any(deg) and len(ins) < 3:
                     continue
@@ -714,35 +709,36 @@ def _weight(ts: TargetSpace, ins: Iterable[VarId]) -> int:
     return sum(m + w[a] for m, a in ins)
 
 
-def _insertions(mon: tuple[tuple[VarId, int], ...]) -> Insertions:
-    return tuple(v for v, e in mon for _ in range(e))
-
-
-def _iter_t_monomials(policy: TruncationPolicy, ts: TargetSpace, max_weight: int | None = None
-                      ) -> Iterator[tuple[tuple[tuple[VarId, int], ...], int]]:
-    """(monomial exponents, weight) for every t-monomial the policy admits.
+def _walk_t_monomials(policy: TruncationPolicy, ts: TargetSpace, max_weight: int | None = None
+                      ) -> Iterator[tuple[int, int, Insertions, int]]:
+    """(weight, packed t-key, insertion tuple, prod e!) of every t-monomial the policy admits.
 
     Depth-first: each monomial comes before its extensions by later variables,
-    the constant monomial first.  With ``max_weight``, a monomial heavier than
-    that is skipped with all its extensions, as long as no later variable has
-    negative weight (so no extension can come back under the bound).
+    the constant monomial first; insertion tuples come out canonical.  Each
+    field grows along the recursion from its prefix's.  With ``max_weight``, a
+    monomial heavier than that is skipped with all its extensions, as long as
+    no later variable has negative weight (so no extension can come back under
+    the bound).
     """
-    varids = [VarId(m, a) for m in range(policy.max_level + 1)
-              for a in range(1, ts.classes + 1)]
-    weights = [_weight(ts, (v,)) for v in varids]
-    # prunable[i]: no variable after i has negative weight.
-    prunable = [max_weight is not None and min(weights[i + 1:], default=0) >= 0
-                for i in range(len(varids))]
+    unit, w = policy.packing.unit, ts.class_weight
+    varids = [VarId(m, a) for m in range(policy.max_level + 1) for a in range(1, ts.classes + 1)]
+    slots = [(v, v.level + w[v.cls], unit(v)) for v in varids]
+    # prune[i]: t_i and every later variable have non-negative weight.
+    prune = [max_weight is not None and min(wv for _, wv, _ in slots[i:]) >= 0
+             for i in range(len(slots))]
 
-    def rec(start: int, budget: int, weight: int, acc: list[tuple[VarId, int]]):
-        yield tuple(acc), weight
-        for i in range(start, len(varids)):
-            v, w = varids[i], weights[i]
+    def rec(start: int, budget: int, weight: int, key: int, ins: Insertions, fact: int):
+        yield weight, key, ins, fact
+        for i in range(start, len(slots)):
+            v, wv, u = slots[i]
+            wt, k, s, f = weight, key, ins, fact
             for e in range(1, budget + 1):
-                if prunable[i] and w >= 0 and weight + e * w > max_weight:
+                wt += wv
+                if prune[i] and wt > max_weight:
                     break
-                acc.append((v, e))
-                yield from rec(i + 1, budget - e, weight + e * w, acc)
-                acc.pop()
+                k += u
+                s += (v,)
+                f *= e
+                yield from rec(i + 1, budget - e, wt, k, s, f)
 
-    yield from rec(0, policy.max_insertions, 0, [])
+    yield from rec(0, policy.max_insertions, 0, 0, (), 1)

@@ -16,9 +16,9 @@ from gwvir import engine as engine_module
 from gwvir.engine import (CorrelatorKey, Engine, InvariantCache, PrimaryBackend,
                           degree_zero_value, dilaton_reduce, dimension_admissible,
                           divisor_lift, divisor_reduce, kontsevich_nd, make_key,
-                          string_reduce, trr_reduce, _degree_box, _iter_t_monomials)
+                          string_reduce, trr_reduce, _degree_box, _walk_t_monomials, _weight)
 from gwvir.errors import CacheMismatch, NotApplicable, TargetUnsupported, ValidationError
-from gwvir.rationals import format_rational
+from gwvir.rationals import format_rational, parse_rational
 from gwvir.series import Monomial, TruncatedSeries, TruncationPolicy, VarId
 from gwvir.target import load_target, preset
 
@@ -57,6 +57,23 @@ def _target(name):
     if name == "P2-rational-eta":
         return _p2_rational_eta()
     return _p1xp1() if name == "P1xP1" else preset(name)
+
+
+def _t_monomials(policy, ts):
+    """Every t-monomial the policy admits as ((VarId, exponent), ...), sorted.
+
+    Built from ``combinations_with_replacement``, independently of the engine.
+    Sorted tuples put a monomial before its extensions by later variables and
+    an exponent before the next one, which is the engine's depth-first order.
+    """
+    varids = [VarId(m, a) for m in range(policy.max_level + 1) for a in range(1, ts.classes + 1)]
+    return sorted(tuple(sorted(Counter(combo).items()))
+                  for k in range(policy.max_insertions + 1)
+                  for combo in itertools.combinations_with_replacement(varids, k))
+
+
+def _insertions(mon):
+    return tuple(v for v, e in mon for _ in range(e))
 
 
 # --- dimension filter -----------------------------------------------------------
@@ -229,7 +246,7 @@ def test_trr_reduce_is_full_expansion_filtered(name, policy):
     if name == "P2-rational-eta":
         assert {Fraction(-1), Fraction(1, 2)} <= set(itertools.chain(*ts.eta_inv))
     checked = 0
-    for mon, _ in _iter_t_monomials(policy, ts):
+    for mon in _t_monomials(policy, ts):
         ins = _insertions(mon)
         if len(ins) < 3:
             continue
@@ -408,14 +425,37 @@ def test_cache_load_rejects_keys_off_the_target(tmp_path):
     path.write_text(header + good)
     assert InvariantCache.load(str(path), p1.fingerprint, p1).entries == {
         make_key([(0, 2), (0, 2)], (1,)): 1}
-    # Not admissible; a degree of the wrong length; a class P1 does not have.
+    # Not admissible; a degree of the wrong length; a class P1 does not have;
+    # dimension-admissible with a negative level; dimension-admissible with a
+    # negative degree.
     for record in ('{"deg":[2],"ins":[[0,2]],"val":"5"}',
                    '{"deg":[1,0],"ins":[[0,2],[0,2]],"val":"1"}',
-                   '{"deg":[1],"ins":[[0,2],[0,3]],"val":"1"}'):
+                   '{"deg":[1],"ins":[[0,2],[0,3]],"val":"1"}',
+                   '{"deg":[1],"ins":[[-1,2],[1,2]],"val":"1"}',
+                   '{"deg":[-1],"ins":[[0,1],[0,1],[0,1],[0,1]],"val":"1"}'):
         path.write_text(header + good + record + "\n")
         assert InvariantCache.load(str(path), p1.fingerprint).entries  # unchecked
         with pytest.raises(CacheMismatch):
             InvariantCache.load(str(path), p1.fingerprint, p1)
+
+
+def test_cache_load_parses_repeated_values_alike(tmp_path):
+    p2 = preset("P2")
+    header = '{"fingerprint": "%s"}\n' % p2.fingerprint
+    records = [('{"deg":[1],"ins":[[0,3],[0,3]],"val":"%s"}', "-7/3"),
+               ('{"deg":[1],"ins":[[0,2],[1,3]],"val":"%s"}', "-7/3"),
+               ('{"deg":[1],"ins":[[0,3],[1,2]],"val":"%s"}', "5/12"),
+               ('{"deg":[1],"ins":[[2,1],[0,3]],"val":"%s"}', "-7/3"),
+               ('{"deg":[1],"ins":[[0,2],[0,3],[0,3]],"val":"%s"}', "5/12")]
+    path = tmp_path / "cache.jsonl"
+    path.write_text(header + "".join(rec % val + "\n" for rec, val in records))
+    expect = {}
+    for rec, val in records:
+        parsed = json.loads(rec % val)
+        expect[make_key(parsed["ins"], parsed["deg"])] = parse_rational(val)
+    assert len(expect) == len(records)
+    for ts in (None, p2):
+        assert InvariantCache.load(str(path), p2.fingerprint, ts).entries == expect
 
 
 def test_cache_determinism_cold_runs(tmp_path):
@@ -530,17 +570,36 @@ INDEX_CASES = [("point", TruncationPolicy(5, 4, ())),
                ("P1xP1", TruncationPolicy(4, 3, (2, 2)))]
 
 
-def _insertions(mon):
-    return tuple(v for v, e in mon for _ in range(e))
+@pytest.mark.parametrize("name,policy", INDEX_CASES)
+def test_walk_t_monomials_fields_and_order(name, policy):
+    ts = _target(name)
+    walked = list(_walk_t_monomials(policy, ts))
+    mons = [tuple(sorted(Counter(ins).items())) for _, _, ins, _ in walked]
+    assert mons == _t_monomials(policy, ts)
+    for (weight, tkey, ins, fact), mon in zip(walked, mons):
+        assert ins == _insertions(mon)
+        assert tkey == policy.packing.exps_key(mon)
+        assert weight == _weight(ts, ins) == sum(m + ts.q[a - 1] - 1 for m, a in ins)
+        assert fact == math.prod(math.factorial(e) for _, e in mon)
+    # Documented order: each monomial comes after the one it extends by its
+    # last variable, so (transitively) before all its extensions.
+    position = {mon: i for i, mon in enumerate(mons)}
+    assert mons[0] == ()
+    for i, mon in enumerate(mons[1:], start=1):
+        assert position[mon[:-1]] < i
+    # With a weight bound, every monomial under it is still walked, in order.
+    bound = max(weight for weight, *_ in walked) // 2
+    pruned = list(_walk_t_monomials(policy, ts, bound))
+    assert len(pruned) < len(walked)
+    assert [e for e in pruned if e[0] <= bound] == [e for e in walked if e[0] <= bound]
 
 
 @pytest.mark.parametrize("name,policy", INDEX_CASES)
 def test_admissible_keys_match_brute_force(name, policy):
     ts = _target(name)
     expect = []
-    for mon, weight in _iter_t_monomials(policy, ts):
+    for mon in _t_monomials(policy, ts):
         ins = _insertions(mon)
-        assert weight == sum(m + ts.q[a - 1] - 1 for m, a in ins)
         for deg in _degree_box(policy.max_degree):
             key = CorrelatorKey(ins, deg)
             if dimension_admissible(ts, key) and (any(deg) or len(ins) >= 3):
@@ -557,7 +616,7 @@ def test_correlation_series_match_brute_force(name):
         for cls in range(1, ts.classes + 1):
             fixed = (VarId(level, cls),)
             terms = {}
-            for mon, _ in _iter_t_monomials(policy, ts):
+            for mon in _t_monomials(policy, ts):
                 full = tuple(sorted(fixed + _insertions(mon)))
                 fact = math.prod(math.factorial(e) for _, e in mon)
                 for deg in _degree_box(policy.max_degree):
