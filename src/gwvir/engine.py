@@ -18,8 +18,11 @@ stack rather than by recursion, so deep keys do not hit the recursion limit.
 Canonical keys make the memo cache order-independent.
 
 What a reduction step needs of the target (the class weights q_a - 1, the
-raised index, the degree splits grouped by c1 pairing) is built once per
-target (``TargetSpace.class_weight``, ``raised_table``, ``degree_splits``).
+raised index with its partners grouped by weight, the degree splits grouped
+by c1 pairing, and the split tables: each spectator multiset's splits with
+their binomials and weights) is built once per target
+(``TargetSpace.class_weight``, ``raised_table``, ``degree_splits``,
+``spectator_splits``).
 A miss sums its terms in integers, one numerator over one lcm denominator,
 and makes a single Fraction.
 """
@@ -110,9 +113,10 @@ class InvariantCache:
         return cls(ts.fingerprint)
 
     def publish(self, key: CorrelatorKey, value: Fraction) -> Fraction:
-        # Publish-once: a second computation of a key must agree with the
-        # first.  setdefault is one step, so threads sharing an engine cannot
-        # both store a value.
+        # Publish-once: a key's value is stored once and never replaced.  One
+        # engine reduces each key once, but two engines given the same cache,
+        # or threads calling one engine (there is no lock), can each reduce a
+        # key before either publishes it; the later value must agree.
         existing = self.entries.setdefault(key, value)
         if existing != value:
             raise CacheMismatch(f"conflicting values for {key}")
@@ -364,19 +368,6 @@ def divisor_lift(ts: TargetSpace, key: CorrelatorKey
     raise TargetUnsupported("no divisor pairs nontrivially with this degree")
 
 
-def _sub_multisets(counts: list[tuple[VarId, int]]
-                   ) -> Iterator[tuple[tuple[VarId, ...], tuple[VarId, ...], int]]:
-    """Split a multiset two ways with the multiplicity binomial of each split."""
-    if not counts:
-        yield (), (), 1
-        return
-    (var, mult), rest = counts[0], counts[1:]
-    for left, right, ways in _sub_multisets(rest):
-        for take in range(mult + 1):
-            yield ((var,) * take + left, (var,) * (mult - take) + right,
-                   ways * math.comb(mult, take))
-
-
 def trr_reduce(ts: TargetSpace, key: CorrelatorKey, chosen: int
                ) -> list[tuple[int | Fraction, CorrelatorKey, CorrelatorKey]]:
     """Genus-0 topological recursion relation at coefficient level.
@@ -390,9 +381,11 @@ def trr_reduce(ts: TargetSpace, key: CorrelatorKey, chosen: int
     Only terms whose two keys are both dimension-admissible are returned (the
     others vanish by the selection rule).  For each spectator split and each
     sigma, the first key's weight fixes c1 . deg1, so only the degree splits
-    with that pairing are visited; the second key is checked explicitly.  The
-    raised index, the class weights and the degree splits are the target's
-    tables, built once per target.
+    with that pairing are visited.  Those splits share c1 . deg2, which fixes
+    the weight the partner rho must have: the partners of that weight are one
+    lookup in sigma's raised-index row.  The spectator splits with their
+    weights, the raised index grouped by weight and the degree splits are the
+    target's tables, built once per target.
     """
     ins, deg = key
     if len(ins) < 3:
@@ -402,34 +395,32 @@ def trr_reduce(ts: TargetSpace, key: CorrelatorKey, chosen: int
         raise NotApplicable("chosen insertion must have positive level")
     rest = ins[:chosen] + ins[chosen + 1:]
     fixed = rest[-2:]
-    spectators = rest[:-2]
-    counts: dict[VarId, int] = {}
-    for v in spectators:
-        counts[v] = counts.get(v, 0) + 1
     lowered = VarId(m - 1, alpha)
     by_pairing = ts.degree_splits(deg)
+    raised = ts.raised_table
     # Balances of the two keys before the new primaries are added.
     offset = ts.complex_dim - 3
     base1 = m - 1 + ts.class_weight[alpha] - offset
     base2 = _weight(ts, fixed) - offset
-    w_spect = _weight(ts, spectators)
     out: list[tuple[int | Fraction, CorrelatorKey, CorrelatorKey]] = []
-    for left, right, ways in _sub_multisets(sorted(counts.items())):
-        w_left = _weight(ts, left)
+    for left, right, ways, w_left, w_right in ts.spectator_splits(rest[:-2]):
         bal1 = base1 + w_left
-        bal2 = base2 + w_spect - w_left
+        bal2 = base2 + w_right
         right_fixed = right + fixed
-        for var_s, w_s, partners in ts.raised_table:
-            splits = by_pairing.get(bal1 + w_s)
-            if not splits:
+        for var_s, w_s, groups in raised:
+            bucket = by_pairing.get(bal1 + w_s)
+            if bucket is None:
+                continue
+            p2, splits = bucket
+            partners = groups.get(p2 - bal2)
+            if not partners:
                 continue
             ins1 = tuple(sorted(left + (lowered, var_s)))
-            for deg1, deg2, p2 in splits:
+            for deg1, deg2 in splits:
                 key1 = CorrelatorKey(ins1, deg1)
-                for var_r, w_r, eta_inv in partners:
-                    if bal2 + w_r == p2:
-                        key2 = CorrelatorKey(tuple(sorted(right_fixed + (var_r,))), deg2)
-                        out.append((eta_inv * ways, key1, key2))
+                for var_r, eta_inv in partners:
+                    out.append((eta_inv * ways, key1,
+                                CorrelatorKey(tuple(sorted(right_fixed + (var_r,))), deg2)))
     return out
 
 

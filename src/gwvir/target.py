@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -24,10 +25,12 @@ from .series import VarId
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Degree = tuple[int, ...]
-# (c1 . deg1 -> [(deg1, deg2, c1 . deg2)]) over the splits deg = deg1 + deg2
-DegreeSplits = dict[int, list[tuple[Degree, Degree, int]]]
-# (tau_0(O_sigma), its weight, ((tau_0(O_rho), its weight, eta^{sigma rho}), ...))
-RaisedRow = tuple[VarId, int, tuple[tuple[VarId, int, int | Fraction], ...]]
+# (c1 . deg1 -> (c1 . deg2, [(deg1, deg2), ...])) over the splits deg = deg1 + deg2
+DegreeSplits = dict[int, tuple[int, list[tuple[Degree, Degree]]]]
+# (tau_0(O_sigma), its weight, {weight of rho: ((tau_0(O_rho), eta^{sigma rho}), ...)})
+RaisedRow = tuple[VarId, int, dict[int, tuple[tuple[VarId, int | Fraction], ...]]]
+# (left, right, multiplicity binomial, weight of left, weight of right)
+SpectatorSplit = tuple[tuple[VarId, ...], tuple[VarId, ...], int, int, int]
 
 
 @dataclass(frozen=True)
@@ -118,18 +121,23 @@ class TargetSpace:
     def raised_table(self) -> tuple[RaisedRow, ...]:
         """One row per sigma: the raised index as the TRR contracts it.
 
-        Built from ``raised``; eta^{sigma rho} is an ``int`` when integral, so
-        products with it stay in integers.
+        Built from ``raised``, the partners rho of each sigma grouped by their
+        weight q_rho - 1 in ``raised`` order, so the TRR finds the partners
+        that balance a key with one dict lookup.  eta^{sigma rho} is an
+        ``int`` when integral, so products with it stay in integers.
         """
         w = self.class_weight
-        return tuple(
-            (VarId(0, sigma), w[sigma],
-             tuple((VarId(0, rho), w[rho], c.numerator if c.denominator == 1 else c)
-                   for rho, c in self.raised(sigma)))
-            for sigma in range(1, self.classes + 1))
+        table = []
+        for sigma in range(1, self.classes + 1):
+            groups: dict[int, tuple[tuple[VarId, int | Fraction], ...]] = {}
+            for rho, c in self.raised(sigma):
+                groups[w[rho]] = groups.get(w[rho], ()) + (
+                    (VarId(0, rho), c.numerator if c.denominator == 1 else c),)
+            table.append((VarId(0, sigma), w[sigma], groups))
+        return tuple(table)
 
     def degree_splits(self, deg: Degree) -> DegreeSplits:
-        """The splits deg = deg1 + deg2 grouped by c1 . deg1, each with c1 . deg2.
+        """The splits deg = deg1 + deg2 grouped by c1 . deg1, with their shared c1 . deg2.
 
         Memoised per degree for the life of the target; the reduction asks only
         for degrees inside the box of the keys it reduces.
@@ -137,16 +145,40 @@ class TargetSpace:
         splits = self._degree_splits.get(deg)
         if splits is None:
             c1 = self.c1_deg
+            total = sum(d * c for d, c in zip(deg, c1))
             splits = {}
             for deg1 in _degree_box(deg):
-                deg2 = tuple(d - a for d, a in zip(deg, deg1))
-                splits.setdefault(sum(d * c for d, c in zip(deg1, c1)), []).append(
-                    (deg1, deg2, sum(d * c for d, c in zip(deg2, c1))))
+                p1 = sum(d * c for d, c in zip(deg1, c1))
+                splits.setdefault(p1, (total - p1, []))[1].append(
+                    (deg1, tuple(d - a for d, a in zip(deg, deg1))))
             self._degree_splits[deg] = splits
         return splits
 
     @cached_property
     def _degree_splits(self) -> dict[Degree, DegreeSplits]:
+        return {}
+
+    def spectator_splits(self, spectators: tuple[VarId, ...]) -> tuple[SpectatorSplit, ...]:
+        """The two-way splits of a multiset of slots, each with its binomial and weights.
+
+        One row (left, right, ways, weight of left, weight of right) per split,
+        in ``_sub_multisets`` order; a weight is the sum of m + q_a - 1 over
+        its slots.  Memoised per spectator tuple for the life of the target.
+        """
+        rows = self._spectator_splits.get(spectators)
+        if rows is None:
+            counts: dict[VarId, int] = {}
+            for v in spectators:
+                counts[v] = counts.get(v, 0) + 1
+            w = self.class_weight
+            rows = self._spectator_splits[spectators] = tuple(
+                (left, right, ways, sum(m + w[a] for m, a in left),
+                 sum(m + w[a] for m, a in right))
+                for left, right, ways in _sub_multisets(sorted(counts.items())))
+        return rows
+
+    @cached_property
+    def _spectator_splits(self) -> dict[tuple[VarId, ...], tuple[SpectatorSplit, ...]]:
         return {}
 
     def divisor_pairing(self, cls: int) -> tuple[int, ...] | None:
@@ -176,6 +208,19 @@ def _degree_box(cap: Degree) -> Iterator[Degree]:
     for rest in _degree_box(cap[1:]):
         for a in range(cap[0] + 1):
             yield (a,) + rest
+
+
+def _sub_multisets(counts: list[tuple[VarId, int]]
+                   ) -> Iterator[tuple[tuple[VarId, ...], tuple[VarId, ...], int]]:
+    """Split a multiset two ways with the multiplicity binomial of each split."""
+    if not counts:
+        yield (), (), 1
+        return
+    (var, mult), rest = counts[0], counts[1:]
+    for left, right, ways in _sub_multisets(rest):
+        for take in range(mult + 1):
+            yield ((var,) * take + left, (var,) * (mult - take) + right,
+                   ways * math.comb(mult, take))
 
 
 def _identity(n: int) -> Matrix:

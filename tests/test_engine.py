@@ -211,6 +211,54 @@ def test_trr_examples(point_engine, p2_engine):
         trr_reduce(pt, make_key([(0, 1)] * 3, ()), 0)
 
 
+def _splits_brute_force(ts, spectators):
+    """(left, right, ways, weight of left, weight of right) of every split.
+
+    From ``itertools.product`` over how many copies of each distinct slot go
+    left, the first slot varying fastest; weights from the grading q directly.
+    """
+    distinct = sorted(set(spectators))
+    mults = [spectators.count(v) for v in distinct]
+    out = []
+    for takes in itertools.product(*(range(n + 1) for n in reversed(mults))):
+        takes = takes[::-1]
+        left = tuple(v for v, t in zip(distinct, takes) for _ in range(t))
+        right = tuple(v for v, t, n in zip(distinct, takes, mults) for _ in range(n - t))
+        ways = math.prod(math.comb(n, t) for n, t in zip(mults, takes))
+        weights = [sum(m + ts.q[a - 1] - 1 for m, a in side) for side in (left, right)]
+        out.append((left, right, ways, *weights))
+    return out
+
+
+@pytest.mark.parametrize("name,spectators", [
+    ("point", []),
+    ("P1", [(0, 2), (2, 1), (2, 1)]),
+    ("P2", [(0, 2), (0, 2), (0, 2), (1, 3), (4, 1), (4, 1)]),
+    ("P1xP1", [(0, 2), (0, 3), (0, 3), (1, 4), (2, 2), (2, 2)]),
+])
+def test_spectator_splits_match_brute_force(name, spectators):
+    ts = _target(name)
+    spect = tuple(sorted(VarId(m, a) for m, a in spectators))
+    rows = ts.spectator_splits(spect)
+    assert list(rows) == _splits_brute_force(ts, spect)
+    assert ts.spectator_splits(spect) is rows  # built once per multiset
+
+
+def test_spectator_splits_are_per_target():
+    """Targets with different class weights never share rows, in one process."""
+    spect = (VarId(0, 2), VarId(1, 1), VarId(1, 1))
+    p1, p2 = preset("P1"), preset("P2")
+    p1_rows, p2_rows = p1.spectator_splits(spect), p2.spectator_splits(spect)
+    assert p1_rows is not p2_rows
+    assert list(p1_rows) == _splits_brute_force(p1, spect)
+    assert list(p2_rows) == _splits_brute_force(p2, spect)
+    # Class 3 weighs q - 1 = 0 on P1 x P1 and 1 on P2; a P2 built after a
+    # P1 x P1 is freed (so it may get the same id) still gets its own weights.
+    spect = (VarId(1, 3), VarId(1, 3))
+    assert [row[3:] for row in _p1xp1().spectator_splits(spect)] == [(0, 2), (1, 1), (2, 0)]
+    assert [row[3:] for row in preset("P2").spectator_splits(spect)] == [(0, 4), (2, 2), (4, 0)]
+
+
 def _trr_full_expansion(ts, key, chosen):
     """Every TRR term, admissible or not, as the rule writes it out."""
     ins, deg = key
@@ -236,22 +284,32 @@ def _trr_full_expansion(ts, key, chosen):
     return out
 
 
-@pytest.mark.parametrize("name,policy", [("point", TruncationPolicy(7, 3, ())),
-                                         ("P1", TruncationPolicy(4, 2, (2,))),
-                                         ("P2", TruncationPolicy(4, 2, (2,))),
-                                         ("P1xP1", TruncationPolicy(4, 1, (1, 2))),
-                                         ("P2-rational-eta", TruncationPolicy(4, 2, (2,)))])
-def test_trr_reduce_is_full_expansion_filtered(name, policy):
+@pytest.mark.parametrize("name,policy,min_spectators", [
+    ("point", TruncationPolicy(7, 3, ()), 0),
+    ("P1", TruncationPolicy(4, 2, (2,)), 0),
+    ("P2", TruncationPolicy(4, 2, (2,)), 0),
+    ("P1xP1", TruncationPolicy(4, 1, (1, 2)), 0),
+    ("P2-rational-eta", TruncationPolicy(4, 2, (2,)), 0),
+    # Three or more spectators at degrees up to 3: the partner groups meet
+    # degree splits with c1 . deg2 up to 9.
+    ("P2", TruncationPolicy(6, 1, (3,)), 3),
+], ids=["point-policy0", "P1-policy1", "P2-policy2", "P1xP1-policy3",
+        "P2-rational-eta-policy4", "P2-3-spectators-policy5"])
+def test_trr_reduce_is_full_expansion_filtered(name, policy, min_spectators):
     ts = _target(name)
     if name == "P2-rational-eta":
         assert {Fraction(-1), Fraction(1, 2)} <= set(itertools.chain(*ts.eta_inv))
     checked = 0
     for mon in _t_monomials(policy, ts):
         ins = _insertions(mon)
-        if len(ins) < 3:
+        if len(ins) < 3 + min_spectators:
             continue
         for deg in _degree_box(policy.max_degree):
             key = CorrelatorKey(ins, deg)
+            # The cases with spectators check only admissible keys, which keeps
+            # each under a second; the others show inadmissible keys get no terms.
+            if min_spectators and not dimension_admissible(ts, key):
+                continue
             for chosen in range(len(ins)):
                 if ins[chosen].level == 0:
                     continue
