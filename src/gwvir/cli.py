@@ -162,10 +162,6 @@ def _add_common(p: argparse.ArgumentParser, with_policy=True, with_target=True):
         p.add_argument("--table", default=None,
                        help="primary-invariant table file for Table backends")
     p.add_argument("--format", choices=("text", "structured"), default="text")
-    # Accepted for compatibility and ignored: work runs in one thread.  A
-    # thread pool was slower (the interpreter lock serialises it) and lost
-    # the shared correlation and contraction caches.
-    p.add_argument("--jobs", type=int, default=1)
 
 
 def _build_parser() -> _Parser:
@@ -176,7 +172,6 @@ def _build_parser() -> _Parser:
     p.add_argument("action", choices=("list", "show", "validate"))
     p.add_argument("--target", default=None)
     p.add_argument("--format", choices=("text", "structured"), default="text")
-    p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("invariant", help="one descendent invariant, exactly")
     _add_common(p)

@@ -1,11 +1,18 @@
 """Machine-checkable registry of correlator identities.
 
-Every tag evaluates both sides of one identity as truncated series over all
-free index tuples (descendent levels up to the policy level bound minus one,
-all class indices) and reports per-tuple pass/fail with the first failing
-coefficient.  Vector-field slots inside double brackets are tensor
-contractions: the field expands into its ttilde-weighted sum of derivative
-slots under the same policy.
+Each tag is a generator over the free index tuples of one identity
+(descendent levels up to the policy level bound minus one, all class
+indices).  For every tuple it yields ``(indices, lhs, rhs)``, where each side
+is a term list as ``CorrContext.evaluate`` reads it: ``(coeff, factor[,
+factor[, factor]])`` terms whose factors name correlation series, raised
+series, vector-field contractions, genus-0 splittings (``pair``), the
+constant 1, ``t`` or ``ttilde``, or a prebuilt series.  Vector-field slots
+inside double brackets are tensor contractions: the field expands into its
+ttilde-weighted sum of derivative slots under the same policy.
+
+``verify_identity`` evaluates both lists on one shared context and compares
+them exactly, reporting per-tuple pass/fail with the first failing
+coefficient.
 """
 
 from __future__ import annotations
@@ -18,15 +25,19 @@ from typing import Callable, Iterator
 from .engine import Engine
 from .errors import UnknownIdentity
 from .rationals import format_rational
-from .series import Monomial, TruncatedSeries, TruncationPolicy, VarId, series_mul
-from .virasoro import (CLOSED_A, CorrContext, LinearTerm, add_ttilde, apply_operator,
-                       build_operator, coeff_A, coeff_B, combine_fields, dilaton_field,
-                       euler_field, linear_field, string_field, _as_engine,
+# series_mul is unused here, but bench/spans.py rebinds it in every module.
+from .series import Monomial, TruncationPolicy, series_mul  # noqa: F401
+from .target import row
+from .virasoro import (CLOSED_A, CorrContext, LinearTerm, apply_operator, build_operator,
+                       coeff_A, coeff_B, combine_fields, dilaton_field, euler_field,
+                       linear_field, string_field, _as_engine, _classical_series,
                        _psi_closed_form, _psi_generic)
 
 _ONE = Fraction(1)
+ONE = ("one",)
 
-Check = tuple[tuple, TruncatedSeries, TruncatedSeries]
+Terms = list[tuple]
+Check = tuple[tuple, Terms, Terms]
 Checker = Callable[["IdentityContext"], Iterator[Check]]
 
 
@@ -50,21 +61,21 @@ def render_monomial(mon: Monomial) -> str:
 
 
 class IdentityContext(CorrContext):
-    """CorrContext plus the vector fields and polynomial helpers the lemmas use."""
+    """CorrContext plus the named vector fields and index ranges the lemmas use."""
 
-    def __init__(self, engine: Engine, policy: TruncationPolicy, idx_max: int | None = None):
+    def __init__(self, engine: Engine, policy: TruncationPolicy):
         super().__init__(engine, policy)
-        self.idx = policy.max_level - 1 if idx_max is None else idx_max
-        if self.idx < 0:
-            self.idx = 0
-        self._fields: dict[str, tuple[LinearTerm, ...]] = {}
+        self.idx = max(policy.max_level - 1, 0)
+        self._fields: dict[tuple[str, Fraction | int], tuple[LinearTerm, ...]] = {}
 
-    # vector fields ---------------------------------------------------------
-
-    def field(self, name: str) -> tuple[LinearTerm, ...]:
-        if name not in self._fields:
+    def field(self, name: str, k: Fraction | int = 0) -> tuple[LinearTerm, ...]:
+        """Terms of the named vector field minus k times the dilaton field D."""
+        key = (name, k)
+        if key not in self._fields:
             ts, M = self.ts, self.policy.max_level
-            if name == "S":
+            if k:
+                terms = combine_fields((self.field(name), 1), (self.field("D"), -k))
+            elif name == "S":
                 terms = string_field(ts, M)
             elif name == "D":
                 terms = dilaton_field(ts, M)
@@ -76,50 +87,14 @@ class IdentityContext(CorrContext):
                 terms = build_operator(ts, int(name[1:]), M).linear
             else:
                 raise UnknownIdentity(name)
-            self._fields[name] = terms
-        return self._fields[name]
-
-    def field_minus_kD(self, name: str, k: int) -> tuple[LinearTerm, ...]:
-        """Terms of (field - k * D)."""
-        return combine_fields((self.field(name), 1), (self.field("D"), -k))
-
-    def field_raised(self, terms: tuple[LinearTerm, ...], sigma: int,
-                     *slots: tuple[int, int]) -> TruncatedSeries:
-        out = TruncatedSeries(self.policy)
-        for rho, coeff in self.ts.raised(sigma):
-            out.add_scaled(self.field_series(terms, (0, rho), *slots), coeff)
-        return out
-
-    # polynomial helpers ----------------------------------------------------
-
-    def const(self, value: Fraction | int) -> TruncatedSeries:
-        return TruncatedSeries.constant(self.policy, value)
-
-    def tvar(self, level: int, cls: int) -> TruncatedSeries:
-        return TruncatedSeries.variable(self.policy, VarId(level, cls))
-
-    def ttilde(self, level: int, cls: int) -> TruncatedSeries:
-        return add_ttilde(self.zero(), VarId(level, cls), self.const(1), _ONE)
-
-    def zero(self) -> TruncatedSeries:
-        return TruncatedSeries.zero(self.policy)
+            self._fields[key] = terms
+        return self._fields[key]
 
     def classes(self) -> range:
         return range(1, self.ts.classes + 1)
 
     def levels(self) -> range:
         return range(self.idx + 1)
-
-
-def _eta_quad(ctx: IdentityContext, matrix) -> TruncatedSeries:
-    """1/2 sum M_{ab} t^a_0 t^b_0."""
-    out = ctx.zero()
-    half = Fraction(1, 2)
-    for a in ctx.classes():
-        for b in ctx.classes():
-            if matrix[a - 1][b - 1]:
-                out.add_scaled(ctx.tvar(0, a).times_var(VarId(0, b)), half * matrix[a - 1][b - 1])
-    return out
 
 
 # --- section 2 lemmas ---------------------------------------------------------
@@ -133,109 +108,105 @@ def _operator_route(ctx: IdentityContext, n: int):
                            policy.max_degree)
     f0 = ctx.engine.correlation_series((), big)
     op = build_operator(ctx.ts, n, policy.max_level)
-    yield ((), apply_operator(op, f0, policy), ctx.zero())
+    yield ((), [(1, ("series", apply_operator(op, f0, policy)))], [])
 
 
 def _check_string_corr1(ctx: IdentityContext):
-    yield ((), ctx.field_series(ctx.field("S")), _eta_quad(ctx, ctx.ts.eta))
+    yield ((), [(1, ("field_series", ctx.field("S")))],
+           [(1, ("series", _classical_series(ctx.ts.eta, ctx.policy)))])
 
 
 def _check_string_corr2(ctx: IdentityContext):
+    s = ctx.field("S")
     for m in ctx.levels():
         for a in ctx.classes():
-            rhs = ctx.zero().add_scaled(ctx.corr((m - 1, a)))
+            rhs = [(1, ("corr", (m - 1, a)))]
             if m == 0:
-                for b in ctx.classes():
-                    if ctx.ts.eta[a - 1][b - 1]:
-                        rhs.add_scaled(ctx.tvar(0, b), ctx.ts.eta[a - 1][b - 1])
-            yield ((m, a), ctx.field_series(ctx.field("S"), (m, a)), rhs)
+                rhs += [(c, ("t", 0, b)) for b, c in row(ctx.ts.eta, a)]
+            yield ((m, a), [(1, ("field_series", s, (m, a)))], rhs)
 
 
 def _check_string_corr3(ctx: IdentityContext):
+    s = ctx.field("S")
     for m in ctx.levels():
         for a in ctx.classes():
             for n in ctx.levels():
                 for b in ctx.classes():
-                    rhs = ctx.corr((m, a), (n - 1, b)) + ctx.corr((m - 1, a), (n, b))
+                    rhs = [(1, ("corr", (m, a), (n - 1, b))), (1, ("corr", (m - 1, a), (n, b)))]
                     if m == 0 and n == 0:
-                        rhs.add_scaled(ctx.const(ctx.ts.eta[a - 1][b - 1]))
-                    yield ((m, a, n, b),
-                           ctx.field_series(ctx.field("S"), (m, a), (n, b)), rhs)
+                        rhs.append((ctx.ts.eta[a - 1][b - 1], ONE))
+                    yield ((m, a, n, b), [(1, ("field_series", s, (m, a), (n, b)))], rhs)
 
 
 def _check_dilaton_corr1(ctx: IdentityContext):
-    f0 = ctx.corr()
-    yield ((), ctx.field_series(ctx.field("D")), f0.scale(-2))
+    yield ((), [(1, ("field_series", ctx.field("D")))], [(-2, ("corr",))])
 
 
 def _check_dilaton_corr2(ctx: IdentityContext):
+    d = ctx.field("D")
     for m in ctx.levels():
         for a in ctx.classes():
-            yield ((m, a), ctx.field_series(ctx.field("D"), (m, a)),
-                   ctx.corr((m, a)).scale(-1))
+            yield ((m, a), [(1, ("field_series", d, (m, a)))], [(-1, ("corr", (m, a)))])
 
 
 def _check_dilaton_corr3(ctx: IdentityContext):
+    d = ctx.field("D")
     for m in ctx.levels():
         for a in ctx.classes():
             for n in ctx.levels():
                 for b in ctx.classes():
-                    yield ((m, a, n, b),
-                           ctx.field_series(ctx.field("D"), (m, a), (n, b)), ctx.zero())
+                    yield ((m, a, n, b), [(1, ("field_series", d, (m, a), (n, b)))], [])
+
+
+def _quasi_homog_rhs(ctx: IdentityContext) -> Terms:
+    """<<X>> written out: 1/2 (C eta)_{ab} t^a_0 t^b_0 + (3 - d) <<>>."""
+    return [(1, ("series", _classical_series(ctx.ts.chern_power_eta(1), ctx.policy))),
+            (3 - ctx.ts.complex_dim, ("corr",))]
 
 
 def _check_quasi_homog(ctx: IdentityContext):
-    rhs = _eta_quad(ctx, ctx.ts.chern_power_eta(1)).add_scaled(ctx.corr(), 3 - ctx.ts.complex_dim)
-    yield ((), ctx.field_series(ctx.field("X")), rhs)
+    yield ((), [(1, ("field_series", ctx.field("X")))], _quasi_homog_rhs(ctx))
 
 
 def _check_euler_corr1(ctx: IdentityContext):
     # Same statement as QuasiHomog, exercised through the tensor-slot route
     # with X recombined as -(L0 + (3-d)/2 D).
     shift = Fraction(3 - ctx.ts.complex_dim, 2)
-    terms = ctx.field_minus_kD("L0", -shift)  # L0 + shift*D = -X
-    lhs = ctx.field_series(terms).scale(-1)
-    rhs = _eta_quad(ctx, ctx.ts.chern_power_eta(1)).add_scaled(ctx.corr(), 3 - ctx.ts.complex_dim)
-    yield ((), lhs, rhs)
+    yield ((), [(-1, ("field_series", ctx.field("L0", -shift)))], _quasi_homog_rhs(ctx))
 
 
 def _check_euler_corr2(ctx: IdentityContext):
     ts = ctx.ts
     shift = Fraction(3 - ts.complex_dim, 2)
-    ceta = ts.chern_power_eta(1)
+    x = ctx.field("X")
     for m in ctx.levels():
         for a in ctx.classes():
-            rhs = ctx.corr((m, a)).scale(m + ts.b[a - 1] + shift)
-            for be in ctx.classes():
-                c = ts.c1_mat[a - 1][be - 1]
-                if c:
-                    rhs.add_scaled(ctx.corr((m - 1, be)), c)
+            rhs = [(m + ts.b[a - 1] + shift, ("corr", (m, a)))]
+            rhs += [(c, ("corr", (m - 1, s))) for s, c in row(ts.c1_mat, a)]
             if m == 0:
-                for be in ctx.classes():
-                    if ceta[a - 1][be - 1]:
-                        rhs.add_scaled(ctx.tvar(0, be), ceta[a - 1][be - 1])
-            yield ((m, a), ctx.field_series(ctx.field("X"), (m, a)), rhs)
+                rhs += [(c, ("t", 0, s)) for s, c in row(ts.chern_power_eta(1), a)]
+            yield ((m, a), [(1, ("field_series", x, (m, a)))], rhs)
+
+
+def _euler3_rhs(ctx: IdentityContext, m: int, a: int, n: int, b: int) -> Terms:
+    """<<X tau_m(O_a) tau_n(O_b)>> written out; EulerCorr3 and FRR share it."""
+    ts = ctx.ts
+    rhs = [(m + n + ts.b[a - 1] + ts.b[b - 1], ("corr", (m, a), (n, b)))]
+    rhs += [(c, ("corr", (m - 1, s), (n, b))) for s, c in row(ts.c1_mat, a)]
+    rhs += [(c, ("corr", (m, a), (n - 1, s))) for s, c in row(ts.c1_mat, b)]
+    if m == 0 and n == 0:
+        rhs.append((ts.chern_power_eta(1)[a - 1][b - 1], ONE))
+    return rhs
 
 
 def _check_euler_corr3(ctx: IdentityContext):
-    ts = ctx.ts
-    ceta = ts.chern_power_eta(1)
+    x = ctx.field("X")
     for m in ctx.levels():
         for a in ctx.classes():
             for n in ctx.levels():
                 for b in ctx.classes():
-                    rhs = ctx.corr((m, a), (n, b)).scale(m + n + ts.b[a - 1] + ts.b[b - 1])
-                    if m == 0 and n == 0:
-                        rhs.add_scaled(ctx.const(ceta[a - 1][b - 1]))
-                    for g in ctx.classes():
-                        c = ts.c1_mat[a - 1][g - 1]
-                        if c:
-                            rhs.add_scaled(ctx.corr((m - 1, g), (n, b)), c)
-                        c = ts.c1_mat[b - 1][g - 1]
-                        if c:
-                            rhs.add_scaled(ctx.corr((m, a), (n - 1, g)), c)
-                    yield ((m, a, n, b),
-                           ctx.field_series(ctx.field("X"), (m, a), (n, b)), rhs)
+                    yield ((m, a, n, b), [(1, ("field_series", x, (m, a), (n, b)))],
+                           _euler3_rhs(ctx, m, a, n, b))
 
 
 # --- section 2.3: recursion relations ----------------------------------------
@@ -247,16 +218,16 @@ def _check_trr(ctx: IdentityContext):
                 for b in ctx.classes():
                     for k in ctx.levels():
                         for g in ctx.classes():
-                            yield ((m, a, n, b, k, g), ctx.corr((m, a), (n, b), (k, g)),
-                                   ctx.pair([(m - 1, a)], [(n, b), (k, g)]))
+                            yield ((m, a, n, b, k, g),
+                                   [(1, ("corr", (m, a), (n, b), (k, g)))],
+                                   [(1, ("pair", ((m - 1, a),), ((n, b), (k, g))))])
 
 
 def _check_gen_wdvv(ctx: IdentityContext):
     vids = [(m, a) for m in ctx.levels() for a in ctx.classes()]
     # Canonical (pair, pair) -> its splitting.  pair(A, B) == pair(B, A) at
     # level 0 unweighted, so both the slot pairs and their order are sorted.
-    prods: dict[tuple, TruncatedSeries] = {}
-    zero = ctx.zero()
+    prods = {}
 
     def canon(a, b, c, d) -> tuple:
         p = (a, b) if a <= b else (b, a)
@@ -270,53 +241,36 @@ def _check_gen_wdvv(ctx: IdentityContext):
                     kl = canon(u, v, w, x)
                     kr = canon(u, w, v, x)
                     if kl == kr:
-                        yield ((*u, *v, *w, *x), zero, zero)
+                        yield ((*u, *v, *w, *x), [], [])
                         continue
                     for key in (kl, kr):
                         if key not in prods:
                             prods[key] = ctx.pair(*key)
-                    yield ((*u, *v, *w, *x), prods[kl], prods[kr])
+                    yield ((*u, *v, *w, *x), [(1, ("series", prods[kl]))],
+                           [(1, ("series", prods[kr]))])
 
 
 def _check_frr(ctx: IdentityContext):
     ts = ctx.ts
     ceta = ts.chern_power_eta(1)
-    mid: dict[tuple[int, int], TruncatedSeries] = {}
-    for mu in ctx.classes():
-        for nu in ctx.classes():
-            m_series = ctx.corr((0, mu), (0, nu)).scale(ts.b[mu - 1] + ts.b[nu - 1])
-            if ceta[mu - 1][nu - 1]:
-                m_series.add_scaled(ctx.const(ceta[mu - 1][nu - 1]))
-            mid[(mu, nu)] = m_series
+    mid = {(mu, nu): ctx.evaluate([(ts.b[mu - 1] + ts.b[nu - 1], ("corr", (0, mu), (0, nu))),
+                                   (ceta[mu - 1][nu - 1], ONE)])
+           for mu in ctx.classes() for nu in ctx.classes()}
+    # (m, a) -> the nonzero <<O^mu tau_{m-1}(O_a)>> + delta_{m,0} delta_{mu,a}, by mu.
+    outer = {}
+    for m in ctx.levels():
+        for a in ctx.classes():
+            sides = ((mu, ctx.evaluate([(1, ("corr_raised", mu, (m - 1, a))),
+                                        (int(m == 0 and mu == a), ONE)]))
+                     for mu in ctx.classes())
+            outer[(m, a)] = [(mu, side) for mu, side in sides if not side.is_zero()]
     for m in ctx.levels():
         for a in ctx.classes():
             for n in ctx.levels():
                 for b in ctx.classes():
-                    lhs = ctx.zero()
-                    for mu in ctx.classes():
-                        left = ctx.corr_raised(mu, (m - 1, a))
-                        if m == 0:
-                            left = left + ctx.const(1 if mu == a else 0)
-                        if left.is_zero():
-                            continue
-                        for nu in ctx.classes():
-                            right = ctx.corr_raised(nu, (n - 1, b))
-                            if n == 0:
-                                right = right + ctx.const(1 if nu == b else 0)
-                            if right.is_zero():
-                                continue
-                            lhs.add_product(series_mul(left, mid[(mu, nu)]), right)
-                    rhs = ctx.corr((m, a), (n, b)).scale(m + n + ts.b[a - 1] + ts.b[b - 1])
-                    if m == 0 and n == 0:
-                        rhs.add_scaled(ctx.const(ceta[a - 1][b - 1]))
-                    for s in ctx.classes():
-                        c = ts.c1_mat[a - 1][s - 1]
-                        if c:
-                            rhs.add_scaled(ctx.corr((m - 1, s), (n, b)), c)
-                        c = ts.c1_mat[b - 1][s - 1]
-                        if c:
-                            rhs.add_scaled(ctx.corr((m, a), (n - 1, s)), c)
-                    yield ((m, a, n, b), lhs, rhs)
+                    lhs = [(1, ("series", left), ("series", mid[(mu, nu)]), ("series", right))
+                           for mu, left in outer[(m, a)] for nu, right in outer[(n, b)]]
+                    yield ((m, a, n, b), lhs, _euler3_rhs(ctx, m, a, n, b))
 
 
 def _check_string_rec(ctx: IdentityContext):
@@ -324,70 +278,50 @@ def _check_string_rec(ctx: IdentityContext):
         for a in ctx.classes():
             for n in ctx.levels():
                 for b in ctx.classes():
-                    lhs = ctx.corr((m, a), (n - 1, b)) + ctx.corr((m - 1, a), (n, b))
-                    rhs = ctx.pair([(m - 1, a)], [(n - 1, b)])
-                    if m == 0:
-                        rhs.add_scaled(ctx.corr((0, a), (n - 1, b)))
-                    if n == 0:
-                        rhs.add_scaled(ctx.corr((m - 1, a), (0, b)))
-                    yield ((m, a, n, b), lhs, rhs)
+                    yield ((m, a, n, b),
+                           [(1, ("corr", (m, a), (n - 1, b))), (1, ("corr", (m - 1, a), (n, b)))],
+                           [(1, ("pair", ((m - 1, a),), ((n - 1, b),))),
+                            (int(m == 0), ("corr", (0, a), (n - 1, b))),
+                            (int(n == 0), ("corr", (m - 1, a), (0, b)))])
 
 
 def _check_swdvv(ctx: IdentityContext):
     for n in (1, 2):
-        ln = ctx.field(f"L{n}")
-        l0d = ctx.field_minus_kD("L0", n + 1)
-        left_factor = {s: ctx.field2_series(ln, l0d, (0, s)) for s in ctx.classes()}
+        ln, l0d = ctx.field(f"L{n}"), ctx.field("L0", n + 1)
         for k in ctx.levels():
             for mu in ctx.classes():
-                ln_k = {s: ctx.field_series(ln, (k, mu), (0, s)) for s in ctx.classes()}
                 for l in ctx.levels():
                     for nu in ctx.classes():
-                        lhs = ctx.zero()
-                        rhs = ctx.zero()
-                        for s in ctx.classes():
-                            lhs.add_product(left_factor[s], ctx.corr_raised(s, (k, mu), (l, nu)))
-                            rhs.add_product(ln_k[s], ctx.field_raised(l0d, s, (l, nu)))
-                        yield ((n, k, mu, l, nu), lhs, rhs)
+                        yield ((n, k, mu, l, nu),
+                               [(1, ("field2_series", ln, l0d, (0, s)),
+                                 ("corr_raised", s, (k, mu), (l, nu))) for s in ctx.classes()],
+                               [(1, ("field_series", ln, (k, mu), (0, s)),
+                                 ("field_raised", l0d, s, (l, nu))) for s in ctx.classes()])
 
 
 # --- section 4 lemmas ---------------------------------------------------------
 
-def _l0_l0d_rhs_fields(ctx: IdentityContext) -> tuple[LinearTerm, ...]:
-    """The ttilde-weighted 2-point sums shared by the Lemma 4.1 right side."""
-    return combine_fields((linear_field(ctx.ts, CLOSED_A[1], 0, ctx.policy.max_level), -1))
-
-
 def _check_xx_corr(ctx: IdentityContext):
     ts = ctx.ts
-    l0 = ctx.field("L0")
-    l0d = ctx.field_minus_kD("L0", 1)
+    l0, l0d = ctx.field("L0"), ctx.field("L0", 1)
     ceta = ts.chern_power_eta(1)
     c2, c2eta = ts.chern_power(2), ts.chern_power_eta(2)
-    tilde_part = _l0_l0d_rhs_fields(ctx)
+    # The ttilde-weighted 2-point sums of the Lemma 4.1 right side.
+    tilde_part = linear_field(ts, CLOSED_A[1], 0, ctx.policy.max_level)
     for m in ctx.levels():
         for a in ctx.classes():
             b = ts.b[a - 1]
-            lhs = ctx.field2_series(l0, l0d, (m, a))
-            rhs = ctx.corr((m, a)).scale((m + b) * (m + b - 1))
-            rhs.add_scaled(ctx.field_series(tilde_part, (m, a)))
-            for s in ctx.classes():
-                c = ts.c1_mat[a - 1][s - 1]
-                if c:
-                    rhs.add_scaled(ctx.corr((m - 1, s)), (b + ts.b[s - 1] + 2 * m - 2) * c)
-                if c2[a - 1][s - 1]:
-                    rhs.add_scaled(ctx.corr((m - 2, s)), c2[a - 1][s - 1])
+            rhs = [((m + b) * (m + b - 1), ("corr", (m, a))),
+                   (-1, ("field_series", tilde_part, (m, a)))]
+            rhs += [((b + ts.b[s - 1] + 2 * m - 2) * c, ("corr", (m - 1, s)))
+                    for s, c in row(ts.c1_mat, a)]
+            rhs += [(c, ("corr", (m - 2, s))) for s, c in row(c2, a)]
             if m == 0:
-                for s in ctx.classes():
-                    if ceta[a - 1][s - 1]:
-                        rhs.add_scaled(ctx.tvar(0, s), (2 * b - 1) * ceta[a - 1][s - 1])
-                    if c2eta[a - 1][s - 1]:
-                        rhs.add_scaled(ctx.ttilde(1, s), -c2eta[a - 1][s - 1])
+                rhs += [((2 * b - 1) * c, ("t", 0, s)) for s, c in row(ceta, a)]
+                rhs += [(-c, ("ttilde", 1, s)) for s, c in row(c2eta, a)]
             if m == 1:
-                for s in ctx.classes():
-                    if c2eta[a - 1][s - 1]:
-                        rhs.add_scaled(ctx.tvar(0, s), c2eta[a - 1][s - 1])
-            yield ((m, a), lhs, rhs)
+                rhs += [(c, ("t", 0, s)) for s, c in row(c2eta, a)]
+            yield ((m, a), [(1, ("field2_series", l0, l0d, (m, a)))], rhs)
 
 
 def _check_qf1(ctx: IdentityContext):
@@ -399,24 +333,18 @@ def _check_qf1(ctx: IdentityContext):
                 for nu in ctx.classes():
                     bn = ts.b[nu - 1]
                     gap = k + bm - l - bn
-                    lhs = ctx.pair([(k, mu)], [(l, nu)],
-                                   tuple(b * gap - (k + bm) * (l + bn + 1) for b in ts.b))
-                    rhs = ctx.zero()
-                    for a in ctx.classes():
-                        c = ts.c1_mat[nu - 1][a - 1]
-                        if c:
-                            rhs.add_scaled(ctx.corr((k, mu), (l, a)), gap * c)
-                        c = ts.c1_mat[mu - 1][a - 1]
-                        if c:
-                            rhs.add_scaled(ctx.corr((k, a), (l, nu)), -gap * c)
-                    rhs.add_scaled(ctx.corr((k + 1, mu), (l, nu)), -(k + bm) * (k + bm + 1))
-                    rhs.add_scaled(ctx.corr((k, mu), (l + 1, nu)), -(l + bn) * (l + bn + 1))
-                    yield ((k, mu, l, nu), lhs, rhs)
+                    weights = tuple(b * gap - (k + bm) * (l + bn + 1) for b in ts.b)
+                    rhs = [(gap * c, ("corr", (k, mu), (l, a))) for a, c in row(ts.c1_mat, nu)]
+                    rhs += [(-gap * c, ("corr", (k, a), (l, nu))) for a, c in row(ts.c1_mat, mu)]
+                    rhs += [(-(k + bm) * (k + bm + 1), ("corr", (k + 1, mu), (l, nu))),
+                            (-(l + bn) * (l + bn + 1), ("corr", (k, mu), (l + 1, nu)))]
+                    yield ((k, mu, l, nu),
+                           [(1, ("pair", ((k, mu),), ((l, nu),), weights))], rhs)
 
 
 def _check_qf2(ctx: IdentityContext):
     ts = ctx.ts
-    c2, c2eta = ts.chern_power(2), ts.chern_power_eta(2)
+    c1, c2, c2eta = ts.c1_mat, ts.chern_power(2), ts.chern_power_eta(2)
     for k in ctx.levels():
         for mu in ctx.classes():
             bm = ts.b[mu - 1]
@@ -424,56 +352,30 @@ def _check_qf2(ctx: IdentityContext):
             for l in ctx.levels():
                 for nu in ctx.classes():
                     bn = ts.b[nu - 1]
-                    lhs = ctx.zero()
-                    for be in ctx.classes():
-                        cnb = ts.c1_mat[nu - 1][be - 1]
-                        if not cnb:
-                            continue
-                        lhs.add_scaled(ctx.pair([(k, mu)], [(l - 1, be)], shifted), cnb)
-                        for a in ctx.classes():
-                            cma = ts.c1_mat[mu - 1][a - 1]
-                            if cma:
-                                lhs.add_scaled(ctx.pair([(k - 1, a)], [(l - 1, be)]), cma * cnb)
-                    rhs = ctx.zero()
-                    for a in ctx.classes():
-                        c = ts.c1_mat[nu - 1][a - 1]
-                        if c:
-                            rhs.add_scaled(ctx.corr((k, mu), (l, a)), (k + bm + l + bn + 1) * c)
-                        if c2[nu - 1][a - 1]:
-                            rhs.add_scaled(ctx.corr((k, mu), (l - 1, a)), c2[nu - 1][a - 1])
-                    for a in ctx.classes():
-                        cma = ts.c1_mat[mu - 1][a - 1]
-                        if not cma:
-                            continue
-                        for be in ctx.classes():
-                            cnb = ts.c1_mat[nu - 1][be - 1]
-                            if cnb:
-                                rhs.add_scaled(ctx.corr((k - 1, a), (l, be)), cma * cnb)
+                    lhs = [(cnb, ("pair", ((k, mu),), ((l - 1, be),), shifted))
+                           for be, cnb in row(c1, nu)]
+                    lhs += [(cma * cnb, ("pair", ((k - 1, a),), ((l - 1, be),)))
+                            for be, cnb in row(c1, nu) for a, cma in row(c1, mu)]
+                    rhs = [((k + bm + l + bn + 1) * c, ("corr", (k, mu), (l, a)))
+                           for a, c in row(c1, nu)]
+                    rhs += [(c, ("corr", (k, mu), (l - 1, a))) for a, c in row(c2, nu)]
+                    rhs += [(cma * cnb, ("corr", (k - 1, a), (l, be)))
+                            for a, cma in row(c1, mu) for be, cnb in row(c1, nu)]
                     if k == 0:
-                        for a in ctx.classes():
-                            cma = ts.c1_mat[mu - 1][a - 1]
-                            if not cma:
-                                continue
-                            for be in ctx.classes():
-                                cnb = ts.c1_mat[nu - 1][be - 1]
-                                if cnb:
-                                    rhs.add_scaled(ctx.corr((0, a), (l - 1, be)), -cma * cnb)
+                        rhs += [(-cma * cnb, ("corr", (0, a), (l - 1, be)))
+                                for a, cma in row(c1, mu) for be, cnb in row(c1, nu)]
                     if l == 0:
-                        for a in ctx.classes():
-                            c = ts.c1_mat[nu - 1][a - 1]
-                            if c:
-                                rhs.add_scaled(
-                                    ctx.field_series(ctx.field("X"), (k, mu), (0, a)), -c)
+                        rhs += [(-c, ("field_series", ctx.field("X"), (k, mu), (0, a)))
+                                for a, c in row(c1, nu)]
                     if k == 0 and l == 0:
-                        rhs.add_scaled(ctx.const(c2eta[mu - 1][nu - 1]))
+                        rhs.append((c2eta[mu - 1][nu - 1], ONE))
                     yield ((k, mu, l, nu), lhs, rhs)
 
 
 def _check_wdvv_right(ctx: IdentityContext):
     ts = ctx.ts
-    l0 = ctx.field("L0")
-    l0d = ctx.field_minus_kD("L0", 1)
-    c2, c2eta = ts.chern_power(2), ts.chern_power_eta(2)
+    l0, l0d = ctx.field("L0"), ctx.field("L0", 1)
+    c1, c2, c2eta = ts.c1_mat, ts.chern_power(2), ts.chern_power_eta(2)
     weights = tuple(b * (1 - b) for b in ts.b)
     for k in ctx.levels():
         for mu in ctx.classes():
@@ -481,26 +383,19 @@ def _check_wdvv_right(ctx: IdentityContext):
             for l in ctx.levels():
                 for nu in ctx.classes():
                     bn = ts.b[nu - 1]
-                    lhs = ctx.zero()
-                    for a in ctx.classes():
-                        lhs.add_product(ctx.field_series(l0, (k, mu), (0, a)),
-                                        ctx.field_raised(l0d, a, (l, nu)))
-                    rhs = ctx.pair([(k, mu)], [(l, nu)], weights)
-                    rhs.add_scaled(ctx.corr((k + 1, mu), (l, nu)), (k + bm) * (k + bm + 1))
-                    rhs.add_scaled(ctx.corr((k, mu), (l + 1, nu)), (l + bn) * (l + bn + 1))
-                    for a in ctx.classes():
-                        c = ts.c1_mat[mu - 1][a - 1]
-                        if c:
-                            rhs.add_scaled(ctx.corr((k, a), (l, nu)), (2 * k + 2 * bm + 1) * c)
-                        c = ts.c1_mat[nu - 1][a - 1]
-                        if c:
-                            rhs.add_scaled(ctx.corr((k, mu), (l, a)), (2 * l + 2 * bn + 1) * c)
-                        if c2[mu - 1][a - 1]:
-                            rhs.add_scaled(ctx.corr((k - 1, a), (l, nu)), c2[mu - 1][a - 1])
-                        if c2[nu - 1][a - 1]:
-                            rhs.add_scaled(ctx.corr((k, mu), (l - 1, a)), c2[nu - 1][a - 1])
+                    lhs = [(1, ("field_series", l0, (k, mu), (0, a)),
+                            ("field_raised", l0d, a, (l, nu))) for a in ctx.classes()]
+                    rhs = [(1, ("pair", ((k, mu),), ((l, nu),), weights)),
+                           ((k + bm) * (k + bm + 1), ("corr", (k + 1, mu), (l, nu))),
+                           ((l + bn) * (l + bn + 1), ("corr", (k, mu), (l + 1, nu)))]
+                    rhs += [((2 * k + 2 * bm + 1) * c, ("corr", (k, a), (l, nu)))
+                            for a, c in row(c1, mu)]
+                    rhs += [((2 * l + 2 * bn + 1) * c, ("corr", (k, mu), (l, a)))
+                            for a, c in row(c1, nu)]
+                    rhs += [(c, ("corr", (k - 1, a), (l, nu))) for a, c in row(c2, mu)]
+                    rhs += [(c, ("corr", (k, mu), (l - 1, a))) for a, c in row(c2, nu)]
                     if k == 0 and l == 0:
-                        rhs.add_scaled(ctx.const(c2eta[mu - 1][nu - 1]))
+                        rhs.append((c2eta[mu - 1][nu - 1], ONE))
                     yield ((k, mu, l, nu), lhs, rhs)
 
 
@@ -509,7 +404,7 @@ def _check_wdvv_right(ctx: IdentityContext):
 def _check_l1_corr(ctx: IdentityContext):
     ts = ctx.ts
     l1 = ctx.field("L1")
-    c2, c2eta = ts.chern_power(2), ts.chern_power_eta(2)
+    c1, c2, c2eta = ts.c1_mat, ts.chern_power(2), ts.chern_power_eta(2)
     weights = tuple(b * (b - 1) for b in ts.b)
     for m in ctx.levels():
         for a in ctx.classes():
@@ -517,70 +412,47 @@ def _check_l1_corr(ctx: IdentityContext):
             for n in ctx.levels():
                 for be in ctx.classes():
                     bb = ts.b[be - 1]
-                    lhs = ctx.field_series(l1, (m, a), (n, be))
-                    rhs = ctx.pair([(m, a), (n, be)], [], weights)
-                    rhs.add_scaled(ctx.pair([(m, a)], [(n, be)], weights))
-                    rhs.add_scaled(ctx.corr((m + 1, a), (n, be)), -(m + ba) * (m + ba + 1))
-                    rhs.add_scaled(ctx.corr((m, a), (n + 1, be)), -(n + bb) * (n + bb + 1))
-                    for s in ctx.classes():
-                        c = ts.c1_mat[a - 1][s - 1]
-                        if c:
-                            rhs.add_scaled(ctx.corr((m, s), (n, be)), -(2 * m + 2 * ba + 1) * c)
-                        c = ts.c1_mat[be - 1][s - 1]
-                        if c:
-                            rhs.add_scaled(ctx.corr((m, a), (n, s)), -(2 * n + 2 * bb + 1) * c)
-                        if c2[a - 1][s - 1]:
-                            rhs.add_scaled(ctx.corr((m - 1, s), (n, be)), -c2[a - 1][s - 1])
-                        if c2[be - 1][s - 1]:
-                            rhs.add_scaled(ctx.corr((m, a), (n - 1, s)), -c2[be - 1][s - 1])
+                    rhs = [(1, ("pair", ((m, a), (n, be)), (), weights)),
+                           (1, ("pair", ((m, a),), ((n, be),), weights)),
+                           (-(m + ba) * (m + ba + 1), ("corr", (m + 1, a), (n, be))),
+                           (-(n + bb) * (n + bb + 1), ("corr", (m, a), (n + 1, be)))]
+                    rhs += [(-(2 * m + 2 * ba + 1) * c, ("corr", (m, s), (n, be)))
+                            for s, c in row(c1, a)]
+                    rhs += [(-(2 * n + 2 * bb + 1) * c, ("corr", (m, a), (n, s)))
+                            for s, c in row(c1, be)]
+                    rhs += [(-c, ("corr", (m - 1, s), (n, be))) for s, c in row(c2, a)]
+                    rhs += [(-c, ("corr", (m, a), (n - 1, s))) for s, c in row(c2, be)]
                     if m == 0 and n == 0:
-                        rhs.add_scaled(ctx.const(c2eta[a - 1][be - 1]), -1)
-                    yield ((m, a, n, be), lhs, rhs)
-
-
-def _l1_l0_tilde_fields(ctx: IdentityContext) -> tuple[LinearTerm, ...]:
-    """ttilde-weighted sums on the right side of the Lemma 5.2 display."""
-    return combine_fields((linear_field(ctx.ts, CLOSED_A[2], 1, ctx.policy.max_level), -1))
+                        rhs.append((-c2eta[a - 1][be - 1], ONE))
+                    yield ((m, a, n, be), [(1, ("field_series", l1, (m, a), (n, be)))], rhs)
 
 
 def _check_l1_l0_corr(ctx: IdentityContext):
     ts = ctx.ts
-    l1 = ctx.field("L1")
-    l0d2 = ctx.field_minus_kD("L0", 2)
-    c1 = ts.c1_mat
-    c2, c3 = ts.chern_power(2), ts.chern_power(3)
+    l1, l0d2 = ctx.field("L1"), ctx.field("L0", 2)
+    c1, c2, c3 = ts.c1_mat, ts.chern_power(2), ts.chern_power(3)
     ceta, c2eta, c3eta = (ts.chern_power_eta(1), ts.chern_power_eta(2),
                           ts.chern_power_eta(3))
-    tilde_part = _l1_l0_tilde_fields(ctx)
+    # The ttilde-weighted sums on the right side of the Lemma 5.2 display.
+    tilde_part = linear_field(ts, CLOSED_A[2], 1, ctx.policy.max_level)
     weights = tuple((1 - bs) * bs for bs in ts.b)
     for n in ctx.levels():
         for be in ctx.classes():
             b = ts.b[be - 1]
-            lhs = ctx.field2_series(l1, l0d2, (n, be))
-            rhs = ctx.pair([(n, be)], [], weights).scale(n + b - 1)
-            rhs.add_scaled(ctx.corr((n + 1, be)), (n + b) * (n + b + 1) * (n + b - 1))
-            rhs.add_scaled(ctx.field_series(tilde_part, (n, be)))
-            for s in ctx.classes():
-                if c1[be - 1][s - 1]:
-                    rhs.add_scaled(ctx.corr((n, s)), (3 * (n + b) ** 2 - 1) * c1[be - 1][s - 1])
-                    rhs.add_scaled(ctx.pair([(n - 1, s)], [], weights), c1[be - 1][s - 1])
-                if c2[be - 1][s - 1]:
-                    rhs.add_scaled(ctx.corr((n - 1, s)), 3 * (n + b) * c2[be - 1][s - 1])
-                if c3[be - 1][s - 1]:
-                    rhs.add_scaled(ctx.corr((n - 2, s)), c3[be - 1][s - 1])
+            rhs = [(n + b - 1, ("pair", ((n, be),), (), weights)),
+                   ((n + b) * (n + b + 1) * (n + b - 1), ("corr", (n + 1, be))),
+                   (-1, ("field_series", tilde_part, (n, be)))]
+            rhs += [((3 * (n + b) ** 2 - 1) * c, ("corr", (n, s))) for s, c in row(c1, be)]
+            rhs += [(c, ("pair", ((n - 1, s),), (), weights)) for s, c in row(c1, be)]
+            rhs += [(3 * (n + b) * c, ("corr", (n - 1, s))) for s, c in row(c2, be)]
+            rhs += [(c, ("corr", (n - 2, s))) for s, c in row(c3, be)]
             if n == 0:
-                for s in ctx.classes():
-                    if ceta[be - 1][s - 1]:
-                        rhs.add_scaled(ctx.corr_raised(s), -b * (b + 1) * ceta[be - 1][s - 1])
-                    if c2eta[be - 1][s - 1]:
-                        rhs.add_scaled(ctx.tvar(0, s), 3 * b * c2eta[be - 1][s - 1])
-                    if c3eta[be - 1][s - 1]:
-                        rhs.add_scaled(ctx.ttilde(1, s), -c3eta[be - 1][s - 1])
+                rhs += [(-b * (b + 1) * c, ("corr_raised", s)) for s, c in row(ceta, be)]
+                rhs += [(3 * b * c, ("t", 0, s)) for s, c in row(c2eta, be)]
+                rhs += [(-c, ("ttilde", 1, s)) for s, c in row(c3eta, be)]
             if n == 1:
-                for s in ctx.classes():
-                    if c3eta[be - 1][s - 1]:
-                        rhs.add_scaled(ctx.tvar(0, s), c3eta[be - 1][s - 1])
-            yield ((n, be), lhs, rhs)
+                rhs += [(c, ("t", 0, s)) for s, c in row(c3eta, be)]
+            yield ((n, be), [(1, ("field2_series", l1, l0d2, (n, be)))], rhs)
 
 
 def _check_quadrel_i(ctx: IdentityContext):
@@ -589,14 +461,11 @@ def _check_quadrel_i(ctx: IdentityContext):
         for mu in ctx.classes():
             for l in ctx.levels():
                 for nu in ctx.classes():
-                    lhs = ctx.zero()
-                    rhs = ctx.zero()
-                    for be in ctx.classes():
-                        lhs.add_product(ctx.field_series(x, (k, mu), (1, be)),
-                                        ctx.field_raised(x, be, (l, nu)))
-                        rhs.add_product(ctx.field_raised(x, be, (k, mu)),
-                                        ctx.field_series(x, (1, be), (l, nu)))
-                    yield ((k, mu, l, nu), lhs, rhs)
+                    yield ((k, mu, l, nu),
+                           [(1, ("field_series", x, (k, mu), (1, be)),
+                             ("field_raised", x, be, (l, nu))) for be in ctx.classes()],
+                           [(1, ("field_raised", x, be, (k, mu)),
+                             ("field_series", x, (1, be), (l, nu))) for be in ctx.classes()])
 
 
 def _check_quadrel_ii(ctx: IdentityContext):
@@ -605,16 +474,12 @@ def _check_quadrel_ii(ctx: IdentityContext):
         for mu in ctx.classes():
             for l in ctx.levels():
                 for nu in ctx.classes():
-                    lhs = ctx.zero()
-                    rhs = ctx.zero()
-                    for be in ctx.classes():
-                        lhs.add_product(ctx.corr_raised(be, (k - 1, mu)),
-                                        ctx.field_series(x, (1, be), (l, nu)))
-                        rhs.add_product(ctx.corr((k - 1, mu), (1, be)),
-                                        ctx.field_raised(x, be, (l, nu)))
-                    rhs.add_scaled(ctx.field_series(x, (k + 1, mu), (l, nu)))
-                    if k == 0:
-                        rhs.add_scaled(ctx.field_series(x, (1, mu), (l, nu)), -1)
+                    lhs = [(1, ("corr_raised", be, (k - 1, mu)),
+                            ("field_series", x, (1, be), (l, nu))) for be in ctx.classes()]
+                    rhs = [(1, ("corr", (k - 1, mu), (1, be)),
+                            ("field_raised", x, be, (l, nu))) for be in ctx.classes()]
+                    rhs += [(1, ("field_series", x, (k + 1, mu), (l, nu))),
+                            (-int(k == 0), ("field_series", x, (1, mu), (l, nu)))]
                     yield ((k, mu, l, nu), lhs, rhs)
 
 
@@ -623,17 +488,16 @@ def _check_quadrel_iii(ctx: IdentityContext):
         for mu in ctx.classes():
             for l in ctx.levels():
                 for nu in ctx.classes():
-                    lhs = ctx.pair([(l, nu)], [(k, mu)], level=1)
-                    rhs = ctx.pair([(k, mu)], [(l, nu)], level=1)
-                    rhs.add_scaled(ctx.corr((k + 2, mu), (l, nu)))
-                    rhs.add_scaled(ctx.corr((k, mu), (l + 2, nu)), -1)
-                    yield ((k, mu, l, nu), lhs, rhs)
+                    yield ((k, mu, l, nu),
+                           [(1, ("pair", ((l, nu),), ((k, mu),), None, 1))],
+                           [(1, ("pair", ((k, mu),), ((l, nu),), None, 1)),
+                            (1, ("corr", (k + 2, mu), (l, nu))),
+                            (-1, ("corr", (k, mu), (l + 2, nu)))])
 
 
 def _check_quad_form(ctx: IdentityContext):
     ts = ctx.ts
-    ceta = ts.chern_power_eta(1)
-    c2 = ts.chern_power(2)
+    c1, ceta, c2 = ts.c1_mat, ts.chern_power_eta(1), ts.chern_power(2)
     plus = tuple(b * (b + 1) for b in ts.b)
     minus = tuple(b * (1 - b) for b in ts.b)
     for k in ctx.levels():
@@ -642,29 +506,19 @@ def _check_quad_form(ctx: IdentityContext):
             for l in ctx.levels():
                 for nu in ctx.classes():
                     bn = ts.b[nu - 1]
-                    lhs = ctx.pair([(k, mu)], [(l, nu)], plus, 1)
-                    lhs.add_scaled(ctx.pair([(l, nu)], [(k, mu)], minus, 1))
-                    for a in ctx.classes():
-                        for be in ctx.classes():
-                            c = ceta[a - 1][be - 1]
-                            if c:
-                                lhs.add_product(ctx.corr_raised(a, (k, mu)),
-                                                ctx.corr_raised(be, (l, nu)),
-                                                (2 * ts.b[be - 1] + 1) * c)
-                    rhs = ctx.corr((k + 2, mu), (l, nu)).scale(-(k + bm) * (k + bm + 1))
-                    rhs.add_scaled(ctx.corr((k, mu), (l + 2, nu)), (l + bn + 1) * (l + bn + 2))
-                    for a in ctx.classes():
-                        c = ts.c1_mat[mu - 1][a - 1]
-                        if c:
-                            rhs.add_scaled(ctx.corr((k + 1, a), (l, nu)),
-                                           -(2 * k + 2 * bm + 1) * c)
-                        c = ts.c1_mat[nu - 1][a - 1]
-                        if c:
-                            rhs.add_scaled(ctx.corr((k, mu), (l + 1, a)), (2 * l + 2 * bn + 3) * c)
-                        if c2[mu - 1][a - 1]:
-                            rhs.add_scaled(ctx.corr((k, a), (l, nu)), -c2[mu - 1][a - 1])
-                        if c2[nu - 1][a - 1]:
-                            rhs.add_scaled(ctx.corr((k, mu), (l, a)), c2[nu - 1][a - 1])
+                    lhs = [(1, ("pair", ((k, mu),), ((l, nu),), plus, 1)),
+                           (1, ("pair", ((l, nu),), ((k, mu),), minus, 1))]
+                    lhs += [((2 * ts.b[be - 1] + 1) * c, ("corr_raised", a, (k, mu)),
+                             ("corr_raised", be, (l, nu)))
+                            for a in ctx.classes() for be, c in row(ceta, a)]
+                    rhs = [(-(k + bm) * (k + bm + 1), ("corr", (k + 2, mu), (l, nu))),
+                           ((l + bn + 1) * (l + bn + 2), ("corr", (k, mu), (l + 2, nu)))]
+                    rhs += [(-(2 * k + 2 * bm + 1) * c, ("corr", (k + 1, a), (l, nu)))
+                            for a, c in row(c1, mu)]
+                    rhs += [((2 * l + 2 * bn + 3) * c, ("corr", (k, mu), (l + 1, a)))
+                            for a, c in row(c1, nu)]
+                    rhs += [(-c, ("corr", (k, a), (l, nu))) for a, c in row(c2, mu)]
+                    rhs += [(c, ("corr", (k, mu), (l, a))) for a, c in row(c2, nu)]
                     yield ((k, mu, l, nu), lhs, rhs)
 
 
@@ -674,41 +528,33 @@ def _check_tilde1_corr(ctx: IdentityContext):
     lt1 = ctx.field("Ltilde1")
     for m in ctx.levels():
         for a in ctx.classes():
-            rhs = ctx.pair([(m, a)], []).add_scaled(ctx.corr((m + 1, a)), -1)
-            yield ((m, a), ctx.field_series(lt1, (m, a)), rhs)
+            yield ((m, a), [(1, ("field_series", lt1, (m, a)))],
+                   [(1, ("pair", ((m, a),), ())), (-1, ("corr", (m + 1, a)))])
     for m in ctx.levels():
         for a in ctx.classes():
             for n in ctx.levels():
                 for b in ctx.classes():
-                    yield ((m, a, n, b), ctx.field_series(lt1, (m, a), (n, b)),
-                           ctx.pair([(m, a), (n, b)], []))
+                    yield ((m, a, n, b), [(1, ("field_series", lt1, (m, a), (n, b)))],
+                           [(1, ("pair", ((m, a), (n, b)), ()))])
 
 
 def _check_tilde_quad_form(ctx: IdentityContext):
     ts = ctx.ts
+    c1 = ts.c1_mat
     for m in ctx.levels():
         for a in ctx.classes():
             ba = ts.b[a - 1]
             for n in ctx.levels():
                 for be in ctx.classes():
                     bb = ts.b[be - 1]
-                    lhs = ctx.pair([(n, be)], [(m, a)], ts.b, 1)
-                    lhs.add_scaled(ctx.pair([(m, a)], [(n, be)], ts.b, 1))
-                    rhs = ctx.corr((m + 2, a), (n, be)).scale(m + ba + 1)
-                    rhs.add_scaled(ctx.corr((m, a), (n + 2, be)), n + bb + 1)
-                    for s in ctx.classes():
-                        c = ts.c1_mat[a - 1][s - 1]
-                        if c:
-                            rhs.add_scaled(ctx.corr((m + 1, s), (n, be)), c)
-                        c = ts.c1_mat[be - 1][s - 1]
-                        if c:
-                            rhs.add_scaled(ctx.corr((m, a), (n + 1, s)), c)
-                    for s in ctx.classes():
-                        for r in ctx.classes():
-                            c = ts.c1_mat[s - 1][r - 1]
-                            if c:
-                                rhs.add_product(ctx.corr_raised(s, (m, a)),
-                                                ctx.corr((0, r), (n, be)), -c)
+                    lhs = [(1, ("pair", ((n, be),), ((m, a),), ts.b, 1)),
+                           (1, ("pair", ((m, a),), ((n, be),), ts.b, 1))]
+                    rhs = [(m + ba + 1, ("corr", (m + 2, a), (n, be))),
+                           (n + bb + 1, ("corr", (m, a), (n + 2, be)))]
+                    rhs += [(c, ("corr", (m + 1, s), (n, be))) for s, c in row(c1, a)]
+                    rhs += [(c, ("corr", (m, a), (n + 1, s))) for s, c in row(c1, be)]
+                    rhs += [(-c, ("corr_raised", s, (m, a)), ("corr", (0, r), (n, be)))
+                            for s in ctx.classes() for r, c in row(c1, s)]
                     yield ((m, a, n, be), lhs, rhs)
 
 
@@ -720,7 +566,7 @@ def _check_psi_closed_form(ctx: IdentityContext, n: int):
         b = ts.b[a - 1]
         for m in range(ctx.idx + 3):
             for j, poly in enumerate(CLOSED_A[n]):
-                yield ((a, m, "A", j), ctx.const(coeff_A(b, j, m, n)), ctx.const(poly(m + b)))
+                yield ((a, m, "A", j), [(coeff_A(b, j, m, n), ONE)], [(poly(m + b), ONE)])
         if n == 1:
             quads = {(0, 0): b * (1 - b)}
         else:
@@ -730,9 +576,9 @@ def _check_psi_closed_form(ctx: IdentityContext, n: int):
                 (1, 0): -(3 * b * b - 1),
             }
         for (j, k), expect in quads.items():
-            got = coeff_B(b, j, k, n)
-            yield ((a, "B", j, k), ctx.const(got), ctx.const(expect))
-    yield (("series", n), _psi_generic(ctx, n), _psi_closed_form(ctx, n))
+            yield ((a, "B", j, k), [(coeff_B(b, j, k, n), ONE)], [(expect, ONE)])
+    yield (("series", n), [(1, ("series", _psi_generic(ctx, n)))],
+           [(1, ("series", _psi_closed_form(ctx, n)))])
 
 
 REGISTRY: dict[str, Checker] = {
@@ -773,15 +619,15 @@ IDENTITY_TAGS = tuple(REGISTRY)
 
 
 def verify_identity(ts_or_engine, tag: str, policy: TruncationPolicy,
-                    backend=None, cache=None, idx_max: int | None = None,
                     ctx: IdentityContext | None = None) -> list[IdentityFinding]:
     """Evaluate one tagged identity over all index tuples; exact comparison."""
     if tag not in REGISTRY:
         raise UnknownIdentity(f"unknown identity tag {tag!r}")
     if ctx is None:
-        ctx = IdentityContext(_as_engine(ts_or_engine, backend, cache), policy, idx_max)
+        ctx = IdentityContext(_as_engine(ts_or_engine), policy)
     findings: list[IdentityFinding] = []
-    for indices, lhs, rhs in REGISTRY[tag](ctx):
+    for indices, lhs_terms, rhs_terms in REGISTRY[tag](ctx):
+        lhs, rhs = ctx.evaluate(lhs_terms), ctx.evaluate(rhs_terms)
         if lhs == rhs:
             findings.append(IdentityFinding(tag, indices, "pass"))
         else:

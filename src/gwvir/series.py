@@ -73,14 +73,6 @@ def monomial(exps: Iterable[tuple[VarId, int]], degree: tuple[int, ...]) -> Mono
     return Monomial(cleaned, tuple(degree))
 
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    exps: dict[VarId, int] = dict(a.exps)
-    for v, e in b.exps:
-        exps[v] = exps.get(v, 0) + e
-    degree = tuple(x + y for x, y in zip(a.degree, b.degree))
-    return Monomial(tuple(sorted(exps.items())), degree)
-
-
 class Packing:
     """The packed-key layout of one policy (see the module docstring)."""
 

@@ -33,6 +33,11 @@ RaisedRow = tuple[VarId, int, dict[int, tuple[tuple[VarId, int | Fraction], ...]
 SpectatorSplit = tuple[tuple[VarId, ...], tuple[VarId, ...], int, int, int]
 
 
+def row(matrix: Matrix, a: int) -> list[tuple[int, Fraction]]:
+    """The nonzero entries (s, M_{a s}) of row a, classes 1-based."""
+    return [(s, c) for s, c in enumerate(matrix[a - 1], 1) if c]
+
+
 @dataclass(frozen=True)
 class TargetSpace:
     name: str
@@ -106,7 +111,7 @@ class TargetSpace:
 
     def raised(self, sigma: int) -> list[tuple[int, Fraction]]:
         """Nonzero pairs (rho, eta^{sigma rho}) realizing the raised index."""
-        return [(r + 1, c) for r, c in enumerate(self.eta_inv[sigma - 1]) if c]
+        return row(self.eta_inv, sigma)
 
     @cached_property
     def class_weight(self) -> dict[int, int]:

@@ -29,7 +29,7 @@ from .engine import Engine
 from .errors import IndexOutOfRange, PolicyTooTight, UnsupportedIndex
 from .series import (Monomial, TruncatedSeries, TruncationPolicy, VarId,
                      series_derive, series_mul)
-from .target import Matrix, TargetSpace
+from .target import Matrix, TargetSpace, row
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -276,19 +276,23 @@ def apply_operator(op: VirasoroOperator, f0: TruncatedSeries,
 
 
 class CorrContext:
-    """Correlation-series cache plus vector-field application helpers.
+    """Memoised correlation series and contractions, and the term evaluator.
 
-    Each correlation series <<tau_slots>>, raised series <<O^sigma tau_slots>>
-    and contraction <<W tau_slots>> is built once per context and then
-    shared: callers must not mutate a series they get from ``corr``,
-    ``corr_raised`` or ``field_series``.
+    Each <<tau_slots>>, <<O^sigma tau_slots>>, <<W tau_slots>>, <<W O^sigma
+    tau_slots>> and <<W1 W2 tau_slots>> is built once per context and then
+    shared: callers must not mutate a series this context hands out.
 
-    ``pair`` is the genus-0 splitting sum_s w_s <<A tau_p(O_s)>> <<O^s B>>
-    shared by the recursion relations, the quadratic-form lemmas and the
-    Psi closed forms.  It is not memoised: its factors are, and a memo of
-    its products raised the peak RSS of the full P2 registry at K=4 M=3 D=2
-    from about 40 MB to 56 MB for no measured gain in time.  Its result is a
-    new series that the caller owns.
+    ``evaluate`` sums terms ``(coeff, factor[, factor[, factor]])``.  A factor
+    ``(method, *args)`` is what that method returns: ``("corr", *slots)``,
+    ``("corr_raised", sigma, *slots)``, ``("field_series", W, *slots)``,
+    ``("field_raised", W, sigma, *slots)``, ``("field2_series", W1, W2,
+    *slots)``, ``("pair", left, right[, weights[, level]])``, ``("one",)``,
+    ``("t", m, a)`` or ``("ttilde", m, a)``; ``("series", s)`` is ``s``.
+
+    ``pair``, the genus-0 splitting sum_s w_s <<A tau_p(O_s)>> <<O^s B>>, is
+    not memoised: its factors are, and a memo of its products raised the
+    peak RSS of the full P2 registry at K=4 M=3 D=2 from about 40 MB to
+    56 MB for no measured gain in time.
     """
 
     def __init__(self, engine: Engine, policy: TruncationPolicy):
@@ -297,6 +301,8 @@ class CorrContext:
         self._corr: dict[tuple[tuple[int, int], ...], TruncatedSeries] = {}
         self._raised: dict[tuple[int, tuple[tuple[int, int], ...]], TruncatedSeries] = {}
         self._contracted: dict[tuple[int, tuple[VarId, ...]], TruncatedSeries] = {}
+        self._field_raised: dict[tuple[int, int, tuple[VarId, ...]], TruncatedSeries] = {}
+        self._field2: dict[tuple[int, int, tuple[VarId, ...]], TruncatedSeries] = {}
         # id(terms) -> (terms, tag): each vector field's terms are hashed once
         # per context, and holding them here keeps their id from being reused.
         self._field_ids: dict[int, tuple[tuple[LinearTerm, ...], int]] = {}
@@ -305,6 +311,42 @@ class CorrContext:
     @property
     def ts(self) -> TargetSpace:
         return self.engine.ts
+
+    def evaluate(self, terms) -> TruncatedSeries:
+        """sum coeff * (product of the factors) over ``terms``, skipping zero coeffs.
+
+        One factor with coefficient 1 is returned itself, not copied.
+        """
+        factor = self.factor
+        terms = [term for term in terms if term[0]]
+        if len(terms) == 1 and len(terms[0]) == 2 and terms[0][0] == 1:
+            return factor(terms[0][1])
+        out = TruncatedSeries(self.policy)
+        for term in terms:
+            coeff = term[0]
+            if len(term) == 2:
+                out.add_scaled(factor(term[1]), coeff)
+            elif len(term) == 3:
+                out.add_product(factor(term[1]), factor(term[2]), coeff)
+            else:
+                _, first, second, third = term
+                out.add_product(series_mul(factor(first), factor(second)), factor(third), coeff)
+        return out
+
+    def factor(self, spec: tuple) -> TruncatedSeries:
+        """The series a factor spec names (see the class docstring)."""
+        return spec[1] if spec[0] == "series" else getattr(self, spec[0])(*spec[1:])
+
+    def one(self) -> TruncatedSeries:
+        return TruncatedSeries.constant(self.policy, 1)
+
+    def t(self, level: int, cls: int) -> TruncatedSeries:
+        """The variable t^cls_level."""
+        return TruncatedSeries.variable(self.policy, VarId(level, cls))
+
+    def ttilde(self, level: int, cls: int) -> TruncatedSeries:
+        """ttilde^cls_level = t^cls_level - delta_{(level, cls), (1, 1)}."""
+        return add_ttilde(TruncatedSeries(self.policy), VarId(level, cls), self.one(), _ONE)
 
     def corr(self, *slots: tuple[int, int]) -> TruncatedSeries:
         """<<tau_{slots}>> as a truncated series; negative levels give zero.
@@ -333,10 +375,8 @@ class CorrContext:
             key = (sigma, tuple(sorted(slots)))
             out = self._raised.get(key)
             if out is None:
-                out = TruncatedSeries(self.policy)
-                for rho, coeff in self.ts.raised(sigma):
-                    out.add_scaled(self.corr((0, rho), *key[1]), coeff)
-                self._raised[key] = out
+                out = self._raised[key] = self.evaluate(
+                    [(c, ("corr", (0, rho), *key[1])) for rho, c in self.ts.raised(sigma)])
         return out
 
     def pair(self, left, right, weights=None, level: int = 0) -> TruncatedSeries:
@@ -386,21 +426,35 @@ class CorrContext:
             self._contracted[key] = out
         return out
 
+    def field_raised(self, terms: tuple[LinearTerm, ...], sigma: int,
+                     *slots: tuple[int, int]) -> TruncatedSeries:
+        """<<W O^sigma tau_slots>> = eta^{sigma rho} <<W O_rho tau_slots>>, memoised."""
+        vids = tuple(sorted(VarId(m, a) for m, a in slots))
+        key = (self._field_tag(terms), sigma, vids)
+        out = self._field_raised.get(key)
+        if out is None:
+            out = self._field_raised[key] = self.evaluate(
+                [(c, ("field_series", terms, (0, rho), *vids)) for rho, c in self.ts.raised(sigma)])
+        return out
+
     def field2_series(self, first: tuple[LinearTerm, ...],
                       second: tuple[LinearTerm, ...],
                       *slots: tuple[int, int]) -> TruncatedSeries:
-        """<<W1 W2 tau_slots>> = sum c1 ttilde_src1 <<W2 tau_dst1 tau_slots>>."""
-        vids = tuple(VarId(m, a) for m, a in slots)
-        out = TruncatedSeries(self.policy)
-        for src, dst, coeff in first:
-            inner = self._contract(second, tuple(sorted(vids + (dst,))))
-            if inner.terms:
-                add_ttilde(out, src, inner, coeff)
+        """<<W1 W2 tau_slots>> = sum c1 ttilde_src1 <<W2 tau_dst1 tau_slots>>, memoised."""
+        vids = tuple(sorted(VarId(m, a) for m, a in slots))
+        key = (self._field_tag(first), self._field_tag(second), vids)
+        out = self._field2.get(key)
+        if out is None:
+            out = TruncatedSeries(self.policy)
+            for src, dst, coeff in first:
+                inner = self._contract(second, tuple(sorted(vids + (dst,))))
+                if inner.terms:
+                    add_ttilde(out, src, inner, coeff)
+            self._field2[key] = out
         return out
 
 
-def psi(ts_or_engine, n: int, policy: TruncationPolicy,
-        backend=None, cache=None) -> TruncatedSeries:
+def psi(ts_or_engine, n: int, policy: TruncationPolicy) -> TruncatedSeries:
     """Genus-0 L_n constraint residual Psi_{0,n} as a truncated series.
 
     For n in {1, 2} the series is assembled both from the generic operator and
@@ -408,8 +462,7 @@ def psi(ts_or_engine, n: int, policy: TruncationPolicy,
     """
     if n < 1:
         raise UnsupportedIndex("psi is defined for n >= 1")
-    engine = _as_engine(ts_or_engine, backend, cache)
-    ctx = CorrContext(engine, policy)
+    ctx = CorrContext(_as_engine(ts_or_engine), policy)
     generic = _psi_generic(ctx, n)
     if n in (1, 2):
         closed = _psi_closed_form(ctx, n)
@@ -421,10 +474,8 @@ def psi(ts_or_engine, n: int, policy: TruncationPolicy,
     return generic
 
 
-def _as_engine(ts_or_engine, backend, cache) -> Engine:
-    if isinstance(ts_or_engine, Engine):
-        return ts_or_engine
-    return Engine(ts_or_engine, backend, cache)
+def _as_engine(ts_or_engine) -> Engine:
+    return ts_or_engine if isinstance(ts_or_engine, Engine) else Engine(ts_or_engine)
 
 
 def _psi_generic(ctx: CorrContext, n: int) -> TruncatedSeries:
@@ -442,46 +493,34 @@ def _psi_closed_form(ctx: CorrContext, n: int) -> TruncatedSeries:
     if n not in CLOSED_A:
         raise UnsupportedIndex("hand-expanded closed forms exist only for n in {1, 2}")
     ts, policy = ctx.ts, ctx.policy
-    out = _classical_series(ts.chern_power_eta(n + 1), policy)
-    out.add_scaled(ctx.field_series(linear_field(ts, CLOSED_A[n], n, policy.max_level)))
     half = Fraction(1, 2)
+    terms = [(1, ("series", _classical_series(ts.chern_power_eta(n + 1), policy))),
+             (1, ("field_series", linear_field(ts, CLOSED_A[n], n, policy.max_level)))]
     if n == 1:
-        out.add_scaled(ctx.pair((), (), tuple(half * b * (1 - b) for b in ts.b)))
+        terms.append((1, ("pair", (), (), tuple(half * b * (1 - b) for b in ts.b))))
     else:
-        c1 = ts.c1_mat
-        out.add_scaled(ctx.pair((), (), tuple(-(b - 1) * b * (b + 1) for b in ts.b), 1))
-        for a in range(1, ts.classes + 1):
-            b = ts.b[a - 1]
-            for be in range(1, ts.classes + 1):
-                if c1[a - 1][be - 1]:
-                    prod = series_mul(ctx.corr((0, be)), ctx.corr_raised(a))
-                    out.add_scaled(prod, -half * (3 * b * b - 1) * c1[a - 1][be - 1])
-    return out
+        terms.append((1, ("pair", (), (), tuple(-(b - 1) * b * (b + 1) for b in ts.b), 1)))
+        terms += [(-half * (3 * b * b - 1) * c, ("corr", (0, be)), ("corr_raised", a))
+                  for a, b in enumerate(ts.b, 1) for be, c in row(ts.c1_mat, a)]
+    return ctx.evaluate(terms)
 
 
-def psi_tilde(ts_or_engine, n: int, policy: TruncationPolicy,
-              backend=None, cache=None) -> TruncatedSeries:
+def psi_tilde(ts_or_engine, n: int, policy: TruncationPolicy) -> TruncatedSeries:
     """Auxiliary constraint residuals: Psi~_{0,1} and Psi~_{0,2}."""
     if n not in (1, 2):
         raise UnsupportedIndex("psi_tilde is defined for n in {1, 2}")
-    engine = _as_engine(ts_or_engine, backend, cache)
-    ctx = CorrContext(engine, policy)
+    ctx = CorrContext(_as_engine(ts_or_engine), policy)
     ts = ctx.ts
     half = Fraction(1, 2)
     coeffs = (lambda x: -_ONE,) if n == 1 else (lambda x: x + 1, lambda x: _ONE)
-    out = TruncatedSeries(policy)
-    out.add_scaled(ctx.field_series(linear_field(ts, coeffs, n, policy.max_level)))
+    terms = [(1, ("field_series", linear_field(ts, coeffs, n, policy.max_level)))]
     if n == 1:
-        out.add_scaled(ctx.pair((), ()), half)
+        terms.append((half, ("pair", (), ())))
     else:
-        c1 = ts.c1_mat
-        out.add_scaled(ctx.pair((), (), tuple(-b for b in ts.b), 1))
-        for a in range(1, ts.classes + 1):
-            for be in range(1, ts.classes + 1):
-                if c1[a - 1][be - 1]:
-                    prod = series_mul(ctx.corr_raised(a), ctx.corr((0, be)))
-                    out.add_scaled(prod, -half * c1[a - 1][be - 1])
-    return out
+        terms.append((1, ("pair", (), (), tuple(-b for b in ts.b), 1)))
+        terms += [(-half * c, ("corr_raised", a), ("corr", (0, be)))
+                  for a in range(1, ts.classes + 1) for be, c in row(ts.c1_mat, a)]
+    return ctx.evaluate(terms)
 
 
 def derivative_families(series: TruncatedSeries):

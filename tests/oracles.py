@@ -4,12 +4,23 @@ These deliberately avoid the engine's reduction machinery: the point oracle
 uses only the string equation, the plane-curve oracle solves the quantum
 associativity equation order by order with generic truncated polynomial
 arithmetic, and the Gamma oracle evaluates the literal Gamma-ratio formulas
-as telescoping products.
+as telescoping products.  ``monomial_mul`` multiplies two unpacked
+monomials, the reference the packed series keys are checked against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from gwvir.series import Monomial
+
+
+def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
+    exps = dict(a.exps)
+    for v, e in b.exps:
+        exps[v] = exps.get(v, 0) + e
+    degree = tuple(x + y for x, y in zip(a.degree, b.degree))
+    return Monomial(tuple(sorted(exps.items())), degree)
 
 
 def point_string_oracle(levels: tuple[int, ...], _memo: dict = {}) -> Fraction:

@@ -135,10 +135,13 @@ def test_identities_jobs_deterministic():
             "TRR,GenWDVV,StringCorr3", "--insertions", "3", "--level", "2",
             "--degree", "0", "--format", "structured")
     _, r1, _ = go(*args)
-    _, r2, _ = go(*args, "--jobs", "3")
+    _, r2, _ = go(*args)
     d1, d2 = r1.to_dict(), r2.to_dict()
     d1.pop("wall_time_ms"), d2.pop("wall_time_ms")
     assert d1 == d2
+    # --jobs was accepted and ignored while work ran in one thread; it is gone.
+    code, _, _ = go(*args, "--jobs", "3")
+    assert code == 2
 
 
 def test_report_round_trip_and_determinism():

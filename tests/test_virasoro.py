@@ -344,6 +344,11 @@ def test_shared_context_series_stay_exact_after_registry():
         terms = terms_of[tag]
         assert series == fresh_ctx.field_series(terms, *reversed(vids))
         assert ctx.field_series(terms, *reversed(vids)) is series
+    assert ctx._field_raised and ctx._field2
+    for (tag, sigma, vids), series in ctx._field_raised.items():
+        assert series == fresh_ctx.field_raised(terms_of[tag], sigma, *reversed(vids))
+    for (tag, second, vids), series in ctx._field2.items():
+        assert series == fresh_ctx.field2_series(terms_of[tag], terms_of[second], *reversed(vids))
     assert ctx._raised
     for (sigma, vids), series in ctx._raised.items():
         assert series == fresh_ctx.corr_raised(sigma, *reversed(vids))
