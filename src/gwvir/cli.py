@@ -322,13 +322,13 @@ def _cmd_identities(args) -> RunReport:
     policy = _policy_from_args(args, ts)
     if args.all_tags:
         tags = list(identities.IDENTITY_TAGS)
-    elif args.tags:
-        tags = [t.strip() for t in args.tags.split(",") if t.strip()]
+    else:
+        tags = [t.strip() for t in (args.tags or "").split(",") if t.strip()]
+        if not tags:
+            raise errors.ParseError("identities needs --tags or --all")
         unknown = [t for t in tags if t not in identities.REGISTRY]
         if unknown:
             raise errors.UnknownIdentity(f"unknown identity tags: {', '.join(unknown)}")
-    else:
-        raise errors.ParseError("identities needs --tags or --all")
     engine = _make_engine(args, ts)
     shared = identities.IdentityContext(engine, policy)
     results = [identities.verify_identity(engine, tag, policy, ctx=shared)

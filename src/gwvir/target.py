@@ -261,6 +261,8 @@ def _invert(m: Matrix) -> Matrix:
 def validate_target(ts: TargetSpace) -> None:
     """Check every structural invariant; raise ValidationError naming the first failure."""
     n, d = ts.classes, ts.complex_dim
+    if n < 1:
+        raise ValidationError("classes must be at least 1")
     if len(ts.q) != n:
         raise ValidationError("q length")
     if ts.q[0] != 0:
@@ -430,6 +432,13 @@ def _parse_matrix(rows, n: int, what: str) -> Matrix:
     return tuple(out)
 
 
+def _int(value, what: str) -> int:
+    """A JSON integer field.  Anything else is a ParseError: ``int`` would read 1.9 as 1."""
+    if value.__class__ is not int:
+        raise ParseError(f"{what} must be an integer, not {json.dumps(value)}")
+    return value
+
+
 def load_target(text: str) -> TargetSpace:
     """Parse and validate a target file (JSON document, rationals as strings)."""
     try:
@@ -444,25 +453,27 @@ def load_target(text: str) -> TargetSpace:
     if missing:
         raise ParseError(f"target file missing fields: {', '.join(sorted(missing))}")
     try:
-        n = int(doc["classes"])
+        n = _int(doc["classes"], "classes")
         cup: dict[tuple[int, int, int], Fraction] = {}
         for quad in doc["cup"]:
             a, b, g, v = quad
             value = parse_rational(str(v))
             if value != 0:
-                cup[(int(a), int(b), int(g))] = value
+                cup[tuple(_int(i, "cup index") for i in (a, b, g))] = value
         ts = TargetSpace(
             name=str(doc["name"]),
             classes=n,
-            complex_dim=int(doc["complex_dim"]),
-            q=tuple(int(x) for x in doc["q"]),
+            complex_dim=_int(doc["complex_dim"], "complex_dim"),
+            q=tuple(_int(x, "q") for x in doc["q"]),
             eta=_parse_matrix(doc["eta"], n, "eta"),
             cup=cup,
             c1_mat=_parse_matrix(doc["c1_mat"], n, "c1_mat"),
-            novikov_rank=int(doc["novikov_rank"]),
-            c1_deg=tuple(int(x) for x in doc["c1_deg"]),
-            divisors=tuple((int(cls), tuple(int(x) for x in vec)) for cls, vec in doc["divisors"]),
-            euler_char=int(doc["euler_char"]),
+            novikov_rank=_int(doc["novikov_rank"], "novikov_rank"),
+            c1_deg=tuple(_int(x, "c1_deg") for x in doc["c1_deg"]),
+            divisors=tuple((_int(cls, "divisor class"),
+                            tuple(_int(x, "divisor pairing") for x in vec))
+                           for cls, vec in doc["divisors"]),
+            euler_char=_int(doc["euler_char"], "euler_char"),
             c1_cdm1=parse_rational(str(doc["c1_cdm1"])),
         )
     except (TypeError, ValueError) as exc:

@@ -15,6 +15,10 @@ genus 1 and is ignored here).
 The A/B coefficient functions are evaluated division-free as sums over
 complements of index subsets, which stays finite at the integer b values where
 the literal Gamma-ratio form has poles.
+
+Every L_n is a quadratic element of the Weyl algebra in (ttilde, d), so a
+commutator is computed in closed form (``bracket``) and compared with the
+right side on the window of d levels the truncated operators certify.
 """
 
 from __future__ import annotations
@@ -50,12 +54,34 @@ class VirasoroOperator:
         return (not self.linear and not self.quadratic and self.constant == 0
                 and all(all(x == 0 for x in row) for row in self.classical))
 
-    def __neg__(self) -> "VirasoroOperator":
+    def scaled(self, factor: Fraction) -> "VirasoroOperator":
         return VirasoroOperator(
-            tuple((s, d, -c) for s, d, c in self.linear),
-            tuple((u, v, -c) for u, v, c in self.quadratic),
-            tuple(tuple(-x for x in row) for row in self.classical),
-            -self.constant,
+            tuple((s, d, factor * c) for s, d, c in self.linear),
+            tuple((u, v, factor * c) for u, v, c in self.quadratic),
+            tuple(tuple(factor * x for x in row) for row in self.classical),
+            factor * self.constant,
+        )
+
+    def __neg__(self) -> "VirasoroOperator":
+        return self.scaled(-_ONE)
+
+    def __sub__(self, other: "VirasoroOperator") -> "VirasoroOperator":
+        """The difference; linear and quadratic terms that cancel are dropped."""
+        return VirasoroOperator(
+            combine_fields((self.linear, _ONE), (other.linear, -_ONE)),
+            combine_fields((self.quadratic, _ONE), (other.quadratic, -_ONE)),
+            tuple(tuple(x - y for x, y in zip(r, s))
+                  for r, s in zip(self.classical, other.classical)),
+            self.constant - other.constant,
+        )
+
+    def window(self, top: int) -> "VirasoroOperator":
+        """The terms with every d level at most ``top``, the classical form and the constant."""
+        return VirasoroOperator(
+            tuple((s, d, c) for s, d, c in self.linear if d.level <= top),
+            tuple((u, v, c) for u, v, c in self.quadratic if u.level <= top and v.level <= top),
+            self.classical,
+            self.constant,
         )
 
 
@@ -575,236 +601,110 @@ def check_shift_relations(series: TruncatedSeries) -> list[str]:
     return bad
 
 
+
+
 # ---------------------------------------------------------------------------
-# Commutator checking via operator actions on a basis window.
+# Commutators as exact brackets in the quadratic Weyl algebra.
 # ---------------------------------------------------------------------------
 
-class _GradedPoly:
-    """Polynomial with a lambda grading: maps lambda power -> series."""
-
-    __slots__ = ("parts", "policy")
-
-    def __init__(self, policy: TruncationPolicy, parts=None):
-        self.policy = policy
-        self.parts: dict[int, TruncatedSeries] = dict(parts or {})
-
-    def add(self, power: int, series: TruncatedSeries) -> None:
-        if series.is_zero():
-            return
-        if power in self.parts:
-            acc = self.parts[power] + series
-            if acc.is_zero():
-                del self.parts[power]
-            else:
-                self.parts[power] = acc
-        else:
-            self.parts[power] = series
-
-    def __sub__(self, other: "_GradedPoly") -> "_GradedPoly":
-        out = _GradedPoly(self.policy, {k: v for k, v in self.parts.items()})
-        for k, v in other.parts.items():
-            out.add(k, -v)
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.parts
+def _mul(x, y) -> list:
+    """The product of two sparse matrices given as (row, col, coeff) terms, unsummed."""
+    rows: dict[VarId, list] = {}
+    for j, k, c in y:
+        rows.setdefault(j, []).append((k, c))
+    return [(i, k, c * d) for i, j, c in x for k, d in rows.get(j, ())]
 
 
-def _apply_to_poly(op: VirasoroOperator, poly: _GradedPoly) -> _GradedPoly:
-    """Apply the lambda-graded operator to a graded polynomial exactly."""
-    policy = poly.policy
-    out = _GradedPoly(policy)
-    classical = _classical_series(op.classical, policy)
-    half = Fraction(1, 2)
-    for power, series in poly.parts.items():
-        linear = TruncatedSeries(policy)
-        for src, dst, coeff in op.linear:
-            d = series_derive(series, dst)
-            if d.terms:
-                add_ttilde(linear, src, d, coeff)
-        out.add(power, linear)
-        # The quadratic block of the operator is (lambda^2/2) sum coeff d_u d_v.
-        for u, v, coeff in op.quadratic:
-            d2 = series_derive(series_derive(series, u), v)
-            if not d2.is_zero():
-                out.add(power + 2, d2.scale(half * coeff))
-        if not classical.is_zero():
-            out.add(power - 2, series_mul(classical, series))
-        if op.constant:
-            out.add(power, series.scale(op.constant))
-    return out
+def _sym(x) -> list:
+    """x + x^T as (row, col, coeff) terms, unsummed."""
+    return [*x, *((j, i, c) for i, j, c in x)]
 
 
-def _work_policy(policy: TruncationPolicy) -> TruncationPolicy:
-    """Internal ring for commutator checks: exponent headroom so that two
-    operator applications on a degree-2 basis monomial never truncate (each
-    classical multiplication adds total exponent 2)."""
-    return TruncationPolicy(6, policy.max_level, policy.max_degree)
+def _weyl(op: VirasoroOperator) -> tuple[tuple, list, list]:
+    """The sparse (M, S, T) of ``op`` (see ``bracket``)."""
+    classical = [(VarId(0, a), VarId(0, b), q) for a, row in enumerate(op.classical, 1)
+                 for b, q in enumerate(row, 1) if q]
+    quadratic = [(u, v, c if u == v else c / 2) for u, v, c in op.quadratic]
+    return op.linear, classical, quadratic + [(v, u, c) for u, v, c in quadratic if u != v]
 
 
-def _basis_window(ts: TargetSpace, max_basis_level: int,
-                  policy: TruncationPolicy) -> list[tuple[str, _GradedPoly]]:
-    work = _work_policy(policy)
-    vids = [VarId(m, a) for m in range(max_basis_level + 1)
-            for a in range(1, ts.classes + 1)]
-    basis: list[tuple[str, _GradedPoly]] = []
-    one = _GradedPoly(work, {0: TruncatedSeries.constant(work, 1)})
-    basis.append(("1", one))
-    for v in vids:
-        basis.append((f"t{tuple(v)}", _GradedPoly(
-            work, {0: TruncatedSeries.variable(work, v)})))
-    for i, u in enumerate(vids):
-        for v in vids[i:]:
-            mon = TruncatedSeries.variable(work, u).times_var(v)
-            basis.append((f"t{tuple(u)}t{tuple(v)}", _GradedPoly(work, {0: mon})))
-    return basis
+def bracket(a: VirasoroOperator, b: VirasoroOperator) -> VirasoroOperator:
+    """The commutator [a, b], exactly.
 
+    With x = ttilde, an operator is x^T M d + 1/2 x^T S x + 1/2 d^T T d + c:
+    M[src, dst] holds the linear terms, S the classical form on the level-0
+    slots, and the symmetric T the quadratic terms, T_uv = coeff/2 off the
+    diagonal and T_uu = coeff on it.  Quadratic elements of the Weyl algebra
+    are closed under the bracket; with sym(X) = X + X^T,
 
-def _collect(label: str, poly: _GradedPoly, records: list) -> None:
-    for power, series in sorted(poly.parts.items()):
-        for mon, coeff in series.items_sorted():
-            records.append((label, power, mon, coeff))
+        M = M_a M_b - M_b M_a + S_b T_a - S_a T_b,
+        S = sym(M_a S_b) - sym(M_b S_a),
+        T = sym(T_a M_b) - sym(T_b M_a),
+        c = tr(S_b T_a)/2 - tr(S_a T_b)/2,
 
-
-def _scale_op(op: VirasoroOperator, scale: Fraction) -> VirasoroOperator:
+    and each block keeps its lambda grading.  An S entry off level 0 has no
+    place in the operator shape and raises ValueError.
+    """
+    (ma, sa, ta), (mb, sb, tb) = _weyl(a), _weyl(b)
+    sb_ta, sa_tb = _mul(sb, ta), _mul(sa, tb)
+    linear = combine_fields((_mul(ma, mb), _ONE), (_mul(mb, ma), -_ONE),
+                            (sb_ta, _ONE), (sa_tb, -_ONE))
+    s = combine_fields((_sym(_mul(ma, sb)), _ONE), (_sym(_mul(mb, sa)), -_ONE))
+    t = combine_fields((_sym(_mul(ta, mb)), _ONE), (_sym(_mul(tb, ma)), -_ONE))
+    trace = combine_fields((sb_ta, _ONE), (sa_tb, -_ONE))
+    classical = [[_ZERO] * len(a.classical) for _ in a.classical]
+    for u, v, c in s:
+        if u.level or v.level:
+            raise ValueError(f"bracket not Virasoro-shaped: S entry at {tuple(u)}, {tuple(v)}")
+        classical[u.cls - 1][v.cls - 1] = c
     return VirasoroOperator(
-        tuple((s, d, scale * c) for s, d, c in op.linear),
-        tuple((u, v, scale * c) for u, v, c in op.quadratic),
-        tuple(tuple(scale * x for x in row) for row in op.classical),
-        scale * op.constant,
-    )
-
-
-def _residual_records(basis, op_m: VirasoroOperator, op_n: VirasoroOperator,
-                      rhs: VirasoroOperator | None) -> list:
-    """Matrix elements of [L_m, L_n] - L_rhs on the basis window."""
-    records: list = []
-    for label, p in basis:
-        r = _apply_to_poly(op_m, _apply_to_poly(op_n, p)) - \
-            _apply_to_poly(op_n, _apply_to_poly(op_m, p))
-        if rhs is not None:
-            r = r - _apply_to_poly(rhs, p)
-        _collect(label, r, records)
-    return records
-
-
-def _action_records(basis, op: VirasoroOperator) -> list:
-    records: list = []
-    for label, p in basis:
-        _collect(label, _apply_to_poly(op, p), records)
-    return records
-
-
-def _reconstruct(ts: TargetSpace, records, policy: TruncationPolicy) -> VirasoroOperator:
-    """Rebuild a Virasoro-shaped operator from basis matrix elements."""
-    N = ts.classes
-    constant = _ZERO
-    classical = [[_ZERO] * N for _ in range(N)]
-    linear: dict[tuple[VarId, VarId], Fraction] = {}
-    quadratic: dict[tuple[VarId, VarId], Fraction] = {}
-    by_label: dict[str, list] = {}
-    for label, power, mon, coeff in records:
-        by_label.setdefault(label, []).append((power, mon, coeff))
-    for power, mon, coeff in by_label.get("1", []):
-        if power == 0 and not mon.exps:
-            constant = coeff
-        elif power == -2 and mon.total_exponent() == 2 and mon.max_level() == 0:
-            if len(mon.exps) == 1:
-                a = mon.exps[0][0].cls
-                classical[a - 1][a - 1] = 2 * coeff
-            else:
-                (u, _), (v, _) = mon.exps
-                classical[u.cls - 1][v.cls - 1] = coeff
-                classical[v.cls - 1][u.cls - 1] = coeff
-        else:
-            raise ValueError(f"residual not Virasoro-shaped at basis 1: {power}, {mon}")
-    vids = [VarId(m, a) for m in range(policy.max_level + 1) for a in range(1, N + 1)]
-    for v in vids:
-        label = f"t{tuple(v)}"
-        pure_deriv = _ZERO
-        for power, mon, coeff in by_label.get(label, []):
-            if power != 0:
-                continue  # lambda^{-2} entries are the classical poly times t_v
-            if mon.total_exponent() == 1:
-                u = mon.exps[0][0]
-                c = coeff - (constant if u == v else _ZERO)
-                if c:
-                    linear[(u, v)] = c
-            elif not mon.exps:
-                pure_deriv = coeff
-            else:
-                raise ValueError(f"residual not Virasoro-shaped at {label}: {mon}")
-        expect = -linear.get((DILATON_VAR, v), _ZERO)
-        if pure_deriv != expect:
-            raise ValueError(f"residual d_{tuple(v)} term is not of ttilde form")
-    for i, u in enumerate(vids):
-        for v in vids[i:]:
-            label = f"t{tuple(u)}t{tuple(v)}"
-            for power, mon, coeff in by_label.get(label, []):
-                if power == 2:
-                    if mon.exps:
-                        raise ValueError(f"residual lambda^2 part not constant at {label}")
-                    # (1/2) c d_u d_v hits t_u t_v once off-diagonal, twice on it.
-                    quadratic[(u, v)] = coeff if u == v else 2 * coeff
-    return VirasoroOperator(
-        tuple((s, d, c) for (s, d), c in sorted(linear.items()) if c),
-        tuple((u, v, c) for (u, v), c in sorted(quadratic.items()) if c),
-        tuple(tuple(row) for row in classical),
-        constant,
-    )
+        linear,
+        tuple((u, v, c if u == v else 2 * c) for u, v, c in t if u <= v),
+        tuple(map(tuple, classical)),
+        sum((c for u, v, c in trace if u == v), _ZERO) / 2)
 
 
 def commutator_residual(ts: TargetSpace, m: int, n: int,
                         policy: TruncationPolicy) -> VirasoroOperator:
     """[L_m, L_n] - (m - n) L_{m+n} on the level window the policy can certify.
 
-    Matrix elements are read off on basis monomials with levels at most
-    max_level - (m + n + 1); within that window truncation can never fabricate
-    a zero, so an empty result certifies the relation there.  The returned
-    operator is verified to reproduce every matrix element it was read from.
+    The operators are built up to ``policy.max_level``, and the exact bracket
+    keeps the terms whose d levels are all at most max_level - (m + n + 1),
+    with the classical form and the constant.  No term the truncation dropped
+    reaches that window, so an empty result certifies the relation there.
     """
-    max_basis_level = policy.max_level - (m + n + 1)
-    if max_basis_level < 0:
+    top = policy.max_level - (m + n + 1)
+    if top < 0:
         raise PolicyTooTight("max_level must exceed m + n + 1 for the commutator window")
-    op_m = build_operator(ts, m, policy.max_level)
-    op_n = build_operator(ts, n, policy.max_level)
-    rhs = _scale_op(build_operator(ts, m + n, policy.max_level), Fraction(m - n))
-    basis = _basis_window(ts, max_basis_level, policy)
-    records = _residual_records(basis, op_m, op_n, rhs)
-    residual = _reconstruct(ts, records, policy)
-    replay = _action_records(basis, residual)
-    if _record_map(records) != _record_map(replay):
-        raise ValueError("commutator residual is not representable as a Virasoro operator")
-    return residual
-
-
-def _record_map(records) -> dict:
-    return {(label, power, mon): coeff for label, power, mon, coeff in records}
+    op_m, op_n, op_mn = (build_operator(ts, k, policy.max_level) for k in (m, n, m + n))
+    return (bracket(op_m, op_n) - op_mn.scaled(Fraction(m - n))).window(top)
 
 
 def bracket_l0_scale(ts: TargetSpace, policy: TruncationPolicy
                      ) -> tuple[Fraction | None, bool]:
     """Empirical scalar c with [L_{-1}, L_1] = c L_0, and whether it fits exactly.
 
-    Returns (c, exact).  c is None when the bracket vanishes outright; exact
-    reports whether every matrix element on the window matches c * L_0.
+    Both sides are compared on the window of d levels up to max_level - 2.
+    Returns (c, exact): c is read from the first entry where both are nonzero,
+    taking the classical form, the constant, the linear terms and then the
+    quadratic terms; it is None when there is no such entry, and exact then
+    reports whether the bracket vanishes on the window.
     """
-    max_basis_level = policy.max_level - 2
-    if max_basis_level < 0:
-        raise PolicyTooTight("max_level too small for the bracket probe")
-    op_m = build_operator(ts, -1, policy.max_level)
-    op_n = build_operator(ts, 1, policy.max_level)
-    op_0 = build_operator(ts, 0, policy.max_level)
-    basis = _basis_window(ts, max_basis_level, policy)
-    bra = _record_map(_residual_records(basis, op_m, op_n, None))
-    l0m = _record_map(_action_records(basis, op_0))
-    scale = None
-    for key, c in sorted(l0m.items()):
-        if c and key in bra:
-            scale = bra[key] / c
-            break
+    top = policy.max_level - 2
+    if top < 0:
+        raise PolicyTooTight("max_level must be at least 2 for the [L_-1, L_1] window")
+    op_m, op_n, op_0 = (build_operator(ts, k, policy.max_level) for k in (-1, 1, 0))
+    bra, l0 = bracket(op_m, op_n).window(top), op_0.window(top)
+    got = _entries(bra)
+    scale = next((got[k] / c for k, c in _entries(l0).items() if c and got.get(k)), None)
     if scale is None:
-        return None, not bra
-    keys = set(bra) | set(l0m)
-    exact = all(bra.get(k, _ZERO) == scale * l0m.get(k, _ZERO) for k in keys)
-    return scale, exact
+        return None, bra.is_empty()
+    return scale, (bra - l0.scaled(scale)).is_empty()
+
+
+def _entries(op: VirasoroOperator) -> dict:
+    """The coefficients of ``op`` by position: classical form, constant, linear, quadratic."""
+    return {**{("S", a, b): q for a, row in enumerate(op.classical) for b, q in enumerate(row)},
+            "constant": op.constant,
+            **{("M", s, d): c for s, d, c in op.linear},
+            **{("T", u, v): c for u, v, c in op.quadratic}}

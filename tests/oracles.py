@@ -6,13 +6,15 @@ associativity equation order by order with generic truncated polynomial
 arithmetic, and the Gamma oracle evaluates the literal Gamma-ratio formulas
 as telescoping products.  ``monomial_mul`` multiplies two unpacked
 monomials, the reference the packed series keys are checked against.
+``operator_action`` applies a Virasoro operator to a polynomial term by term,
+the reference the closed-form commutator bracket is checked against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from gwvir.series import Monomial
+from gwvir.series import Monomial, TruncatedSeries, VarId, series_derive
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -173,3 +175,24 @@ def linear_field_oracle(ts, name: str, max_level: int) -> tuple:
                     if level >= 0 and coeff:
                         terms.append(((m, a), (level, be), coeff))
     return tuple(sorted(terms))
+
+
+def operator_action(op, p: TruncatedSeries, lam: Fraction) -> TruncatedSeries:
+    """``op`` applied to the polynomial ``p`` with the grading lambda set to ``lam``.
+
+    sum coeff ttilde_src d_dst p + (lam^2 / 2) sum coeff d_u d_v p
+    + (1 / (2 lam^2)) sum Q_ab t^a_0 t^b_0 p + constant p, with ttilde^1_1 =
+    t^1_1 - 1 and every other ttilde = t.
+    """
+    out = p.scale(op.constant)
+    for src, dst, coeff in op.linear:
+        d = series_derive(p, dst)
+        out = out + d.times_var(src).scale(coeff)
+        if src == (1, 1):
+            out = out - d.scale(coeff)
+    for u, v, coeff in op.quadratic:
+        out = out + series_derive(series_derive(p, u), v).scale(lam * lam * coeff / 2)
+    for a, row in enumerate(op.classical, 1):
+        for b, q in enumerate(row, 1):
+            out = out + p.times_var(VarId(0, a)).times_var(VarId(0, b)).scale(q / (2 * lam * lam))
+    return out

@@ -128,6 +128,19 @@ def test_identities_command_and_usage():
     assert code == 2
     code, _, _ = go("identities", "--target", "point", "--tags", "Nope")
     assert code == 2
+    # Separators alone name no tag: a usage error, not a vacuous pass.
+    for tags in (",", " , ,"):
+        code, report, text = go("identities", "--target", "point", "--tags", tags)
+        assert code == 2 and report is None and "needs --tags or --all" in text
+
+
+def test_targets_validate_zero_classes_is_usage_error(tmp_path):
+    doc = json.loads(serialize_target(preset("point")))
+    doc.update(classes=0, q=[], eta=[], c1_mat=[])
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    code, report, text = go("targets", "validate", "--target", str(path))
+    assert code == 2 and report is None and "classes must be at least 1" in text
 
 
 def test_identities_jobs_deterministic():

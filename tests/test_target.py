@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gwvir.errors import IndexOutOfRange, UnknownPreset, ValidationError
+from gwvir.errors import IndexOutOfRange, ParseError, UnknownPreset, ValidationError
 from gwvir.target import (load_target, preset, preset_names,
                           serialize_target)
 
@@ -132,6 +132,20 @@ def test_load_rejects_missing_divisor_pairing():
     doc = _doc()
     doc["divisors"] = []
     with pytest.raises(ValidationError, match="Novikov generator"):
+        load_target(json.dumps(doc))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("classes", 3.0), ("classes", True), ("complex_dim", True), ("complex_dim", 2.0),
+    ("q", [0, 1.9, 2]), ("q", [0, True, 2]), ("novikov_rank", 1.0), ("c1_deg", [3.0]),
+    ("divisors", [[2.7, [1.2]]]), ("divisors", [[2, [True]]]), ("euler_char", 3.0),
+    ("euler_char", False), ("cup", [[1.0, 1, 1, "1"]]), ("cup", [[1, 1, True, "1"]]),
+])
+def test_load_rejects_non_integer_in_integer_field(field, value):
+    # int() would truncate 1.9 to 1 and read true as 1; the file is malformed.
+    doc = _doc()
+    doc[field] = value
+    with pytest.raises(ParseError, match="must be an integer"):
         load_target(json.dumps(doc))
 
 

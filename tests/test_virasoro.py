@@ -11,13 +11,13 @@ from gwvir.errors import (IndexOutOfRange, PolicyTooTight, UnsupportedIndex)
 from gwvir.series import TruncatedSeries, TruncationPolicy, VarId, series_mul
 from gwvir.target import preset
 from gwvir.virasoro import (CLOSED_A, CorrContext, VirasoroOperator, apply_operator,
-                            bracket_l0_scale, build_operator,
+                            bracket, bracket_l0_scale, build_operator,
                             check_shift_relations, coeff_A, coeff_B,
                             combine_fields, commutator_residual, dilaton_field,
                             euler_field, linear_field, psi, psi_tilde, string_field,
                             _psi_generic)
 
-from oracles import gamma_ratio_A, gamma_ratio_B, linear_field_oracle
+from oracles import gamma_ratio_A, gamma_ratio_B, linear_field_oracle, operator_action
 from test_engine import _target
 
 
@@ -288,16 +288,38 @@ def test_bracket_l0_scale_detects_central_mismatch():
 
 
 def test_residual_nonzero_for_wrong_rhs_scale():
-    # [L_1, L_2] != -2 L_3, so scaling the right side wrongly must be caught.
-    from gwvir.virasoro import (_basis_window, _record_map, _residual_records,
-                                _scale_op)
+    # [L_1, L_2] = -L_3, so against the wrong right side -2 L_3 the residual
+    # is exactly L_3 on the window.
     ts = preset("P2")
-    policy = TruncationPolicy(2, 6, (0,))
-    basis = _basis_window(ts, 2, policy)
-    rhs = _scale_op(build_operator(ts, 3, 6), Fraction(-2))
-    records = _residual_records(basis, build_operator(ts, 1, 6),
-                                build_operator(ts, 2, 6), rhs)
-    assert _record_map(records)
+    l1, l2, l3 = (build_operator(ts, k, 6) for k in (1, 2, 3))
+    residual = (bracket(l1, l2) - l3.scaled(Fraction(-2))).window(2)
+    assert not residual.is_empty()
+    assert residual == l3.window(2)
+
+
+@pytest.mark.parametrize("m, n", [(-1, 1), (1, -1), (1, 2), (2, 3)])
+@pytest.mark.parametrize("target", ["point", "P1", "P2"])
+def test_bracket_matches_operator_action(target, m, n):
+    # [A, B] p = A(B(p)) - B(A(p)) for every p of degree <= 2 in the window
+    # variables.  Two values of lambda tell its lambda^2, lambda^0 and
+    # lambda^-2 parts apart.  Degree-6 headroom: each operator can multiply
+    # by the degree-2 classical form.  (1, -1) is the one pair here with
+    # S_b T_a nonzero: L_-1 has no quadratic terms, and S vanishes for L_n
+    # with n >= 2 on these targets.
+    ts = preset(target)
+    max_level = m + n + 3
+    top = max_level - (m + n + 1)
+    a, b = build_operator(ts, m, max_level), build_operator(ts, n, max_level)
+    window_bracket = bracket(a, b).window(top)
+    one = TruncatedSeries.constant(TruncationPolicy(6, max_level, (0,) * ts.novikov_rank), 1)
+    slots = [VarId(level, cls) for level in range(top + 1) for cls in range(1, ts.classes + 1)]
+    polys = [one] + [one.times_var(v) for v in slots] + [
+        one.times_var(u).times_var(v) for i, u in enumerate(slots) for v in slots[i:]]
+    for lam in (Fraction(1), Fraction(2)):
+        for p in polys:
+            commutator = (operator_action(a, operator_action(b, p, lam), lam)
+                          - operator_action(b, operator_action(a, p, lam), lam))
+            assert operator_action(window_bracket, p, lam) == commutator, (lam, p.items_sorted())
 
 
 @pytest.mark.parametrize("target", ["P1", "P2"])
