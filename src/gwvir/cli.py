@@ -287,15 +287,18 @@ def _cmd_psi(args, tilde: bool) -> RunReport:
 def _cmd_commutator(args) -> RunReport:
     ts = _load_target(args.target)
     policy = _policy_from_args(args, ts)
-    if (args.m, args.n) == (-1, 1) or (args.m, args.n) == (1, -1):
+    if args.m < -1 or args.n < -1:
+        raise errors.ParseError("commutator needs m, n >= -1")
+    if policy.max_level <= args.m + args.n + 1:
+        raise errors.ParseError(
+            f"commutator window needs --level above m + n + 1 = {args.m + args.n + 1}")
+    if (args.m, args.n) == (-1, 1):
         scale, exact = virasoro.bracket_l0_scale(ts, policy)
         detail = {"bracket": "[L_-1, L_1]",
                   "scale_vs_L0": None if scale is None else format_rational(scale),
                   "exact": exact}
         return RunReport("commutator m=-1 n=1", ts.fingerprint,
                          _policy_dict(policy), "pass" if exact else "fail", [detail])
-    if args.m < 1 or args.n < 1:
-        raise errors.ParseError("exact commutator check needs m, n >= 1 (or the pair -1, 1)")
     residual = virasoro.commutator_residual(ts, args.m, args.n, policy)
     empty = residual.is_empty()
     details = []

@@ -2,8 +2,8 @@
 
 A correlator key is a canonically sorted multiset of insertions tau_m(O_alpha)
 plus a Novikov degree vector.  The master evaluator looks a key up in the
-cache as given and canonicalises it only on a miss; a missing key is reduced
-to base data in a fixed order:
+cache as given and canonicalises it only on a miss that is not canonical
+already; a missing key is reduced to base data in a fixed order:
 
   1. dimension filter, 2. degree zero -> closed form, 3. fewer than 3
   insertions -> divisor lift, 4. any positive level -> TRR on the first
@@ -34,6 +34,7 @@ import contextlib
 import functools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,6 +61,17 @@ def make_key(insertions: Iterable[tuple[int, int]], degree: Iterable[int]) -> Co
     """Canonical key: insertions sorted by (level, class index)."""
     ins = tuple(sorted(VarId(m, a) for m, a in insertions))
     return CorrelatorKey(ins, tuple(degree))
+
+
+def _is_canonical(key: CorrelatorKey) -> bool:
+    """Whether ``key`` is as ``make_key`` builds it.
+
+    That is a tuple of ``VarId``s in non-decreasing order and a tuple degree.
+    """
+    ins, deg = key
+    return (ins.__class__ is tuple and deg.__class__ is tuple
+            and all(v.__class__ is VarId for v in ins)
+            and all(map(operator.le, ins, ins[1:])))
 
 
 def dimension_admissible(ts: TargetSpace, key: CorrelatorKey) -> bool:
@@ -386,6 +398,12 @@ def trr_reduce(ts: TargetSpace, key: CorrelatorKey, chosen: int
     lookup in sigma's raised-index row.  The spectator splits with their
     weights, the raised index grouped by weight and the degree splits are the
     target's tables, built once per target.
+
+    Both keys come out canonical.  The first key's insertions are sorted once
+    per (spectator split, sigma).  The second key's need no sort: the split
+    table's ``right`` is a sorted sub-multiset of the spectators, which all
+    sort before the two fixed insertions, so ``right + fixed`` is sorted
+    already and the partner rho is inserted into it by ``bisect``.
     """
     ins, deg = key
     if len(ins) < 3:
@@ -398,6 +416,7 @@ def trr_reduce(ts: TargetSpace, key: CorrelatorKey, chosen: int
     lowered = VarId(m - 1, alpha)
     by_pairing = ts.degree_splits(deg)
     raised = ts.raised_table
+    make = CorrelatorKey._make
     # Balances of the two keys before the new primaries are added.
     offset = ts.complex_dim - 3
     base1 = m - 1 + ts.class_weight[alpha] - offset
@@ -417,10 +436,11 @@ def trr_reduce(ts: TargetSpace, key: CorrelatorKey, chosen: int
                 continue
             ins1 = tuple(sorted(left + (lowered, var_s)))
             for deg1, deg2 in splits:
-                key1 = CorrelatorKey(ins1, deg1)
+                key1 = make((ins1, deg1))
                 for var_r, eta_inv in partners:
+                    at = bisect.bisect(right_fixed, var_r)
                     out.append((eta_inv * ways, key1,
-                                CorrelatorKey(tuple(sorted(right_fixed + (var_r,))), deg2)))
+                                make((right_fixed[:at] + (var_r,) + right_fixed[at:], deg2))))
     return out
 
 
@@ -460,10 +480,13 @@ class Engine:
     def invariant(self, key: CorrelatorKey) -> Fraction:
         """Exact value of ``key``; a cache miss is reduced and published.
 
-        The key is looked up as given and canonicalised only on a miss: the
-        keys callers build are usually canonical already.  A miss is reduced
-        by ``_evaluate``'s work stack, not by recursion, so no key runs into
-        the interpreter's recursion limit.
+        The key is looked up as given.  Only a miss that is not canonical
+        (unsorted, plain pairs or lists) is rebuilt by ``make_key``'s rule and
+        looked up again; a canonical miss, such as every key
+        ``admissible_keys`` builds, goes on to the dimension filter as it is
+        and is published as passed in.  A miss is reduced by ``_evaluate``'s
+        work stack, not by recursion, so no key runs into the interpreter's
+        recursion limit.
         """
         entries = self.cache.entries
         try:
@@ -472,11 +495,12 @@ class Engine:
             cached = None
         if cached is not None:
             return cached
-        key = CorrelatorKey(tuple(sorted(VarId(*v) for v in key.insertions)),
-                            tuple(key.degree))
-        cached = entries.get(key)
-        if cached is not None:
-            return cached
+        if not _is_canonical(key):
+            key = CorrelatorKey(tuple(sorted(VarId(*v) for v in key.insertions)),
+                                tuple(key.degree))
+            cached = entries.get(key)
+            if cached is not None:
+                return cached
         if not dimension_admissible(self.ts, key):
             return _ZERO
         return self._evaluate(key)
@@ -510,6 +534,8 @@ class Engine:
         Yields each admissible sub-key whose value is not cached yet and
         receives that value back; returns the key's value.  The rules build
         their sub-keys canonical, so each is looked up in the cache as built.
+        ``trr_reduce`` returns admissible terms only, so only the divisor
+        lift's sub-keys go through ``dimension_admissible``.
         """
         ins, deg = key
         if not any(deg):
@@ -531,14 +557,16 @@ class Engine:
         for coeff, key1, key2 in terms:
             v = entries.get(key1)
             if v is None:
-                v = (yield key1) if dimension_admissible(ts, key1) else _ZERO
+                # A TRR term (the one kind with a second key) is admissible.
+                admissible = key2 is not None or dimension_admissible(ts, key1)
+                v = (yield key1) if admissible else _ZERO
             if not v:
                 continue
             n, d = coeff.numerator * v.numerator, coeff.denominator * v.denominator
             if key2 is not None:
                 v = entries.get(key2)
                 if v is None:
-                    v = (yield key2) if dimension_admissible(ts, key2) else _ZERO
+                    v = yield key2
                 if not v:
                     continue
                 n *= v.numerator

@@ -24,7 +24,6 @@ right side on the window of d levels the truncated operators certify.
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 from fractions import Fraction
@@ -85,35 +84,33 @@ class VirasoroOperator:
         )
 
 
+def _complement_sum(b: Fraction, levels: range, j: int) -> Fraction:
+    """Sum over size-j subsets S of ``levels`` of prod_{l not in S} (b + l).
+
+    That is the z^j coefficient of prod_l (z + b + l).  With b = p/q the
+    product is expanded once, in integers, as prod_l (z + p + l q), whose z^j
+    coefficient is q^(len(levels) - j) times the sum.
+    """
+    p, q = b.numerator, b.denominator
+    coeffs = [1]  # of z^0, z^1, ...
+    for l in levels:
+        c = p + l * q
+        coeffs = [c * x + y for x, y in zip(coeffs + [0], [0] + coeffs)]
+    return Fraction(coeffs[j], q ** (len(levels) - j))
+
+
 def coeff_A(b: Fraction, j: int, m: int, n: int) -> Fraction:
     """Sum over size-j subsets S of {m, ..., m+n} of prod_{l not in S} (b + l)."""
     if n < 1 or m < 0 or j < 0 or j > n + 1:
         raise IndexOutOfRange(f"coeff_A index out of range: j={j}, m={m}, n={n}")
-    levels = range(m, m + n + 1)
-    total = _ZERO
-    for subset in itertools.combinations(levels, j):
-        skip = set(subset)
-        prod = _ONE
-        for l in levels:
-            if l not in skip:
-                prod *= b + l
-        total += prod
-    return total
+    return _complement_sum(b, range(m, m + n + 1), j)
 
 
 def coeff_B(b: Fraction, j: int, k: int, n: int) -> Fraction:
     """(-1)^{k+1} times the complement-product sum over {-k-1, ..., n-k-1}."""
     if j < 0 or j > n - 1 or k < 0 or k > n - j - 1:
         raise IndexOutOfRange(f"coeff_B index out of range: j={j}, k={k}, n={n}")
-    levels = range(-k - 1, n - k)
-    total = _ZERO
-    for subset in itertools.combinations(levels, j):
-        skip = set(subset)
-        prod = _ONE
-        for l in levels:
-            if l not in skip:
-                prod *= b + l
-        total += prod
+    total = _complement_sum(b, range(-k - 1, n - k), j)
     return total if (k + 1) % 2 == 0 else -total
 
 
@@ -676,8 +673,11 @@ def commutator_residual(ts: TargetSpace, m: int, n: int,
     top = policy.max_level - (m + n + 1)
     if top < 0:
         raise PolicyTooTight("max_level must exceed m + n + 1 for the commutator window")
-    op_m, op_n, op_mn = (build_operator(ts, k, policy.max_level) for k in (m, n, m + n))
-    return (bracket(op_m, op_n) - op_mn.scaled(Fraction(m - n))).window(top)
+    residual = bracket(build_operator(ts, m, policy.max_level),
+                       build_operator(ts, n, policy.max_level))
+    if m != n:  # at m = n the L_{m+n} term vanishes, and L_{-2} is out of scope
+        residual -= build_operator(ts, m + n, policy.max_level).scaled(Fraction(m - n))
+    return residual.window(top)
 
 
 def bracket_l0_scale(ts: TargetSpace, policy: TruncationPolicy

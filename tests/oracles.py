@@ -3,8 +3,9 @@
 These deliberately avoid the engine's reduction machinery: the point oracle
 uses only the string equation, the plane-curve oracle solves the quantum
 associativity equation order by order with generic truncated polynomial
-arithmetic, and the Gamma oracle evaluates the literal Gamma-ratio formulas
-as telescoping products.  ``monomial_mul`` multiplies two unpacked
+arithmetic, the Gamma oracle evaluates the literal Gamma-ratio formulas as
+telescoping products, and ``complement_product_sum`` sums the A and B
+coefficients subset by subset.  ``monomial_mul`` multiplies two unpacked
 monomials, the reference the packed series keys are checked against.
 ``operator_action`` applies a Virasoro operator to a polynomial term by term,
 the reference the closed-form commutator bracket is checked against.
@@ -130,6 +131,22 @@ def gamma_ratio_B(b: Fraction, j: int, m: int, n: int) -> Fraction:
             term /= b + l
         total += term
     return prefactor * total
+
+
+def complement_product_sum(b: Fraction, levels: range, j: int) -> Fraction:
+    """Sum over size-j subsets S of ``levels`` of prod_{l not in S} (b + l).
+
+    The defining sum of ``coeff_A`` (levels m..m+n) and, up to the sign
+    (-1)^{k+1}, of ``coeff_B`` (levels -k-1..n-k-1), subset by subset.
+    """
+    total = Fraction(0)
+    for subset in _subsets(list(levels), j):
+        prod = Fraction(1)
+        for l in levels:
+            if l not in subset:
+                prod *= b + l
+        total += prod
+    return total
 
 
 def _subsets(pool: list[int], size: int):

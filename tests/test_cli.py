@@ -103,8 +103,16 @@ def test_commutator_command():
     code, report, _ = go("commutator", "--target", "P2", "--m", "1", "--n", "2",
                          "--insertions", "2", "--level", "5", "--degree", "0")
     assert code == 0
-    code, _, _ = go("commutator", "--target", "P2", "--m", "0", "--n", "2")
-    assert code == 2
+    for m, n in (("0", "2"), ("1", "-1")):
+        code, report, _ = go("commutator", "--target", "P2", "--m", m, "--n", n,
+                             "--insertions", "2", "--level", "5")
+        assert code == 0 and report.command == f"commutator m={m} n={n}"
+        assert report.details == []
+    # m < -1, and a level that leaves no window (m + n + 1 = 3): usage errors.
+    for m, n, level in (("-2", "1", "5"), ("1", "-2", "5"), ("0", "2", "3")):
+        code, report, _ = go("commutator", "--target", "P2", "--m", m, "--n", n,
+                             "--level", level)
+        assert code == 2 and report is None
 
 
 def test_commutator_bracket_probe():

@@ -393,6 +393,45 @@ def test_permutation_invariance(p2_engine):
         assert p2_engine.invariant(make_key(ins, deg)) == reference
 
 
+def _canonical(key):
+    ins, deg = key
+    return (type(key) is CorrelatorKey and type(ins) is tuple and type(deg) is tuple
+            and all(type(v) is VarId for v in ins) and list(ins) == sorted(ins))
+
+
+def test_invariant_canonicalises_non_canonical_misses():
+    ins, deg = [(3, 3), (0, 2), (1, 2), (0, 3), (0, 1)], (2,)
+    expect = Engine(preset("P2")).invariant(make_key(ins, deg))
+    assert expect == 3
+    for key in (CorrelatorKey(tuple(VarId(*v) for v in ins), deg),  # unsorted
+                CorrelatorKey(tuple(sorted(ins)), deg),  # sorted plain pairs
+                CorrelatorKey([list(v) for v in ins], list(deg))):  # lists
+        engine = Engine(preset("P2"))
+        assert engine.invariant(key) == expect
+        assert make_key(ins, deg) in engine.cache.entries
+        assert all(_canonical(k) for k in engine.cache.entries)
+
+
+def test_cold_pass_keeps_every_key_canonical():
+    ts = preset("P2")
+    engine = Engine(ts)
+    keys = engine.admissible_keys(TruncationPolicy(4, 3, (2,)))
+    # A canonical miss is published as passed in, not rebuilt.
+    engine.invariant(keys[-1])
+    assert any(k is keys[-1] for k in engine.cache.entries)
+    for key in keys:
+        engine.invariant(key)
+    assert all(_canonical(k) for k in engine.cache.entries)
+    terms = 0
+    for key in keys:
+        for chosen, (m, _) in enumerate(key.insertions):
+            if m and len(key.insertions) >= 3:
+                for _, key1, key2 in trr_reduce(ts, key, chosen):
+                    assert _canonical(key1) and _canonical(key2)
+                    terms += 1
+    assert terms > 100
+
+
 def test_cache_round_trip(tmp_path, p2_engine):
     path = tmp_path / "cache.jsonl"
     p2_engine.cache.save(str(path))

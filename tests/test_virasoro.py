@@ -17,7 +17,8 @@ from gwvir.virasoro import (CLOSED_A, CorrContext, VirasoroOperator, apply_opera
                             euler_field, linear_field, psi, psi_tilde, string_field,
                             _psi_generic)
 
-from oracles import gamma_ratio_A, gamma_ratio_B, linear_field_oracle, operator_action
+from oracles import (complement_product_sum, gamma_ratio_A, gamma_ratio_B, linear_field_oracle,
+                     operator_action)
 from test_engine import _target
 
 
@@ -57,6 +58,20 @@ def test_coeff_functions_match_gamma_ratios():
             for j in range(n):
                 for k in range(n - j):
                     assert coeff_B(b, j, k, n) == gamma_ratio_B(b, j, k, n)
+
+
+def test_coeff_functions_match_subset_sums():
+    # Integer b too: the subset sums, unlike the Gamma ratios, take any b.
+    for b in (Fraction(0), Fraction(1, 2), Fraction(-3, 2), Fraction(2)):
+        for n in range(1, 6):
+            for j in range(n + 2):
+                for m in range(5):
+                    assert coeff_A(b, j, m, n) == complement_product_sum(
+                        b, range(m, m + n + 1), j)
+            for j in range(n):
+                for k in range(n - j):
+                    assert coeff_B(b, j, k, n) == (-1) ** (k + 1) * complement_product_sum(
+                        b, range(-k - 1, n - k), j)
 
 
 def test_coeff_index_errors():
