@@ -292,13 +292,6 @@ def _cmd_commutator(args) -> RunReport:
     if policy.max_level <= args.m + args.n + 1:
         raise errors.ParseError(
             f"commutator window needs --level above m + n + 1 = {args.m + args.n + 1}")
-    if (args.m, args.n) == (-1, 1):
-        scale, exact = virasoro.bracket_l0_scale(ts, policy)
-        detail = {"bracket": "[L_-1, L_1]",
-                  "scale_vs_L0": None if scale is None else format_rational(scale),
-                  "exact": exact}
-        return RunReport("commutator m=-1 n=1", ts.fingerprint,
-                         _policy_dict(policy), "pass" if exact else "fail", [detail])
     residual = virasoro.commutator_residual(ts, args.m, args.n, policy)
     empty = residual.is_empty()
     details = []

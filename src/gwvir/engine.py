@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import bisect
 import contextlib
-import functools
 import json
 import math
 import operator
@@ -44,7 +43,7 @@ from .errors import (CacheMismatch, NotApplicable, ParseError, TargetUnsupported
                      ValidationError)
 from .rationals import format_rational, parse_rational
 from .series import TruncatedSeries, TruncationPolicy, VarId
-from .target import Degree, TargetSpace, _degree_box
+from .target import Degree, TargetSpace
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -87,18 +86,18 @@ def dimension_admissible(ts: TargetSpace, key: CorrelatorKey) -> bool:
         if wa is None:
             return False
         weight += m + wa
-    return weight == ts.complex_dim - 3 + sum(d * c for d, c in zip(deg, ts.c1_deg))
+    return weight == ts.degree_weight(deg)
 
 
 @dataclass(frozen=True)
 class PrimaryBackend:
     """Supplier of all-primary base invariants the reduction bottoms out on."""
 
-    kind: str  # Point | ProjLine | ProjPlane | Table
+    kind: str  # ProjPlane | Table
     table: dict[CorrelatorKey, Fraction] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("Point", "ProjLine", "ProjPlane", "Table"):
+        if self.kind not in ("ProjPlane", "Table"):
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if self.kind == "Table":
             for key in self.table or {}:
@@ -107,9 +106,15 @@ class PrimaryBackend:
 
 
 def default_backend(ts: TargetSpace) -> PrimaryBackend:
-    kinds = {"point": "Point", "P1": "ProjLine", "P2": "ProjPlane"}
-    if ts.name in kinds:
-        return PrimaryBackend(kinds[ts.name])
+    """The base values of a target by name: plane-curve counts for P2, seeds otherwise.
+
+    P1's one seed is <>_1 = 1, the line itself; the point needs none, since
+    every key of it has degree 0.
+    """
+    if ts.name == "P2":
+        return PrimaryBackend("ProjPlane")
+    if ts.name == "P1":
+        return PrimaryBackend("Table", {CorrelatorKey((), (1,)): _ONE})
     return PrimaryBackend("Table", {})
 
 
@@ -204,7 +209,7 @@ def _read_records(lines: Iterable[str], ts: TargetSpace | None = None
     vids: dict[tuple[int, int], VarId] = {}
     vals: dict[str, Fraction] = {}
     # Given the target: the weight m + q_a - 1 of each interned slot, and the
-    # weight dim - 3 + c1 . deg that a key of each degree read must have.
+    # weight that a key of each degree read must have.
     weights: dict[VarId, int] = {}
     balances: dict[Degree, int] = {}
     for line in lines:
@@ -237,8 +242,7 @@ def _read_records(lines: Iterable[str], ts: TargetSpace | None = None
             if balance is None:
                 if len(deg) != ts.novikov_rank or any(d < 0 for d in deg):
                     raise ValueError(f"degree {list(deg)} is not a degree of {ts.name}")
-                balance = balances[deg] = ts.complex_dim - 3 + sum(
-                    d * c for d, c in zip(deg, ts.c1_deg))
+                balance = balances[deg] = ts.degree_weight(deg)
             if sum(map(weights.__getitem__, ins)) != balance:
                 raise ValueError(f"{key} is not an admissible key of {ts.name}")
         text = rec["val"]
@@ -337,17 +341,9 @@ def divisor_reduce(ts: TargetSpace, key: CorrelatorKey, divisor_cls: int
     if not any(deg):
         raise NotApplicable("forward divisor equation used only at nonzero degree")
     pairing = _pairing(ts, divisor_cls, deg)
-    rest = list(ins)
-    rest.remove(div)
-    terms = [(CorrelatorKey(tuple(rest), deg), pairing)]
-    for i, (m, a) in enumerate(rest):
-        if m >= 1:
-            for g in range(1, ts.classes + 1):
-                kappa = ts.cup_entry(divisor_cls, a, g)
-                if kappa:
-                    lowered = rest[:i] + [VarId(m - 1, g)] + rest[i + 1:]
-                    terms.append((CorrelatorKey(tuple(sorted(lowered)), deg), kappa))
-    return terms
+    at = ins.index(div)
+    rest = ins[:at] + ins[at + 1:]
+    return [(CorrelatorKey(rest, deg), pairing)] + _lowering_terms(ts, rest, deg, divisor_cls)
 
 
 def divisor_lift(ts: TargetSpace, key: CorrelatorKey
@@ -368,16 +364,27 @@ def divisor_lift(ts: TargetSpace, key: CorrelatorKey
         pairing = Fraction(sum(p * d for p, d in zip(vec, deg)))
         if pairing:
             lifted = CorrelatorKey(tuple(sorted(ins + (VarId(0, cls),))), deg)
-            lowering: list[tuple[CorrelatorKey, Fraction]] = []
-            for i, (m, a) in enumerate(ins):
-                if m >= 1:
-                    for g in range(1, ts.classes + 1):
-                        kappa = ts.cup_entry(cls, a, g)
-                        if kappa:
-                            low = ins[:i] + (VarId(m - 1, g),) + ins[i + 1:]
-                            lowering.append((CorrelatorKey(tuple(sorted(low)), deg), kappa))
-            return lifted, lowering, pairing
+            return lifted, _lowering_terms(ts, ins, deg, cls), pairing
     raise TargetUnsupported("no divisor pairs nontrivially with this degree")
+
+
+def _lowering_terms(ts: TargetSpace, ins: Insertions, deg: Degree, divisor_cls: int
+                    ) -> list[tuple[CorrelatorKey, Fraction]]:
+    """The divisor equation's lowering terms for a divisor of class ``divisor_cls``.
+
+    One term (<ins with tau_m(O_a) lowered to tau_{m-1}(O_g)>, kappa) for
+    each insertion tau_m(O_a) with m >= 1 and each g with
+    kappa = kappa_{divisor a}^g nonzero.
+    """
+    terms = []
+    for i, (m, a) in enumerate(ins):
+        if m >= 1:
+            for g in range(1, ts.classes + 1):
+                kappa = ts.cup_entry(divisor_cls, a, g)
+                if kappa:
+                    lowered = ins[:i] + (VarId(m - 1, g),) + ins[i + 1:]
+                    terms.append((CorrelatorKey(tuple(sorted(lowered)), deg), kappa))
+    return terms
 
 
 def trr_reduce(ts: TargetSpace, key: CorrelatorKey, chosen: int
@@ -444,21 +451,22 @@ def trr_reduce(ts: TargetSpace, key: CorrelatorKey, chosen: int
     return out
 
 
-@functools.cache
+# N_d by degree, grown upward in integers.  Each entry is computed from the
+# ones below it, so two threads filling the same degree write the same value.
+_ND = {1: 1}
+
+
 def kontsevich_nd(d: int) -> Fraction:
     """Degree-d count of rational plane curves through 3d-1 points."""
     if d < 1:
         raise NotApplicable("degree must be >= 1")
-    if d == 1:
-        return _ONE
-    total = _ZERO
-    for da in range(1, d):
-        db = d - da
-        total += (
-            kontsevich_nd(da) * kontsevich_nd(db) * da * da * db
-            * (db * math.comb(3 * d - 4, 3 * da - 2) - da * math.comb(3 * d - 4, 3 * da - 1))
-        )
-    return total
+    nd = _ND
+    for e in range(len(nd) + 1, d + 1):
+        nd[e] = sum(nd[a] * nd[e - a] * a * a * (e - a)
+                    * ((e - a) * math.comb(3 * e - 4, 3 * a - 2)
+                       - a * math.comb(3 * e - 4, 3 * a - 1))
+                    for a in range(1, e))
+    return Fraction(nd[d])
 
 
 class Engine:
@@ -601,44 +609,15 @@ class Engine:
                     break
             if not stripped:
                 break
-        kind = self.backend.kind
-        if kind == "ProjPlane":
+        if self.backend.kind == "ProjPlane":
             if all(a == 3 for _, a in ins) and len(deg) == 1 and deg[0] >= 1:
                 if len(ins) == 3 * deg[0] - 1:
                     return factor * kontsevich_nd(deg[0])
                 return _ZERO
-        elif kind == "ProjLine":
-            if not ins and len(deg) == 1:
-                return factor if deg[0] == 1 else _ZERO
-        elif kind == "Point":
-            # The point has no Novikov generators; nonzero degree cannot occur.
-            raise TargetUnsupported("point target has no nonzero-degree invariants")
         raise TargetUnsupported(
             f"no backend value for primary key {CorrelatorKey(ins, deg)} on {self.ts.name}")
 
     # -- generating functions ------------------------------------------------
-
-    def _degrees_for_balance(self, balance: int, cap: Degree) -> list[Degree]:
-        """Degrees <= cap with sum d * c1_deg == balance.
-
-        The balance of a key is its insertion weight sum (m + q_a - 1) minus
-        (dim - 3); the selection rule asks the degree to make up the rest.
-        """
-        ts = self.ts
-        r = ts.novikov_rank
-        if r == 0:
-            return [()] if balance == 0 else []
-        if r == 1:
-            c = ts.c1_deg[0]
-            if c > 0:
-                if balance % c == 0 and 0 <= balance // c <= cap[0]:
-                    return [(balance // c,)]
-                return []
-        out = []
-        for deg in _degree_box(cap):
-            if sum(d * c for d, c in zip(deg, ts.c1_deg)) == balance:
-                out.append(deg)
-        return out
 
     def _policy_index(self, policy: TruncationPolicy) -> list[tuple[int, list[_PolicyEntry]]]:
         """The policy's t-monomials grouped by weight, built once per policy."""
@@ -660,15 +639,14 @@ class Engine:
         balance admits no degree under the cap is skipped whole.
         """
         fixed_ins = tuple(sorted(VarId(m, a) for m, a in fixed))
-        base = _weight(self.ts, fixed_ins) - (self.ts.complex_dim - 3)
-        cap = policy.max_degree
+        base = _weight(self.ts, fixed_ins)
+        by_weight = self.ts.degrees_by_weight(policy.max_degree)
         degree_key = policy.packing.degree_key
         # (key, numerator, denominator) of each coefficient value / prod e!
         found: list[tuple[int, int, int]] = []
         den = 1
         for weight, entries in self._policy_index(policy):
-            degrees = [(deg, degree_key(deg))
-                       for deg in self._degrees_for_balance(base + weight, cap)]
+            degrees = [(deg, degree_key(deg)) for deg in by_weight.get(base + weight, ())]
             if not degrees:
                 continue
             for tkey, ins, fact in entries:
@@ -697,17 +675,10 @@ class Engine:
         Streams the policy's monomials and keeps none of them; the walk skips
         monomials too heavy for any degree under the cap.
         """
-        offset = self.ts.complex_dim - 3
-        cap = policy.max_degree
-        # Largest balance any degree under the cap can make up.
-        top = offset + sum(max(c, 0) * d for c, d in zip(self.ts.c1_deg, cap))
-        by_weight: dict[int, list[Degree]] = {}
+        by_weight = self.ts.degrees_by_weight(policy.max_degree)
         keys = []
-        for weight, _, ins, _ in _walk_t_monomials(policy, self.ts, top):
-            degrees = by_weight.get(weight)
-            if degrees is None:
-                degrees = by_weight[weight] = self._degrees_for_balance(weight - offset, cap)
-            for deg in degrees:
+        for weight, _, ins, _ in _walk_t_monomials(policy, self.ts, max(by_weight)):
+            for deg in by_weight.get(weight, ()):
                 if not any(deg) and len(ins) < 3:
                     continue
                 keys.append(CorrelatorKey(ins, deg))
@@ -721,8 +692,8 @@ _PolicyEntry = tuple[int, Insertions, int]
 def _weight(ts: TargetSpace, ins: Iterable[VarId]) -> int:
     """Sum of (m + q_a - 1) over the insertions.
 
-    A key is dimension-admissible exactly when its weight equals
-    dim - 3 + sum d * c1_deg, so the weight alone decides its degrees.
+    A key is dimension-admissible exactly when its weight is its degree's
+    ``degree_weight``, so the weight alone decides its degrees.
     """
     w = ts.class_weight
     return sum(m + w[a] for m, a in ins)

@@ -63,9 +63,6 @@ class Monomial(NamedTuple):
     def total_exponent(self) -> int:
         return sum(e for _, e in self.exps)
 
-    def max_level(self) -> int:
-        return max((v.level for v, _ in self.exps), default=0)
-
 
 def monomial(exps: Iterable[tuple[VarId, int]], degree: tuple[int, ...]) -> Monomial:
     """Canonical monomial: sorted variables, no zero exponents."""

@@ -117,8 +117,8 @@ class TargetSpace:
     def class_weight(self) -> dict[int, int]:
         """Class index a -> q_a - 1, so a slot tau_m(O_a) weighs m + class_weight[a].
 
-        A key is dimension-admissible exactly when its weight equals
-        dim - 3 + sum d * c1_deg; a class index not in 1..classes has no weight.
+        A key is dimension-admissible exactly when its weight is its degree's
+        ``degree_weight``; a class index not in 1..classes has no weight.
         """
         return {a: qa - 1 for a, qa in enumerate(self.q, start=1)}
 
@@ -140,6 +140,29 @@ class TargetSpace:
                     (VarId(0, rho), c.numerator if c.denominator == 1 else c),)
             table.append((VarId(0, sigma), w[sigma], groups))
         return tuple(table)
+
+    def degree_weight(self, deg: Degree) -> int:
+        """dim - 3 + c1 . deg: the weight a key of degree ``deg`` must have."""
+        return self.complex_dim - 3 + sum(d * c for d, c in zip(deg, self.c1_deg))
+
+    def degrees_by_weight(self, cap: Degree) -> dict[int, list[Degree]]:
+        """The degrees below ``cap`` grouped by ``degree_weight``, in ``_degree_box`` order.
+
+        A key is dimension-admissible exactly when its insertion weight is its
+        degree's weight, so the group of a key's insertion weight lists the
+        degrees it can take.  Memoised per cap for the life of the target.
+        """
+        groups = self._degrees_by_weight.get(cap)
+        if groups is None:
+            groups = {}
+            for deg in _degree_box(cap):
+                groups.setdefault(self.degree_weight(deg), []).append(deg)
+            self._degrees_by_weight[cap] = groups
+        return groups
+
+    @cached_property
+    def _degrees_by_weight(self) -> dict[Degree, dict[int, list[Degree]]]:
+        return {}
 
     def degree_splits(self, deg: Degree) -> DegreeSplits:
         """The splits deg = deg1 + deg2 grouped by c1 . deg1, with their shared c1 . deg2.

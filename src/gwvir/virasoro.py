@@ -289,12 +289,18 @@ def apply_operator(op: VirasoroOperator, f0: TruncatedSeries,
             derivs[v] = TruncatedSeries(policy, dict(series_derive(f0, v).monomials()))
         return derivs[v]
 
+    return _residual(op, deriv, policy)
+
+
+def _residual(op: VirasoroOperator, first: Callable[[VarId], TruncatedSeries],
+              policy: TruncationPolicy) -> TruncatedSeries:
+    """Psi of ``op`` (see the module docstring), where ``first(v)`` is <<tau_v>>."""
     result = _classical_series(op.classical, policy)
     for src, dst, coeff in op.linear:
-        add_ttilde(result, src, deriv(dst), coeff)
+        add_ttilde(result, src, first(dst), coeff)
     half = Fraction(1, 2)
     for u, v, coeff in op.quadratic:
-        result.add_scaled(series_mul(deriv(u), deriv(v)), half * coeff)
+        result.add_scaled(series_mul(first(u), first(v)), half * coeff)
     return result
 
 
@@ -502,14 +508,7 @@ def _as_engine(ts_or_engine) -> Engine:
 
 
 def _psi_generic(ctx: CorrContext, n: int) -> TruncatedSeries:
-    policy = ctx.policy
-    op = build_operator(ctx.ts, n, policy.max_level)
-    out = _classical_series(op.classical, policy)
-    out.add_scaled(ctx.field_series(op.linear), _ONE)
-    half = Fraction(1, 2)
-    for u, v, coeff in op.quadratic:
-        out.add_scaled(series_mul(ctx.corr(u), ctx.corr(v)), half * coeff)
-    return out
+    return _residual(build_operator(ctx.ts, n, ctx.policy.max_level), ctx.corr, ctx.policy)
 
 
 def _psi_closed_form(ctx: CorrContext, n: int) -> TruncatedSeries:
@@ -678,33 +677,3 @@ def commutator_residual(ts: TargetSpace, m: int, n: int,
     if m != n:  # at m = n the L_{m+n} term vanishes, and L_{-2} is out of scope
         residual -= build_operator(ts, m + n, policy.max_level).scaled(Fraction(m - n))
     return residual.window(top)
-
-
-def bracket_l0_scale(ts: TargetSpace, policy: TruncationPolicy
-                     ) -> tuple[Fraction | None, bool]:
-    """Empirical scalar c with [L_{-1}, L_1] = c L_0, and whether it fits exactly.
-
-    Both sides are compared on the window of d levels up to max_level - 2.
-    Returns (c, exact): c is read from the first entry where both are nonzero,
-    taking the classical form, the constant, the linear terms and then the
-    quadratic terms; it is None when there is no such entry, and exact then
-    reports whether the bracket vanishes on the window.
-    """
-    top = policy.max_level - 2
-    if top < 0:
-        raise PolicyTooTight("max_level must be at least 2 for the [L_-1, L_1] window")
-    op_m, op_n, op_0 = (build_operator(ts, k, policy.max_level) for k in (-1, 1, 0))
-    bra, l0 = bracket(op_m, op_n).window(top), op_0.window(top)
-    got = _entries(bra)
-    scale = next((got[k] / c for k, c in _entries(l0).items() if c and got.get(k)), None)
-    if scale is None:
-        return None, bra.is_empty()
-    return scale, (bra - l0.scaled(scale)).is_empty()
-
-
-def _entries(op: VirasoroOperator) -> dict:
-    """The coefficients of ``op`` by position: classical form, constant, linear, quadratic."""
-    return {**{("S", a, b): q for a, row in enumerate(op.classical) for b, q in enumerate(row)},
-            "constant": op.constant,
-            **{("M", s, d): c for s, d, c in op.linear},
-            **{("T", u, v): c for u, v, c in op.quadratic}}

@@ -115,11 +115,20 @@ def test_commutator_command():
         assert code == 2 and report is None
 
 
-def test_commutator_bracket_probe():
+def test_commutator_bracket_probe(tmp_path):
     code, report, _ = go("commutator", "--target", "P1", "--m", "-1", "--n", "1",
                          "--level", "4", "--degree", "0")
-    assert code == 0
-    assert report.details[0]["scale_vs_L0"] == "-2"
+    assert code == 0 and report.command == "commutator m=-1 n=1"
+    assert report.details == []
+    # A wrong euler_char shows as the residual's constant: L_0's constant is off.
+    doc = json.loads(serialize_target(preset("P2")))
+    doc["euler_char"] = 99
+    path = tmp_path / "P2c.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, report, _ = go("commutator", "--target", str(path), "--m", "-1", "--n", "1",
+                         "--level", "4", "--degree", "0")
+    assert code == 1 and report.outcome == "fail"
+    assert report.details == [{"linear": [], "quadratic": [], "constant": "4"}]
 
 
 def test_central_condition_command():

@@ -9,6 +9,7 @@ import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,11 +17,11 @@ from gwvir import engine as engine_module
 from gwvir.engine import (CorrelatorKey, Engine, InvariantCache, PrimaryBackend,
                           degree_zero_value, dilaton_reduce, dimension_admissible,
                           divisor_lift, divisor_reduce, kontsevich_nd, make_key,
-                          string_reduce, trr_reduce, _degree_box, _walk_t_monomials, _weight)
+                          string_reduce, trr_reduce, _walk_t_monomials, _weight)
 from gwvir.errors import CacheMismatch, NotApplicable, TargetUnsupported, ValidationError
 from gwvir.rationals import format_rational, parse_rational
 from gwvir.series import Monomial, TruncatedSeries, TruncationPolicy, VarId
-from gwvir.target import load_target, preset
+from gwvir.target import _degree_box, load_target, preset
 
 from oracles import point_string_oracle, wdvv_associativity_nd
 
@@ -35,16 +36,12 @@ def closed_form_point(levels):
     return value
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def _p1xp1():
     """P1 x P1 from its cohomology alone: classes 1, H1, H2, pt; c1 = 2H1 + 2H2."""
-    cup = [[1, b, b, "1"] for b in range(1, 5)] + [[b, 1, b, "1"] for b in range(2, 5)]
-    cup += [[2, 3, 4, "1"], [3, 2, 4, "1"]]
-    eta = [["1" if a + b == 5 else "0" for b in range(1, 5)] for a in range(1, 5)]
-    c1 = [["0", "2", "2", "0"], ["0", "0", "0", "2"], ["0", "0", "0", "2"], ["0"] * 4]
-    return load_target(json.dumps({
-        "name": "P1xP1", "classes": 4, "complex_dim": 2, "q": [0, 1, 1, 2],
-        "eta": eta, "cup": cup, "c1_mat": c1, "novikov_rank": 2, "c1_deg": [2, 2],
-        "divisors": [[2, [1, 0]], [3, [0, 1]]], "euler_char": 4, "c1_cdm1": "8"}))
+    return load_target((DATA / "P1xP1.json").read_text(encoding="utf-8"))
 
 
 def _p2_rational_eta():
@@ -134,6 +131,20 @@ def test_engine_reproduces_nd(p2_engine):
     for d in (1, 2, 3):
         key = make_key([(0, 3)] * (3 * d - 1), (d,))
         assert p2_engine.invariant(key) == kontsevich_nd(d)
+
+
+def test_nd_needs_no_recursion():
+    # N_d is built upward, not by one call per degree below d.
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        value = kontsevich_nd(100)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value.denominator == 1 and value > kontsevich_nd(99) > 0
 
 
 def test_two_point_lift(p2_engine, p1_engine):

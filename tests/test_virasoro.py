@@ -1,17 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from gwvir.engine import Engine, make_key
+from gwvir.engine import Engine, PrimaryBackend, load_table_backend, make_key
 from gwvir.identities import IDENTITY_TAGS, IdentityContext, verify_identity
 from gwvir.errors import (IndexOutOfRange, PolicyTooTight, UnsupportedIndex)
 from gwvir.series import TruncatedSeries, TruncationPolicy, VarId, series_mul
 from gwvir.target import preset
 from gwvir.virasoro import (CLOSED_A, CorrContext, VirasoroOperator, apply_operator,
-                            bracket, bracket_l0_scale, build_operator,
+                            bracket, build_operator,
                             check_shift_relations, coeff_A, coeff_B,
                             combine_fields, commutator_residual, dilaton_field,
                             euler_field, linear_field, psi, psi_tilde, string_field,
@@ -19,7 +20,7 @@ from gwvir.virasoro import (CLOSED_A, CorrContext, VirasoroOperator, apply_opera
 
 from oracles import (complement_product_sum, gamma_ratio_A, gamma_ratio_B, linear_field_oracle,
                      operator_action)
-from test_engine import _target
+from test_engine import DATA, _target
 
 
 # --- A and B coefficient functions -------------------------------------------
@@ -210,6 +211,26 @@ def test_psi_higher_n_on_p1(p1_engine):
         assert psi(p1_engine, n, policy).is_zero()
 
 
+def test_rank_two_end_to_end_on_p1xp1():
+    # Three seeds, <pt>_(1,0) = <pt>_(0,1) = <pt pt pt>_(1,1) = 1, and the
+    # reduction give every primary under the cap (1, 1).
+    seeds = load_table_backend(str(DATA / "P1xP1_seeds.jsonl")).table
+    ts = _target("P1xP1")
+    engine = Engine(ts, PrimaryBackend("Table", seeds))
+    policy = TruncationPolicy(4, 3, (1, 1))
+    for n in (1, 2, 3):
+        assert psi(engine, n, policy).is_zero()
+    for n in (1, 2):
+        assert psi_tilde(engine, n, policy).is_zero()
+    small = TruncationPolicy(3, 2, (1, 1))
+    ctx = IdentityContext(engine, small)
+    for tag in IDENTITY_TAGS:
+        assert all(f.status == "pass" for f in verify_identity(engine, tag, small, ctx=ctx))
+    for key in seeds:
+        wrong = Engine(ts, PrimaryBackend("Table", {**seeds, key: Fraction(2)}))
+        assert not psi(wrong, 1, policy).is_zero()
+
+
 def test_perturbed_eta_detected():
     base = preset("P2")
     eta = [list(r) for r in base.eta]
@@ -286,20 +307,24 @@ def test_commutator_policy_guard():
         commutator_residual(preset("P2"), 2, 2, TruncationPolicy(2, 3, (0,)))
 
 
-def test_bracket_l0_scale_is_minus_two():
+def test_commutator_minus_one_one_on_presets():
+    # [L_-1, L_1] = -2 L_0, constant included, on every window M = 2..5.
     for name in ("point", "P1", "P2"):
         ts = preset(name)
-        scale, exact = bracket_l0_scale(ts, TruncationPolicy(2, 4, (0,) * ts.novikov_rank))
-        assert scale == -2 and exact
+        for level in range(2, 6):
+            policy = TruncationPolicy(2, level, (0,) * ts.novikov_rank)
+            assert commutator_residual(ts, -1, 1, policy).is_empty()
 
 
-def test_bracket_l0_scale_detects_central_mismatch():
-    base = preset("P2")
-    bad = type(base)(name="P2c", classes=3, complex_dim=2, q=base.q, eta=base.eta,
-                     cup=base.cup, c1_mat=base.c1_mat, novikov_rank=1, c1_deg=(3,),
-                     divisors=base.divisors, euler_char=99, c1_cdm1=base.c1_cdm1)
-    scale, exact = bracket_l0_scale(bad, TruncationPolicy(2, 4, (0,)))
-    assert scale == -2 and not exact
+def test_commutator_minus_one_one_locates_central_mismatch():
+    # A wrong euler_char changes only L_0's constant, by (3 - d)/2 * (99 - 3)/24
+    # = 2, so the residual [L_-1, L_1] + 2 L_0 is the constant 4 alone.
+    bad = dataclasses.replace(preset("P2"), name="P2c", euler_char=99)
+    residual = commutator_residual(bad, -1, 1, TruncationPolicy(2, 4, (0,)))
+    assert not residual.is_empty()
+    assert residual.constant == 4
+    assert residual.linear == () and residual.quadratic == ()
+    assert all(x == 0 for row in residual.classical for x in row)
 
 
 def test_residual_nonzero_for_wrong_rhs_scale():
