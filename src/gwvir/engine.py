@@ -172,9 +172,10 @@ class InvariantCache:
              ts: TargetSpace | None = None) -> "InvariantCache":
         """Read a cache file; a malformed header or record is a CacheMismatch.
 
-        Given the target, a record whose key is not a dimension-admissible key
-        of it is a CacheMismatch too: such a key is 0 and never cached, and
-        the reduction never asks for it.
+        So is a key that appears twice, which ``save`` never writes.  Given
+        the target, a record whose key is not a dimension-admissible key of it
+        is a CacheMismatch too: such a key is 0 and never cached, and the
+        reduction never asks for it.
         """
         with open(path, encoding="utf-8") as fh:
             try:
@@ -187,25 +188,28 @@ class InvariantCache:
                     f"cache fingerprint {fingerprint!r} does not match target {expected_fingerprint!r}"
                 )
             try:
-                entries = dict(_read_records(fh, ts))
+                entries = _read_records(fh, ts)
             except (ValueError, KeyError, TypeError, ParseError) as exc:
                 raise CacheMismatch(f"bad record in cache {path}: {exc}") from exc
         return cls(fingerprint, entries)
 
 
 def _read_records(lines: Iterable[str], ts: TargetSpace | None = None
-                  ) -> Iterator[tuple[CorrelatorKey, Fraction]]:
+                  ) -> dict[CorrelatorKey, Fraction]:
     """Parse cache-format records, skipping blank lines and a header.
 
     Keys come out canonical; equal insertions share one ``VarId`` and equal
     value strings one parsed ``Fraction``.  Levels, classes and degrees must
     be JSON integers, the only values ``save`` writes there (with ``str``,
-    which would write ``true`` as ``True``).  Given the target, a record whose
-    key is not a dimension-admissible key of it (a negative level or degree,
-    a class or degree length the target lacks, or the wrong weight) is a
-    ValueError as it is read.
+    which would write ``true`` as ``True``).  A key read twice (after sorting
+    its insertions) is a ValueError: ``save`` writes each key once.  Given the
+    target, a record whose key is not a dimension-admissible key of it (a
+    negative level or degree, a class or degree length the target lacks, or
+    the wrong weight) is a ValueError as it is read.
     """
-    decode = json.JSONDecoder().decode
+    decode = json.JSONDecoder().decode  # skips the whitespace around a record
+    new = tuple.__new__
+    entries: dict[CorrelatorKey, Fraction] = {}
     vids: dict[tuple[int, int], VarId] = {}
     vals: dict[str, Fraction] = {}
     # Given the target: the weight m + q_a - 1 of each interned slot, and the
@@ -213,8 +217,7 @@ def _read_records(lines: Iterable[str], ts: TargetSpace | None = None
     weights: dict[VarId, int] = {}
     balances: dict[Degree, int] = {}
     for line in lines:
-        line = line.strip()
-        if not line:
+        if not line or line.isspace():
             continue
         rec = decode(line)
         if "fingerprint" in rec:
@@ -234,9 +237,10 @@ def _read_records(lines: Iterable[str], ts: TargetSpace | None = None
             ins.append(vid)
         ins.sort()
         deg = tuple(rec["deg"])
-        if any(d.__class__ is not int for d in deg):
-            raise ValueError(f"degree {list(deg)} is not a list of integers")
-        key = CorrelatorKey(tuple(ins), deg)
+        for d in deg:  # before the lookup, as for the insertions
+            if d.__class__ is not int:
+                raise ValueError(f"degree {list(deg)} is not a list of integers")
+        key = new(CorrelatorKey, (tuple(ins), deg))
         if ts is not None:
             balance = balances.get(deg)
             if balance is None:
@@ -249,14 +253,18 @@ def _read_records(lines: Iterable[str], ts: TargetSpace | None = None
         value = vals.get(text)
         if value is None:
             value = vals[text] = parse_rational(text)
-        yield key, value
+        size = len(entries)
+        entries[key] = value
+        if len(entries) == size:
+            raise ValueError(f"{key} appears twice")
+    return entries
 
 
 def load_table_backend(path: str) -> PrimaryBackend:
     """Read primary invariants in the cache record format (no header required)."""
     with open(path, encoding="utf-8") as fh:
         try:
-            table = dict(_read_records(fh))
+            table = _read_records(fh)
         except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(f"table file {path} is not in the cache record format: {exc}") from exc
     return PrimaryBackend("Table", table)
@@ -423,7 +431,7 @@ def trr_reduce(ts: TargetSpace, key: CorrelatorKey, chosen: int
     lowered = VarId(m - 1, alpha)
     by_pairing = ts.degree_splits(deg)
     raised = ts.raised_table
-    make = CorrelatorKey._make
+    new = tuple.__new__
     # Balances of the two keys before the new primaries are added.
     offset = ts.complex_dim - 3
     base1 = m - 1 + ts.class_weight[alpha] - offset
@@ -443,11 +451,12 @@ def trr_reduce(ts: TargetSpace, key: CorrelatorKey, chosen: int
                 continue
             ins1 = tuple(sorted(left + (lowered, var_s)))
             for deg1, deg2 in splits:
-                key1 = make((ins1, deg1))
+                key1 = new(CorrelatorKey, (ins1, deg1))
                 for var_r, eta_inv in partners:
                     at = bisect.bisect(right_fixed, var_r)
                     out.append((eta_inv * ways, key1,
-                                make((right_fixed[:at] + (var_r,) + right_fixed[at:], deg2))))
+                                new(CorrelatorKey,
+                                    (right_fixed[:at] + (var_r,) + right_fixed[at:], deg2))))
     return out
 
 
@@ -462,10 +471,17 @@ def kontsevich_nd(d: int) -> Fraction:
         raise NotApplicable("degree must be >= 1")
     nd = _ND
     for e in range(len(nd) + 1, d + 1):
-        nd[e] = sum(nd[a] * nd[e - a] * a * a * (e - a)
-                    * ((e - a) * math.comb(3 * e - 4, 3 * a - 2)
-                       - a * math.comb(3 * e - 4, 3 * a - 1))
-                    for a in range(1, e))
+        # N_e = sum_a N_a N_b a^2 b (b C(n, 3a-2) - a C(n, 3a-1)), b = e - a,
+        # n = 3e - 4; the row C(n, k) is walked by C(n, k+1) = C(n, k)(n-k)/(k+1).
+        n = 3 * e - 4
+        total, k, c = 0, 1, n  # c = C(n, k), k = 3a - 2
+        for a in range(1, e):
+            b = e - a
+            c_next = c * (n - k) // (k + 1)
+            total += nd[a] * nd[b] * a * a * b * (b * c - a * c_next)
+            c = c_next * (n - k - 1) // (k + 2) * (n - k - 2) // (k + 3)
+            k += 3
+        nd[e] = total
     return Fraction(nd[d])
 
 
@@ -642,25 +658,31 @@ class Engine:
         base = _weight(self.ts, fixed_ins)
         by_weight = self.ts.degrees_by_weight(policy.max_degree)
         degree_key = policy.packing.degree_key
+        invariant, new, insert = self.invariant, tuple.__new__, bisect.bisect
         # (key, numerator, denominator) of each coefficient value / prod e!
         found: list[tuple[int, int, int]] = []
+        append = found.append
         den = 1
         for weight, entries in self._policy_index(policy):
             degrees = [(deg, degree_key(deg)) for deg in by_weight.get(base + weight, ())]
             if not degrees:
                 continue
             for tkey, ins, fact in entries:
-                full = tuple(sorted(fixed_ins + ins))
+                # ins is canonical: each fixed slot goes in at its sorted place.
+                full = ins
+                for v in fixed_ins:
+                    at = insert(full, v)
+                    full = full[:at] + (v,) + full[at:]
                 short = len(full) < 3
                 for deg, dkey in degrees:
                     if short and not any(deg):
                         continue
-                    value = self.invariant(CorrelatorKey(full, deg))
+                    value = invariant(new(CorrelatorKey, (full, deg)))
                     if value:
                         d = value.denominator * fact
                         if den % d:
                             den = math.lcm(den, d)
-                        found.append((tkey + dkey, value.numerator, d))
+                        append((tkey + dkey, value.numerator, d))
         series = TruncatedSeries(policy)
         series.terms = {key: num * (den // d) for key, num, d in found}
         series.den = den

@@ -4,7 +4,7 @@ Each tag is a generator over the free index tuples of one identity
 (descendent levels up to the policy level bound minus one, all class
 indices).  For every tuple it yields ``(indices, lhs, rhs)``, where each side
 is a term list as ``CorrContext.evaluate`` reads it: ``(coeff, factor[,
-factor[, factor]])`` terms whose factors name correlation series, raised
+factor])`` terms whose factors name correlation series, raised
 series, vector-field contractions, genus-0 splittings (``pair``), the
 constant 1, ``t`` or ``ttilde``, or a prebuilt series.  Vector-field slots
 inside double brackets are tensor contractions: the field expands into its
@@ -25,8 +25,7 @@ from typing import Callable, Iterator
 from .engine import Engine
 from .errors import UnknownIdentity
 from .rationals import format_rational
-# series_mul is unused here, but bench/spans.py rebinds it in every module.
-from .series import Monomial, TruncationPolicy, series_mul  # noqa: F401
+from .series import Monomial, TruncationPolicy, series_mul
 from .target import row
 from .virasoro import (CLOSED_A, CorrContext, LinearTerm, apply_operator, build_operator,
                        coeff_A, coeff_B, combine_fields, dilaton_field, euler_field,
@@ -258,18 +257,23 @@ def _check_frr(ctx: IdentityContext):
            for mu in ctx.classes() for nu in ctx.classes()}
     # (m, a) -> the nonzero <<O^mu tau_{m-1}(O_a)>> + delta_{m,0} delta_{mu,a}, by mu.
     outer = {}
+    # (m, a, mu, nu) -> that side times mid[(mu, nu)], shared by every (n, b).
+    left_mid = {}
     for m in ctx.levels():
         for a in ctx.classes():
             sides = ((mu, ctx.evaluate([(1, ("corr_raised", mu, (m - 1, a))),
                                         (int(m == 0 and mu == a), ONE)]))
                      for mu in ctx.classes())
             outer[(m, a)] = [(mu, side) for mu, side in sides if not side.is_zero()]
+            for mu, side in outer[(m, a)]:
+                for nu in ctx.classes():
+                    left_mid[(m, a, mu, nu)] = series_mul(side, mid[(mu, nu)])
     for m in ctx.levels():
         for a in ctx.classes():
             for n in ctx.levels():
                 for b in ctx.classes():
-                    lhs = [(1, ("series", left), ("series", mid[(mu, nu)]), ("series", right))
-                           for mu, left in outer[(m, a)] for nu, right in outer[(n, b)]]
+                    lhs = [(1, ("series", left_mid[(m, a, mu, nu)]), ("series", right))
+                           for mu, _ in outer[(m, a)] for nu, right in outer[(n, b)]]
                     yield ((m, a, n, b), lhs, _euler3_rhs(ctx, m, a, n, b))
 
 

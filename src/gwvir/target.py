@@ -23,6 +23,9 @@ from .errors import IndexOutOfRange, ParseError, UnknownPreset, ValidationError
 from .rationals import format_rational, parse_rational
 from .series import VarId
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 Matrix = tuple[tuple[Fraction, ...], ...]
 Degree = tuple[int, ...]
 # (c1 . deg1 -> (c1 . deg2, [(deg1, deg2), ...])) over the splits deg = deg1 + deg2
@@ -67,20 +70,28 @@ class TargetSpace:
         return _invert(self.eta)
 
     def cup_entry(self, a: int, b: int, g: int) -> Fraction:
-        return self.cup.get((a, b, g), Fraction(0))
+        return self.cup.get((a, b, g), _ZERO)
+
+    @cached_property
+    def _cup_rows(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
+        """(a, b) -> the nonzero (g, kappa_{ab}^g) in g order: the cup as sparse rows."""
+        rows: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+        for (a, b, g), k in sorted(self.cup.items()):
+            if k:
+                rows.setdefault((a, b), []).append((g, k))
+        return rows
 
     def cup_product(self, vec: dict[int, Fraction], cls: int) -> dict[int, Fraction]:
         """Multiply a cohomology vector (class -> coeff) by the class ``cls``."""
         out: dict[int, Fraction] = {}
+        rows = self._cup_rows
         for a, coeff in vec.items():
-            for g in range(1, self.classes + 1):
-                k = self.cup.get((a, cls, g))
-                if k:
-                    acc = out.get(g, Fraction(0)) + coeff * k
-                    if acc:
-                        out[g] = acc
-                    else:
-                        out.pop(g, None)
+            for g, k in rows.get((a, cls), ()):
+                acc = out.get(g, _ZERO) + coeff * k
+                if acc:
+                    out[g] = acc
+                else:
+                    out.pop(g, None)
         return out
 
     def classical_integral(self, classes: tuple[int, ...]) -> Fraction:
@@ -315,14 +326,13 @@ def validate_target(ts: TargetSpace) -> None:
             raise ValidationError("cup not commutative")
         if ts.q[g - 1] != ts.q[a - 1] + ts.q[b - 1]:
             raise ValidationError("cup grading")
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for g in range(1, n + 1):
-                for dd in range(1, n + 1):
-                    lhs = sum(ts.cup_entry(a, b, s) * ts.cup_entry(s, g, dd) for s in range(1, n + 1))
-                    rhs = sum(ts.cup_entry(b, g, s) * ts.cup_entry(a, s, dd) for s in range(1, n + 1))
-                    if lhs != rhs:
-                        raise ValidationError("cup not associative")
+    # Associativity as (a b) g = (b g) a, the cup being commutative by now.
+    classes = range(1, n + 1)
+    prod = {(a, b): ts.cup_product({a: _ONE}, b) for a in classes for b in classes}
+    for (a, b), ab in prod.items():
+        for g in classes:
+            if ts.cup_product(ab, g) != ts.cup_product(prod[b, g], a):
+                raise ValidationError("cup not associative")
     # Frobenius compatibility: kappa_{ab}^s eta_{sg} totally symmetric.
     for a in range(1, n + 1):
         for b in range(1, n + 1):

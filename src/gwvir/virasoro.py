@@ -311,7 +311,7 @@ class CorrContext:
     tau_slots>> and <<W1 W2 tau_slots>> is built once per context and then
     shared: callers must not mutate a series this context hands out.
 
-    ``evaluate`` sums terms ``(coeff, factor[, factor[, factor]])``.  A factor
+    ``evaluate`` sums terms ``(coeff, factor[, factor])``.  A factor
     ``(method, *args)`` is what that method returns: ``("corr", *slots)``,
     ``("corr_raised", sigma, *slots)``, ``("field_series", W, *slots)``,
     ``("field_raised", W, sigma, *slots)``, ``("field2_series", W1, W2,
@@ -355,11 +355,8 @@ class CorrContext:
             coeff = term[0]
             if len(term) == 2:
                 out.add_scaled(factor(term[1]), coeff)
-            elif len(term) == 3:
-                out.add_product(factor(term[1]), factor(term[2]), coeff)
             else:
-                _, first, second, third = term
-                out.add_product(series_mul(factor(first), factor(second)), factor(third), coeff)
+                out.add_product(factor(term[1]), factor(term[2]), coeff)
         return out
 
     def factor(self, spec: tuple) -> TruncatedSeries:

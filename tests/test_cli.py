@@ -332,6 +332,23 @@ def test_cache_with_inadmissible_key_is_engine_error(tmp_path, monkeypatch):
     assert code == 3 and report.details[0]["error"] == "CacheMismatch"
 
 
+def test_repeated_key_in_cache_or_table_is_refused(tmp_path, monkeypatch):
+    # save never writes a key twice, so a repeat is a corrupt file, not an update.
+    records = ('{"deg":[1],"ins":[[0,2],[0,2]],"val":"1"}\n'
+               '{"deg":[1],"ins":[[0,2],[0,2]],"val":"5"}\n')
+    monkeypatch.setenv("GW_CACHE_DIR", str(tmp_path))
+    path = tmp_path / f"{preset('P1').fingerprint}.jsonl"
+    path.write_text('{"fingerprint": "%s"}\n' % preset("P1").fingerprint + records)
+    code, report, _ = go("invariant", "--target", "P1", "--key", "deg=1;ins=(0,2)(0,2)")
+    assert code == 3 and report.details[0]["error"] == "CacheMismatch"
+    path.unlink()
+    table = tmp_path / "table.jsonl"
+    table.write_text(records)
+    code, report, text = go("invariant", "--target", "P1", "--table", str(table),
+                            "--key", "deg=1;ins=(0,2)(0,2)")
+    assert code == 2 and report is None and "twice" in text
+
+
 def test_deep_descendent_key_has_no_recursion_limit():
     code, report, _ = go("invariant", "--target", "P1", "--key", "deg=150;ins=(298,2)")
     assert code == 0

@@ -16,9 +16,10 @@ import pytest
 from gwvir import engine as engine_module
 from gwvir.engine import (CorrelatorKey, Engine, InvariantCache, PrimaryBackend,
                           degree_zero_value, dilaton_reduce, dimension_admissible,
-                          divisor_lift, divisor_reduce, kontsevich_nd, make_key,
-                          string_reduce, trr_reduce, _walk_t_monomials, _weight)
-from gwvir.errors import CacheMismatch, NotApplicable, TargetUnsupported, ValidationError
+                          divisor_lift, divisor_reduce, kontsevich_nd, load_table_backend,
+                          make_key, string_reduce, trr_reduce, _walk_t_monomials, _weight)
+from gwvir.errors import (CacheMismatch, NotApplicable, ParseError, TargetUnsupported,
+                          ValidationError)
 from gwvir.rationals import format_rational, parse_rational
 from gwvir.series import Monomial, TruncatedSeries, TruncationPolicy, VarId
 from gwvir.target import _degree_box, load_target, preset
@@ -121,10 +122,11 @@ def test_point_closed_form_k_to_9(point_engine):
 # --- Kontsevich numbers -----------------------------------------------------------
 
 def test_nd_matches_wdvv_oracle():
-    oracle = wdvv_associativity_nd(6)
-    assert [kontsevich_nd(d) for d in range(1, 7)] == oracle
-    assert oracle[:4] == [1, 1, 12, 620]
-    assert oracle[4:] == [87304, 26312976]
+    # d = 60 keeps the oracle under a second; kontsevich_nd walks each
+    # binomial row by ratios, which d this large exercises over long rows.
+    oracle = wdvv_associativity_nd(60)
+    assert [kontsevich_nd(d) for d in range(1, 61)] == oracle
+    assert oracle[:6] == [1, 1, 12, 620, 87304, 26312976]
 
 
 def test_engine_reproduces_nd(p2_engine):
@@ -564,6 +566,53 @@ def test_cache_load_parses_repeated_values_alike(tmp_path):
     assert len(expect) == len(records)
     for ts in (None, p2):
         assert InvariantCache.load(str(path), p2.fingerprint, ts).entries == expect
+
+
+def test_cache_load_reads_any_json_layout(tmp_path):
+    # The reader is a JSON reader, not a parser of the layout save writes.
+    engine = Engine(preset("P2"))
+    for key in engine.admissible_keys(TruncationPolicy(3, 2, (2,))):
+        engine.invariant(key)
+    canonical = tmp_path / "canonical.jsonl"
+    engine.cache.save(str(canonical))
+    header, *records = canonical.read_text(encoding="utf-8").splitlines()
+    assert sum(len(json.loads(r)["ins"]) > 1 for r in records) > 10
+    lines = [" " + header.replace(":", " :  ")]
+    for i, line in enumerate(records):
+        rec = json.loads(line)
+        layout = {"val": rec["val"], "ins": rec["ins"][::-1], "deg": rec["deg"]}
+        if i % 2:
+            layout = dict(reversed(layout.items()))
+        lines.append("\t" * (i % 3) + json.dumps(layout, indent=i % 4 or None,
+                                                 separators=(" , ", " :  ")).replace("\n", ""))
+        if i % 5 == 0:
+            lines.append("  ")
+    messy = tmp_path / "messy.jsonl"
+    messy.write_text("\n".join(lines) + " \n\n", encoding="utf-8")
+    ts = engine.ts
+    for target in (None, ts):
+        loaded = InvariantCache.load(str(messy), ts.fingerprint, target).entries
+        assert loaded == InvariantCache.load(str(canonical), ts.fingerprint, target).entries
+        assert loaded == engine.cache.entries
+
+
+@pytest.mark.parametrize("first, second", [
+    ('[[0,2],[0,2]]', '[[0,2],[0,2]]'),
+    ('[[0,1],[0,2],[1,2]]', '[[1,2],[0,2],[0,1]]'),  # equal once sorted
+])
+def test_repeated_key_is_a_corrupt_cache(tmp_path, first, second):
+    p1 = preset("P1")
+    body = ('{"deg":[1],"ins":%s,"val":"1"}\n{"deg":[1],"ins":%s,"val":"5"}\n'
+            % (first, second))
+    path = tmp_path / "cache.jsonl"
+    path.write_text('{"fingerprint": "%s"}\n' % p1.fingerprint + body)
+    for ts in (None, p1):
+        with pytest.raises(CacheMismatch, match="twice"):
+            InvariantCache.load(str(path), p1.fingerprint, ts)
+    table = tmp_path / "table.jsonl"
+    table.write_text(body)
+    with pytest.raises(ParseError, match="twice"):
+        load_table_backend(str(table))
 
 
 def test_cache_determinism_cold_runs(tmp_path):

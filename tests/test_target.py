@@ -1,13 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
 from gwvir.errors import IndexOutOfRange, ParseError, UnknownPreset, ValidationError
-from gwvir.target import (load_target, preset, preset_names,
-                          serialize_target)
+from gwvir.target import (TargetSpace, load_target, preset, preset_names,
+                          serialize_target, validate_target)
 
 
 def test_preset_names():
@@ -126,6 +127,45 @@ def test_load_rejects_bad_cup():
     doc["cup"] = [q for q in doc["cup"] if q[:3] != [2, 1, 2]]
     with pytest.raises(ValidationError, match="commutative"):
         load_target(json.dumps(doc))
+
+
+def _six_class_threefold(cup):
+    """Classes 1, A, B (q=1), C, D (q=2), P (q=3), paired 1-P, A-C, B-D, with ``cup``.
+
+    The unit products are added; the c1 data are zero, since every cup check
+    comes before them.
+    """
+    cup = dict(cup)
+    for x in range(1, 7):
+        cup[(1, x, x)] = cup[(x, 1, x)] = Fraction(1)
+    eta = [[Fraction(0)] * 6 for _ in range(6)]
+    for i, j in ((1, 6), (2, 4), (3, 5)):
+        eta[i - 1][j - 1] = eta[j - 1][i - 1] = Fraction(1)
+    zero = tuple((Fraction(0),) * 6 for _ in range(6))
+    return TargetSpace(name="six-class", classes=6, complex_dim=3, q=(0, 1, 1, 2, 2, 3),
+                       eta=tuple(map(tuple, eta)), cup=cup, c1_mat=zero)
+
+
+def _hand_built(case):
+    if case == "cup identity":  # H . O_1 = 2H, kept commutative
+        p2 = preset("P2")
+        return dataclasses.replace(p2, cup={**p2.cup, (1, 2, 2): Fraction(2),
+                                            (2, 1, 2): Fraction(2)})
+    if case == "cup not associative":  # (A A) B = C B = P, but A (A B) = 0
+        one = Fraction(1)
+        return _six_class_threefold({(2, 2, 4): one, (3, 4, 6): one, (4, 3, 6): one})
+    # eta_22 = 2: eta(O_1 H, H) = 2 but eta(H H, O_1) = eta(pt, O_1) = 1.
+    eta = tuple(tuple(Fraction(x) for x in row) for row in ((0, 0, 1), (0, 2, 0), (1, 0, 0)))
+    return dataclasses.replace(preset("P2"), eta=eta)
+
+
+@pytest.mark.parametrize("case", ["cup identity", "cup not associative",
+                                  "cup not Frobenius-compatible"])
+def test_validate_reaches_each_cup_check_first(case):
+    ts = _hand_built(case)
+    with pytest.raises(ValidationError) as info:
+        validate_target(ts)
+    assert str(info.value) == case
 
 
 def test_load_rejects_missing_divisor_pairing():
