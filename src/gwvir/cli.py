@@ -51,12 +51,6 @@ class RunReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        doc = json.loads(text)
-        return cls(doc["command"], doc["target"], doc["policy"], doc["outcome"],
-                   doc["details"], doc["wall_time_ms"])
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); raise instead

@@ -4,15 +4,16 @@ Each tag is a generator over the free index tuples of one identity
 (descendent levels up to the policy level bound minus one, all class
 indices).  For every tuple it yields ``(indices, lhs, rhs)``, where each side
 is a term list as ``CorrContext.evaluate`` reads it: ``(coeff, factor[,
-factor])`` terms whose factors name correlation series, raised
-series, vector-field contractions, genus-0 splittings (``pair``), the
-constant 1, ``t`` or ``ttilde``, or a prebuilt series.  Vector-field slots
-inside double brackets are tensor contractions: the field expands into its
-ttilde-weighted sum of derivative slots under the same policy.
+factor])`` terms whose factors are specs naming correlation series, raised
+series, vector-field contractions, genus-0 splittings (``pair``), sums and
+products of specs (``sum``, ``mul``), classical quadratic forms, operator
+residuals, the Psi forms, the constant 1, ``t`` or ``ttilde``.  Vector-field
+slots inside double brackets are tensor contractions: the field expands into
+its ttilde-weighted sum of derivative slots under the same policy.
 
 ``verify_identity`` evaluates both lists on one shared context and compares
 them exactly, reporting per-tuple pass/fail with the first failing
-coefficient.
+coefficient.  The products a tag names live until that tag ends.
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from typing import Callable, Iterator
 from .engine import Engine
 from .errors import UnknownIdentity
 from .rationals import format_rational
-from .series import Monomial, TruncationPolicy, series_mul
+from .series import Monomial, TruncatedSeries, TruncationPolicy, series_mul
 from .target import row
 from .virasoro import (CLOSED_A, CorrContext, LinearTerm, apply_operator, build_operator,
                        coeff_A, coeff_B, combine_fields, dilaton_field, euler_field,
-                       linear_field, string_field, _as_engine, _classical_series,
-                       _psi_closed_form, _psi_generic)
+                       linear_field, string_field, _as_engine)
 
 _ONE = Fraction(1)
 ONE = ("one",)
@@ -60,7 +60,9 @@ def render_monomial(mon: Monomial) -> str:
 
 
 class IdentityContext(CorrContext):
-    """CorrContext plus the named vector fields and index ranges the lemmas use."""
+    """CorrContext plus the named vector fields, index ranges and factors the lemmas use."""
+
+    PRODUCTS = CorrContext.PRODUCTS | {"mul"}
 
     def __init__(self, engine: Engine, policy: TruncationPolicy):
         super().__init__(engine, policy)
@@ -95,24 +97,31 @@ class IdentityContext(CorrContext):
     def levels(self) -> range:
         return range(self.idx + 1)
 
+    def mul(self, f: tuple, g: tuple) -> TruncatedSeries:
+        """The product of the series two factor specs name."""
+        return series_mul(self.factor(f), self.factor(g))
+
+    def operator_residual(self, n: int) -> TruncatedSeries:
+        """The genus-0 residual of L_n against F_0, which vanishes identically.
+
+        F_0 keeps level 1 even at max_level 0: L_0's source ttilde^1_1, kept
+        for its dilaton shift, differentiates F_0 at level 1.
+        """
+        policy = self.policy
+        big = TruncationPolicy(policy.max_insertions + 1, max(policy.max_level, 1),
+                               policy.max_degree)
+        f0 = self.engine.correlation_series((), big)
+        return apply_operator(build_operator(self.ts, n, policy.max_level), f0, policy)
+
 
 # --- section 2 lemmas ---------------------------------------------------------
 
 def _operator_route(ctx: IdentityContext, n: int):
-    # The genus-0 L_n residual against F_0 vanishes identically (no constant).
-    # F_0 keeps level 1 even at max_level 0: L_0's source ttilde^1_1, kept for
-    # its dilaton shift, differentiates F_0 at level 1.
-    policy = ctx.policy
-    big = TruncationPolicy(policy.max_insertions + 1, max(policy.max_level, 1),
-                           policy.max_degree)
-    f0 = ctx.engine.correlation_series((), big)
-    op = build_operator(ctx.ts, n, policy.max_level)
-    yield ((), [(1, ("series", apply_operator(op, f0, policy)))], [])
+    yield ((), [(1, ("operator_residual", n))], [])
 
 
 def _check_string_corr1(ctx: IdentityContext):
-    yield ((), [(1, ("field_series", ctx.field("S")))],
-           [(1, ("series", _classical_series(ctx.ts.eta, ctx.policy)))])
+    yield ((), [(1, ("field_series", ctx.field("S")))], [(1, ("classical", 0))])
 
 
 def _check_string_corr2(ctx: IdentityContext):
@@ -159,8 +168,7 @@ def _check_dilaton_corr3(ctx: IdentityContext):
 
 def _quasi_homog_rhs(ctx: IdentityContext) -> Terms:
     """<<X>> written out: 1/2 (C eta)_{ab} t^a_0 t^b_0 + (3 - d) <<>>."""
-    return [(1, ("series", _classical_series(ctx.ts.chern_power_eta(1), ctx.policy))),
-            (3 - ctx.ts.complex_dim, ("corr",))]
+    return [(1, ("classical", 1)), (3 - ctx.ts.complex_dim, ("corr",))]
 
 
 def _check_quasi_homog(ctx: IdentityContext):
@@ -224,10 +232,8 @@ def _check_trr(ctx: IdentityContext):
 
 def _check_gen_wdvv(ctx: IdentityContext):
     vids = [(m, a) for m in ctx.levels() for a in ctx.classes()]
-    # Canonical (pair, pair) -> its splitting.  pair(A, B) == pair(B, A) at
-    # level 0 unweighted, so both the slot pairs and their order are sorted.
-    prods = {}
-
+    # pair(A, B) == pair(B, A) at level 0 unweighted, so both the slot pairs
+    # and their order are sorted, and each splitting is built once per tag.
     def canon(a, b, c, d) -> tuple:
         p = (a, b) if a <= b else (b, a)
         q = (c, d) if c <= d else (d, c)
@@ -241,39 +247,29 @@ def _check_gen_wdvv(ctx: IdentityContext):
                     kr = canon(u, w, v, x)
                     if kl == kr:
                         yield ((*u, *v, *w, *x), [], [])
-                        continue
-                    for key in (kl, kr):
-                        if key not in prods:
-                            prods[key] = ctx.pair(*key)
-                    yield ((*u, *v, *w, *x), [(1, ("series", prods[kl]))],
-                           [(1, ("series", prods[kr]))])
+                    else:
+                        yield ((*u, *v, *w, *x), [(1, ("pair", *kl))], [(1, ("pair", *kr))])
 
 
 def _check_frr(ctx: IdentityContext):
     ts = ctx.ts
     ceta = ts.chern_power_eta(1)
-    mid = {(mu, nu): ctx.evaluate([(ts.b[mu - 1] + ts.b[nu - 1], ("corr", (0, mu), (0, nu))),
-                                   (ceta[mu - 1][nu - 1], ONE)])
-           for mu in ctx.classes() for nu in ctx.classes()}
-    # (m, a) -> the nonzero <<O^mu tau_{m-1}(O_a)>> + delta_{m,0} delta_{mu,a}, by mu.
-    outer = {}
-    # (m, a, mu, nu) -> that side times mid[(mu, nu)], shared by every (n, b).
-    left_mid = {}
-    for m in ctx.levels():
-        for a in ctx.classes():
-            sides = ((mu, ctx.evaluate([(1, ("corr_raised", mu, (m - 1, a))),
-                                        (int(m == 0 and mu == a), ONE)]))
-                     for mu in ctx.classes())
-            outer[(m, a)] = [(mu, side) for mu, side in sides if not side.is_zero()]
-            for mu, side in outer[(m, a)]:
-                for nu in ctx.classes():
-                    left_mid[(m, a, mu, nu)] = series_mul(side, mid[(mu, nu)])
+
+    def side(m: int, a: int, mu: int) -> tuple:
+        """<<O^mu tau_{m-1}(O_a)>> + delta_{m,0} delta_{mu,a}."""
+        return ("sum", (1, ("corr_raised", mu, (m - 1, a))), (int(m == 0 and mu == a), ONE))
+
+    def mid(mu: int, nu: int) -> tuple:
+        """(b_mu + b_nu) <<tau_0(O_mu) tau_0(O_nu)>> + (C eta)_{mu nu}."""
+        return ("sum", (ts.b[mu - 1] + ts.b[nu - 1], ("corr", (0, mu), (0, nu))),
+                (ceta[mu - 1][nu - 1], ONE))
+
     for m in ctx.levels():
         for a in ctx.classes():
             for n in ctx.levels():
                 for b in ctx.classes():
-                    lhs = [(1, ("series", left_mid[(m, a, mu, nu)]), ("series", right))
-                           for mu, _ in outer[(m, a)] for nu, right in outer[(n, b)]]
+                    lhs = [(1, ("mul", side(m, a, mu), mid(mu, nu)), side(n, b, nu))
+                           for mu in ctx.classes() for nu in ctx.classes()]
                     yield ((m, a, n, b), lhs, _euler3_rhs(ctx, m, a, n, b))
 
 
@@ -581,8 +577,7 @@ def _check_psi_closed_form(ctx: IdentityContext, n: int):
             }
         for (j, k), expect in quads.items():
             yield ((a, "B", j, k), [(coeff_B(b, j, k, n), ONE)], [(expect, ONE)])
-    yield (("series", n), [(1, ("series", _psi_generic(ctx, n)))],
-           [(1, ("series", _psi_closed_form(ctx, n)))])
+    yield (("series", n), [(1, ("psi_generic", n))], [(1, ("psi_closed", n))])
 
 
 REGISTRY: dict[str, Checker] = {
@@ -630,13 +625,16 @@ def verify_identity(ts_or_engine, tag: str, policy: TruncationPolicy,
     if ctx is None:
         ctx = IdentityContext(_as_engine(ts_or_engine), policy)
     findings: list[IdentityFinding] = []
-    for indices, lhs_terms, rhs_terms in REGISTRY[tag](ctx):
-        lhs, rhs = ctx.evaluate(lhs_terms), ctx.evaluate(rhs_terms)
-        if lhs == rhs:
-            findings.append(IdentityFinding(tag, indices, "pass"))
-        else:
-            mon, _ = (lhs - rhs).items_sorted()[0]
-            findings.append(IdentityFinding(
-                tag, indices, "fail", render_monomial(mon),
-                format_rational(lhs.coefficient(mon)), format_rational(rhs.coefficient(mon))))
+    try:
+        for indices, lhs_terms, rhs_terms in REGISTRY[tag](ctx):
+            lhs, rhs = ctx.evaluate(lhs_terms), ctx.evaluate(rhs_terms)
+            if lhs == rhs:
+                findings.append(IdentityFinding(tag, indices, "pass"))
+            else:
+                mon, _ = (lhs - rhs).items_sorted()[0]
+                findings.append(IdentityFinding(
+                    tag, indices, "fail", render_monomial(mon),
+                    format_rational(lhs.coefficient(mon)), format_rational(rhs.coefficient(mon))))
+    finally:
+        ctx.products.clear()
     return findings

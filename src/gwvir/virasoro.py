@@ -315,14 +315,20 @@ class CorrContext:
     ``(method, *args)`` is what that method returns: ``("corr", *slots)``,
     ``("corr_raised", sigma, *slots)``, ``("field_series", W, *slots)``,
     ``("field_raised", W, sigma, *slots)``, ``("field2_series", W1, W2,
-    *slots)``, ``("pair", left, right[, weights[, level]])``, ``("one",)``,
-    ``("t", m, a)`` or ``("ttilde", m, a)``; ``("series", s)`` is ``s``.
+    *slots)``, ``("pair", left, right[, weights[, level]])``, ``("sum",
+    *terms)``, ``("classical", j)``, ``("psi_generic", n)``,
+    ``("psi_closed", n)``, ``("one",)``, ``("t", m, a)`` or ``("ttilde", m,
+    a)``.  Subclasses add kinds by adding methods.
 
-    ``pair``, the genus-0 splitting sum_s w_s <<A tau_p(O_s)>> <<O^s B>>, is
-    not memoised: its factors are, and a memo of its products raised the
-    peak RSS of the full P2 registry at K=4 M=3 D=2 from about 40 MB to
-    56 MB for no measured gain in time.
+    The product kinds in ``PRODUCTS`` (``pair`` and ``sum``, and ``mul`` in
+    ``IdentityContext``) are memoised in ``products``, keyed by the spec as
+    given, so a product named twice is built once.  ``verify_identity``
+    empties ``products`` when a tag ends: a memo kept for the whole context
+    raised the peak RSS of the full P2 registry at K=4 M=3 D=2 from about
+    40 MB to 56 MB for no measured gain in time.
     """
+
+    PRODUCTS = frozenset({"pair", "sum"})
 
     def __init__(self, engine: Engine, policy: TruncationPolicy):
         self.engine = engine
@@ -336,6 +342,7 @@ class CorrContext:
         # per context, and holding them here keeps their id from being reused.
         self._field_ids: dict[int, tuple[tuple[LinearTerm, ...], int]] = {}
         self._field_tags: dict[tuple[LinearTerm, ...], int] = {}
+        self.products: dict[tuple, TruncatedSeries] = {}
 
     @property
     def ts(self) -> TargetSpace:
@@ -361,7 +368,20 @@ class CorrContext:
 
     def factor(self, spec: tuple) -> TruncatedSeries:
         """The series a factor spec names (see the class docstring)."""
-        return spec[1] if spec[0] == "series" else getattr(self, spec[0])(*spec[1:])
+        if spec[0] not in self.PRODUCTS:
+            return getattr(self, spec[0])(*spec[1:])
+        out = self.products.get(spec)
+        if out is None:
+            out = self.products[spec] = getattr(self, spec[0])(*spec[1:])
+        return out
+
+    def sum(self, *terms) -> TruncatedSeries:
+        """The sum of ``terms``, as ``evaluate`` reads them."""
+        return self.evaluate(terms)
+
+    def classical(self, j: int) -> TruncatedSeries:
+        """1/2 sum (C^j eta)_{ab} t^a_0 t^b_0."""
+        return _classical_series(self.ts.chern_power_eta(j), self.policy)
 
     def one(self) -> TruncatedSeries:
         return TruncatedSeries.constant(self.policy, 1)
@@ -479,6 +499,26 @@ class CorrContext:
             self._field2[key] = out
         return out
 
+    def psi_generic(self, n: int) -> TruncatedSeries:
+        """Psi_{0,n} assembled from the generic operator L_n."""
+        return _residual(build_operator(self.ts, n, self.policy.max_level), self.corr, self.policy)
+
+    def psi_closed(self, n: int) -> TruncatedSeries:
+        """Psi_{0,n} assembled from the hand-expanded closed form, n in {1, 2}."""
+        if n not in CLOSED_A:
+            raise UnsupportedIndex("hand-expanded closed forms exist only for n in {1, 2}")
+        ts, policy = self.ts, self.policy
+        half = Fraction(1, 2)
+        terms = [(1, ("classical", n + 1)),
+                 (1, ("field_series", linear_field(ts, CLOSED_A[n], n, policy.max_level)))]
+        if n == 1:
+            terms.append((1, ("pair", (), (), tuple(half * b * (1 - b) for b in ts.b))))
+        else:
+            terms.append((1, ("pair", (), (), tuple(-(b - 1) * b * (b + 1) for b in ts.b), 1)))
+            terms += [(-half * (3 * b * b - 1) * c, ("corr", (0, be)), ("corr_raised", a))
+                      for a, b in enumerate(ts.b, 1) for be, c in row(ts.c1_mat, a)]
+        return self.evaluate(terms)
+
 
 def psi(ts_or_engine, n: int, policy: TruncationPolicy) -> TruncatedSeries:
     """Genus-0 L_n constraint residual Psi_{0,n} as a truncated series.
@@ -489,9 +529,9 @@ def psi(ts_or_engine, n: int, policy: TruncationPolicy) -> TruncatedSeries:
     if n < 1:
         raise UnsupportedIndex("psi is defined for n >= 1")
     ctx = CorrContext(_as_engine(ts_or_engine), policy)
-    generic = _psi_generic(ctx, n)
+    generic = ctx.psi_generic(n)
     if n in (1, 2):
-        closed = _psi_closed_form(ctx, n)
+        closed = ctx.psi_closed(n)
         if closed != generic:
             diff = closed - generic
             mon, coeff = diff.items_sorted()[0]
@@ -502,26 +542,6 @@ def psi(ts_or_engine, n: int, policy: TruncationPolicy) -> TruncatedSeries:
 
 def _as_engine(ts_or_engine) -> Engine:
     return ts_or_engine if isinstance(ts_or_engine, Engine) else Engine(ts_or_engine)
-
-
-def _psi_generic(ctx: CorrContext, n: int) -> TruncatedSeries:
-    return _residual(build_operator(ctx.ts, n, ctx.policy.max_level), ctx.corr, ctx.policy)
-
-
-def _psi_closed_form(ctx: CorrContext, n: int) -> TruncatedSeries:
-    if n not in CLOSED_A:
-        raise UnsupportedIndex("hand-expanded closed forms exist only for n in {1, 2}")
-    ts, policy = ctx.ts, ctx.policy
-    half = Fraction(1, 2)
-    terms = [(1, ("series", _classical_series(ts.chern_power_eta(n + 1), policy))),
-             (1, ("field_series", linear_field(ts, CLOSED_A[n], n, policy.max_level)))]
-    if n == 1:
-        terms.append((1, ("pair", (), (), tuple(half * b * (1 - b) for b in ts.b))))
-    else:
-        terms.append((1, ("pair", (), (), tuple(-(b - 1) * b * (b + 1) for b in ts.b), 1)))
-        terms += [(-half * (3 * b * b - 1) * c, ("corr", (0, be)), ("corr_raised", a))
-                  for a, b in enumerate(ts.b, 1) for be, c in row(ts.c1_mat, a)]
-    return ctx.evaluate(terms)
 
 
 def psi_tilde(ts_or_engine, n: int, policy: TruncationPolicy) -> TruncatedSeries:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,6 +14,9 @@ from gwvir.identities import (IDENTITY_TAGS, IdentityContext, REGISTRY,
 from gwvir.rationals import format_rational
 from gwvir.series import TruncationPolicy
 from gwvir.target import preset
+from gwvir.virasoro import CorrContext
+
+from test_acceptance import _perturbed_p2
 
 
 def test_registry_covers_every_tag_once():
@@ -83,6 +88,75 @@ def test_corrupted_c_matrix_located():
     # cannot see the Chern matrix.  The quasi-homogeneity family does.
     swdvv = verify_identity(engine, "SWDVV", policy, ctx=ctx)
     assert all(f.status == "pass" for f in swdvv)
+
+
+def test_products_live_for_one_tag(p2_engine, monkeypatch):
+    policy = TruncationPolicy(3, 2, (1,))
+    ctx = IdentityContext(p2_engine, policy)
+    pairs, muls = Counter(), Counter()
+    pair, mul = CorrContext.pair, IdentityContext.mul
+
+    def counted_pair(self, *args):
+        pairs[args] += 1
+        return pair(self, *args)
+
+    def counted_mul(self, *args):
+        muls[args] += 1
+        return mul(self, *args)
+
+    monkeypatch.setattr(CorrContext, "pair", counted_pair)
+    monkeypatch.setattr(IdentityContext, "mul", counted_mul)
+
+    def canon(u, v, w, x):
+        return tuple(sorted((tuple(sorted((u, v))), tuple(sorted((w, x))))))
+
+    vids = [(m, a) for m in ctx.levels() for a in ctx.classes()]
+    splittings = set()
+    for u, v, w, x in product(vids, repeat=4):
+        kl, kr = canon(u, v, w, x), canon(u, w, v, x)
+        if kl != kr:
+            splittings |= {kl, kr}
+    # GenWDVV builds each distinct off-diagonal splitting once, and drops it
+    # when the tag ends: the next tag builds it again.
+    for runs in (1, 2):
+        assert all(f.status == "pass" for f in verify_identity(p2_engine, "GenWDVV", policy, ctx=ctx))
+        assert not ctx.products
+        assert pairs.keys() == splittings and set(pairs.values()) == {runs}
+    # FRR builds one product per (m, a, mu, nu), shared by every (n, b).
+    assert all(f.status == "pass" for f in verify_identity(p2_engine, "FRR", policy, ctx=ctx))
+    assert not ctx.products
+    assert len(muls) == len(ctx.levels()) * len(ctx.classes()) ** 3
+    assert set(muls.values()) == {1}
+
+
+# Criterion 9's two perturbations at (3, 2, (1,)): the tags whose factors
+# became specs must each still fail, with a located coefficient.
+# PsiClosedForm1 fails under neither: for n = 1 its two sides are assembled
+# from the same linear field, the same splitting and the same classical form,
+# whatever eta and C are, so it checks the hand expansion, not the target data.
+_FALSIFIABLE = {
+    "eta": ("StringEq", "StringCorr1", "GenWDVV", "FRR", "PsiClosedForm2"),
+    "C": ("QuasiHomog", "EulerCorr1", "HoriL0", "FRR"),
+}
+
+
+@pytest.mark.parametrize("perturbed", sorted(_FALSIFIABLE))
+def test_rewritten_tags_stay_falsifiable(perturbed):
+    if perturbed == "eta":
+        eta = [list(r) for r in preset("P2").eta]
+        eta[0][0] = Fraction(1)
+        ts = _perturbed_p2(eta=tuple(tuple(r) for r in eta))
+    else:
+        c1 = [list(r) for r in preset("P2").c1_mat]
+        c1[0][1] = Fraction(4)
+        ts = _perturbed_p2(c1_mat=tuple(tuple(r) for r in c1))
+    engine = Engine(ts)
+    policy = TruncationPolicy(3, 2, (1,))
+    ctx = IdentityContext(engine, policy)
+    for tag in _FALSIFIABLE[perturbed]:
+        located = [f for f in verify_identity(engine, tag, policy, ctx=ctx)
+                   if f.status == "fail" and f.monomial and f.lhs != f.rhs]
+        assert located, (perturbed, tag)
 
 
 def test_findings_report_shape(point_engine):

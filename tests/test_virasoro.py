@@ -15,8 +15,7 @@ from gwvir.virasoro import (CLOSED_A, CorrContext, VirasoroOperator, apply_opera
                             bracket, build_operator,
                             check_shift_relations, coeff_A, coeff_B,
                             combine_fields, commutator_residual, dilaton_field,
-                            euler_field, linear_field, psi, psi_tilde, string_field,
-                            _psi_generic)
+                            euler_field, linear_field, psi, psi_tilde, string_field)
 
 from oracles import (complement_product_sum, gamma_ratio_A, gamma_ratio_B, linear_field_oracle,
                      operator_action)
@@ -239,7 +238,7 @@ def test_perturbed_eta_detected():
                      eta=tuple(tuple(r) for r in eta), cup=base.cup,
                      c1_mat=base.c1_mat, novikov_rank=1, c1_deg=(3,),
                      divisors=base.divisors, euler_char=3, c1_cdm1=base.c1_cdm1)
-    series = _psi_generic(CorrContext(Engine(bad), TruncationPolicy(3, 2, (1,))), 1)
+    series = CorrContext(Engine(bad), TruncationPolicy(3, 2, (1,))).psi_generic(1)
     assert not series.is_zero()
 
 
