@@ -1,7 +1,7 @@
 """Exact genus-0 Gromov-Witten invariants and Virasoro constraint checks."""
 
 from .engine import (CorrelatorKey, Engine, InvariantCache, PrimaryBackend,
-                     dimension_admissible, kontsevich_nd, make_key)
+                     dimension_admissible, make_key)
 from .series import (Monomial, TruncatedSeries, TruncationPolicy, VarId,
                      series_derive, series_mul)
 from .target import TargetSpace, load_target, preset, preset_names

@@ -154,7 +154,7 @@ def _add_common(p: argparse.ArgumentParser, with_policy=True, with_target=True):
         p.add_argument("--degree", default=None,
                        help="Novikov degree cap(s), comma separated (default 2)")
         p.add_argument("--table", default=None,
-                       help="primary-invariant table file for Table backends")
+                       help="seed table of primary invariants")
     p.add_argument("--format", choices=("text", "structured"), default="text")
 
 
@@ -243,7 +243,9 @@ def _cmd_nd(args) -> RunReport:
         raise errors.ParseError("nd tabulates plane curve counts; use --target P2")
     if args.max_d < 1:
         raise errors.ParseError("--max must be >= 1")
-    details = [{"d": d, "N_d": format_rational(eng.kontsevich_nd(d))}
+    engine = eng.Engine(ts)
+    details = [{"d": d, "N_d": format_rational(
+                    engine.invariant(eng.make_key([(0, 3)] * (3 * d - 1), (d,))))}
                for d in range(1, args.max_d + 1)]
     return RunReport("nd", ts.fingerprint, {}, "pass", details)
 

@@ -8,13 +8,14 @@ already; a missing key is reduced to base data in a fixed order:
   1. dimension filter, 2. degree zero -> closed form, 3. fewer than 3
   insertions -> divisor lift, 4. any positive level -> TRR on the first
   maximal-level insertion (only the dimension-admissible terms), 5.
-  all-primary -> backend (identity insertions kill the key at nonzero
-  degree, divisor insertions strip off, the rest is a base value or a table
-  lookup).
+  all-primary -> identity insertions kill the key at nonzero degree,
+  divisor insertions strip off, and the rest is a seed of the backend's
+  table or reduces by WDVV.
 
-Each step strictly decreases (total level, insertion deficit below 3, degree)
-lexicographically, so the reduction terminates; it runs on an explicit work
-stack rather than by recursion, so deep keys do not hit the recursion limit.
+Each step strictly decreases (total level, insertion deficit below 3, degree,
+non-divisor insertions) lexicographically, so the reduction terminates; it
+runs on an explicit work stack rather than by recursion, so deep keys do not
+hit the recursion limit.
 Canonical keys make the memo cache order-independent.
 
 What a reduction step needs of the target (the class weights q_a - 1, the
@@ -91,31 +92,20 @@ def dimension_admissible(ts: TargetSpace, key: CorrelatorKey) -> bool:
 
 @dataclass(frozen=True)
 class PrimaryBackend:
-    """Supplier of all-primary base invariants the reduction bottoms out on."""
+    """The seed table of all-primary invariants the reduction starts from."""
 
-    kind: str  # ProjPlane | Table
-    table: dict[CorrelatorKey, Fraction] | None = None
+    table: dict[CorrelatorKey, Fraction]
 
     def __post_init__(self):
-        if self.kind not in ("ProjPlane", "Table"):
-            raise ValueError(f"unknown backend kind {self.kind!r}")
-        if self.kind == "Table":
-            for key in self.table or {}:
-                if any(m != 0 for m, _ in key.insertions):
-                    raise ValidationError("table backend key not primary")
+        for key in self.table:
+            if any(m != 0 for m, _ in key.insertions):
+                raise ValidationError("table backend key not primary")
 
 
-def default_backend(ts: TargetSpace) -> PrimaryBackend:
-    """The base values of a target by name: plane-curve counts for P2, seeds otherwise.
-
-    P1's one seed is <>_1 = 1, the line itself; the point needs none, since
-    every key of it has degree 0.
-    """
-    if ts.name == "P2":
-        return PrimaryBackend("ProjPlane")
-    if ts.name == "P1":
-        return PrimaryBackend("Table", {CorrelatorKey((), (1,)): _ONE})
-    return PrimaryBackend("Table", {})
+# The presets' seeds: the line itself on P1 and the line through two points on
+# P2.  The point needs none, since every key of it has degree 0.
+_PRESET_SEEDS = {"P1": {CorrelatorKey((), (1,)): _ONE},
+                 "P2": {CorrelatorKey((VarId(0, 3),) * 2, (1,)): _ONE}}
 
 
 class InvariantCache:
@@ -267,7 +257,7 @@ def load_table_backend(path: str) -> PrimaryBackend:
             table = _read_records(fh)
         except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(f"table file {path} is not in the cache record format: {exc}") from exc
-    return PrimaryBackend("Table", table)
+    return PrimaryBackend(table)
 
 
 # ---------------------------------------------------------------------------
@@ -330,28 +320,6 @@ def dilaton_reduce(ts: TargetSpace, key: CorrelatorKey) -> tuple[CorrelatorKey, 
     rest = list(ins)
     rest.remove(dil)
     return CorrelatorKey(tuple(rest), deg), Fraction(len(rest) - 2)
-
-
-def _pairing(ts: TargetSpace, cls: int, deg: Degree) -> Fraction:
-    vec = ts.divisor_pairing(cls)
-    if vec is None:
-        raise NotApplicable(f"class {cls} is not a listed divisor")
-    return Fraction(sum(p * d for p, d in zip(vec, deg)))
-
-
-def divisor_reduce(ts: TargetSpace, key: CorrelatorKey, divisor_cls: int
-                   ) -> list[tuple[CorrelatorKey, Fraction]]:
-    """Divisor equation for a level-0 divisor insertion at nonzero degree."""
-    ins, deg = key
-    div = VarId(0, divisor_cls)
-    if div not in ins:
-        raise NotApplicable("divisor insertion not present at level 0")
-    if not any(deg):
-        raise NotApplicable("forward divisor equation used only at nonzero degree")
-    pairing = _pairing(ts, divisor_cls, deg)
-    at = ins.index(div)
-    rest = ins[:at] + ins[at + 1:]
-    return [(CorrelatorKey(rest, deg), pairing)] + _lowering_terms(ts, rest, deg, divisor_cls)
 
 
 def divisor_lift(ts: TargetSpace, key: CorrelatorKey
@@ -460,29 +428,71 @@ def trr_reduce(ts: TargetSpace, key: CorrelatorKey, chosen: int
     return out
 
 
-# N_d by degree, grown upward in integers.  Each entry is computed from the
-# ones below it, so two threads filling the same degree write the same value.
-_ND = {1: 1}
+def wdvv_reduce(ts: TargetSpace, key: CorrelatorKey
+                ) -> tuple[list[tuple[int | Fraction, CorrelatorKey, CorrelatorKey | None]],
+                           Fraction]:
+    """WDVV at coefficient level for an all-primary key with no divisor or unit.
 
+    The key's first insertion that is a single class D gamma' (D a listed
+    divisor, gamma' of least q) splits off; c and d are the two largest other
+    insertions and S the rest.  Summed over the splits S1 + S2 of S and
+    A1 + A2 of the degree, <D gamma' S1 O_e>_A1 eta^{ef} <O_f c d S2>_A2 =
+    <D c S1 O_e>_A1 eta^{ef} <O_f gamma' d S2>_A2, and ``key`` is the term
+    with A1 = 0 and S1 empty.  Returns (terms, own): ``key`` is the sum of
+    coeff * <key1> (* <key2>) over the terms, divided by own.  Only
+    dimension-admissible terms are built, found by weight as in TRR.
 
-def kontsevich_nd(d: int) -> Fraction:
-    """Degree-d count of rational plane curves through 3d-1 points."""
-    if d < 1:
-        raise NotApplicable("degree must be >= 1")
-    nd = _ND
-    for e in range(len(nd) + 1, d + 1):
-        # N_e = sum_a N_a N_b a^2 b (b C(n, 3a-2) - a C(n, 3a-1)), b = e - a,
-        # n = 3e - 4; the row C(n, k) is walked by C(n, k+1) = C(n, k)(n-k)/(k+1).
-        n = 3 * e - 4
-        total, k, c = 0, 1, n  # c = C(n, k), k = 3a - 2
-        for a in range(1, e):
-            b = e - a
-            c_next = c * (n - k) // (k + 1)
-            total += nd[a] * nd[b] * a * a * b * (b * c - a * c_next)
-            c = c_next * (n - k - 1) // (k + 2) * (n - k - 2) // (k + 3)
-            k += 3
-        nd[e] = total
-    return Fraction(nd[d])
+    A degree-0 factor is evaluated in place.  Its term's other key is ``key``
+    (the coefficient goes into own) or must have fewer non-divisor
+    insertions; a term with two keys lowers the degree of both.  So the
+    reduction descends, and TargetUnsupported says when it cannot: no
+    insertion splits, a term does not descend, or own is 0.
+    """
+    ins, deg = key
+    if not any(deg) or any(m for m, _ in ins):
+        raise NotApplicable("WDVV reduces all-primary keys at nonzero degree")
+    divisors = [cls for cls, _ in ts.divisors]
+    split = next(((i, VarId(0, cls), VarId(0, h)) for i, (_, g) in enumerate(ins)
+                  for cls in divisors for h in range(1, ts.classes + 1)
+                  if ts.cup_product({cls: _ONE}, h).keys() == {g}), None)
+    if split is None or len(ins) < 3:
+        raise TargetUnsupported(f"no insertion of {key} splits off a divisor on {ts.name}")
+    chosen, div, prime = split
+    rest = ins[:chosen] + ins[chosen + 1:]
+    d, c = rest[-2:]
+    free = sum(a not in divisors for _, a in ins)
+    by_pairing, offset, new = ts.degree_splits(deg), ts.complex_dim - 3, tuple.__new__
+    own, stuck, out = _ZERO, False, []
+    # The left side's terms move over with sign -1, the right side's with +1.
+    for sign, x, y in ((-1, prime, c), (1, c, prime)):
+        base1, base2 = _weight(ts, (div, x)) - offset, _weight(ts, (y, d)) - offset
+        for left, right, ways, w_left, w_right in ts.spectator_splits(rest[:-2]):
+            bal1, bal2 = base1 + w_left, base2 + w_right
+            for var_s, w_s, groups in ts.raised_table:
+                bucket = by_pairing.get(bal1 + w_s)
+                if bucket is None:
+                    continue
+                p2, splits = bucket
+                ins1 = tuple(sorted(left + (div, x, var_s)))
+                for var_r, eta_inv in groups.get(p2 - bal2, ()):
+                    ins2 = tuple(sorted(right + (var_r, y, d)))
+                    for deg1, deg2 in splits:
+                        key1 = new(CorrelatorKey, (ins1, deg1))
+                        key2 = new(CorrelatorKey, (ins2, deg2))
+                        coeff = sign * ways * eta_inv
+                        if any(deg1) and any(deg2):
+                            out.append((coeff, key1, key2))
+                            continue
+                        zero, other = (key1, key2) if any(deg2) else (key2, key1)
+                        coeff *= degree_zero_value(ts, zero)
+                        if other == key:
+                            own -= coeff
+                        elif coeff:
+                            out.append((coeff, other, None))
+                            stuck |= sum(a not in divisors for _, a in other.insertions) >= free
+    if stuck or not own:
+        raise TargetUnsupported(f"WDVV does not reduce {key} on {ts.name}")
+    return out, own
 
 
 class Engine:
@@ -491,7 +501,8 @@ class Engine:
     def __init__(self, ts: TargetSpace, backend: PrimaryBackend | None = None,
                  cache: InvariantCache | None = None):
         self.ts = ts
-        self.backend = backend if backend is not None else default_backend(ts)
+        self.backend = (backend if backend is not None
+                        else PrimaryBackend(dict(_PRESET_SEEDS.get(ts.name, {}))))
         if cache is None:
             cache = InvariantCache.for_target(ts)
         elif cache.fingerprint != ts.fingerprint:
@@ -558,8 +569,9 @@ class Engine:
         Yields each admissible sub-key whose value is not cached yet and
         receives that value back; returns the key's value.  The rules build
         their sub-keys canonical, so each is looked up in the cache as built.
-        ``trr_reduce`` returns admissible terms only, so only the divisor
-        lift's sub-keys go through ``dimension_admissible``.
+        ``trr_reduce`` and ``wdvv_reduce`` return admissible terms only; the
+        one-key terms (the divisor lift's, and WDVV's with a degree-0 factor)
+        go through ``dimension_admissible``.
         """
         ins, deg = key
         if not any(deg):
@@ -568,20 +580,36 @@ class Engine:
             # <key> = (<lifted> - sum kappa <lowered>) / pairing
             lifted, lowering, scale = divisor_lift(self.ts, key)
             terms = [(1, lifted, None)] + [(-c, k, None) for k, c in lowering]
-        else:
-            level = ins[-1].level  # canonical: the last insertion has the top level
-            if not level:
-                return self._primary_value(key)
+        elif ins[-1].level:  # canonical: the last insertion has the top level
             # TRR on the first insertion of the top level
-            terms = trr_reduce(self.ts, key, bisect.bisect_left(ins, (level,)))
+            terms = trr_reduce(self.ts, key, bisect.bisect_left(ins, (ins[-1].level,)))
             scale = 1
+        else:
+            # All primary: strip the divisors, <key> = factor * <stripped>,
+            # down to a seed, a unit (the string equation gives 0) or WDVV.
+            pairing, table, factor = dict(self.ts.divisors), self.backend.table, 1
+            while key not in table:
+                if VarId(0, 1) in ins:
+                    return _ZERO
+                at = next((i for i, v in enumerate(ins) if v.cls in pairing), None)
+                if at is None:
+                    terms, own = wdvv_reduce(self.ts, key)
+                    scale = own / factor
+                    break
+                factor *= sum(map(operator.mul, pairing[ins[at].cls], deg))
+                if not factor:
+                    return _ZERO
+                ins = ins[:at] + ins[at + 1:]
+                key = CorrelatorKey(ins, deg)
+            else:
+                return factor * table[key]
         # sum of coeff * <key1> (* <key2>) as num / den in integers
         ts, entries = self.ts, self.cache.entries
         num, den = 0, 1
         for coeff, key1, key2 in terms:
             v = entries.get(key1)
             if v is None:
-                # A TRR term (the one kind with a second key) is admissible.
+                # A term with a second key (TRR, WDVV) is admissible.
                 admissible = key2 is not None or dimension_admissible(ts, key1)
                 v = (yield key1) if admissible else _ZERO
             if not v:
@@ -601,37 +629,6 @@ class Engine:
                 den = lcm
             num += n * (den // d)
         return Fraction(num * scale.denominator, den * scale.numerator)
-
-    def _primary_value(self, key: CorrelatorKey) -> Fraction:
-        """All-primary key at nonzero degree: strip and hit the backend."""
-        ins, deg = key
-        table = self.backend.table if self.backend.kind == "Table" else None
-        factor = _ONE
-        while True:
-            if table is not None and CorrelatorKey(ins, deg) in table:
-                return factor * table[CorrelatorKey(ins, deg)]
-            if any(v == VarId(0, 1) for v in ins):
-                # String equation: all lowering terms vanish on primaries.
-                return _ZERO
-            stripped = False
-            for i, (m, a) in enumerate(ins):
-                vec = self.ts.divisor_pairing(a)
-                if vec is not None:
-                    factor *= Fraction(sum(p * d for p, d in zip(vec, deg)))
-                    if factor == 0:
-                        return _ZERO
-                    ins = ins[:i] + ins[i + 1:]
-                    stripped = True
-                    break
-            if not stripped:
-                break
-        if self.backend.kind == "ProjPlane":
-            if all(a == 3 for _, a in ins) and len(deg) == 1 and deg[0] >= 1:
-                if len(ins) == 3 * deg[0] - 1:
-                    return factor * kontsevich_nd(deg[0])
-                return _ZERO
-        raise TargetUnsupported(
-            f"no backend value for primary key {CorrelatorKey(ins, deg)} on {self.ts.name}")
 
     # -- generating functions ------------------------------------------------
 

@@ -9,12 +9,16 @@ coefficients subset by subset.  ``monomial_mul`` multiplies two unpacked
 monomials, the reference the packed series keys are checked against.
 ``operator_action`` applies a Virasoro operator to a polynomial term by term,
 the reference the closed-form commutator bracket is checked against.
+``divisor_reduce`` is the forward divisor equation, a second route to a value
+the engine reaches only by the inverse one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from gwvir.engine import CorrelatorKey, _lowering_terms
+from gwvir.errors import NotApplicable
 from gwvir.series import Monomial, TruncatedSeries, VarId, series_derive
 
 
@@ -24,6 +28,24 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
         exps[v] = exps.get(v, 0) + e
     degree = tuple(x + y for x, y in zip(a.degree, b.degree))
     return Monomial(tuple(sorted(exps.items())), degree)
+
+
+def divisor_reduce(ts, key: CorrelatorKey, divisor_cls: int
+                   ) -> list[tuple[CorrelatorKey, Fraction]]:
+    """Divisor equation for a level-0 divisor insertion at nonzero degree."""
+    ins, deg = key
+    div = VarId(0, divisor_cls)
+    if div not in ins:
+        raise NotApplicable("divisor insertion not present at level 0")
+    if not any(deg):
+        raise NotApplicable("forward divisor equation used only at nonzero degree")
+    vec = ts.divisor_pairing(divisor_cls)
+    if vec is None:
+        raise NotApplicable(f"class {divisor_cls} is not a listed divisor")
+    pairing = Fraction(sum(p * d for p, d in zip(vec, deg)))
+    at = ins.index(div)
+    rest = ins[:at] + ins[at + 1:]
+    return [(CorrelatorKey(rest, deg), pairing)] + _lowering_terms(ts, rest, deg, divisor_cls)
 
 
 def point_string_oracle(levels: tuple[int, ...], _memo: dict = {}) -> Fraction:

@@ -281,6 +281,28 @@ def test_engine_error_exit_code(tmp_path):
     assert "TargetUnsupported" in text
 
 
+def test_key_wdvv_cannot_reduce_is_engine_error(tmp_path):
+    # P4: WDVV splits H^3 as H . H^2, and <H^3 H^3 H^3>_1 has a degree-0 term
+    # <H H^3 O_e> leaving <pt H^2 H^3>_1, as many non-divisor insertions at
+    # the same degree.  The descent guard refuses it instead of looping.
+    n = 4
+    doc = {"name": "P4", "classes": n + 1, "complex_dim": n, "q": list(range(n + 1)),
+           "eta": [[str(int(i + j == n)) for j in range(n + 1)] for i in range(n + 1)],
+           "cup": [[i + 1, j + 1, i + j + 1, "1"]
+                   for i in range(n + 1) for j in range(n + 1) if i + j <= n],
+           "c1_mat": [[str(5 * int(j == i + 1)) for j in range(n + 1)] for i in range(n + 1)],
+           "novikov_rank": 1, "c1_deg": [5], "divisors": [[2, [1]]],
+           "euler_char": 5, "c1_cdm1": "50"}
+    path = tmp_path / "P4.json"
+    path.write_text(json.dumps(doc))
+    table = tmp_path / "seeds.jsonl"
+    table.write_text('{"deg":[1],"ins":[[0,5],[0,5]],"val":"1"}\n')
+    code, report, text = go("invariant", "--target", str(path), "--table", str(table),
+                            "--key", "deg=1;ins=(0,4)(0,4)(0,4)")
+    assert code == 3 and report.outcome == "error"
+    assert "TargetUnsupported" in text and "Traceback" not in text
+
+
 def test_table_backend_ingestion(tmp_path):
     doc = json.loads(serialize_target(preset("P2")))
     doc["name"] = "custom-surface"

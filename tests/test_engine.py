@@ -16,15 +16,15 @@ import pytest
 from gwvir import engine as engine_module
 from gwvir.engine import (CorrelatorKey, Engine, InvariantCache, PrimaryBackend,
                           degree_zero_value, dilaton_reduce, dimension_admissible,
-                          divisor_lift, divisor_reduce, kontsevich_nd, load_table_backend,
-                          make_key, string_reduce, trr_reduce, _walk_t_monomials, _weight)
+                          divisor_lift, load_table_backend, make_key, string_reduce,
+                          trr_reduce, wdvv_reduce, _walk_t_monomials, _weight)
 from gwvir.errors import (CacheMismatch, NotApplicable, ParseError, TargetUnsupported,
                           ValidationError)
 from gwvir.rationals import format_rational, parse_rational
 from gwvir.series import Monomial, TruncatedSeries, TruncationPolicy, VarId
 from gwvir.target import _degree_box, load_target, preset
 
-from oracles import point_string_oracle, wdvv_associativity_nd
+from oracles import divisor_reduce, point_string_oracle, wdvv_associativity_nd
 
 
 def closed_form_point(levels):
@@ -121,32 +121,38 @@ def test_point_closed_form_k_to_9(point_engine):
 
 # --- Kontsevich numbers -----------------------------------------------------------
 
+def _nd_key(d):
+    return make_key([(0, 3)] * (3 * d - 1), (d,))
+
+
 def test_nd_matches_wdvv_oracle():
-    # d = 60 keeps the oracle under a second; kontsevich_nd walks each
-    # binomial row by ratios, which d this large exercises over long rows.
+    # d = 60 keeps the oracle under a second; the engine reaches each N_d by
+    # WDVV from the one seed N_1, over long spectator and degree splits.
     oracle = wdvv_associativity_nd(60)
-    assert [kontsevich_nd(d) for d in range(1, 61)] == oracle
+    engine = Engine(preset("P2"))
+    assert [engine.invariant(_nd_key(d)) for d in range(1, 61)] == oracle
     assert oracle[:6] == [1, 1, 12, 620, 87304, 26312976]
 
 
 def test_engine_reproduces_nd(p2_engine):
-    for d in (1, 2, 3):
-        key = make_key([(0, 3)] * (3 * d - 1), (d,))
-        assert p2_engine.invariant(key) == kontsevich_nd(d)
+    for d, nd in zip((1, 2, 3), (1, 1, 12)):
+        assert p2_engine.invariant(_nd_key(d)) == nd
 
 
 def test_nd_needs_no_recursion():
-    # N_d is built upward, not by one call per degree below d.
+    # N_61 needs every N_d below it, on the work stack rather than in one
+    # frame per degree, which this limit would not allow.
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
+    engine = Engine(preset("P2"))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 60)
     try:
-        value = kontsevich_nd(100)
+        value = engine.invariant(_nd_key(61))
     finally:
         sys.setrecursionlimit(limit)
-    assert value.denominator == 1 and value > kontsevich_nd(99) > 0
+    assert value.denominator == 1 and value > engine.invariant(_nd_key(60)) > 0
 
 
 def test_two_point_lift(p2_engine, p1_engine):
@@ -200,6 +206,27 @@ def test_divisor_reduce_examples(p2_engine, p1_engine):
     assert sum(c * p1_engine.invariant(k) for k, c in terms) == 1
     with pytest.raises(NotApplicable):
         divisor_reduce(p2, make_key([(0, 2), (0, 2), (0, 1)], (0,)), 2)
+
+
+def test_wdvv_reduce_examples(p2_engine):
+    p2 = p2_engine.ts
+    key = _nd_key(2)  # <pt^5>_2, split as H . H
+    terms, own = wdvv_reduce(p2, key)
+    assert own == 1
+    total = sum(c * p2_engine.invariant(k1) * (p2_engine.invariant(k2) if k2 else 1)
+                for c, k1, k2 in terms)
+    assert total / own == 1
+    assert all(dimension_admissible(p2, k) for _, k1, k2 in terms for k in (k1, k2) if k)
+    with pytest.raises(NotApplicable):
+        wdvv_reduce(p2, make_key([(1, 3), (0, 3), (0, 3)], (1,)))
+    with pytest.raises(TargetUnsupported):
+        wdvv_reduce(p2, _nd_key(1))  # two insertions
+    with pytest.raises(TargetUnsupported):  # P1 without its seed <>_1
+        Engine(preset("P1"), PrimaryBackend({})).invariant(make_key([(0, 2)] * 3, (1,)))
+    # Without H . H = pt no insertion splits off a divisor.
+    no_split = dataclasses.replace(p2, cup={k: v for k, v in p2.cup.items() if k != (2, 2, 3)})
+    with pytest.raises(TargetUnsupported):
+        wdvv_reduce(no_split, key)
 
 
 def test_divisor_lift_examples(p2_engine, point_engine):
@@ -658,11 +685,11 @@ def test_table_backend():
     table = {make_key([(0, 3)] * 2, (1,)): Fraction(1),
              make_key([(0, 3)] * 5, (2,)): Fraction(1),
              make_key([(0, 3)] * 8, (3,)): Fraction(12)}
-    engine = Engine(p2, PrimaryBackend("Table", table))
+    engine = Engine(p2, PrimaryBackend(table))
     assert engine.invariant(make_key([(0, 3)] * 8, (3,))) == 12
     assert engine.invariant(make_key([(1, 3), (0, 3), (0, 3)], (1,))) == \
         p2_reference_value()
-    missing = Engine(p2, PrimaryBackend("Table", {}))
+    missing = Engine(p2, PrimaryBackend({}))
     with pytest.raises(TargetUnsupported):
         missing.invariant(make_key([(0, 3), (0, 3)], (1,)))
 
@@ -673,7 +700,7 @@ def p2_reference_value():
 
 def test_table_backend_rejects_descendents():
     with pytest.raises(ValidationError):
-        PrimaryBackend("Table", {make_key([(1, 3)], (1,)): Fraction(1)})
+        PrimaryBackend({make_key([(1, 3)], (1,)): Fraction(1)})
 
 
 # --- generating functions ---------------------------------------------------------

@@ -10,7 +10,7 @@ from gwvir.engine import Engine, PrimaryBackend, load_table_backend, make_key
 from gwvir.identities import IDENTITY_TAGS, IdentityContext, verify_identity
 from gwvir.errors import (IndexOutOfRange, PolicyTooTight, UnsupportedIndex)
 from gwvir.series import TruncatedSeries, TruncationPolicy, VarId, series_mul
-from gwvir.target import preset
+from gwvir.target import load_target, preset
 from gwvir.virasoro import (CLOSED_A, CorrContext, VirasoroOperator, apply_operator,
                             bracket, build_operator,
                             check_shift_relations, coeff_A, coeff_B,
@@ -215,7 +215,7 @@ def test_rank_two_end_to_end_on_p1xp1():
     # reduction give every primary under the cap (1, 1).
     seeds = load_table_backend(str(DATA / "P1xP1_seeds.jsonl")).table
     ts = _target("P1xP1")
-    engine = Engine(ts, PrimaryBackend("Table", seeds))
+    engine = Engine(ts, PrimaryBackend(seeds))
     policy = TruncationPolicy(4, 3, (1, 1))
     for n in (1, 2, 3):
         assert psi(engine, n, policy).is_zero()
@@ -226,8 +226,48 @@ def test_rank_two_end_to_end_on_p1xp1():
     for tag in IDENTITY_TAGS:
         assert all(f.status == "pass" for f in verify_identity(engine, tag, small, ctx=ctx))
     for key in seeds:
-        wrong = Engine(ts, PrimaryBackend("Table", {**seeds, key: Fraction(2)}))
+        wrong = Engine(ts, PrimaryBackend({**seeds, key: Fraction(2)}))
         assert not psi(wrong, 1, policy).is_zero()
+
+
+def test_p1xp1_primaries_from_the_two_degree_one_seeds():
+    # WDVV from <pt>_(1,0) = <pt>_(0,1) = 1 alone: the third seed and the
+    # counts of rational curves of bidegree (a, b) through 2a + 2b - 1 points.
+    seeds = load_table_backend(str(DATA / "P1xP1_seeds.jsonl")).table
+    engine = Engine(_target("P1xP1"),
+                    PrimaryBackend({k: v for k, v in seeds.items() if sum(k.degree) == 1}))
+    for (a, b), count in {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 12, (2, 3): 96,
+                          (3, 3): 3510}.items():
+        assert engine.invariant(make_key([(0, 4)] * (2 * a + 2 * b - 1), (a, b))) == count
+
+
+def test_p3_file_target_from_one_seed():
+    # Classes 1, H, H^2, pt; the one seed is the line through two points.
+    ts = load_target((DATA / "P3.json").read_text(encoding="utf-8"))
+    seeds = load_table_backend(str(DATA / "P3_seeds.jsonl")).table
+    engine = Engine(ts, PrimaryBackend(seeds))
+    line, pt = (0, 3), (0, 4)  # H^2 is the class of a line
+    anchors = [
+        ([line] * 4, 1, 2),  # lines meeting 4 lines
+        ([pt, line, line], 1, 1),  # lines through a point meeting 2 lines
+        ([line] * 8, 2, 92),  # conics meeting 8 lines
+        ([pt] * 6, 3, 1),  # twisted cubics through 6 points
+        ([pt] * 4, 2, 0),  # a conic is planar: none through 4 general points
+    ]
+    for ins, d, count in anchors:
+        assert engine.invariant(make_key(ins, (d,))) == count
+    policy = TruncationPolicy(4, 3, (2,))
+    assert psi(engine, 1, policy).is_zero()
+    assert psi_tilde(engine, 2, policy).is_zero()
+    # Doubling the one seed is the Novikov gauge q -> 2q, as for P2's N_1:
+    # degree d scales by 2^d and the constraints still hold.  A seed of 2 for
+    # the four-point conic count, which is 0, breaks them.
+    (seed,) = seeds
+    gauge = Engine(ts, PrimaryBackend({seed: Fraction(2)}))
+    assert gauge.invariant(make_key([line] * 8, (2,))) == 4 * 92
+    assert psi(gauge, 1, policy).is_zero()
+    wrong = Engine(ts, PrimaryBackend({**seeds, make_key([pt] * 4, (2,)): Fraction(2)}))
+    assert not psi(wrong, 1, policy).is_zero()
 
 
 def test_perturbed_eta_detected():
