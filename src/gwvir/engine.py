@@ -36,6 +36,7 @@ import json
 import math
 import operator
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Generator, Iterable, Iterator, NamedTuple
@@ -137,13 +138,16 @@ class InvariantCache:
         previous file whole.
         """
         # Each record is the text json.dumps(..., sort_keys=True,
-        # separators=(",", ":")) gives for {"ins", "deg", "val"}.
+        # separators=(",", ":")) gives for {"ins", "deg", "val"}, the layout
+        # _RECORD_RE reads.  Each distinct slot and degree is formatted once.
         entries = self.entries
+        slots = {v: "[%s,%s]" % v for v in {v for ins, _ in entries for v in ins}}
+        degrees = {deg: ",".join(map(str, deg)) for deg in {deg for _, deg in entries}}
         lines = [json.dumps({"fingerprint": self.fingerprint}, sort_keys=True)]
         for key in sorted(entries):
             ins, deg = key
-            lines.append(f'{{"deg":[{",".join(map(str, deg))}],'
-                         f'"ins":[{",".join(["[%s,%s]" % v for v in ins])}],'
+            lines.append(f'{{"deg":[{degrees[deg]}],'
+                         f'"ins":[{",".join(map(slots.__getitem__, ins))}],'
                          f'"val":"{format_rational(entries[key])}"}}')
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
@@ -169,8 +173,8 @@ class InvariantCache:
         """
         with open(path, encoding="utf-8") as fh:
             try:
-                header = json.loads(fh.readline())
-            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                header = _decode_json(fh.readline())
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, nesting
                 raise CacheMismatch(f"cache header of {path} is not JSON: {exc}") from exc
             fingerprint = header.get("fingerprint") if isinstance(header, dict) else None
             if fingerprint != expected_fingerprint:
@@ -184,9 +188,39 @@ class InvariantCache:
         return cls(fingerprint, entries)
 
 
+# One record exactly as ``InvariantCache.save`` writes it: no whitespace, the
+# keys in the order deg, ins, val, integers with no sign or leading zero, and
+# one optional newline.  Groups: the degree text ("1,0"), the insertions text
+# ("[0,2],[1,3]") and the value text.  Compiled with re.ASCII: no part of it
+# matches a non-ASCII character, which the json path refuses in a number.
+_INT = r"(?:0|[1-9][0-9]*)"
+_RECORD_RE = re.compile(
+    rf'\{{"deg":\[((?:{_INT}(?:,{_INT})*)?)\],'
+    rf'"ins":\[((?:\[{_INT},{_INT}\](?:,\[{_INT},{_INT}\])*)?)\],'
+    rf'"val":"([-/0-9]*)"\}}\n?', re.ASCII)
+
+
+def _decode_json(text: str):
+    """``json.loads``, but nesting too deep to decode is a ValueError too.
+
+    The decoder skips the whitespace around the value itself.
+    """
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
+
+
 def _read_records(lines: Iterable[str], ts: TargetSpace | None = None
                   ) -> dict[CorrelatorKey, Fraction]:
     """Parse cache-format records, skipping blank lines and a header.
+
+    A line in exactly the layout ``save`` writes (``_RECORD_RE``) is read from
+    its own text: each distinct slot text such as ``0,2`` and each degree text
+    is parsed once per file.  Any other line (another spacing or key order,
+    CRLF, extra keys, the header, bad input) goes to the ``json`` decoder.
+    Both paths end in the same checks, so a record is accepted or refused
+    alike whichever path reads it.
 
     Keys come out canonical; equal insertions share one ``VarId`` and equal
     value strings one parsed ``Fraction``.  Levels, classes and degrees must
@@ -197,39 +231,62 @@ def _read_records(lines: Iterable[str], ts: TargetSpace | None = None
     negative level or degree, a class or degree length the target lacks, or
     the wrong weight) is a ValueError as it is read.
     """
-    decode = json.JSONDecoder().decode  # skips the whitespace around a record
-    new = tuple.__new__
+    match, new = _RECORD_RE.fullmatch, tuple.__new__
     entries: dict[CorrelatorKey, Fraction] = {}
     vids: dict[tuple[int, int], VarId] = {}
     vals: dict[str, Fraction] = {}
+    # The text path's memos: slot text -> VarId and degree text -> degree.
+    slot_vids: dict[str, VarId] = {}
+    degrees: dict[str, Degree] = {}
     # Given the target: the weight m + q_a - 1 of each interned slot, and the
     # weight that a key of each degree read must have.
     weights: dict[VarId, int] = {}
     balances: dict[Degree, int] = {}
+
+    def intern(m: int, a: int) -> VarId:
+        vid = vids.get((m, a))
+        if vid is None:
+            vid = vids[m, a] = VarId(m, a)
+            if ts is not None:
+                if m < 0 or a not in ts.class_weight:
+                    raise ValueError(f"insertion {[m, a]} is not a slot of {ts.name}")
+                weights[vid] = m + ts.class_weight[a]
+        return vid
+
     for line in lines:
-        if not line or line.isspace():
-            continue
-        rec = decode(line)
-        if "fingerprint" in rec:
-            continue
-        ins = []
-        for m, a in rec["ins"]:
-            # Before the lookup: (True, 2) and (1.0, 2) hash as (1, 2).
-            if m.__class__ is not int or a.__class__ is not int:
-                raise ValueError(f"insertion {[m, a]} is not a pair of integers")
-            vid = vids.get((m, a))
-            if vid is None:
-                vid = vids[m, a] = VarId(m, a)
-                if ts is not None:
-                    if m < 0 or a not in ts.class_weight:
-                        raise ValueError(f"insertion {[m, a]} is not a slot of {ts.name}")
-                    weights[vid] = m + ts.class_weight[a]
-            ins.append(vid)
+        rec = match(line)
+        if rec is not None:
+            deg_text, ins_text, text = rec.groups()
+            deg = degrees.get(deg_text)
+            if deg is None:
+                deg = degrees[deg_text] = tuple(map(int, deg_text.split(","))) if deg_text else ()
+            slots = ins_text[1:-1].split("],[") if ins_text else ()
+            try:
+                ins = [slot_vids[slot] for slot in slots]
+            except KeyError:  # a slot text not seen before in this file
+                for slot in slots:
+                    if slot not in slot_vids:
+                        m, a = slot.split(",")
+                        slot_vids[slot] = intern(int(m), int(a))
+                ins = [slot_vids[slot] for slot in slots]
+        else:
+            if not line or line.isspace():
+                continue
+            rec = _decode_json(line)
+            if "fingerprint" in rec:
+                continue
+            ins = []
+            for m, a in rec["ins"]:
+                # Before the lookup: (True, 2) and (1.0, 2) hash as (1, 2).
+                if m.__class__ is not int or a.__class__ is not int:
+                    raise ValueError(f"insertion {[m, a]} is not a pair of integers")
+                ins.append(intern(m, a))
+            deg = tuple(rec["deg"])
+            for d in deg:  # before the lookup, as for the insertions
+                if d.__class__ is not int:
+                    raise ValueError(f"degree {list(deg)} is not a list of integers")
+            text = rec["val"]
         ins.sort()
-        deg = tuple(rec["deg"])
-        for d in deg:  # before the lookup, as for the insertions
-            if d.__class__ is not int:
-                raise ValueError(f"degree {list(deg)} is not a list of integers")
         key = new(CorrelatorKey, (tuple(ins), deg))
         if ts is not None:
             balance = balances.get(deg)
@@ -239,7 +296,6 @@ def _read_records(lines: Iterable[str], ts: TargetSpace | None = None
                 balance = balances[deg] = ts.degree_weight(deg)
             if sum(map(weights.__getitem__, ins)) != balance:
                 raise ValueError(f"{key} is not an admissible key of {ts.name}")
-        text = rec["val"]
         value = vals.get(text)
         if value is None:
             value = vals[text] = parse_rational(text)
@@ -440,7 +496,9 @@ def wdvv_reduce(ts: TargetSpace, key: CorrelatorKey
     <D c S1 O_e>_A1 eta^{ef} <O_f gamma' d S2>_A2, and ``key`` is the term
     with A1 = 0 and S1 empty.  Returns (terms, own): ``key`` is the sum of
     coeff * <key1> (* <key2>) over the terms, divided by own.  Only
-    dimension-admissible terms are built, found by weight as in TRR.
+    dimension-admissible terms are built, found by weight as in TRR.  Both
+    keys come out canonical without a sort: the split table's halves are
+    sorted, and each new slot goes into its place by ``bisect``.
 
     A degree-0 factor is evaluated in place.  Its term's other key is ``key``
     (the coefficient goes into own) or must have fewer non-divisor
@@ -473,9 +531,9 @@ def wdvv_reduce(ts: TargetSpace, key: CorrelatorKey
                 if bucket is None:
                     continue
                 p2, splits = bucket
-                ins1 = tuple(sorted(left + (div, x, var_s)))
+                ins1 = _insert(left, div, x, var_s)
                 for var_r, eta_inv in groups.get(p2 - bal2, ()):
-                    ins2 = tuple(sorted(right + (var_r, y, d)))
+                    ins2 = _insert(right, var_r, y, d)
                     for deg1, deg2 in splits:
                         key1 = new(CorrelatorKey, (ins1, deg1))
                         key2 = new(CorrelatorKey, (ins2, deg2))
@@ -706,6 +764,14 @@ class Engine:
 
 # (packed key of the t-monomial, its insertion tuple, prod of exponent factorials)
 _PolicyEntry = tuple[int, Insertions, int]
+
+
+def _insert(ins: Insertions, *slots: VarId) -> Insertions:
+    """The sorted ``ins`` with each of ``slots`` put in its sorted place by ``bisect``."""
+    for v in slots:
+        at = bisect.bisect(ins, v)
+        ins = ins[:at] + (v,) + ins[at:]
+    return ins
 
 
 def _weight(ts: TargetSpace, ins: Iterable[VarId]) -> int:

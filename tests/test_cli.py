@@ -336,6 +336,33 @@ def test_corrupt_cache_header_is_engine_error(tmp_path, monkeypatch):
     assert report.details[0]["error"] == "CacheMismatch"
 
 
+# A line too deeply nested for the JSON decoder to descend: 100,000 brackets.
+DEEP = "[" * 100_000 + "\n"
+
+
+def test_deeply_nested_cache_header_is_engine_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("GW_CACHE_DIR", str(tmp_path))
+    (tmp_path / f"{preset('P1').fingerprint}.jsonl").write_text(DEEP)
+    code, report, _ = go("invariant", "--target", "P1", "--key", "deg=1;ins=(0,2)(0,2)")
+    assert code == 3 and report.details[0]["error"] == "CacheMismatch"
+
+
+def test_deeply_nested_cache_record_is_engine_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("GW_CACHE_DIR", str(tmp_path))
+    (tmp_path / f"{preset('P1').fingerprint}.jsonl").write_text(
+        '{"fingerprint": "%s"}\n' % preset("P1").fingerprint + DEEP)
+    code, report, _ = go("invariant", "--target", "P1", "--key", "deg=1;ins=(0,2)(0,2)")
+    assert code == 3 and report.details[0]["error"] == "CacheMismatch"
+
+
+def test_deeply_nested_table_line_is_usage_error(tmp_path):
+    table = tmp_path / "table.jsonl"
+    table.write_text('{"deg":[1],"ins":[[0,2],[0,2]],"val":"1"}\n' + DEEP)
+    code, report, text = go("invariant", "--target", "P1", "--table", str(table),
+                            "--key", "deg=1;ins=(0,2)(0,2)")
+    assert code == 2 and report is None and "table file" in text
+
+
 def test_non_json_table_is_usage_error(tmp_path):
     table = tmp_path / "table.jsonl"
     table.write_text("deg=1 ins=(0,3)(0,3) val=1\n")

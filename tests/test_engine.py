@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -490,23 +491,31 @@ def test_cache_round_trip_past_int_str_digit_limit(tmp_path):
     assert InvariantCache.load(str(path), cache.fingerprint).entries == {key: huge}
 
 
-@pytest.mark.parametrize("name", ["P1", "P1xP1"])
-def test_cache_save_writes_json_dumps_text(tmp_path, name):
-    """Each record line is json.dumps(rec, sort_keys=True, separators=(",", ":"))."""
+@pytest.mark.parametrize("name", ["point", "P1", "P2", "P1xP1"])
+def test_cache_save_writes_json_dumps_text(tmp_path, monkeypatch, name):
+    """Each record line is json.dumps(rec, sort_keys=True, separators=(",", ":")).
+
+    The reader takes every line ``save`` writes by its text path: the JSON
+    decoder sees only the header.
+    """
     ts = _target(name)
-    if name == "P1":
-        engine = Engine(ts)
-        for key in engine.admissible_keys(TruncationPolicy(4, 2, (2,))):
-            engine.invariant(key)
-        entries = dict(engine.cache.entries)
-        assert entries[make_key([], (1,))] == 1  # a key with no insertions
-        entries[make_key([(0, 2)] * 6, (1,))] = Fraction(-sum(3 * 10 ** i for i in range(5000)), 7)
-    else:  # rank-2 degrees; the empty table backend cannot evaluate them
+    if name == "P1xP1":  # rank-2 degrees; the empty table backend cannot evaluate them
         entries = {make_key([(0, 4)], (1, 0)): Fraction(1),
                    make_key([(1, 2), (0, 2), (0, 3)], (0, 1)): Fraction(-3, 2),
                    make_key([(0, 4)] * 3, (1, 1)): Fraction(2)}
-    assert min(entries.values()) < 0
-    assert max(v.denominator for v in entries.values()) > 1
+    else:
+        engine = Engine(ts)
+        for key in engine.admissible_keys(TruncationPolicy(4, 2, (2,) * ts.novikov_rank)):
+            engine.invariant(key)
+        entries = dict(engine.cache.entries)
+    if name == "P1":
+        assert entries[make_key([], (1,))] == 1  # a key with no insertions
+        entries[make_key([(0, 2)] * 6, (1,))] = Fraction(-sum(3 * 10 ** i for i in range(5000)), 7)
+    if name == "point":
+        assert entries and all(key.degree == () for key in entries)  # rank 0: "deg":[]
+    else:
+        assert min(entries.values()) < 0
+        assert max(v.denominator for v in entries.values()) > 1
     path = tmp_path / "cache.jsonl"
     InvariantCache(ts.fingerprint, entries).save(str(path))
     expect = [json.dumps({"fingerprint": ts.fingerprint}, sort_keys=True)]
@@ -515,7 +524,57 @@ def test_cache_save_writes_json_dumps_text(tmp_path, name):
                "val": format_rational(entries[key])}
         expect.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
     assert path.read_text(encoding="utf-8").split("\n") == expect + [""]
+    decoded = []
+    decode = engine_module._decode_json
+    monkeypatch.setattr(engine_module, "_decode_json",
+                        lambda text: decoded.append(text) or decode(text))
     assert InvariantCache.load(str(path), ts.fingerprint, ts).entries == entries
+    assert decoded == [expect[0] + "\n"]
+
+
+def _read_alone(line, ts):
+    """The entries ``_read_records`` reads from ``line`` alone, or its error's class."""
+    try:
+        return engine_module._read_records([line], ts)
+    except (ValueError, KeyError, TypeError, ParseError) as exc:
+        return exc.__class__
+
+
+def test_text_and_json_read_paths_agree(monkeypatch):
+    """Each line reads alike with the text path on and forced off.
+
+    Forced off, every line goes to the JSON decoder, the reader for any
+    layout; so a line the text path takes must give the same entries, and a
+    line it refuses the same class of error.
+    """
+    good = '{"deg":[1],"ins":[[0,2],[1,3]],"val":"-7/3"}'
+    lines = [good + "\n", good, '{"deg":[],"ins":[[0,1],[0,1],[0,1]],"val":"1"}\n',
+             '{"deg":[1],"ins":[],"val":"1"}\n',
+             '{"deg":[10],"ins":[[1,3],[0,2],[10,1]],"val":"5/12"}\n']  # unsorted
+    huge = "1" + "0" * 4300
+    for old, new in [("[1]", "[01]"), ("[[0,2]", "[[00,2]"), ("[[0,2]", "[[0,02]"),
+                     ("[1]", "[-0]"), ("[[0,2]", "[[-0,2]"), ("[1]", "[true]"),
+                     ("[[0,2]", "[[true,2]"), ("[1]", "[1.0]"), ("[[0,2]", "[[0,2.0]"),
+                     ("[[0,2]", "[[-1,2]"), ("[1]", "[-1]"),
+                     ("[1]", "[\u0661]"), ("[[0,2]", "[[\u0660,2]"), ("-7/3", "-\u0667/3"),
+                     ("}", ',"x":1}'), ('{"deg":[1]', '{"deg":[2],"deg":[1]'),
+                     ('"val":"-7/3"', '"val":"-7/3","val":"1"'), ("}", "}\r"), ("}", "} "),
+                     ("{", " {"), (":", ": "), ('"deg"', '"\\u0064eg"'), ("-7/3", "\\u0031"),
+                     ("[1]", f"[{huge}]"), ("[[0,2]", f"[[{huge},2]"), ("-7/3", huge + "/3"),
+                     ("[1]", "[1,0]"), ('"-7/3"', "-7"), ("-7/3", "7/0"), ("-7/3", ""),
+                     ("[[0,2]", "[[0,2,1]"), ("[[0,2],", "["), ("[[0,2]", "[[0,9]")]:
+        assert old in good
+        lines += [good.replace(old, new, 1) + "\n", good.replace(old, new, 1)]
+    taken = [line for line in lines if engine_module._RECORD_RE.fullmatch(line)]
+    assert len(taken) > 10
+    targets = (None, preset("point"), preset("P2"))
+    normal = [[_read_alone(line, ts) for ts in targets] for line in lines]
+    monkeypatch.setattr(engine_module, "_RECORD_RE", re.compile(r"(?!)"))
+    forced = [[_read_alone(line, ts) for ts in targets] for line in lines]
+    for line, a, b in zip(lines, normal, forced):
+        assert a == b, line
+    assert any(isinstance(r, dict) and r for row in normal for r in row)
+    assert any(r is ValueError for row in normal for r in row)
 
 
 def test_cache_save_is_atomic(tmp_path, monkeypatch):
