@@ -45,7 +45,7 @@ from .errors import (CacheMismatch, NotApplicable, ParseError, TargetUnsupported
                      ValidationError)
 from .rationals import format_rational, parse_rational
 from .series import TruncatedSeries, TruncationPolicy, VarId
-from .target import Degree, TargetSpace
+from .target import Degree, TargetSpace, decode_json
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -173,7 +173,7 @@ class InvariantCache:
         """
         with open(path, encoding="utf-8") as fh:
             try:
-                header = _decode_json(fh.readline())
+                header = decode_json(fh.readline())
             except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, nesting
                 raise CacheMismatch(f"cache header of {path} is not JSON: {exc}") from exc
             fingerprint = header.get("fingerprint") if isinstance(header, dict) else None
@@ -198,17 +198,6 @@ _RECORD_RE = re.compile(
     rf'\{{"deg":\[((?:{_INT}(?:,{_INT})*)?)\],'
     rf'"ins":\[((?:\[{_INT},{_INT}\](?:,\[{_INT},{_INT}\])*)?)\],'
     rf'"val":"([-/0-9]*)"\}}\n?', re.ASCII)
-
-
-def _decode_json(text: str):
-    """``json.loads``, but nesting too deep to decode is a ValueError too.
-
-    The decoder skips the whitespace around the value itself.
-    """
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise ValueError("JSON nested too deeply to decode") from None
 
 
 def _read_records(lines: Iterable[str], ts: TargetSpace | None = None
@@ -272,7 +261,7 @@ def _read_records(lines: Iterable[str], ts: TargetSpace | None = None
         else:
             if not line or line.isspace():
                 continue
-            rec = _decode_json(line)
+            rec = decode_json(line)
             if "fingerprint" in rec:
                 continue
             ins = []
@@ -670,16 +659,19 @@ class Engine:
                 # A term with a second key (TRR, WDVV) is admissible.
                 admissible = key2 is not None or dimension_admissible(ts, key1)
                 v = (yield key1) if admissible else _ZERO
-            if not v:
+            n = v.numerator
+            if not n:
                 continue
-            n, d = coeff.numerator * v.numerator, coeff.denominator * v.denominator
+            n *= coeff.numerator
+            d = coeff.denominator * v.denominator
             if key2 is not None:
                 v = entries.get(key2)
                 if v is None:
                     v = yield key2
-                if not v:
+                m = v.numerator
+                if not m:
                     continue
-                n *= v.numerator
+                n *= m
                 d *= v.denominator
             if den % d:
                 lcm = math.lcm(den, d)
@@ -733,11 +725,12 @@ class Engine:
                     if short and not any(deg):
                         continue
                     value = invariant(new(CorrelatorKey, (full, deg)))
-                    if value:
+                    num = value.numerator
+                    if num:
                         d = value.denominator * fact
                         if den % d:
                             den = math.lcm(den, d)
-                        append((tkey + dkey, value.numerator, d))
+                        append((tkey + dkey, num, d))
         series = TruncatedSeries(policy)
         series.terms = {key: num * (den // d) for key, num, d in found}
         series.den = den
@@ -789,31 +782,60 @@ def _walk_t_monomials(policy: TruncationPolicy, ts: TargetSpace, max_weight: int
     """(weight, packed t-key, insertion tuple, prod e!) of every t-monomial the policy admits.
 
     Depth-first: each monomial comes before its extensions by later variables,
-    the constant monomial first; insertion tuples come out canonical.  Each
-    field grows along the recursion from its prefix's.  With ``max_weight``, a
-    monomial heavier than that is skipped with all its extensions, as long as
-    no later variable has negative weight (so no extension can come back under
-    the bound).
+    the constant monomial first; insertion tuples come out canonical.  One
+    loop walks an explicit path with one frame per variable of the current
+    monomial: its slot, its exponent and the fields with it, those before it
+    being the frame below.  The loop extends the current monomial by the next
+    slot that fits; with none left it raises the last variable's exponent, or
+    else drops that variable and goes on from the slot after it.  Each field
+    grows from its prefix's by one variable, and the walk keeps only the path
+    (O(K) state), so it streams at any depth.  With ``max_weight``, a monomial
+    heavier than that is skipped with all its extensions, as long as no later
+    variable has negative weight (so no extension can come back under the
+    bound).
     """
     unit, w = policy.packing.unit, ts.class_weight
     varids = [VarId(m, a) for m in range(policy.max_level + 1) for a in range(1, ts.classes + 1)]
     slots = [(v, v.level + w[v.cls], unit(v)) for v in varids]
+    end = len(slots)
     # prune[i]: t_i and every later variable have non-negative weight.
     prune = [max_weight is not None and min(wv for _, wv, _ in slots[i:]) >= 0
-             for i in range(len(slots))]
-
-    def rec(start: int, budget: int, weight: int, key: int, ins: Insertions, fact: int):
-        yield weight, key, ins, fact
-        for i in range(start, len(slots)):
+             for i in range(end)]
+    budget, weight, key, ins, fact = policy.max_insertions, 0, 0, (), 1
+    # (slot, exponent, budget, weight, key, ins, fact); path[0] is the constant monomial.
+    path = [(-1, 0, budget, weight, key, ins, fact)]
+    push = path.append
+    yield weight, key, ins, fact
+    i = 0  # the next slot the current monomial may be extended by
+    while True:
+        if budget and i < end:
             v, wv, u = slots[i]
-            wt, k, s, f = weight, key, ins, fact
-            for e in range(1, budget + 1):
-                wt += wv
-                if prune[i] and wt > max_weight:
-                    break
-                k += u
-                s += (v,)
-                f *= e
-                yield from rec(i + 1, budget - e, wt, k, s, f)
-
-    yield from rec(0, policy.max_insertions, 0, 0, (), 1)
+            if prune[i] and weight + wv > max_weight:
+                i += 1
+                continue
+            budget -= 1
+            weight += wv
+            key += u
+            ins += (v,)
+            push((i, 1, budget, weight, key, ins, fact))
+            yield weight, key, ins, fact
+            i += 1
+            continue
+        # No extension left: raise the last variable's exponent, else drop it.
+        last, e = path[-1][:2]
+        if last < 0:
+            return
+        v, wv, u = slots[last]
+        i = last + 1
+        if budget and not (prune[last] and weight + wv > max_weight):
+            e += 1
+            budget -= 1
+            weight += wv
+            key += u
+            ins += (v,)
+            fact *= e
+            path[-1] = (last, e, budget, weight, key, ins, fact)
+            yield weight, key, ins, fact
+        else:
+            path.pop()
+            _, _, budget, weight, key, ins, fact = path[-1]

@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from .errors import ParseError
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+# ASCII digits only, matched against the whole text (no trailing newline).
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 _CHUNK_DIGITS = 600
 _CHUNK = 10 ** 572  # an int below this in absolute value has at most 572 digits
@@ -54,7 +55,7 @@ def format_rational(value: Fraction) -> str:
 
 def parse_rational(text: str) -> Fraction:
     """Parse the ``p/q`` wire format; reject anything else."""
-    m = _RATIONAL_RE.match(text)
+    m = _RATIONAL_RE.fullmatch(text)
     if m is None:
         raise ParseError(f"not a rational literal: {text!r}")
     num = _decimal_to_int(m.group(1))

@@ -472,11 +472,23 @@ def _int(value, what: str) -> int:
     return value
 
 
+def decode_json(text: str):
+    """``json.loads``, but nesting too deep to decode is a ValueError too.
+
+    The decoder skips the whitespace around the value itself.  Target files
+    and the cache reader both decode through it.
+    """
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
+
+
 def load_target(text: str) -> TargetSpace:
     """Parse and validate a target file (JSON document, rationals as strings)."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = decode_json(text)
+    except ValueError as exc:  # JSONDecodeError or nesting
         raise ParseError(f"target file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("target file must be a JSON object")

@@ -363,6 +363,25 @@ def test_deeply_nested_table_line_is_usage_error(tmp_path):
     assert code == 2 and report is None and "table file" in text
 
 
+def test_deeply_nested_target_file_is_usage_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP)
+    code, report, text = go("targets", "validate", "--target", str(path))
+    assert code == 2 and report is None and "not valid JSON" in text
+
+
+@pytest.mark.parametrize("val", [r"\u0661", r"1\n"])
+def test_cache_value_outside_wire_format_is_engine_error(tmp_path, monkeypatch, val):
+    # A JSON escape that decodes to a non-ASCII digit or a trailing newline is
+    # no p/q literal, though int() would read it.
+    monkeypatch.setenv("GW_CACHE_DIR", str(tmp_path))
+    (tmp_path / f"{preset('P1').fingerprint}.jsonl").write_text(
+        '{"fingerprint": "%s"}\n{"deg":[1],"ins":[[0,2],[0,2]],"val":"%s"}\n'
+        % (preset("P1").fingerprint, val))
+    code, report, _ = go("invariant", "--target", "P1", "--key", "deg=1;ins=(0,2)(0,2)")
+    assert code == 3 and report.details[0]["error"] == "CacheMismatch"
+
+
 def test_non_json_table_is_usage_error(tmp_path):
     table = tmp_path / "table.jsonl"
     table.write_text("deg=1 ins=(0,3)(0,3) val=1\n")

@@ -525,8 +525,8 @@ def test_cache_save_writes_json_dumps_text(tmp_path, monkeypatch, name):
         expect.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
     assert path.read_text(encoding="utf-8").split("\n") == expect + [""]
     decoded = []
-    decode = engine_module._decode_json
-    monkeypatch.setattr(engine_module, "_decode_json",
+    decode = engine_module.decode_json
+    monkeypatch.setattr(engine_module, "decode_json",
                         lambda text: decoded.append(text) or decode(text))
     assert InvariantCache.load(str(path), ts.fingerprint, ts).entries == entries
     assert decoded == [expect[0] + "\n"]
@@ -835,6 +835,17 @@ def test_walk_t_monomials_fields_and_order(name, policy):
     pruned = list(_walk_t_monomials(policy, ts, bound))
     assert len(pruned) < len(walked)
     assert [e for e in pruned if e[0] <= bound] == [e for e in walked if e[0] <= bound]
+
+
+def test_walk_t_monomials_has_no_recursion_limit():
+    # 1,500 insertions deep; only the first monomials are walked, since the
+    # whole walk is astronomically long.
+    walk = _walk_t_monomials(TruncationPolicy(1500, 1500, ()), preset("point"))
+    first = list(itertools.islice(walk, 2000))
+    assert len(first) == 2000
+    # Depth first: t_0, t_0 t_1, ... down to all 1,500 insertions on distinct levels.
+    assert first[1500][2] == tuple(VarId(m, 1) for m in range(1500))
+    assert first[1500][3] == 1
 
 
 @pytest.mark.parametrize("name,policy", INDEX_CASES)

@@ -45,7 +45,8 @@ def test_rational_round_trip():
 
 
 def test_rational_rejects_non_canonical():
-    for bad in ("1/0", "2/-3", " 1/2", "1.5", "1/2 ", "+3", ""):
+    for bad in ("1/0", "2/-3", " 1/2", "1.5", "1/2 ", "+3", "",
+                "\u0661", "1\n", "\u0661/2", "1/\u0662"):
         with pytest.raises(ParseError):
             parse_rational(bad)
 
