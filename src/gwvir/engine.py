@@ -699,7 +699,9 @@ class Engine:
         Each coefficient is computed directly from the defining invariant, so
         the result agrees with iterated derivatives of the free energy without
         any truncation loss.  A weight group of the policy's monomials whose
-        balance admits no degree under the cap is skipped whole.
+        balance admits no degree under the cap is skipped whole.  For every
+        single slot of the policy at once, ``gradient_series`` reads each key
+        once instead of once per slot it holds.
         """
         fixed_ins = tuple(sorted(VarId(m, a) for m, a in fixed))
         base = _weight(self.ts, fixed_ins)
@@ -709,7 +711,6 @@ class Engine:
         # (key, numerator, denominator) of each coefficient value / prod e!
         found: list[tuple[int, int, int]] = []
         append = found.append
-        den = 1
         for weight, entries in self._policy_index(policy):
             degrees = [(deg, degree_key(deg)) for deg in by_weight.get(base + weight, ())]
             if not degrees:
@@ -727,14 +728,72 @@ class Engine:
                     value = invariant(new(CorrelatorKey, (full, deg)))
                     num = value.numerator
                     if num:
-                        d = value.denominator * fact
-                        if den % d:
-                            den = math.lcm(den, d)
-                        append((tkey + dkey, num, d))
-        series = TruncatedSeries(policy)
-        series.terms = {key: num * (den // d) for key, num, d in found}
-        series.den = den
-        return series
+                        append((tkey + dkey, num, value.denominator * fact))
+        return _gather(policy, found)
+
+    def gradient_series(self, policy: TruncationPolicy) -> dict[VarId, TruncatedSeries]:
+        """<<tau_v>> for every variable v of the policy, from one walk of its monomials.
+
+        The variables are the slots of levels 0..max_level and classes
+        1..classes, and each series equals ``correlation_series((v,),
+        policy)``.  A key E = e + v holding several variables is looked up
+        once, not once for each: it is read from the monomial e and the
+        variable v at or after e's last slot, so ``ins + (v,)`` is canonical.
+        Its value goes into <<tau_v>> at e and, for each other distinct slot u
+        of e, into <<tau_u>> at e - u + v, whose packed key is ``tkey +
+        unit(v) - unit(u)`` and whose factorial is e! (e_v + 1) / e_u.  So
+        each pair (monomial, slot) is covered exactly once, from its key's
+        largest slot.
+        """
+        ts, packing = self.ts, policy.packing
+        w, degree_key = ts.class_weight, packing.degree_key
+        varids = _variables(policy, ts)
+        units = {v: packing.unit(v) for v in varids}
+        by_weight = ts.degrees_by_weight(policy.max_degree)
+        # (key, numerator, denominator) of each coefficient of each <<tau_v>>
+        found: dict[VarId, list[tuple[int, int, int]]] = {v: [] for v in varids}
+        invariant, new = self.invariant, tuple.__new__
+        for weight, entries in self._policy_index(policy):
+            # (v, unit(v), found[v], [(deg, packed deg), ...]) of each v whose
+            # e + v has a degree under the cap
+            reads = []
+            for v in varids:
+                degrees = by_weight.get(weight + v.level + w[v.cls])
+                if degrees:
+                    reads.append((v, units[v], found[v],
+                                  [(deg, degree_key(deg)) for deg in degrees]))
+            if not reads:
+                continue
+            # The reads at or after each slot, for the monomials that end in it.
+            after = {u: [r for r in reads if r[0] >= u] for u in varids}
+            for tkey, ins, fact in entries:
+                todo = after[ins[-1]] if ins else reads
+                if not todo:
+                    continue
+                exps: dict[VarId, int] = {}
+                for u in ins:
+                    exps[u] = exps.get(u, 0) + 1
+                # (u, unit(u), found[u], e_u) of each distinct slot u of e
+                slots = [(u, units[u], found[u], e_u) for u, e_u in exps.items()]
+                short = len(ins) < 2
+                for v, unit_v, out, degrees in todo:
+                    full = ins + (v,)
+                    raised = fact * (exps.get(v, 0) + 1)
+                    for deg, dkey in degrees:
+                        if short and not any(deg):
+                            continue
+                        value = invariant(new(CorrelatorKey, (full, deg)))
+                        num = value.numerator
+                        if not num:
+                            continue
+                        den = value.denominator
+                        key = tkey + dkey
+                        out.append((key, num, den * fact))
+                        key += unit_v
+                        for u, unit_u, out_u, e_u in slots:
+                            if u != v:
+                                out_u.append((key - unit_u, num, den * (raised // e_u)))
+        return {v: _gather(policy, terms) for v, terms in found.items()}
 
     def free_energy(self, policy: TruncationPolicy) -> TruncatedSeries:
         return self.correlation_series((), policy)
@@ -759,12 +818,29 @@ class Engine:
 _PolicyEntry = tuple[int, Insertions, int]
 
 
+def _gather(policy: TruncationPolicy, found: list[tuple[int, int, int]]) -> TruncatedSeries:
+    """The series with coefficient num / d at each packed key of the (key, num, d) triples.
+
+    The numerators are put over one denominator, the lcm of the d's.
+    """
+    den = math.lcm(*{d for _, _, d in found})
+    series = TruncatedSeries(policy)
+    series.terms = {key: num * (den // d) for key, num, d in found}
+    series.den = den
+    return series
+
+
 def _insert(ins: Insertions, *slots: VarId) -> Insertions:
     """The sorted ``ins`` with each of ``slots`` put in its sorted place by ``bisect``."""
     for v in slots:
         at = bisect.bisect(ins, v)
         ins = ins[:at] + (v,) + ins[at:]
     return ins
+
+
+def _variables(policy: TruncationPolicy, ts: TargetSpace) -> list[VarId]:
+    """The policy's variables t^a_m, levels 0..max_level and classes 1..classes, in order."""
+    return [VarId(m, a) for m in range(policy.max_level + 1) for a in range(1, ts.classes + 1)]
 
 
 def _weight(ts: TargetSpace, ins: Iterable[VarId]) -> int:
@@ -795,8 +871,7 @@ def _walk_t_monomials(policy: TruncationPolicy, ts: TargetSpace, max_weight: int
     bound).
     """
     unit, w = policy.packing.unit, ts.class_weight
-    varids = [VarId(m, a) for m in range(policy.max_level + 1) for a in range(1, ts.classes + 1)]
-    slots = [(v, v.level + w[v.cls], unit(v)) for v in varids]
+    slots = [(v, v.level + w[v.cls], unit(v)) for v in _variables(policy, ts)]
     end = len(slots)
     # prune[i]: t_i and every later variable have non-negative weight.
     prune = [max_weight is not None and min(wv for _, wv, _ in slots[i:]) >= 0

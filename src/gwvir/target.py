@@ -117,8 +117,18 @@ class TargetSpace:
         return [_identity(self.classes)]
 
     def chern_power_eta(self, j: int) -> Matrix:
-        """(C^j eta)_{alpha beta}, the lowered-index form used classically."""
-        return _mat_mul(self.chern_power(j), self.eta)
+        """(C^j eta)_{alpha beta}, the lowered-index form used classically.
+
+        Built once per j and target, as the powers of C are.
+        """
+        out = self._chern_powers_eta.get(j)
+        if out is None:
+            out = self._chern_powers_eta[j] = _mat_mul(self.chern_power(j), self.eta)
+        return out
+
+    @cached_property
+    def _chern_powers_eta(self) -> dict[int, Matrix]:
+        return {}
 
     def raised(self, sigma: int) -> list[tuple[int, Fraction]]:
         """Nonzero pairs (rho, eta^{sigma rho}) realizing the raised index."""

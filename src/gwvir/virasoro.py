@@ -24,6 +24,7 @@ right side on the window of d levels the truncated operators certify.
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass
 from typing import Callable
 from fractions import Fraction
@@ -84,33 +85,37 @@ class VirasoroOperator:
         )
 
 
-def _complement_sum(b: Fraction, levels: range, j: int) -> Fraction:
-    """Sum over size-j subsets S of ``levels`` of prod_{l not in S} (b + l).
+@functools.lru_cache(maxsize=256)
+def _complement_sums(b: Fraction, levels: range) -> tuple[Fraction, ...]:
+    """Sum over size-j subsets S of ``levels`` of prod_{l not in S} (b + l), for every j.
 
-    That is the z^j coefficient of prod_l (z + b + l).  With b = p/q the
-    product is expanded once, in integers, as prod_l (z + p + l q), whose z^j
-    coefficient is q^(len(levels) - j) times the sum.
+    That is the z^j coefficient of prod_l (z + b + l), at index j.  With b =
+    p/q the product is expanded once, in integers, as prod_l (z + p + l q),
+    whose z^j coefficient is q^(len(levels) - j) times the sum.  Memoised,
+    so that ``coeff_A`` and ``coeff_B`` read one expansion for every j: an
+    operator asks for each (b, levels) at every j in turn.
     """
     p, q = b.numerator, b.denominator
     coeffs = [1]  # of z^0, z^1, ...
     for l in levels:
         c = p + l * q
         coeffs = [c * x + y for x, y in zip(coeffs + [0], [0] + coeffs)]
-    return Fraction(coeffs[j], q ** (len(levels) - j))
+    size = len(levels)
+    return tuple(Fraction(x, q ** (size - j)) for j, x in enumerate(coeffs))
 
 
 def coeff_A(b: Fraction, j: int, m: int, n: int) -> Fraction:
     """Sum over size-j subsets S of {m, ..., m+n} of prod_{l not in S} (b + l)."""
     if n < 1 or m < 0 or j < 0 or j > n + 1:
         raise IndexOutOfRange(f"coeff_A index out of range: j={j}, m={m}, n={n}")
-    return _complement_sum(b, range(m, m + n + 1), j)
+    return _complement_sums(b, range(m, m + n + 1))[j]
 
 
 def coeff_B(b: Fraction, j: int, k: int, n: int) -> Fraction:
     """(-1)^{k+1} times the complement-product sum over {-k-1, ..., n-k-1}."""
     if j < 0 or j > n - 1 or k < 0 or k > n - j - 1:
         raise IndexOutOfRange(f"coeff_B index out of range: j={j}, k={k}, n={n}")
-    total = _complement_sum(b, range(-k - 1, n - k), j)
+    total = _complement_sums(b, range(-k - 1, n - k))[j]
     return total if (k + 1) % 2 == 0 else -total
 
 
@@ -202,11 +207,12 @@ def build_operator(ts: TargetSpace, n: int, max_level: int) -> VirasoroOperator:
         linear = linear_field(
             ts, tuple(lambda x, j=j: coeff_A(x, j, 0, n) for j in range(n + 2)),
             n, max_level)
+        # k outside j: coeff_B's one expansion per (b, k) serves every j.
         for a in range(1, N + 1):
             b = ts.b[a - 1]
-            for j in range(n):
-                cj = ts.chern_power(j)
-                for k in range(n - j):
+            for k in range(n):
+                for j in range(n - k):
+                    cj = ts.chern_power(j)
                     coeff = coeff_B(b, j, k, n)
                     for be in range(1, N + 1):
                         cjab = cj[a - 1][be - 1]
@@ -399,7 +405,11 @@ class CorrContext:
 
         The slots are looked up as given and sorted only on a miss, as in
         ``Engine.invariant``: a ``VarId`` equals and hashes as its
-        ``(level, cls)`` tuple, so slots already in order hit at once.
+        ``(level, cls)`` tuple, so slots already in order hit at once.  The
+        first miss on one slot of level 0..max_level fills every such
+        <<tau_v>> from one ``Engine.gradient_series`` walk; other slots
+        (above max_level, or two or more) are built one at a time by
+        ``Engine.correlation_series``.
         """
         cached = self._corr.get(slots)
         if cached is None:
@@ -408,6 +418,11 @@ class CorrContext:
                 return TruncatedSeries.zero(self.policy)
             cached = self._corr.get(vids)
             if cached is None:
+                if (len(vids) == 1 and vids[0][0] <= self.policy.max_level
+                        and 1 <= vids[0][1] <= self.ts.classes):
+                    self._corr.update(((v,), series) for v, series
+                                      in self.engine.gradient_series(self.policy).items())
+                    return self._corr[vids]
                 cached = self._corr[vids] = self.engine.correlation_series(vids, self.policy)
         return cached
 

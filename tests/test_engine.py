@@ -879,3 +879,65 @@ def test_correlation_series_match_brute_force(name):
                         terms[Monomial(mon, deg)] = Fraction(engine.invariant(key), fact)
             expect = TruncatedSeries(policy, terms)
             assert engine.correlation_series(fixed, policy) == expect
+
+
+# --- every first derivative from one walk ---------------------------------------
+
+def _seeded(name):
+    """A target and its backend: the file targets come with their seed tables."""
+    if name in ("P1xP1", "P3"):
+        return (load_target((DATA / f"{name}.json").read_text(encoding="utf-8")),
+                load_table_backend(str(DATA / f"{name}_seeds.jsonl")))
+    return preset(name), None
+
+
+def _variables(policy, ts):
+    return [VarId(m, a) for m in range(policy.max_level + 1) for a in range(1, ts.classes + 1)]
+
+
+# (K, M, D): K = 0, 1 and 2, M = 0 and D = 0 each occur.
+GRADIENT_POLICIES = [(0, 2, 1), (1, 1, 1), (2, 0, 2), (2, 2, 0), (3, 2, 1)]
+
+
+@pytest.mark.parametrize("name", ["point", "P1", "P2", "P1xP1", "P3"])
+def test_gradient_series_matches_single_slot_series(name):
+    ts, backend = _seeded(name)
+    for k, m, d in GRADIENT_POLICIES:
+        policy = TruncationPolicy(k, m, (d,) * ts.novikov_rank)
+        walked, one_by_one = Engine(ts, backend), Engine(ts, backend)
+        grads = walked.gradient_series(policy)
+        assert list(grads) == _variables(policy, ts)
+        for v, series in grads.items():
+            assert series == one_by_one.correlation_series((v,), policy)
+        # Both cold engines reduced and published the same keys.
+        assert walked.cache.entries == one_by_one.cache.entries
+        # Warm, from the cache the other path filled.
+        warm = one_by_one.gradient_series(policy)
+        assert all(warm[v] == grads[v] for v in grads)
+        assert walked.cache.entries == one_by_one.cache.entries
+
+
+@pytest.mark.parametrize("name", ["P2", "P1xP1"])
+def test_gradient_series_reads_each_key_once(name, monkeypatch):
+    ts, backend = _seeded(name)
+    policy = TruncationPolicy(3, 2, (2,) * ts.novikov_rank)
+    engine = Engine(ts, backend)
+    engine.gradient_series(policy)
+    published = len(engine.cache.entries)
+    read, lookup = [], engine.invariant
+
+    def invariant(key):
+        read.append(key)
+        return lookup(key)
+
+    monkeypatch.setattr(engine, "invariant", invariant)
+    for v in _variables(policy, ts):
+        engine.correlation_series((v,), policy)
+    one_by_one = list(read)
+    read.clear()
+    engine.gradient_series(policy)
+    # Every key the single-slot series read, each exactly once; all hits.
+    assert len(read) == len(set(read))
+    assert set(read) == set(one_by_one)
+    assert len(read) < len(one_by_one)
+    assert len(engine.cache.entries) == published

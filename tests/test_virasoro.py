@@ -11,8 +11,8 @@ from gwvir.identities import IDENTITY_TAGS, IdentityContext, verify_identity
 from gwvir.errors import (IndexOutOfRange, PolicyTooTight, UnsupportedIndex)
 from gwvir.series import TruncatedSeries, TruncationPolicy, VarId, series_mul
 from gwvir.target import load_target, preset
-from gwvir.virasoro import (CLOSED_A, CorrContext, VirasoroOperator, apply_operator,
-                            bracket, build_operator,
+from gwvir.virasoro import (CLOSED_A, CorrContext, VirasoroOperator, _complement_sums,
+                            apply_operator, bracket, build_operator,
                             check_shift_relations, coeff_A, coeff_B,
                             combine_fields, commutator_residual, dilaton_field,
                             euler_field, linear_field, psi, psi_tilde, string_field)
@@ -72,6 +72,44 @@ def test_coeff_functions_match_subset_sums():
                 for k in range(n - j):
                     assert coeff_B(b, j, k, n) == (-1) ** (k + 1) * complement_product_sum(
                         b, range(-k - 1, n - k), j)
+
+
+def test_coeff_functions_read_one_expansion_per_levels():
+    # Queried in a shuffled order, each (b, levels) is expanded once and every
+    # j read from it; an int b and the equal Fraction share one expansion.
+    queries = [(coeff_A, b, j, m, n, range(m, m + n + 1), 1)
+               for b in (Fraction(0), 2, Fraction(-5, 3)) for n in range(1, 5)
+               for m in range(3) for j in range(n + 2)]
+    queries += [(coeff_B, b, j, k, n, range(-k - 1, n - k), (-1) ** (k + 1))
+                for b in (Fraction(0), 2, Fraction(-5, 3)) for n in range(1, 5)
+                for j in range(n) for k in range(n - j)]
+    random.Random(4).shuffle(queries)
+    _complement_sums.cache_clear()
+    for coeff, b, j, x, n, levels, sign in queries:
+        assert coeff(b, j, x, n) == sign * complement_product_sum(Fraction(b), levels, j)
+    distinct = {(Fraction(b), levels) for _, b, _, _, _, levels, _ in queries}
+    assert _complement_sums.cache_info().misses == len(distinct)
+
+
+@pytest.mark.parametrize("name", ["P1", "P2"])
+def test_operator_quadratic_terms_match_their_definition(name):
+    # sum_{a,j,k} B_{j,k}(b_a) (C^j)_a^beta eta^{a g} d_{k,g} d_{n-k-1-j,beta},
+    # each B a subset sum, built independently of build_operator's loops.
+    ts = preset(name)
+    for n in range(1, 8):
+        expect = {}
+        for a in range(1, ts.classes + 1):
+            for j in range(n):
+                for k in range(n - j):
+                    coeff = (-1) ** (k + 1) * complement_product_sum(
+                        ts.b[a - 1], range(-k - 1, n - k), j)
+                    for be in range(1, ts.classes + 1):
+                        for g, eta_inv in ts.raised(a):
+                            pair = tuple(sorted((VarId(k, g), VarId(n - k - 1 - j, be))))
+                            expect[pair] = (expect.get(pair, 0)
+                                            + coeff * ts.chern_power(j)[a - 1][be - 1] * eta_inv)
+        quadratic = {(u, v): c for u, v, c in build_operator(ts, n, 3).quadratic}
+        assert quadratic == {pair: c for pair, c in expect.items() if c}
 
 
 def test_coeff_index_errors():
@@ -399,6 +437,31 @@ def test_bracket_matches_operator_action(target, m, n):
             commutator = (operator_action(a, operator_action(b, p, lam), lam)
                           - operator_action(b, operator_action(a, p, lam), lam))
             assert operator_action(window_bracket, p, lam) == commutator, (lam, p.items_sorted())
+
+
+def test_corr_fills_every_variable_from_one_gradient_walk(monkeypatch):
+    policy = TruncationPolicy(3, 2, (1,))
+    engine = Engine(preset("P2"))
+    built = []
+    gradient, single = engine.gradient_series, engine.correlation_series
+    monkeypatch.setattr(engine, "gradient_series",
+                        lambda policy: built.append("gradient") or gradient(policy))
+    monkeypatch.setattr(engine, "correlation_series",
+                        lambda fixed, policy: built.append(tuple(fixed)) or single(fixed, policy))
+    ctx = CorrContext(engine, policy)
+    variables = [(m, a) for m in range(3) for a in range(1, 4)]
+    first = ctx.corr((1, 2))
+    assert built == ["gradient"]
+    assert ctx.corr(VarId(1, 2)) is first
+    fresh = Engine(preset("P2"))
+    for v in variables:
+        assert ctx.corr(v) == fresh.correlation_series((v,), policy)
+    assert built == ["gradient"]
+    # A slot above the level bound and two slots: one series each, as before.
+    ctx.corr((3, 1))
+    ctx.corr((0, 2), (0, 1))
+    assert built == ["gradient", (VarId(3, 1),), (VarId(0, 1), VarId(0, 2))]
+    assert ctx.corr((-1, 2)).is_zero()
 
 
 @pytest.mark.parametrize("target", ["P1", "P2"])
