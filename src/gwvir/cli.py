@@ -10,6 +10,8 @@ Policies default to K=4, M=3, D=2 so a bare invocation finishes in seconds.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import re
@@ -131,15 +133,17 @@ def _cache_path(ts: target.TargetSpace) -> Path:
     return _cache_dir() / f"{ts.fingerprint}.jsonl"
 
 
+def _backend(args) -> eng.PrimaryBackend | None:
+    """The seed table ``--table`` names; None leaves the target's own seeds."""
+    return eng.load_table_backend(args.table) if args.table else None
+
+
 def _make_engine(args, ts: target.TargetSpace) -> eng.Engine:
-    backend = None
-    if getattr(args, "table", None):
-        backend = eng.load_table_backend(args.table)
     cache = None
     path = _cache_path(ts)
     if path.exists():
         cache = eng.InvariantCache.load(str(path), ts.fingerprint, ts)
-    return eng.Engine(ts, backend, cache)
+    return eng.Engine(ts, _backend(args), cache)
 
 
 def _add_common(p: argparse.ArgumentParser, with_policy=True, with_target=True):
@@ -163,46 +167,56 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("targets", help="list, show, or validate targets")
+    p.set_defaults(handler=_cmd_targets)
     p.add_argument("action", choices=("list", "show", "validate"))
     p.add_argument("--target", default=None)
     p.add_argument("--format", choices=("text", "structured"), default="text")
 
     p = sub.add_parser("invariant", help="one descendent invariant, exactly")
+    p.set_defaults(handler=_cmd_invariant)
     _add_common(p)
     p.add_argument("--key", required=True,
                    help="deg=a1,..,ar;ins=(m,alpha)(m,alpha)...")
 
     p = sub.add_parser("nd", help="table of plane-curve counts N_d")
+    p.set_defaults(handler=_cmd_nd)
     _add_common(p, with_policy=False)
     p.add_argument("--max", type=int, default=6, dest="max_d")
 
     p = sub.add_parser("free-energy", help="truncated genus-0 free energy table")
+    p.set_defaults(handler=_cmd_free_energy)
     _add_common(p)
 
     p = sub.add_parser("psi", help="genus-0 L_n constraint residual")
+    p.set_defaults(handler=functools.partial(_cmd_psi, tilde=False))
     _add_common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--families", action="store_true",
                    help="also report derivative families and shift relations")
 
     p = sub.add_parser("psi-tilde", help="auxiliary constraint residual")
+    p.set_defaults(handler=functools.partial(_cmd_psi, tilde=True))
     _add_common(p)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("commutator", help="Virasoro commutation relation check")
+    p.set_defaults(handler=_cmd_commutator)
     _add_common(p)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
     p = sub.add_parser("central-condition", help="central charge condition check")
+    p.set_defaults(handler=_cmd_central)
     _add_common(p, with_policy=False)
 
     p = sub.add_parser("identities", help="run the identity registry")
+    p.set_defaults(handler=_cmd_identities)
     _add_common(p)
     p.add_argument("--tags", default=None, help="comma-separated identity tags")
     p.add_argument("--all", action="store_true", dest="all_tags")
 
     p = sub.add_parser("cache", help="manage the invariant cache")
+    p.set_defaults(handler=_cmd_cache)
     p.add_argument("action", choices=("warm", "verify", "clear"))
     p.add_argument("--full", action="store_true",
                    help="verify: recompute every entry, not every 20th")
@@ -350,7 +364,7 @@ def _cmd_cache(args) -> RunReport:
         return RunReport("cache clear", ts.fingerprint, {}, "pass",
                          [{"removed": existed}])
     if args.action == "warm":
-        engine = eng.Engine(ts, eng.load_table_backend(args.table) if args.table else None)
+        engine = eng.Engine(ts, _backend(args))
         keys = engine.admissible_keys(policy)
         for key in keys:
             engine.invariant(key)
@@ -364,7 +378,7 @@ def _cmd_cache(args) -> RunReport:
     if not path.exists():
         raise errors.CacheMismatch(f"no cache file at {path}")
     cache = eng.InvariantCache.load(str(path), ts.fingerprint, ts)
-    cold = eng.Engine(ts, eng.load_table_backend(args.table) if args.table else None)
+    cold = eng.Engine(ts, _backend(args))
     sample = sorted(cache.entries)[::1 if args.full else 20]
     bad = []
     for key in sample:
@@ -381,71 +395,62 @@ def _cmd_cache(args) -> RunReport:
 # --- driver ---------------------------------------------------------------------
 
 
-def _emit(report: RunReport, fmt: str, out) -> None:
+def _render(report: RunReport, fmt: str) -> str:
     if fmt == "structured":
-        out.write(report.to_json() + "\n")
-        return
-    out.write(f"{report.command}: {report.outcome}\n")
+        return report.to_json() + "\n"
+    lines = [f"{report.command}: {report.outcome}\n"]
     for detail in report.details:
         if isinstance(detail, dict):
-            parts = [f"{k}={v}" for k, v in detail.items()]
-            out.write("  " + "  ".join(parts) + "\n")
+            lines.append("  " + "  ".join(f"{k}={v}" for k, v in detail.items()) + "\n")
         else:
-            out.write(f"  {detail}\n")
+            lines.append(f"  {detail}\n")
     if not report.details and report.outcome == "pass":
-        out.write("  all coefficients zero\n")
+        lines.append("  all coefficients zero\n")
+    return "".join(lines)
 
 
 def run(argv: list[str], out=None) -> tuple[int, RunReport | None]:
-    """Execute one subcommand; returns (exit code, report)."""
+    """Execute one subcommand; returns (exit code, report).
+
+    A reader that closes ``out`` before the report is written leaves the exit
+    code as the verdict gives it.
+    """
     out = out if out is not None else sys.stdout
     started = time.monotonic()
     parser = _build_parser()
     fmt = "text"
     try:
         args = parser.parse_args(argv)
-        fmt = getattr(args, "format", "text")
-        if args.cmd == "targets":
-            report = _cmd_targets(args)
-        elif args.cmd == "invariant":
-            report = _cmd_invariant(args)
-        elif args.cmd == "nd":
-            report = _cmd_nd(args)
-        elif args.cmd == "free-energy":
-            report = _cmd_free_energy(args)
-        elif args.cmd == "psi":
-            report = _cmd_psi(args, tilde=False)
-        elif args.cmd == "psi-tilde":
-            report = _cmd_psi(args, tilde=True)
-        elif args.cmd == "commutator":
-            report = _cmd_commutator(args)
-        elif args.cmd == "central-condition":
-            report = _cmd_central(args)
-        elif args.cmd == "identities":
-            report = _cmd_identities(args)
-        elif args.cmd == "cache":
-            report = _cmd_cache(args)
-        else:  # pragma: no cover - argparse enforces choices
-            raise errors.ParseError(f"unknown command {args.cmd!r}")
+        fmt = args.format
+        report = args.handler(args)
     except (errors.ParseError, errors.ValidationError, errors.UnknownPreset,
             errors.UnknownIdentity) as exc:
-        out.write(f"error: {exc}\n")
-        return EXIT_USAGE, None
+        code, report, text = EXIT_USAGE, None, f"error: {exc}\n"
     except (errors.TargetUnsupported, errors.CacheMismatch, errors.PolicyTooTight,
             errors.NotApplicable, errors.UnsupportedIndex, errors.IndexOutOfRange,
             OSError) as exc:
+        code = EXIT_ENGINE
         report = RunReport(" ".join(argv[:1]) or "gw", "", {}, "error",
-                           [{"error": type(exc).__name__, "message": str(exc)}],
-                           int((time.monotonic() - started) * 1000))
-        _emit(report, fmt, out)
-        return EXIT_ENGINE, report
-    report.wall_time_ms = int((time.monotonic() - started) * 1000)
-    _emit(report, fmt, out)
-    return (EXIT_PASS if report.outcome == "pass" else EXIT_FAIL), report
+                           [{"error": type(exc).__name__, "message": str(exc)}])
+    else:
+        code = EXIT_PASS if report.outcome == "pass" else EXIT_FAIL
+    if report is not None:
+        report.wall_time_ms = int((time.monotonic() - started) * 1000)
+        text = _render(report, fmt)
+    with contextlib.suppress(BrokenPipeError):
+        out.write(text)
+    return code, report
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:])[0])
+    code = run(sys.argv[1:])[0]
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output early.  What is still buffered
+        # goes to devnull, so the interpreter's last flush does not raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -18,12 +18,14 @@ runs on an explicit work stack rather than by recursion, so deep keys do not
 hit the recursion limit.
 Canonical keys make the memo cache order-independent.
 
-What a reduction step needs of the target (the class weights q_a - 1, the
-raised index with its partners grouped by weight, the degree splits grouped
-by c1 pairing, and the split tables: each spectator multiset's splits with
-their binomials and weights) is built once per target
-(``TargetSpace.class_weight``, ``raised_table``, ``degree_splits``,
-``spectator_splits``).
+TRR and WDVV are one genus-0 splitting, sum <X S1 O_s>_A1 eta^{sr}
+<O_r Y S2>_A2 over the splits of the spectators S and the degree A, and both
+build their dimension-admissible terms through one helper, ``_splittings``.
+What it needs of the target (the class weights q_a - 1, the raised index
+with its partners grouped by weight, the degree splits grouped by c1
+pairing, and the split tables: each spectator multiset's splits with their
+binomials and weights) is built once per target (``TargetSpace.class_weight``,
+``raised_table``, ``degree_splits``, ``spectator_splits``).
 A miss sums its terms in integers, one numerator over one lcm denominator,
 and makes a single Fraction.
 """
@@ -408,52 +410,50 @@ def _lowering_terms(ts: TargetSpace, ins: Insertions, deg: Degree, divisor_cls: 
     return terms
 
 
-def trr_reduce(ts: TargetSpace, key: CorrelatorKey, chosen: int
-               ) -> list[tuple[int | Fraction, CorrelatorKey, CorrelatorKey]]:
-    """Genus-0 topological recursion relation at coefficient level.
+def _splittings(ts: TargetSpace, first: Insertions, second: Insertions,
+                spectators: Insertions, deg: Degree
+                ) -> list[tuple[int | Fraction, CorrelatorKey, CorrelatorKey]]:
+    """The admissible terms of sum <first S1 O_s>_A1 eta^{sr} <O_r second S2>_A2.
 
-    The chosen insertion tau_m (m > 0) loses one level and lands in the first
-    factor; the two canonically largest remaining insertions stay in the
-    second factor; spectators are distributed over both factors with
-    multiplicity binomials, the degree splits, and eta^{-1} contracts the two
-    new primary insertions.  A coefficient is an ``int`` when it is integral.
+    This is the genus-0 splitting that TRR and WDVV both sum.  It runs over
+    the splits S1 + S2 of the sorted ``spectators`` (each with its
+    multiplicity binomial), A1 + A2 of ``deg``, and the sigma, rho with
+    eta^{sigma rho} nonzero.  Returns (eta^{sigma rho} * binomial, key1,
+    key2) for the terms whose two keys are both dimension-admissible (the
+    others vanish by the selection rule).  A coefficient is an ``int`` when
+    it is integral.
 
-    Only terms whose two keys are both dimension-admissible are returned (the
-    others vanish by the selection rule).  For each spectator split and each
-    sigma, the first key's weight fixes c1 . deg1, so only the degree splits
-    with that pairing are visited.  Those splits share c1 . deg2, which fixes
-    the weight the partner rho must have: the partners of that weight are one
-    lookup in sigma's raised-index row.  The spectator splits with their
-    weights, the raised index grouped by weight and the degree splits are the
-    target's tables, built once per target.
+    The terms are found by weight.  For each spectator split and each sigma,
+    the first key's weight fixes c1 . A1, so only the degree splits with that
+    pairing are visited.  Those splits share c1 . A2, which fixes the weight
+    the partner rho must have: the partners of that weight are one lookup in
+    sigma's raised-index row.  The spectator splits with their weights, the
+    raised index grouped by weight and the degree splits are the target's
+    tables, built once per target.
 
     Both keys come out canonical.  The first key's insertions are sorted once
-    per (spectator split, sigma).  The second key's need no sort: the split
-    table's ``right`` is a sorted sub-multiset of the spectators, which all
-    sort before the two fixed insertions, so ``right + fixed`` is sorted
-    already and the partner rho is inserted into it by ``bisect``.
+    per (spectator split, sigma), from ``left + first`` built once per split.
+    The second key's halves ``right + second`` are sorted already when the
+    sorted ``second`` sorts after every spectator, as the split table's
+    ``right`` is a sorted sub-multiset of them; otherwise they are sorted
+    once per split.  The partner rho goes into its place by ``bisect``.
     """
-    ins, deg = key
-    if len(ins) < 3:
-        raise NotApplicable("TRR needs at least 3 insertions")
-    m, alpha = ins[chosen]
-    if m <= 0:
-        raise NotApplicable("chosen insertion must have positive level")
-    rest = ins[:chosen] + ins[chosen + 1:]
-    fixed = rest[-2:]
-    lowered = VarId(m - 1, alpha)
-    by_pairing = ts.degree_splits(deg)
-    raised = ts.raised_table
-    new = tuple.__new__
+    w = ts.class_weight
     # Balances of the two keys before the new primaries are added.
-    offset = ts.complex_dim - 3
-    base1 = m - 1 + ts.class_weight[alpha] - offset
-    base2 = _weight(ts, fixed) - offset
+    base1 = base2 = 3 - ts.complex_dim
+    for m, a in first:
+        base1 += m + w[a]
+    for m, a in second:
+        base2 += m + w[a]
+    ordered = not spectators or spectators[-1] <= second[0]
+    by_pairing, raised = ts.degree_splits(deg), ts.raised_table
+    new, insert = tuple.__new__, bisect.bisect
     out: list[tuple[int | Fraction, CorrelatorKey, CorrelatorKey]] = []
-    for left, right, ways, w_left, w_right in ts.spectator_splits(rest[:-2]):
+    for left, right, ways, w_left, w_right in ts.spectator_splits(spectators):
         bal1 = base1 + w_left
         bal2 = base2 + w_right
-        right_fixed = right + fixed
+        left_first = left + first
+        halves = right + second if ordered else tuple(sorted(right + second))
         for var_s, w_s, groups in raised:
             bucket = by_pairing.get(bal1 + w_s)
             if bucket is None:
@@ -462,15 +462,35 @@ def trr_reduce(ts: TargetSpace, key: CorrelatorKey, chosen: int
             partners = groups.get(p2 - bal2)
             if not partners:
                 continue
-            ins1 = tuple(sorted(left + (lowered, var_s)))
+            ins1 = tuple(sorted(left_first + (var_s,)))
             for deg1, deg2 in splits:
                 key1 = new(CorrelatorKey, (ins1, deg1))
                 for var_r, eta_inv in partners:
-                    at = bisect.bisect(right_fixed, var_r)
+                    at = insert(halves, var_r)
                     out.append((eta_inv * ways, key1,
-                                new(CorrelatorKey,
-                                    (right_fixed[:at] + (var_r,) + right_fixed[at:], deg2))))
+                                new(CorrelatorKey, (halves[:at] + (var_r,) + halves[at:], deg2))))
     return out
+
+
+def trr_reduce(ts: TargetSpace, key: CorrelatorKey, chosen: int
+               ) -> list[tuple[int | Fraction, CorrelatorKey, CorrelatorKey]]:
+    """Genus-0 topological recursion relation at coefficient level.
+
+    The chosen insertion tau_m (m > 0) loses one level and lands in the first
+    factor; the two canonically largest remaining insertions stay in the
+    second factor; spectators are distributed over both factors with
+    multiplicity binomials, the degree splits, and eta^{-1} contracts the two
+    new primary insertions.  The terms are ``_splittings``': only those whose
+    two keys are both dimension-admissible, both keys canonical.
+    """
+    ins, deg = key
+    if len(ins) < 3:
+        raise NotApplicable("TRR needs at least 3 insertions")
+    m, alpha = ins[chosen]
+    if m <= 0:
+        raise NotApplicable("chosen insertion must have positive level")
+    rest = ins[:chosen] + ins[chosen + 1:]
+    return _splittings(ts, (VarId(m - 1, alpha),), rest[-2:], rest[:-2], deg)
 
 
 def wdvv_reduce(ts: TargetSpace, key: CorrelatorKey
@@ -484,10 +504,9 @@ def wdvv_reduce(ts: TargetSpace, key: CorrelatorKey
     A1 + A2 of the degree, <D gamma' S1 O_e>_A1 eta^{ef} <O_f c d S2>_A2 =
     <D c S1 O_e>_A1 eta^{ef} <O_f gamma' d S2>_A2, and ``key`` is the term
     with A1 = 0 and S1 empty.  Returns (terms, own): ``key`` is the sum of
-    coeff * <key1> (* <key2>) over the terms, divided by own.  Only
-    dimension-admissible terms are built, found by weight as in TRR.  Both
-    keys come out canonical without a sort: the split table's halves are
-    sorted, and each new slot goes into its place by ``bisect``.
+    coeff * <key1> (* <key2>) over the terms, divided by own.  Each side's
+    terms are ``_splittings``': only dimension-admissible ones, both keys
+    canonical.
 
     A degree-0 factor is evaluated in place.  Its term's other key is ``key``
     (the coefficient goes into own) or must have fewer non-divisor
@@ -506,37 +525,24 @@ def wdvv_reduce(ts: TargetSpace, key: CorrelatorKey
         raise TargetUnsupported(f"no insertion of {key} splits off a divisor on {ts.name}")
     chosen, div, prime = split
     rest = ins[:chosen] + ins[chosen + 1:]
-    d, c = rest[-2:]
+    spectators, (d, c) = rest[:-2], rest[-2:]
     free = sum(a not in divisors for _, a in ins)
-    by_pairing, offset, new = ts.degree_splits(deg), ts.complex_dim - 3, tuple.__new__
     own, stuck, out = _ZERO, False, []
     # The left side's terms move over with sign -1, the right side's with +1.
-    for sign, x, y in ((-1, prime, c), (1, c, prime)):
-        base1, base2 = _weight(ts, (div, x)) - offset, _weight(ts, (y, d)) - offset
-        for left, right, ways, w_left, w_right in ts.spectator_splits(rest[:-2]):
-            bal1, bal2 = base1 + w_left, base2 + w_right
-            for var_s, w_s, groups in ts.raised_table:
-                bucket = by_pairing.get(bal1 + w_s)
-                if bucket is None:
-                    continue
-                p2, splits = bucket
-                ins1 = _insert(left, div, x, var_s)
-                for var_r, eta_inv in groups.get(p2 - bal2, ()):
-                    ins2 = _insert(right, var_r, y, d)
-                    for deg1, deg2 in splits:
-                        key1 = new(CorrelatorKey, (ins1, deg1))
-                        key2 = new(CorrelatorKey, (ins2, deg2))
-                        coeff = sign * ways * eta_inv
-                        if any(deg1) and any(deg2):
-                            out.append((coeff, key1, key2))
-                            continue
-                        zero, other = (key1, key2) if any(deg2) else (key2, key1)
-                        coeff *= degree_zero_value(ts, zero)
-                        if other == key:
-                            own -= coeff
-                        elif coeff:
-                            out.append((coeff, other, None))
-                            stuck |= sum(a not in divisors for _, a in other.insertions) >= free
+    for sign, first, second in ((-1, (div, prime), (d, c)),
+                                (1, (div, c), tuple(sorted((prime, d))))):
+        for coeff, key1, key2 in _splittings(ts, first, second, spectators, deg):
+            coeff *= sign
+            if any(key1.degree) and any(key2.degree):
+                out.append((coeff, key1, key2))
+                continue
+            zero, other = (key1, key2) if any(key2.degree) else (key2, key1)
+            coeff *= degree_zero_value(ts, zero)
+            if other == key:
+                own -= coeff
+            elif coeff:
+                out.append((coeff, other, None))
+                stuck |= sum(a not in divisors for _, a in other.insertions) >= free
     if stuck or not own:
         raise TargetUnsupported(f"WDVV does not reduce {key} on {ts.name}")
     return out, own
@@ -828,14 +834,6 @@ def _gather(policy: TruncationPolicy, found: list[tuple[int, int, int]]) -> Trun
     series.terms = {key: num * (den // d) for key, num, d in found}
     series.den = den
     return series
-
-
-def _insert(ins: Insertions, *slots: VarId) -> Insertions:
-    """The sorted ``ins`` with each of ``slots`` put in its sorted place by ``bisect``."""
-    for v in slots:
-        at = bisect.bisect(ins, v)
-        ins = ins[:at] + (v,) + ins[at:]
-    return ins
 
 
 def _variables(policy: TruncationPolicy, ts: TargetSpace) -> list[VarId]:

@@ -145,11 +145,11 @@ class TargetSpace:
 
     @cached_property
     def raised_table(self) -> tuple[RaisedRow, ...]:
-        """One row per sigma: the raised index as the TRR contracts it.
+        """One row per sigma: the raised index as the genus-0 splitting contracts it.
 
         Built from ``raised``, the partners rho of each sigma grouped by their
-        weight q_rho - 1 in ``raised`` order, so the TRR finds the partners
-        that balance a key with one dict lookup.  eta^{sigma rho} is an
+        weight q_rho - 1 in ``raised`` order, so TRR and WDVV find the
+        partners that balance a key with one dict lookup.  eta^{sigma rho} is an
         ``int`` when integral, so products with it stay in integers.
         """
         w = self.class_weight

@@ -3,10 +3,15 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gwvir
 from gwvir.cli import parse_key, run
 from gwvir.engine import InvariantCache, make_key
 from gwvir.errors import ParseError
@@ -421,3 +426,23 @@ def test_deep_descendent_key_has_no_recursion_limit():
     assert code == 0
     assert report.details[0]["value"] == format_rational(
         Fraction(1, math.factorial(150) ** 2))
+
+
+def test_main_keeps_the_verdict_when_the_reader_closes_early(tmp_path):
+    """``gw ... | head -1``: exit 0 for a pass and nothing on stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(gwvir.__file__).resolve().parents[1]),
+           "GW_CACHE_DIR": str(tmp_path)}
+    # About 240 kB of text, more than a pipe holds, so writes meet the closed pipe.
+    argv = ["free-energy", "--target", "P2", "--insertions", "6", "--level", "4", "--degree", "3"]
+    proc = subprocess.Popen([sys.executable, "-m", "gwvir.cli", *argv], cwd=tmp_path, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"free-energy: pass\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+    assert b"Traceback" not in stderr
+    assert stderr == b""

@@ -363,6 +363,95 @@ def test_trr_reduce_is_full_expansion_filtered(name, policy, min_spectators):
     assert checked >= 10
 
 
+def _wdvv_split(ts, ins):
+    """(index, D, g') of the key's first insertion that is one class D g'.
+
+    D is a divisor and g' the least class index that gives it.
+    """
+    return next((i, (0, cls), (0, h)) for i, (_, g) in enumerate(ins)
+                for cls, _ in ts.divisors for h in range(1, ts.classes + 1)
+                if ts.cup_product({cls: 1}, h).keys() == {g})
+
+
+def _wdvv_full_expansion(ts, key):
+    """WDVV as the rule writes it out: (terms, own) from every term of both sides.
+
+    The insertion ``_wdvv_split`` names splits off as D g'; c and d are the
+    two largest other insertions and S the rest.  Each side expands over
+    every split of S, of the degree and every sigma, rho with eta^{sigma rho}
+    nonzero; a term is kept when both its keys are admissible.  A degree-0
+    factor is evaluated with ``degree_zero_value``: the key itself goes into
+    own, and any other nonzero term is kept with its one key.
+    """
+    ins, deg = key
+    chosen, div, prime = _wdvv_split(ts, ins)
+    rest = ins[:chosen] + ins[chosen + 1:]
+    (d, c), spectators = rest[-2:], rest[:-2]
+    distinct = sorted(set(spectators))
+    mults = [spectators.count(v) for v in distinct]
+    terms, own = [], Fraction(0)
+    for sign, x, y in ((-1, prime, c), (1, c, prime)):
+        for takes in itertools.product(*(range(n + 1) for n in mults)):
+            left = tuple(v for v, t in zip(distinct, takes) for _ in range(t))
+            right = tuple(v for v, t, n in zip(distinct, takes, mults) for _ in range(n - t))
+            ways = math.prod(math.comb(n, t) for n, t in zip(mults, takes))
+            for deg1 in _degree_box(deg):
+                deg2 = tuple(n - a for n, a in zip(deg, deg1))
+                for sigma, rho in itertools.product(range(1, ts.classes + 1), repeat=2):
+                    eta_inv = ts.eta_inv[sigma - 1][rho - 1]
+                    if not eta_inv:
+                        continue
+                    key1 = make_key(left + (div, x, (0, sigma)), deg1)
+                    key2 = make_key(right + ((0, rho), y, d), deg2)
+                    if not (dimension_admissible(ts, key1) and dimension_admissible(ts, key2)):
+                        continue
+                    coeff = sign * ways * eta_inv
+                    if any(deg1) and any(deg2):
+                        terms.append((coeff, key1, key2))
+                        continue
+                    zero, other = (key1, key2) if any(deg2) else (key2, key1)
+                    coeff *= degree_zero_value(ts, zero)
+                    if other == key:
+                        own -= coeff
+                    elif coeff:
+                        terms.append((coeff, other, None))
+    return terms, own
+
+
+@pytest.mark.parametrize("name,cap", [
+    ("P2", (3,)), ("P2-rational-eta", (3,)), ("P1xP1", (2, 2)), ("P3", (2,)),
+])
+def test_wdvv_reduce_is_full_expansion_filtered(name, cap):
+    """Every all-primary key the reduction hands to WDVV, against the written-out rule."""
+    ts, backend = _seeded(name) if name in ("P1xP1", "P3") else (_target(name), None)
+    table = Engine(ts, backend).backend.table
+    divisors = {cls for cls, _ in ts.divisors}
+    # The keys that reach WDVV: no unit or divisor insertion, at least three
+    # insertions, nonzero degree and no seed.
+    classes = [a for a in range(2, ts.classes + 1) if a not in divisors]
+    max_k = max(ts.degree_weight(cap) // min(ts.class_weight[a] for a in classes), 3)
+    checked = sorted_branch = 0
+    for k in range(3, max_k + 1):
+        for combo in itertools.combinations_with_replacement(classes, k):
+            for deg in _degree_box(cap):
+                key = make_key([(0, a) for a in combo], deg)
+                if not any(deg) or key in table or not dimension_admissible(ts, key):
+                    continue
+                terms, own = _wdvv_full_expansion(ts, key)
+                got, got_own = wdvv_reduce(ts, key)
+                assert Counter(got) == Counter(terms)
+                assert got_own == own
+                checked += 1
+                # The right side's second slots (g', d) sort before a spectator:
+                # its split halves are sorted once per split.
+                ins = key.insertions
+                chosen, _, prime = _wdvv_split(ts, ins)
+                rest = ins[:chosen] + ins[chosen + 1:]
+                sorted_branch += len(rest) > 2 and rest[-3] > min(prime, rest[-2])
+    assert checked >= 2
+    assert sorted_branch >= 1
+
+
 # --- confluence: every applicable route gives the engine's value -----------------
 
 def _admissible_keys(ts, k_max, m_max, d_max):
