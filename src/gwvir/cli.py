@@ -118,7 +118,9 @@ def _policy_from_args(args, ts: target.TargetSpace) -> TruncationPolicy:
         elif len(parts) == r:
             degs = tuple(parts)
         else:
-            raise errors.ParseError(f"--degree needs 1 or {r} components")
+            accepted = "one integer" if r < 2 else f"one integer or {r} comma-separated integers"
+            raise errors.ParseError(f"--degree takes {accepted} on this target, "
+                                    f"not {args.degree!r}")
     try:
         return TruncationPolicy(args.insertions, args.level, degs)
     except ValueError as exc:

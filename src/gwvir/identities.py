@@ -2,18 +2,22 @@
 
 Each tag is a generator over the free index tuples of one identity
 (descendent levels up to the policy level bound minus one, all class
-indices).  For every tuple it yields ``(indices, lhs, rhs)``, where each side
-is a term list as ``CorrContext.evaluate`` reads it: ``(coeff, factor[,
-factor])`` terms whose factors are specs naming correlation series, raised
-series, vector-field contractions, genus-0 splittings (``pair``), sums and
-products of specs (``sum``, ``mul``), classical quadratic forms, operator
-residuals, the Psi forms, the constant 1, ``t`` or ``ttilde``.  Vector-field
-slots inside double brackets are tensor contractions: the field expands into
-its ttilde-weighted sum of derivative slots under the same policy.
+indices; ``IdentityContext.slots`` enumerates them).  For every tuple it
+yields ``(indices, lhs, rhs)``, where each side is a term list as
+``CorrContext.evaluate`` reads it: ``(coeff, factor[, factor])`` terms whose
+factors are specs naming correlation series, raised series, vector-field
+contractions, genus-0 splittings (``pair``), sums and products of specs
+(``sum``, ``mul``), classical quadratic forms, operator residuals, the Psi
+forms, the constant 1, ``t`` or ``ttilde``.  A spec names its vector field
+(``"X"``, ``"L1"``, ``("L0", k)`` for L_0 - k D, ...) as ``CorrContext.field``
+reads it.  Vector-field slots inside double brackets are tensor
+contractions: the field expands into its ttilde-weighted sum of derivative
+slots under the same policy.
 
 ``verify_identity`` evaluates both lists on one shared context and compares
 them exactly, reporting per-tuple pass/fail with the first failing
-coefficient.  The products a tag names live until that tag ends.
+coefficient.  The products a tag names live until that tag ends; every
+other factor lives as long as the context.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterator
 
 from .engine import Engine
@@ -28,11 +33,9 @@ from .errors import UnknownIdentity
 from .rationals import format_rational
 from .series import Monomial, TruncatedSeries, TruncationPolicy, series_mul
 from .target import row
-from .virasoro import (CLOSED_A, CorrContext, LinearTerm, apply_operator, build_operator,
-                       coeff_A, coeff_B, combine_fields, dilaton_field, euler_field,
-                       linear_field, string_field, _as_engine)
+from .virasoro import (CLOSED_A, CorrContext, apply_operator, build_operator, coeff_A,
+                       coeff_B, _as_engine)
 
-_ONE = Fraction(1)
 ONE = ("one",)
 
 Terms = list[tuple]
@@ -60,42 +63,23 @@ def render_monomial(mon: Monomial) -> str:
 
 
 class IdentityContext(CorrContext):
-    """CorrContext plus the named vector fields, index ranges and factors the lemmas use."""
+    """CorrContext plus the index ranges and factors the lemmas use."""
 
     PRODUCTS = CorrContext.PRODUCTS | {"mul"}
 
     def __init__(self, engine: Engine, policy: TruncationPolicy):
         super().__init__(engine, policy)
         self.idx = max(policy.max_level - 1, 0)
-        self._fields: dict[tuple[str, Fraction | int], tuple[LinearTerm, ...]] = {}
-
-    def field(self, name: str, k: Fraction | int = 0) -> tuple[LinearTerm, ...]:
-        """Terms of the named vector field minus k times the dilaton field D."""
-        key = (name, k)
-        if key not in self._fields:
-            ts, M = self.ts, self.policy.max_level
-            if k:
-                terms = combine_fields((self.field(name), 1), (self.field("D"), -k))
-            elif name == "S":
-                terms = string_field(ts, M)
-            elif name == "D":
-                terms = dilaton_field(ts, M)
-            elif name == "X":
-                terms = euler_field(ts, M)
-            elif name == "Ltilde1":
-                terms = linear_field(ts, (lambda x: _ONE,), 1, M)
-            elif name.startswith("L"):
-                terms = build_operator(ts, int(name[1:]), M).linear
-            else:
-                raise UnknownIdentity(name)
-            self._fields[key] = terms
-        return self._fields[key]
 
     def classes(self) -> range:
         return range(1, self.ts.classes + 1)
 
     def levels(self) -> range:
         return range(self.idx + 1)
+
+    def slots(self, k: int) -> Iterator[tuple[tuple[int, int], ...]]:
+        """Every k-tuple of free (level, class) slots, in k nested loops' order."""
+        return product([(m, a) for m in self.levels() for a in self.classes()], repeat=k)
 
     def mul(self, f: tuple, g: tuple) -> TruncatedSeries:
         """The product of the series two factor specs name."""
@@ -121,49 +105,37 @@ def _operator_route(ctx: IdentityContext, n: int):
 
 
 def _check_string_corr1(ctx: IdentityContext):
-    yield ((), [(1, ("field_series", ctx.field("S")))], [(1, ("classical", 0))])
+    yield ((), [(1, ("field_series", "S"))], [(1, ("classical", 0))])
 
 
 def _check_string_corr2(ctx: IdentityContext):
-    s = ctx.field("S")
-    for m in ctx.levels():
-        for a in ctx.classes():
-            rhs = [(1, ("corr", (m - 1, a)))]
-            if m == 0:
-                rhs += [(c, ("t", 0, b)) for b, c in row(ctx.ts.eta, a)]
-            yield ((m, a), [(1, ("field_series", s, (m, a)))], rhs)
+    for (m, a), in ctx.slots(1):
+        rhs = [(1, ("corr", (m - 1, a)))]
+        if m == 0:
+            rhs += [(c, ("t", 0, b)) for b, c in row(ctx.ts.eta, a)]
+        yield ((m, a), [(1, ("field_series", "S", (m, a)))], rhs)
 
 
 def _check_string_corr3(ctx: IdentityContext):
-    s = ctx.field("S")
-    for m in ctx.levels():
-        for a in ctx.classes():
-            for n in ctx.levels():
-                for b in ctx.classes():
-                    rhs = [(1, ("corr", (m, a), (n - 1, b))), (1, ("corr", (m - 1, a), (n, b)))]
-                    if m == 0 and n == 0:
-                        rhs.append((ctx.ts.eta[a - 1][b - 1], ONE))
-                    yield ((m, a, n, b), [(1, ("field_series", s, (m, a), (n, b)))], rhs)
+    for (m, a), (n, b) in ctx.slots(2):
+        rhs = [(1, ("corr", (m, a), (n - 1, b))), (1, ("corr", (m - 1, a), (n, b)))]
+        if m == 0 and n == 0:
+            rhs.append((ctx.ts.eta[a - 1][b - 1], ONE))
+        yield ((m, a, n, b), [(1, ("field_series", "S", (m, a), (n, b)))], rhs)
 
 
 def _check_dilaton_corr1(ctx: IdentityContext):
-    yield ((), [(1, ("field_series", ctx.field("D")))], [(-2, ("corr",))])
+    yield ((), [(1, ("field_series", "D"))], [(-2, ("corr",))])
 
 
 def _check_dilaton_corr2(ctx: IdentityContext):
-    d = ctx.field("D")
-    for m in ctx.levels():
-        for a in ctx.classes():
-            yield ((m, a), [(1, ("field_series", d, (m, a)))], [(-1, ("corr", (m, a)))])
+    for (m, a), in ctx.slots(1):
+        yield ((m, a), [(1, ("field_series", "D", (m, a)))], [(-1, ("corr", (m, a)))])
 
 
 def _check_dilaton_corr3(ctx: IdentityContext):
-    d = ctx.field("D")
-    for m in ctx.levels():
-        for a in ctx.classes():
-            for n in ctx.levels():
-                for b in ctx.classes():
-                    yield ((m, a, n, b), [(1, ("field_series", d, (m, a), (n, b)))], [])
+    for (m, a), (n, b) in ctx.slots(2):
+        yield ((m, a, n, b), [(1, ("field_series", "D", (m, a), (n, b)))], [])
 
 
 def _quasi_homog_rhs(ctx: IdentityContext) -> Terms:
@@ -172,27 +144,25 @@ def _quasi_homog_rhs(ctx: IdentityContext) -> Terms:
 
 
 def _check_quasi_homog(ctx: IdentityContext):
-    yield ((), [(1, ("field_series", ctx.field("X")))], _quasi_homog_rhs(ctx))
+    yield ((), [(1, ("field_series", "X"))], _quasi_homog_rhs(ctx))
 
 
 def _check_euler_corr1(ctx: IdentityContext):
     # Same statement as QuasiHomog, exercised through the tensor-slot route
     # with X recombined as -(L0 + (3-d)/2 D).
     shift = Fraction(3 - ctx.ts.complex_dim, 2)
-    yield ((), [(-1, ("field_series", ctx.field("L0", -shift)))], _quasi_homog_rhs(ctx))
+    yield ((), [(-1, ("field_series", ("L0", -shift)))], _quasi_homog_rhs(ctx))
 
 
 def _check_euler_corr2(ctx: IdentityContext):
     ts = ctx.ts
     shift = Fraction(3 - ts.complex_dim, 2)
-    x = ctx.field("X")
-    for m in ctx.levels():
-        for a in ctx.classes():
-            rhs = [(m + ts.b[a - 1] + shift, ("corr", (m, a)))]
-            rhs += [(c, ("corr", (m - 1, s))) for s, c in row(ts.c1_mat, a)]
-            if m == 0:
-                rhs += [(c, ("t", 0, s)) for s, c in row(ts.chern_power_eta(1), a)]
-            yield ((m, a), [(1, ("field_series", x, (m, a)))], rhs)
+    for (m, a), in ctx.slots(1):
+        rhs = [(m + ts.b[a - 1] + shift, ("corr", (m, a)))]
+        rhs += [(c, ("corr", (m - 1, s))) for s, c in row(ts.c1_mat, a)]
+        if m == 0:
+            rhs += [(c, ("t", 0, s)) for s, c in row(ts.chern_power_eta(1), a)]
+        yield ((m, a), [(1, ("field_series", "X", (m, a)))], rhs)
 
 
 def _euler3_rhs(ctx: IdentityContext, m: int, a: int, n: int, b: int) -> Terms:
@@ -207,31 +177,22 @@ def _euler3_rhs(ctx: IdentityContext, m: int, a: int, n: int, b: int) -> Terms:
 
 
 def _check_euler_corr3(ctx: IdentityContext):
-    x = ctx.field("X")
-    for m in ctx.levels():
-        for a in ctx.classes():
-            for n in ctx.levels():
-                for b in ctx.classes():
-                    yield ((m, a, n, b), [(1, ("field_series", x, (m, a), (n, b)))],
-                           _euler3_rhs(ctx, m, a, n, b))
+    for (m, a), (n, b) in ctx.slots(2):
+        yield ((m, a, n, b), [(1, ("field_series", "X", (m, a), (n, b)))],
+               _euler3_rhs(ctx, m, a, n, b))
 
 
 # --- section 2.3: recursion relations ----------------------------------------
 
 def _check_trr(ctx: IdentityContext):
-    for m in range(1, ctx.idx + 1):
-        for a in ctx.classes():
-            for n in ctx.levels():
-                for b in ctx.classes():
-                    for k in ctx.levels():
-                        for g in ctx.classes():
-                            yield ((m, a, n, b, k, g),
-                                   [(1, ("corr", (m, a), (n, b), (k, g)))],
-                                   [(1, ("pair", ((m - 1, a),), ((n, b), (k, g))))])
+    for (m, a), (n, b), (k, g) in ctx.slots(3):
+        if m:
+            yield ((m, a, n, b, k, g),
+                   [(1, ("corr", (m, a), (n, b), (k, g)))],
+                   [(1, ("pair", ((m - 1, a),), ((n, b), (k, g))))])
 
 
 def _check_gen_wdvv(ctx: IdentityContext):
-    vids = [(m, a) for m in ctx.levels() for a in ctx.classes()]
     # pair(A, B) == pair(B, A) at level 0 unweighted, so both the slot pairs
     # and their order are sorted, and each splitting is built once per tag.
     def canon(a, b, c, d) -> tuple:
@@ -239,16 +200,13 @@ def _check_gen_wdvv(ctx: IdentityContext):
         q = (c, d) if c <= d else (d, c)
         return (p, q) if p <= q else (q, p)
 
-    for u in vids:
-        for v in vids:
-            for w in vids:
-                for x in vids:
-                    kl = canon(u, v, w, x)
-                    kr = canon(u, w, v, x)
-                    if kl == kr:
-                        yield ((*u, *v, *w, *x), [], [])
-                    else:
-                        yield ((*u, *v, *w, *x), [(1, ("pair", *kl))], [(1, ("pair", *kr))])
+    for u, v, w, x in ctx.slots(4):
+        kl = canon(u, v, w, x)
+        kr = canon(u, w, v, x)
+        if kl == kr:
+            yield ((*u, *v, *w, *x), [], [])
+        else:
+            yield ((*u, *v, *w, *x), [(1, ("pair", *kl))], [(1, ("pair", *kr))])
 
 
 def _check_frr(ctx: IdentityContext):
@@ -264,235 +222,183 @@ def _check_frr(ctx: IdentityContext):
         return ("sum", (ts.b[mu - 1] + ts.b[nu - 1], ("corr", (0, mu), (0, nu))),
                 (ceta[mu - 1][nu - 1], ONE))
 
-    for m in ctx.levels():
-        for a in ctx.classes():
-            for n in ctx.levels():
-                for b in ctx.classes():
-                    lhs = [(1, ("mul", side(m, a, mu), mid(mu, nu)), side(n, b, nu))
-                           for mu in ctx.classes() for nu in ctx.classes()]
-                    yield ((m, a, n, b), lhs, _euler3_rhs(ctx, m, a, n, b))
+    for (m, a), (n, b) in ctx.slots(2):
+        lhs = [(1, ("mul", side(m, a, mu), mid(mu, nu)), side(n, b, nu))
+               for mu in ctx.classes() for nu in ctx.classes()]
+        yield ((m, a, n, b), lhs, _euler3_rhs(ctx, m, a, n, b))
 
 
 def _check_string_rec(ctx: IdentityContext):
-    for m in ctx.levels():
-        for a in ctx.classes():
-            for n in ctx.levels():
-                for b in ctx.classes():
-                    yield ((m, a, n, b),
-                           [(1, ("corr", (m, a), (n - 1, b))), (1, ("corr", (m - 1, a), (n, b)))],
-                           [(1, ("pair", ((m - 1, a),), ((n - 1, b),))),
-                            (int(m == 0), ("corr", (0, a), (n - 1, b))),
-                            (int(n == 0), ("corr", (m - 1, a), (0, b)))])
+    for (m, a), (n, b) in ctx.slots(2):
+        yield ((m, a, n, b),
+               [(1, ("corr", (m, a), (n - 1, b))), (1, ("corr", (m - 1, a), (n, b)))],
+               [(1, ("pair", ((m - 1, a),), ((n - 1, b),))),
+                (int(m == 0), ("corr", (0, a), (n - 1, b))),
+                (int(n == 0), ("corr", (m - 1, a), (0, b)))])
 
 
 def _check_swdvv(ctx: IdentityContext):
     for n in (1, 2):
-        ln, l0d = ctx.field(f"L{n}"), ctx.field("L0", n + 1)
-        for k in ctx.levels():
-            for mu in ctx.classes():
-                for l in ctx.levels():
-                    for nu in ctx.classes():
-                        yield ((n, k, mu, l, nu),
-                               [(1, ("field2_series", ln, l0d, (0, s)),
-                                 ("corr_raised", s, (k, mu), (l, nu))) for s in ctx.classes()],
-                               [(1, ("field_series", ln, (k, mu), (0, s)),
-                                 ("field_raised", l0d, s, (l, nu))) for s in ctx.classes()])
+        ln, l0d = f"L{n}", ("L0", n + 1)
+        for (k, mu), (l, nu) in ctx.slots(2):
+            yield ((n, k, mu, l, nu),
+                   [(1, ("field2_series", ln, l0d, (0, s)),
+                     ("corr_raised", s, (k, mu), (l, nu))) for s in ctx.classes()],
+                   [(1, ("field_series", ln, (k, mu), (0, s)),
+                     ("field_raised", l0d, s, (l, nu))) for s in ctx.classes()])
 
 
 # --- section 4 lemmas ---------------------------------------------------------
 
 def _check_xx_corr(ctx: IdentityContext):
     ts = ctx.ts
-    l0, l0d = ctx.field("L0"), ctx.field("L0", 1)
     ceta = ts.chern_power_eta(1)
     c2, c2eta = ts.chern_power(2), ts.chern_power_eta(2)
-    # The ttilde-weighted 2-point sums of the Lemma 4.1 right side.
-    tilde_part = linear_field(ts, CLOSED_A[1], 0, ctx.policy.max_level)
-    for m in ctx.levels():
-        for a in ctx.classes():
-            b = ts.b[a - 1]
-            rhs = [((m + b) * (m + b - 1), ("corr", (m, a))),
-                   (-1, ("field_series", tilde_part, (m, a)))]
-            rhs += [((b + ts.b[s - 1] + 2 * m - 2) * c, ("corr", (m - 1, s)))
-                    for s, c in row(ts.c1_mat, a)]
-            rhs += [(c, ("corr", (m - 2, s))) for s, c in row(c2, a)]
-            if m == 0:
-                rhs += [((2 * b - 1) * c, ("t", 0, s)) for s, c in row(ceta, a)]
-                rhs += [(-c, ("ttilde", 1, s)) for s, c in row(c2eta, a)]
-            if m == 1:
-                rhs += [(c, ("t", 0, s)) for s, c in row(c2eta, a)]
-            yield ((m, a), [(1, ("field2_series", l0, l0d, (m, a)))], rhs)
+    for (m, a), in ctx.slots(1):
+        b = ts.b[a - 1]
+        rhs = [((m + b) * (m + b - 1), ("corr", (m, a))),
+               (-1, ("field_series", "XXTilde", (m, a)))]
+        rhs += [((b + ts.b[s - 1] + 2 * m - 2) * c, ("corr", (m - 1, s)))
+                for s, c in row(ts.c1_mat, a)]
+        rhs += [(c, ("corr", (m - 2, s))) for s, c in row(c2, a)]
+        if m == 0:
+            rhs += [((2 * b - 1) * c, ("t", 0, s)) for s, c in row(ceta, a)]
+            rhs += [(-c, ("ttilde", 1, s)) for s, c in row(c2eta, a)]
+        if m == 1:
+            rhs += [(c, ("t", 0, s)) for s, c in row(c2eta, a)]
+        yield ((m, a), [(1, ("field2_series", "L0", ("L0", 1), (m, a)))], rhs)
 
 
 def _check_qf1(ctx: IdentityContext):
     ts = ctx.ts
-    for k in ctx.levels():
-        for mu in ctx.classes():
-            bm = ts.b[mu - 1]
-            for l in ctx.levels():
-                for nu in ctx.classes():
-                    bn = ts.b[nu - 1]
-                    gap = k + bm - l - bn
-                    weights = tuple(b * gap - (k + bm) * (l + bn + 1) for b in ts.b)
-                    rhs = [(gap * c, ("corr", (k, mu), (l, a))) for a, c in row(ts.c1_mat, nu)]
-                    rhs += [(-gap * c, ("corr", (k, a), (l, nu))) for a, c in row(ts.c1_mat, mu)]
-                    rhs += [(-(k + bm) * (k + bm + 1), ("corr", (k + 1, mu), (l, nu))),
-                            (-(l + bn) * (l + bn + 1), ("corr", (k, mu), (l + 1, nu)))]
-                    yield ((k, mu, l, nu),
-                           [(1, ("pair", ((k, mu),), ((l, nu),), weights))], rhs)
+    for (k, mu), (l, nu) in ctx.slots(2):
+        bm, bn = ts.b[mu - 1], ts.b[nu - 1]
+        gap = k + bm - l - bn
+        weights = tuple(b * gap - (k + bm) * (l + bn + 1) for b in ts.b)
+        rhs = [(gap * c, ("corr", (k, mu), (l, a))) for a, c in row(ts.c1_mat, nu)]
+        rhs += [(-gap * c, ("corr", (k, a), (l, nu))) for a, c in row(ts.c1_mat, mu)]
+        rhs += [(-(k + bm) * (k + bm + 1), ("corr", (k + 1, mu), (l, nu))),
+                (-(l + bn) * (l + bn + 1), ("corr", (k, mu), (l + 1, nu)))]
+        yield ((k, mu, l, nu), [(1, ("pair", ((k, mu),), ((l, nu),), weights))], rhs)
 
 
 def _check_qf2(ctx: IdentityContext):
     ts = ctx.ts
     c1, c2, c2eta = ts.c1_mat, ts.chern_power(2), ts.chern_power_eta(2)
-    for k in ctx.levels():
-        for mu in ctx.classes():
-            bm = ts.b[mu - 1]
-            shifted = tuple(k + b + bm for b in ts.b)
-            for l in ctx.levels():
-                for nu in ctx.classes():
-                    bn = ts.b[nu - 1]
-                    lhs = [(cnb, ("pair", ((k, mu),), ((l - 1, be),), shifted))
-                           for be, cnb in row(c1, nu)]
-                    lhs += [(cma * cnb, ("pair", ((k - 1, a),), ((l - 1, be),)))
-                            for be, cnb in row(c1, nu) for a, cma in row(c1, mu)]
-                    rhs = [((k + bm + l + bn + 1) * c, ("corr", (k, mu), (l, a)))
-                           for a, c in row(c1, nu)]
-                    rhs += [(c, ("corr", (k, mu), (l - 1, a))) for a, c in row(c2, nu)]
-                    rhs += [(cma * cnb, ("corr", (k - 1, a), (l, be)))
-                            for a, cma in row(c1, mu) for be, cnb in row(c1, nu)]
-                    if k == 0:
-                        rhs += [(-cma * cnb, ("corr", (0, a), (l - 1, be)))
-                                for a, cma in row(c1, mu) for be, cnb in row(c1, nu)]
-                    if l == 0:
-                        rhs += [(-c, ("field_series", ctx.field("X"), (k, mu), (0, a)))
-                                for a, c in row(c1, nu)]
-                    if k == 0 and l == 0:
-                        rhs.append((c2eta[mu - 1][nu - 1], ONE))
-                    yield ((k, mu, l, nu), lhs, rhs)
+    for (k, mu), (l, nu) in ctx.slots(2):
+        bm, bn = ts.b[mu - 1], ts.b[nu - 1]
+        shifted = tuple(k + b + bm for b in ts.b)
+        lhs = [(cnb, ("pair", ((k, mu),), ((l - 1, be),), shifted))
+               for be, cnb in row(c1, nu)]
+        lhs += [(cma * cnb, ("pair", ((k - 1, a),), ((l - 1, be),)))
+                for be, cnb in row(c1, nu) for a, cma in row(c1, mu)]
+        rhs = [((k + bm + l + bn + 1) * c, ("corr", (k, mu), (l, a)))
+               for a, c in row(c1, nu)]
+        rhs += [(c, ("corr", (k, mu), (l - 1, a))) for a, c in row(c2, nu)]
+        rhs += [(cma * cnb, ("corr", (k - 1, a), (l, be)))
+                for a, cma in row(c1, mu) for be, cnb in row(c1, nu)]
+        if k == 0:
+            rhs += [(-cma * cnb, ("corr", (0, a), (l - 1, be)))
+                    for a, cma in row(c1, mu) for be, cnb in row(c1, nu)]
+        if l == 0:
+            rhs += [(-c, ("field_series", "X", (k, mu), (0, a))) for a, c in row(c1, nu)]
+        if k == 0 and l == 0:
+            rhs.append((c2eta[mu - 1][nu - 1], ONE))
+        yield ((k, mu, l, nu), lhs, rhs)
 
 
 def _check_wdvv_right(ctx: IdentityContext):
     ts = ctx.ts
-    l0, l0d = ctx.field("L0"), ctx.field("L0", 1)
     c1, c2, c2eta = ts.c1_mat, ts.chern_power(2), ts.chern_power_eta(2)
     weights = tuple(b * (1 - b) for b in ts.b)
-    for k in ctx.levels():
-        for mu in ctx.classes():
-            bm = ts.b[mu - 1]
-            for l in ctx.levels():
-                for nu in ctx.classes():
-                    bn = ts.b[nu - 1]
-                    lhs = [(1, ("field_series", l0, (k, mu), (0, a)),
-                            ("field_raised", l0d, a, (l, nu))) for a in ctx.classes()]
-                    rhs = [(1, ("pair", ((k, mu),), ((l, nu),), weights)),
-                           ((k + bm) * (k + bm + 1), ("corr", (k + 1, mu), (l, nu))),
-                           ((l + bn) * (l + bn + 1), ("corr", (k, mu), (l + 1, nu)))]
-                    rhs += [((2 * k + 2 * bm + 1) * c, ("corr", (k, a), (l, nu)))
-                            for a, c in row(c1, mu)]
-                    rhs += [((2 * l + 2 * bn + 1) * c, ("corr", (k, mu), (l, a)))
-                            for a, c in row(c1, nu)]
-                    rhs += [(c, ("corr", (k - 1, a), (l, nu))) for a, c in row(c2, mu)]
-                    rhs += [(c, ("corr", (k, mu), (l - 1, a))) for a, c in row(c2, nu)]
-                    if k == 0 and l == 0:
-                        rhs.append((c2eta[mu - 1][nu - 1], ONE))
-                    yield ((k, mu, l, nu), lhs, rhs)
+    for (k, mu), (l, nu) in ctx.slots(2):
+        bm, bn = ts.b[mu - 1], ts.b[nu - 1]
+        lhs = [(1, ("field_series", "L0", (k, mu), (0, a)),
+                ("field_raised", ("L0", 1), a, (l, nu))) for a in ctx.classes()]
+        rhs = [(1, ("pair", ((k, mu),), ((l, nu),), weights)),
+               ((k + bm) * (k + bm + 1), ("corr", (k + 1, mu), (l, nu))),
+               ((l + bn) * (l + bn + 1), ("corr", (k, mu), (l + 1, nu)))]
+        rhs += [((2 * k + 2 * bm + 1) * c, ("corr", (k, a), (l, nu))) for a, c in row(c1, mu)]
+        rhs += [((2 * l + 2 * bn + 1) * c, ("corr", (k, mu), (l, a))) for a, c in row(c1, nu)]
+        rhs += [(c, ("corr", (k - 1, a), (l, nu))) for a, c in row(c2, mu)]
+        rhs += [(c, ("corr", (k, mu), (l - 1, a))) for a, c in row(c2, nu)]
+        if k == 0 and l == 0:
+            rhs.append((c2eta[mu - 1][nu - 1], ONE))
+        yield ((k, mu, l, nu), lhs, rhs)
 
 
 # --- section 5 lemmas ---------------------------------------------------------
 
 def _check_l1_corr(ctx: IdentityContext):
     ts = ctx.ts
-    l1 = ctx.field("L1")
     c1, c2, c2eta = ts.c1_mat, ts.chern_power(2), ts.chern_power_eta(2)
     weights = tuple(b * (b - 1) for b in ts.b)
-    for m in ctx.levels():
-        for a in ctx.classes():
-            ba = ts.b[a - 1]
-            for n in ctx.levels():
-                for be in ctx.classes():
-                    bb = ts.b[be - 1]
-                    rhs = [(1, ("pair", ((m, a), (n, be)), (), weights)),
-                           (1, ("pair", ((m, a),), ((n, be),), weights)),
-                           (-(m + ba) * (m + ba + 1), ("corr", (m + 1, a), (n, be))),
-                           (-(n + bb) * (n + bb + 1), ("corr", (m, a), (n + 1, be)))]
-                    rhs += [(-(2 * m + 2 * ba + 1) * c, ("corr", (m, s), (n, be)))
-                            for s, c in row(c1, a)]
-                    rhs += [(-(2 * n + 2 * bb + 1) * c, ("corr", (m, a), (n, s)))
-                            for s, c in row(c1, be)]
-                    rhs += [(-c, ("corr", (m - 1, s), (n, be))) for s, c in row(c2, a)]
-                    rhs += [(-c, ("corr", (m, a), (n - 1, s))) for s, c in row(c2, be)]
-                    if m == 0 and n == 0:
-                        rhs.append((-c2eta[a - 1][be - 1], ONE))
-                    yield ((m, a, n, be), [(1, ("field_series", l1, (m, a), (n, be)))], rhs)
+    for (m, a), (n, be) in ctx.slots(2):
+        ba, bb = ts.b[a - 1], ts.b[be - 1]
+        rhs = [(1, ("pair", ((m, a), (n, be)), (), weights)),
+               (1, ("pair", ((m, a),), ((n, be),), weights)),
+               (-(m + ba) * (m + ba + 1), ("corr", (m + 1, a), (n, be))),
+               (-(n + bb) * (n + bb + 1), ("corr", (m, a), (n + 1, be)))]
+        rhs += [(-(2 * m + 2 * ba + 1) * c, ("corr", (m, s), (n, be))) for s, c in row(c1, a)]
+        rhs += [(-(2 * n + 2 * bb + 1) * c, ("corr", (m, a), (n, s))) for s, c in row(c1, be)]
+        rhs += [(-c, ("corr", (m - 1, s), (n, be))) for s, c in row(c2, a)]
+        rhs += [(-c, ("corr", (m, a), (n - 1, s))) for s, c in row(c2, be)]
+        if m == 0 and n == 0:
+            rhs.append((-c2eta[a - 1][be - 1], ONE))
+        yield ((m, a, n, be), [(1, ("field_series", "L1", (m, a), (n, be)))], rhs)
 
 
 def _check_l1_l0_corr(ctx: IdentityContext):
     ts = ctx.ts
-    l1, l0d2 = ctx.field("L1"), ctx.field("L0", 2)
     c1, c2, c3 = ts.c1_mat, ts.chern_power(2), ts.chern_power(3)
     ceta, c2eta, c3eta = (ts.chern_power_eta(1), ts.chern_power_eta(2),
                           ts.chern_power_eta(3))
-    # The ttilde-weighted sums on the right side of the Lemma 5.2 display.
-    tilde_part = linear_field(ts, CLOSED_A[2], 1, ctx.policy.max_level)
     weights = tuple((1 - bs) * bs for bs in ts.b)
-    for n in ctx.levels():
-        for be in ctx.classes():
-            b = ts.b[be - 1]
-            rhs = [(n + b - 1, ("pair", ((n, be),), (), weights)),
-                   ((n + b) * (n + b + 1) * (n + b - 1), ("corr", (n + 1, be))),
-                   (-1, ("field_series", tilde_part, (n, be)))]
-            rhs += [((3 * (n + b) ** 2 - 1) * c, ("corr", (n, s))) for s, c in row(c1, be)]
-            rhs += [(c, ("pair", ((n - 1, s),), (), weights)) for s, c in row(c1, be)]
-            rhs += [(3 * (n + b) * c, ("corr", (n - 1, s))) for s, c in row(c2, be)]
-            rhs += [(c, ("corr", (n - 2, s))) for s, c in row(c3, be)]
-            if n == 0:
-                rhs += [(-b * (b + 1) * c, ("corr_raised", s)) for s, c in row(ceta, be)]
-                rhs += [(3 * b * c, ("t", 0, s)) for s, c in row(c2eta, be)]
-                rhs += [(-c, ("ttilde", 1, s)) for s, c in row(c3eta, be)]
-            if n == 1:
-                rhs += [(c, ("t", 0, s)) for s, c in row(c3eta, be)]
-            yield ((n, be), [(1, ("field2_series", l1, l0d2, (n, be)))], rhs)
+    for (n, be), in ctx.slots(1):
+        b = ts.b[be - 1]
+        rhs = [(n + b - 1, ("pair", ((n, be),), (), weights)),
+               ((n + b) * (n + b + 1) * (n + b - 1), ("corr", (n + 1, be))),
+               (-1, ("field_series", "L1L0Tilde", (n, be)))]
+        rhs += [((3 * (n + b) ** 2 - 1) * c, ("corr", (n, s))) for s, c in row(c1, be)]
+        rhs += [(c, ("pair", ((n - 1, s),), (), weights)) for s, c in row(c1, be)]
+        rhs += [(3 * (n + b) * c, ("corr", (n - 1, s))) for s, c in row(c2, be)]
+        rhs += [(c, ("corr", (n - 2, s))) for s, c in row(c3, be)]
+        if n == 0:
+            rhs += [(-b * (b + 1) * c, ("corr_raised", s)) for s, c in row(ceta, be)]
+            rhs += [(3 * b * c, ("t", 0, s)) for s, c in row(c2eta, be)]
+            rhs += [(-c, ("ttilde", 1, s)) for s, c in row(c3eta, be)]
+        if n == 1:
+            rhs += [(c, ("t", 0, s)) for s, c in row(c3eta, be)]
+        yield ((n, be), [(1, ("field2_series", "L1", ("L0", 2), (n, be)))], rhs)
 
 
 def _check_quadrel_i(ctx: IdentityContext):
-    x = ctx.field("X")
-    for k in ctx.levels():
-        for mu in ctx.classes():
-            for l in ctx.levels():
-                for nu in ctx.classes():
-                    yield ((k, mu, l, nu),
-                           [(1, ("field_series", x, (k, mu), (1, be)),
-                             ("field_raised", x, be, (l, nu))) for be in ctx.classes()],
-                           [(1, ("field_raised", x, be, (k, mu)),
-                             ("field_series", x, (1, be), (l, nu))) for be in ctx.classes()])
+    for (k, mu), (l, nu) in ctx.slots(2):
+        yield ((k, mu, l, nu),
+               [(1, ("field_series", "X", (k, mu), (1, be)),
+                 ("field_raised", "X", be, (l, nu))) for be in ctx.classes()],
+               [(1, ("field_raised", "X", be, (k, mu)),
+                 ("field_series", "X", (1, be), (l, nu))) for be in ctx.classes()])
 
 
 def _check_quadrel_ii(ctx: IdentityContext):
-    x = ctx.field("X")
-    for k in ctx.levels():
-        for mu in ctx.classes():
-            for l in ctx.levels():
-                for nu in ctx.classes():
-                    lhs = [(1, ("corr_raised", be, (k - 1, mu)),
-                            ("field_series", x, (1, be), (l, nu))) for be in ctx.classes()]
-                    rhs = [(1, ("corr", (k - 1, mu), (1, be)),
-                            ("field_raised", x, be, (l, nu))) for be in ctx.classes()]
-                    rhs += [(1, ("field_series", x, (k + 1, mu), (l, nu))),
-                            (-int(k == 0), ("field_series", x, (1, mu), (l, nu)))]
-                    yield ((k, mu, l, nu), lhs, rhs)
+    for (k, mu), (l, nu) in ctx.slots(2):
+        lhs = [(1, ("corr_raised", be, (k - 1, mu)),
+                ("field_series", "X", (1, be), (l, nu))) for be in ctx.classes()]
+        rhs = [(1, ("corr", (k - 1, mu), (1, be)),
+                ("field_raised", "X", be, (l, nu))) for be in ctx.classes()]
+        rhs += [(1, ("field_series", "X", (k + 1, mu), (l, nu))),
+                (-int(k == 0), ("field_series", "X", (1, mu), (l, nu)))]
+        yield ((k, mu, l, nu), lhs, rhs)
 
 
 def _check_quadrel_iii(ctx: IdentityContext):
-    for k in ctx.levels():
-        for mu in ctx.classes():
-            for l in ctx.levels():
-                for nu in ctx.classes():
-                    yield ((k, mu, l, nu),
-                           [(1, ("pair", ((l, nu),), ((k, mu),), None, 1))],
-                           [(1, ("pair", ((k, mu),), ((l, nu),), None, 1)),
-                            (1, ("corr", (k + 2, mu), (l, nu))),
-                            (-1, ("corr", (k, mu), (l + 2, nu)))])
+    for (k, mu), (l, nu) in ctx.slots(2):
+        yield ((k, mu, l, nu),
+               [(1, ("pair", ((l, nu),), ((k, mu),), None, 1))],
+               [(1, ("pair", ((k, mu),), ((l, nu),), None, 1)),
+                (1, ("corr", (k + 2, mu), (l, nu))),
+                (-1, ("corr", (k, mu), (l + 2, nu)))])
 
 
 def _check_quad_form(ctx: IdentityContext):
@@ -500,62 +406,47 @@ def _check_quad_form(ctx: IdentityContext):
     c1, ceta, c2 = ts.c1_mat, ts.chern_power_eta(1), ts.chern_power(2)
     plus = tuple(b * (b + 1) for b in ts.b)
     minus = tuple(b * (1 - b) for b in ts.b)
-    for k in ctx.levels():
-        for mu in ctx.classes():
-            bm = ts.b[mu - 1]
-            for l in ctx.levels():
-                for nu in ctx.classes():
-                    bn = ts.b[nu - 1]
-                    lhs = [(1, ("pair", ((k, mu),), ((l, nu),), plus, 1)),
-                           (1, ("pair", ((l, nu),), ((k, mu),), minus, 1))]
-                    lhs += [((2 * ts.b[be - 1] + 1) * c, ("corr_raised", a, (k, mu)),
-                             ("corr_raised", be, (l, nu)))
-                            for a in ctx.classes() for be, c in row(ceta, a)]
-                    rhs = [(-(k + bm) * (k + bm + 1), ("corr", (k + 2, mu), (l, nu))),
-                           ((l + bn + 1) * (l + bn + 2), ("corr", (k, mu), (l + 2, nu)))]
-                    rhs += [(-(2 * k + 2 * bm + 1) * c, ("corr", (k + 1, a), (l, nu)))
-                            for a, c in row(c1, mu)]
-                    rhs += [((2 * l + 2 * bn + 3) * c, ("corr", (k, mu), (l + 1, a)))
-                            for a, c in row(c1, nu)]
-                    rhs += [(-c, ("corr", (k, a), (l, nu))) for a, c in row(c2, mu)]
-                    rhs += [(c, ("corr", (k, mu), (l, a))) for a, c in row(c2, nu)]
-                    yield ((k, mu, l, nu), lhs, rhs)
+    for (k, mu), (l, nu) in ctx.slots(2):
+        bm, bn = ts.b[mu - 1], ts.b[nu - 1]
+        lhs = [(1, ("pair", ((k, mu),), ((l, nu),), plus, 1)),
+               (1, ("pair", ((l, nu),), ((k, mu),), minus, 1))]
+        lhs += [((2 * ts.b[be - 1] + 1) * c, ("corr_raised", a, (k, mu)),
+                 ("corr_raised", be, (l, nu)))
+                for a in ctx.classes() for be, c in row(ceta, a)]
+        rhs = [(-(k + bm) * (k + bm + 1), ("corr", (k + 2, mu), (l, nu))),
+               ((l + bn + 1) * (l + bn + 2), ("corr", (k, mu), (l + 2, nu)))]
+        rhs += [(-(2 * k + 2 * bm + 1) * c, ("corr", (k + 1, a), (l, nu))) for a, c in row(c1, mu)]
+        rhs += [((2 * l + 2 * bn + 3) * c, ("corr", (k, mu), (l + 1, a))) for a, c in row(c1, nu)]
+        rhs += [(-c, ("corr", (k, a), (l, nu))) for a, c in row(c2, mu)]
+        rhs += [(c, ("corr", (k, mu), (l, a))) for a, c in row(c2, nu)]
+        yield ((k, mu, l, nu), lhs, rhs)
 
 
 # --- section 6 lemmas ---------------------------------------------------------
 
 def _check_tilde1_corr(ctx: IdentityContext):
-    lt1 = ctx.field("Ltilde1")
-    for m in ctx.levels():
-        for a in ctx.classes():
-            yield ((m, a), [(1, ("field_series", lt1, (m, a)))],
-                   [(1, ("pair", ((m, a),), ())), (-1, ("corr", (m + 1, a)))])
-    for m in ctx.levels():
-        for a in ctx.classes():
-            for n in ctx.levels():
-                for b in ctx.classes():
-                    yield ((m, a, n, b), [(1, ("field_series", lt1, (m, a), (n, b)))],
-                           [(1, ("pair", ((m, a), (n, b)), ()))])
+    for (m, a), in ctx.slots(1):
+        yield ((m, a), [(1, ("field_series", "Ltilde1", (m, a)))],
+               [(1, ("pair", ((m, a),), ())), (-1, ("corr", (m + 1, a)))])
+    for (m, a), (n, b) in ctx.slots(2):
+        yield ((m, a, n, b), [(1, ("field_series", "Ltilde1", (m, a), (n, b)))],
+               [(1, ("pair", ((m, a), (n, b)), ()))])
 
 
 def _check_tilde_quad_form(ctx: IdentityContext):
     ts = ctx.ts
     c1 = ts.c1_mat
-    for m in ctx.levels():
-        for a in ctx.classes():
-            ba = ts.b[a - 1]
-            for n in ctx.levels():
-                for be in ctx.classes():
-                    bb = ts.b[be - 1]
-                    lhs = [(1, ("pair", ((n, be),), ((m, a),), ts.b, 1)),
-                           (1, ("pair", ((m, a),), ((n, be),), ts.b, 1))]
-                    rhs = [(m + ba + 1, ("corr", (m + 2, a), (n, be))),
-                           (n + bb + 1, ("corr", (m, a), (n + 2, be)))]
-                    rhs += [(c, ("corr", (m + 1, s), (n, be))) for s, c in row(c1, a)]
-                    rhs += [(c, ("corr", (m, a), (n + 1, s))) for s, c in row(c1, be)]
-                    rhs += [(-c, ("corr_raised", s, (m, a)), ("corr", (0, r), (n, be)))
-                            for s in ctx.classes() for r, c in row(c1, s)]
-                    yield ((m, a, n, be), lhs, rhs)
+    for (m, a), (n, be) in ctx.slots(2):
+        ba, bb = ts.b[a - 1], ts.b[be - 1]
+        lhs = [(1, ("pair", ((n, be),), ((m, a),), ts.b, 1)),
+               (1, ("pair", ((m, a),), ((n, be),), ts.b, 1))]
+        rhs = [(m + ba + 1, ("corr", (m + 2, a), (n, be))),
+               (n + bb + 1, ("corr", (m, a), (n + 2, be)))]
+        rhs += [(c, ("corr", (m + 1, s), (n, be))) for s, c in row(c1, a)]
+        rhs += [(c, ("corr", (m, a), (n + 1, s))) for s, c in row(c1, be)]
+        rhs += [(-c, ("corr_raised", s, (m, a)), ("corr", (0, r), (n, be)))
+                for s in ctx.classes() for r, c in row(c1, s)]
+        yield ((m, a, n, be), lhs, rhs)
 
 
 # --- closed-form coefficient agreement ----------------------------------------

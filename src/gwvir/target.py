@@ -230,12 +230,6 @@ class TargetSpace:
     def _spectator_splits(self) -> dict[tuple[VarId, ...], tuple[SpectatorSplit, ...]]:
         return {}
 
-    def divisor_pairing(self, cls: int) -> tuple[int, ...] | None:
-        for idx, vec in self.divisors:
-            if idx == cls:
-                return vec
-        return None
-
     def central_condition(self) -> tuple[Fraction, Fraction, bool]:
         lhs = sum((bv * (1 - bv) for bv in self.b), Fraction(0)) / 4
         rhs = (Fraction(3 - self.complex_dim, 2) * self.euler_char - self.c1_cdm1) / 24

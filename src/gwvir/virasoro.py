@@ -30,7 +30,7 @@ from typing import Callable
 from fractions import Fraction
 
 from .engine import Engine
-from .errors import IndexOutOfRange, PolicyTooTight, UnsupportedIndex
+from .errors import IndexOutOfRange, PolicyTooTight, UnknownIdentity, UnsupportedIndex
 from .series import (Monomial, TruncatedSeries, TruncationPolicy, VarId,
                      series_derive, series_mul)
 from .target import Matrix, TargetSpace, row
@@ -150,6 +150,20 @@ CLOSED_A = {
     1: (lambda x: x * (x + 1), lambda x: 2 * x + 1, lambda x: _ONE),
     2: (lambda x: x * (x + 1) * (x + 2), lambda x: 3 * x * x + 6 * x + 2,
         lambda x: 3 * (x + 1), lambda x: _ONE),
+}
+
+# Named linear fields besides S, D, X and the L<n>: name -> (coeffs, top) as
+# ``linear_field`` reads them.  Psi1 and Psi2, the linear parts of the closed
+# forms, come from CLOSED_A and never from ``build_operator``, so that
+# ``psi_closed`` stays independent of the generic L_n.
+NAMED_FIELDS = {
+    "Ltilde1": ((lambda x: _ONE,), 1),
+    "Psi1": (CLOSED_A[1], 1),
+    "Psi2": (CLOSED_A[2], 2),
+    "PsiTilde1": ((lambda x: -_ONE,), 1),
+    "PsiTilde2": ((lambda x: x + 1, lambda x: _ONE), 2),
+    "XXTilde": (CLOSED_A[1], 0),    # the ttilde sums of the Lemma 4.1 right side
+    "L1L0Tilde": (CLOSED_A[2], 1),  # and of the Lemma 5.2 right side
 }
 
 
@@ -310,12 +324,14 @@ def _residual(op: VirasoroOperator, first: Callable[[VarId], TruncatedSeries],
     return result
 
 
+def _insert(slots: tuple, v) -> tuple:
+    """The sorted ``slots`` with ``v`` at its sorted place."""
+    i = bisect.bisect(slots, v)
+    return (*slots[:i], v, *slots[i:])
+
+
 class CorrContext:
     """Memoised correlation series and contractions, and the term evaluator.
-
-    Each <<tau_slots>>, <<O^sigma tau_slots>>, <<W tau_slots>>, <<W O^sigma
-    tau_slots>> and <<W1 W2 tau_slots>> is built once per context and then
-    shared: callers must not mutate a series this context hands out.
 
     ``evaluate`` sums terms ``(coeff, factor[, factor])``.  A factor
     ``(method, *args)`` is what that method returns: ``("corr", *slots)``,
@@ -324,14 +340,20 @@ class CorrContext:
     *slots)``, ``("pair", left, right[, weights[, level]])``, ``("sum",
     *terms)``, ``("classical", j)``, ``("psi_generic", n)``,
     ``("psi_closed", n)``, ``("one",)``, ``("t", m, a)`` or ``("ttilde", m,
-    a)``.  Subclasses add kinds by adding methods.
+    a)``.  A vector field W is named, as ``field`` reads it.  Subclasses add
+    kinds by adding methods.
 
-    The product kinds in ``PRODUCTS`` (``pair`` and ``sum``, and ``mul`` in
-    ``IdentityContext``) are memoised in ``products``, keyed by the spec as
-    given, so a product named twice is built once.  ``verify_identity``
-    empties ``products`` when a tag ends: a memo kept for the whole context
-    raised the peak RSS of the full P2 registry at K=4 M=3 D=2 from about
-    40 MB to 56 MB for no measured gain in time.
+    ``factor`` is the one memo: each spec is built once and then shared, so
+    callers must not mutate a series this context hands out.  The product
+    kinds in ``PRODUCTS`` (``pair`` and ``sum``, and ``mul`` in
+    ``IdentityContext``) live in ``products``, which ``verify_identity``
+    empties when a tag ends: a memo kept for the whole context raised the
+    peak RSS of the full P2 registry at K=4 M=3 D=2 from about 40 MB to 56
+    MB for no measured gain in time.  Every other kind lives in ``series``
+    for the life of the context.  The methods only build, and a direct call
+    builds anew: a builder given unsorted slots returns the ``factor`` of the
+    sorted spec, so slot order cannot split the memo, and builders reach
+    their sub-series through ``factor``.
     """
 
     PRODUCTS = frozenset({"pair", "sum"})
@@ -339,20 +361,41 @@ class CorrContext:
     def __init__(self, engine: Engine, policy: TruncationPolicy):
         self.engine = engine
         self.policy = policy
-        self._corr: dict[tuple[tuple[int, int], ...], TruncatedSeries] = {}
-        self._raised: dict[tuple[int, tuple[tuple[int, int], ...]], TruncatedSeries] = {}
-        self._contracted: dict[tuple[int, tuple[VarId, ...]], TruncatedSeries] = {}
-        self._field_raised: dict[tuple[int, int, tuple[VarId, ...]], TruncatedSeries] = {}
-        self._field2: dict[tuple[int, int, tuple[VarId, ...]], TruncatedSeries] = {}
-        # id(terms) -> (terms, tag): each vector field's terms are hashed once
-        # per context, and holding them here keeps their id from being reused.
-        self._field_ids: dict[int, tuple[tuple[LinearTerm, ...], int]] = {}
-        self._field_tags: dict[tuple[LinearTerm, ...], int] = {}
+        self.series: dict[tuple, TruncatedSeries] = {}
         self.products: dict[tuple, TruncatedSeries] = {}
+        self._fields: dict[str | tuple, tuple[LinearTerm, ...]] = {}
 
     @property
     def ts(self) -> TargetSpace:
         return self.engine.ts
+
+    def field(self, name) -> tuple[LinearTerm, ...]:
+        """The terms of the vector field ``name`` names, memoised.
+
+        ``name`` is ``"S"``, ``"D"``, ``"X"``, ``"L<n>"`` (the linear part of
+        L_n), a key of ``NAMED_FIELDS``, or a pair ``(name, k)``: that field
+        minus k times the dilaton field D.
+        """
+        terms = self._fields.get(name)
+        if terms is None:
+            ts, M = self.ts, self.policy.max_level
+            if isinstance(name, tuple):
+                base, k = name
+                terms = combine_fields((self.field(base), _ONE), (self.field("D"), -k))
+            elif name in NAMED_FIELDS:
+                terms = linear_field(ts, *NAMED_FIELDS[name], M)
+            elif name == "S":
+                terms = string_field(ts, M)
+            elif name == "D":
+                terms = dilaton_field(ts, M)
+            elif name == "X":
+                terms = euler_field(ts, M)
+            elif name[:1] == "L" and name[1:].removeprefix("-").isdigit():
+                terms = build_operator(ts, int(name[1:]), M).linear
+            else:
+                raise UnknownIdentity(f"unknown vector field {name!r}")
+            self._fields[name] = terms
+        return terms
 
     def evaluate(self, terms) -> TruncatedSeries:
         """sum coeff * (product of the factors) over ``terms``, skipping zero coeffs.
@@ -373,12 +416,11 @@ class CorrContext:
         return out
 
     def factor(self, spec: tuple) -> TruncatedSeries:
-        """The series a factor spec names (see the class docstring)."""
-        if spec[0] not in self.PRODUCTS:
-            return getattr(self, spec[0])(*spec[1:])
-        out = self.products.get(spec)
+        """The series a factor spec names (see the class docstring), memoised."""
+        memo = self.products if spec[0] in self.PRODUCTS else self.series
+        out = memo.get(spec)
         if out is None:
-            out = self.products[spec] = getattr(self, spec[0])(*spec[1:])
+            out = memo[spec] = getattr(self, spec[0])(*spec[1:])
         return out
 
     def sum(self, *terms) -> TruncatedSeries:
@@ -403,42 +445,30 @@ class CorrContext:
     def corr(self, *slots: tuple[int, int]) -> TruncatedSeries:
         """<<tau_{slots}>> as a truncated series; negative levels give zero.
 
-        The slots are looked up as given and sorted only on a miss, as in
-        ``Engine.invariant``: a ``VarId`` equals and hashes as its
-        ``(level, cls)`` tuple, so slots already in order hit at once.  The
-        first miss on one slot of level 0..max_level fills every such
-        <<tau_v>> from one ``Engine.gradient_series`` walk; other slots
-        (above max_level, or two or more) are built one at a time by
-        ``Engine.correlation_series``.
+        The first single slot of level 0..max_level fills every such
+        <<tau_v>> into ``series`` from one ``Engine.gradient_series`` walk;
+        other slots (above max_level, or two or more) are built one at a
+        time by ``Engine.correlation_series``.
         """
-        cached = self._corr.get(slots)
-        if cached is None:
-            vids = tuple(sorted(slots))
-            if vids and vids[0][0] < 0:
-                return TruncatedSeries.zero(self.policy)
-            cached = self._corr.get(vids)
-            if cached is None:
-                if (len(vids) == 1 and vids[0][0] <= self.policy.max_level
-                        and 1 <= vids[0][1] <= self.ts.classes):
-                    self._corr.update(((v,), series) for v, series
-                                      in self.engine.gradient_series(self.policy).items())
-                    return self._corr[vids]
-                cached = self._corr[vids] = self.engine.correlation_series(vids, self.policy)
-        return cached
+        vids = tuple(sorted(slots))
+        if vids != slots:
+            return self.factor(("corr", *vids))
+        if vids and vids[0][0] < 0:
+            return TruncatedSeries.zero(self.policy)
+        if (len(vids) == 1 and vids[0][0] <= self.policy.max_level
+                and 1 <= vids[0][1] <= self.ts.classes):
+            self.series.update((("corr", v), series) for v, series
+                               in self.engine.gradient_series(self.policy).items())
+            return self.series[("corr", *vids)]
+        return self.engine.correlation_series(vids, self.policy)
 
     def corr_raised(self, sigma: int, *slots: tuple[int, int]) -> TruncatedSeries:
-        """<<O^sigma tau_slots>> = eta^{sigma rho} <<O_rho tau_slots>>.
-
-        Looked up as given first and sorted only on a miss, as ``corr`` is.
-        """
-        out = self._raised.get((sigma, slots))
-        if out is None:
-            key = (sigma, tuple(sorted(slots)))
-            out = self._raised.get(key)
-            if out is None:
-                out = self._raised[key] = self.evaluate(
-                    [(c, ("corr", (0, rho), *key[1])) for rho, c in self.ts.raised(sigma)])
-        return out
+        """<<O^sigma tau_slots>> = eta^{sigma rho} <<O_rho tau_slots>>."""
+        vids = tuple(sorted(slots))
+        if vids != slots:
+            return self.factor(("corr_raised", sigma, *vids))
+        return self.evaluate([(c, ("corr", *_insert(vids, (0, rho))))
+                              for rho, c in self.ts.raised(sigma)])
 
     def pair(self, left, right, weights=None, level: int = 0) -> TruncatedSeries:
         """sum_s w_s <<left tau_level(O_s)>> <<O^s right>>, as a new series.
@@ -448,84 +478,58 @@ class CorrContext:
         ones when None); a zero weight skips that class.
         """
         out = TruncatedSeries(self.policy)
-        # The class slot goes in at its sorted place, so that ``corr`` finds
-        # canonical slots as given.
-        left = sorted(left)
+        left, right = tuple(sorted(left)), tuple(sorted(right))
         for s in range(1, self.ts.classes + 1):
             w = 1 if weights is None else weights[s - 1]
             if w:
-                i = bisect.bisect(left, (level, s))
-                out.add_product(self.corr(*left[:i], (level, s), *left[i:]),
-                                self.corr_raised(s, *right), w)
+                out.add_product(self.factor(("corr", *_insert(left, (level, s)))),
+                                self.factor(("corr_raised", s, *right)), w)
         return out
 
-    def field_series(self, terms: tuple[LinearTerm, ...],
-                     *slots: tuple[int, int]) -> TruncatedSeries:
-        """<<W tau_slots>> for W = sum coeff ttilde_src d_dst (tensor slot)."""
-        return self._contract(terms, tuple(sorted(VarId(m, a) for m, a in slots)))
-
-    def _field_tag(self, terms: tuple[LinearTerm, ...]) -> int:
-        """A small int naming ``terms`` by value; equal fields share a tag."""
-        seen = self._field_ids.get(id(terms))
-        if seen is None:
-            tag = self._field_tags.setdefault(terms, len(self._field_tags))
-            seen = self._field_ids[id(terms)] = (terms, tag)
-        return seen[1]
-
-    def _contract(self, terms: tuple[LinearTerm, ...],
-                  vids: tuple[VarId, ...]) -> TruncatedSeries:
-        """Memoised <<W tau_vids>>; ``vids`` sorted, so slot order cannot split the memo."""
-        key = (self._field_tag(terms), vids)
-        out = self._contracted.get(key)
-        if out is None:
-            out = TruncatedSeries(self.policy)
-            for src, dst, coeff in terms:
-                i = bisect.bisect(vids, dst)
-                base = self.corr(*vids[:i], dst, *vids[i:])
-                if base.terms:
-                    add_ttilde(out, src, base, coeff)
-            self._contracted[key] = out
+    def field_series(self, name, *slots: tuple[int, int]) -> TruncatedSeries:
+        """<<W tau_slots>> for the field W = sum coeff ttilde_src d_dst ``name`` names."""
+        vids = tuple(sorted(slots))
+        if vids != slots:
+            return self.factor(("field_series", name, *vids))
+        out = TruncatedSeries(self.policy)
+        for src, dst, coeff in self.field(name):
+            base = self.factor(("corr", *_insert(vids, dst)))
+            if base.terms:
+                add_ttilde(out, src, base, coeff)
         return out
 
-    def field_raised(self, terms: tuple[LinearTerm, ...], sigma: int,
-                     *slots: tuple[int, int]) -> TruncatedSeries:
-        """<<W O^sigma tau_slots>> = eta^{sigma rho} <<W O_rho tau_slots>>, memoised."""
-        vids = tuple(sorted(VarId(m, a) for m, a in slots))
-        key = (self._field_tag(terms), sigma, vids)
-        out = self._field_raised.get(key)
-        if out is None:
-            out = self._field_raised[key] = self.evaluate(
-                [(c, ("field_series", terms, (0, rho), *vids)) for rho, c in self.ts.raised(sigma)])
-        return out
+    def field_raised(self, name, sigma: int, *slots: tuple[int, int]) -> TruncatedSeries:
+        """<<W O^sigma tau_slots>> = eta^{sigma rho} <<W O_rho tau_slots>>."""
+        vids = tuple(sorted(slots))
+        if vids != slots:
+            return self.factor(("field_raised", name, sigma, *vids))
+        return self.evaluate([(c, ("field_series", name, *_insert(vids, (0, rho))))
+                              for rho, c in self.ts.raised(sigma)])
 
-    def field2_series(self, first: tuple[LinearTerm, ...],
-                      second: tuple[LinearTerm, ...],
-                      *slots: tuple[int, int]) -> TruncatedSeries:
-        """<<W1 W2 tau_slots>> = sum c1 ttilde_src1 <<W2 tau_dst1 tau_slots>>, memoised."""
-        vids = tuple(sorted(VarId(m, a) for m, a in slots))
-        key = (self._field_tag(first), self._field_tag(second), vids)
-        out = self._field2.get(key)
-        if out is None:
-            out = TruncatedSeries(self.policy)
-            for src, dst, coeff in first:
-                inner = self._contract(second, tuple(sorted(vids + (dst,))))
-                if inner.terms:
-                    add_ttilde(out, src, inner, coeff)
-            self._field2[key] = out
+    def field2_series(self, first, second, *slots: tuple[int, int]) -> TruncatedSeries:
+        """<<W1 W2 tau_slots>> = sum c1 ttilde_src1 <<W2 tau_dst1 tau_slots>>."""
+        vids = tuple(sorted(slots))
+        if vids != slots:
+            return self.factor(("field2_series", first, second, *vids))
+        out = TruncatedSeries(self.policy)
+        for src, dst, coeff in self.field(first):
+            inner = self.factor(("field_series", second, *_insert(vids, dst)))
+            if inner.terms:
+                add_ttilde(out, src, inner, coeff)
         return out
 
     def psi_generic(self, n: int) -> TruncatedSeries:
         """Psi_{0,n} assembled from the generic operator L_n."""
-        return _residual(build_operator(self.ts, n, self.policy.max_level), self.corr, self.policy)
+        return _residual(build_operator(self.ts, n, self.policy.max_level),
+                         lambda v: self.factor(("corr", v)), self.policy)
 
     def psi_closed(self, n: int) -> TruncatedSeries:
         """Psi_{0,n} assembled from the hand-expanded closed form, n in {1, 2}."""
         if n not in CLOSED_A:
             raise UnsupportedIndex("hand-expanded closed forms exist only for n in {1, 2}")
-        ts, policy = self.ts, self.policy
+        ts = self.ts
         half = Fraction(1, 2)
-        terms = [(1, ("classical", n + 1)),
-                 (1, ("field_series", linear_field(ts, CLOSED_A[n], n, policy.max_level)))]
+        terms = [(1, ("classical", n + 1)), (1, ("field_series", f"Psi{n}"))]
         if n == 1:
             terms.append((1, ("pair", (), (), tuple(half * b * (1 - b) for b in ts.b))))
         else:
@@ -566,8 +570,7 @@ def psi_tilde(ts_or_engine, n: int, policy: TruncationPolicy) -> TruncatedSeries
     ctx = CorrContext(_as_engine(ts_or_engine), policy)
     ts = ctx.ts
     half = Fraction(1, 2)
-    coeffs = (lambda x: -_ONE,) if n == 1 else (lambda x: x + 1, lambda x: _ONE)
-    terms = [(1, ("field_series", linear_field(ts, coeffs, n, policy.max_level)))]
+    terms = [(1, ("field_series", f"PsiTilde{n}"))]
     if n == 1:
         terms.append((half, ("pair", (), ())))
     else:

@@ -39,7 +39,7 @@ def divisor_reduce(ts, key: CorrelatorKey, divisor_cls: int
         raise NotApplicable("divisor insertion not present at level 0")
     if not any(deg):
         raise NotApplicable("forward divisor equation used only at nonzero degree")
-    vec = ts.divisor_pairing(divisor_cls)
+    vec = dict(ts.divisors).get(divisor_cls)
     if vec is None:
         raise NotApplicable(f"class {divisor_cls} is not a listed divisor")
     pairing = Fraction(sum(p * d for p, d in zip(vec, deg)))

@@ -156,6 +156,19 @@ def test_identities_command_and_usage():
         assert code == 2 and report is None and "needs --tags or --all" in text
 
 
+def test_degree_usage_names_what_the_target_accepts():
+    # One integer is broadcast to every Novikov component; a rank-r target
+    # with r >= 2 also takes r of them.
+    p1xp1 = str(Path(__file__).parent / "data" / "P1xP1.json")
+    for target, accepted in (("point", "one integer"), ("P2", "one integer"),
+                             (p1xp1, "one integer or 2 comma-separated integers")):
+        code, report, text = go("psi", "--target", target, "--n", "1", "--degree", "1,2,3")
+        assert code == 2 and report is None
+        assert f"--degree takes {accepted} on this target, not '1,2,3'" in text
+    code, _, _ = go("psi", "--target", "point", "--n", "1", "--level", "1", "--degree", "1")
+    assert code == 0
+
+
 def test_targets_validate_zero_classes_is_usage_error(tmp_path):
     doc = json.loads(serialize_target(preset("point")))
     doc.update(classes=0, q=[], eta=[], c1_mat=[])

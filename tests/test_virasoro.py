@@ -8,11 +8,12 @@ import pytest
 
 from gwvir.engine import Engine, PrimaryBackend, load_table_backend, make_key
 from gwvir.identities import IDENTITY_TAGS, IdentityContext, verify_identity
-from gwvir.errors import (IndexOutOfRange, PolicyTooTight, UnsupportedIndex)
+from gwvir.errors import (IndexOutOfRange, PolicyTooTight, UnknownIdentity,
+                          UnsupportedIndex)
 from gwvir.series import TruncatedSeries, TruncationPolicy, VarId, series_mul
 from gwvir.target import load_target, preset
 from gwvir.virasoro import (CLOSED_A, CorrContext, VirasoroOperator, _complement_sums,
-                            apply_operator, bracket, build_operator,
+                            _residual, apply_operator, bracket, build_operator,
                             check_shift_relations, coeff_A, coeff_B,
                             combine_fields, commutator_residual, dilaton_field,
                             euler_field, linear_field, psi, psi_tilde, string_field)
@@ -342,12 +343,7 @@ def test_shift_relations_hold_for_doctored_operator(p2_engine):
     doctored = VirasoroOperator(
         tuple((s, d, 3 * c) for s, d, c in op.linear[:4]) + op.linear[4:],
         op.quadratic, op.classical, op.constant)
-    from gwvir.virasoro import _classical_series
-    from gwvir.series import series_mul
-    out = ctx.field_series(doctored.linear)
-    for u, v, coeff in doctored.quadratic:
-        out = out + series_mul(ctx.corr(u), ctx.corr(v)).scale(Fraction(1, 2) * coeff)
-    out = out + _classical_series(doctored.classical, policy)
+    out = _residual(doctored, lambda v: ctx.factor(("corr", v)), policy)
     assert not out.is_zero()
     assert check_shift_relations(out) == []
 
@@ -450,18 +446,19 @@ def test_corr_fills_every_variable_from_one_gradient_walk(monkeypatch):
                         lambda fixed, policy: built.append(tuple(fixed)) or single(fixed, policy))
     ctx = CorrContext(engine, policy)
     variables = [(m, a) for m in range(3) for a in range(1, 4)]
-    first = ctx.corr((1, 2))
+    first = ctx.factor(("corr", (1, 2)))
     assert built == ["gradient"]
-    assert ctx.corr(VarId(1, 2)) is first
+    assert all(("corr", v) in ctx.series for v in variables)
+    assert ctx.factor(("corr", VarId(1, 2))) is first
     fresh = Engine(preset("P2"))
     for v in variables:
-        assert ctx.corr(v) == fresh.correlation_series((v,), policy)
+        assert ctx.factor(("corr", v)) == fresh.correlation_series((v,), policy)
     assert built == ["gradient"]
     # A slot above the level bound and two slots: one series each, as before.
-    ctx.corr((3, 1))
-    ctx.corr((0, 2), (0, 1))
+    ctx.factor(("corr", (3, 1)))
+    ctx.factor(("corr", (0, 2), (0, 1)))
     assert built == ["gradient", (VarId(3, 1),), (VarId(0, 1), VarId(0, 2))]
-    assert ctx.corr((-1, 2)).is_zero()
+    assert ctx.factor(("corr", (-1, 2))).is_zero()
 
 
 @pytest.mark.parametrize("target", ["P1", "P2"])
@@ -488,31 +485,50 @@ def test_pair_is_the_weighted_class_sum(target):
             assert ctx.pair(left, right) == ctx.pair(right, left)
 
 
+# Where the slots begin in a spec of each kind that sorts its slots.
+SLOTS_AT = {"corr": 1, "corr_raised": 2, "field_series": 2, "field_raised": 3,
+            "field2_series": 3}
+
+
 def test_shared_context_series_stay_exact_after_registry():
     # Every tag runs on one context, as ``gw identities`` does; no in-place
-    # accumulation may have written into a cached series.
+    # accumulation may have written into a memoised series.
     policy = TruncationPolicy(3, 2, (1,))
     engine = Engine(preset("P2"))
     ctx = IdentityContext(engine, policy)
     for tag in IDENTITY_TAGS:
         assert all(f.status == "pass" for f in verify_identity(engine, tag, policy, ctx=ctx))
+    # Every kind the registry names outside the products lives in the memo.
+    assert {spec[0] for spec in ctx.series} == {
+        *SLOTS_AT, "classical", "one", "t", "ttilde", "psi_generic", "psi_closed",
+        "operator_residual"}
     fresh = Engine(preset("P2"))
-    assert ctx._corr
-    for vids, series in ctx._corr.items():
-        assert series == fresh.correlation_series(vids, policy)
-    fresh_ctx = CorrContext(fresh, policy)
-    assert ctx._contracted
-    # The memo is keyed by a per-context tag for each distinct field.
-    terms_of = {tag: terms for terms, tag in ctx._field_tags.items()}
-    for (tag, vids), series in ctx._contracted.items():
-        terms = terms_of[tag]
-        assert series == fresh_ctx.field_series(terms, *reversed(vids))
-        assert ctx.field_series(terms, *reversed(vids)) is series
-    assert ctx._field_raised and ctx._field2
-    for (tag, sigma, vids), series in ctx._field_raised.items():
-        assert series == fresh_ctx.field_raised(terms_of[tag], sigma, *reversed(vids))
-    for (tag, second, vids), series in ctx._field2.items():
-        assert series == fresh_ctx.field2_series(terms_of[tag], terms_of[second], *reversed(vids))
-    assert ctx._raised
-    for (sigma, vids), series in ctx._raised.items():
-        assert series == fresh_ctx.corr_raised(sigma, *reversed(vids))
+    fresh_ctx = IdentityContext(fresh, policy)
+    for spec, series in list(ctx.series.items()):
+        if spec[0] == "corr" and all(m >= 0 for m, _ in spec[1:]):
+            assert series == fresh.correlation_series(spec[1:], policy)
+        at = SLOTS_AT.get(spec[0], len(spec))
+        unsorted = (*spec[:at], *reversed(spec[at:]))
+        assert fresh_ctx.factor(unsorted) == series
+        assert ctx.factor(unsorted) is series
+
+
+@pytest.mark.parametrize("sorted_first", [False, True])
+def test_unsorted_spec_is_the_sorted_series(p2_engine, sorted_first):
+    ctx = IdentityContext(p2_engine, TruncationPolicy(3, 2, (1,)))
+    heads = {"corr": ("corr",), "corr_raised": ("corr_raised", 2),
+             "field_series": ("field_series", "X"),
+             "field_raised": ("field_raised", ("L0", 1), 1),
+             "field2_series": ("field2_series", "L1", ("L0", 2))}
+    assert heads.keys() == SLOTS_AT.keys()
+    slots = ((1, 2), (0, 3), (0, 1))
+    for head in heads.values():
+        specs = [(*head, *slots), (*head, *sorted(slots))]
+        if sorted_first:
+            specs.reverse()
+        first = ctx.factor(specs[0])
+        assert ctx.factor(specs[1]) is first
+        assert ctx.series[specs[0]] is ctx.series[specs[1]]
+    for name in ("Nope", "L", ("Nope", 1)):
+        with pytest.raises(UnknownIdentity):
+            ctx.factor(("field_series", name, (0, 1)))
