@@ -19,12 +19,26 @@ is admitted exactly when adding ``Packing.add`` sets no guard bit; a carry
 between variable slots needs a total above K, which that test rejects.
 Coefficients are integer numerators over one positive denominator per series
 (``terms[key] / den``), the other half of the same sparse design: the inner
-loops of ``add_scaled`` and ``add_product`` are plain integer multiply-adds.
-Each first raises the receiver's ``den`` to a multiple of the incoming
-denominator, rescaling the numerators only when it has to grow.  ``den`` need
-not be in lowest terms, so ``==`` compares the key sets and then each pair of
-numerators cross-multiplied by the other side's denominator; it never
-normalises either side.
+loops of ``add_scaled``, ``add_times_var`` and ``add_product`` are plain
+integer multiply-adds.  Each first raises the receiver's ``den`` to a multiple
+of the incoming denominator, rescaling the numerators only when it has to
+grow.  ``den`` need not be in lowest terms, so ``==`` compares the key sets and
+then each pair of numerators cross-multiplied by the other side's denominator;
+it never normalises either side.
+
+A product is graded by the *low field* of a key, its bits below
+``Packing.var_shift``: the total exponent and the degree fields, each with its
+guard bit.  The first time a series is an operand of ``add_product`` it groups
+its terms by low field into grades, ``(low, keys, numerators)`` tuples whose
+lists share the dict's ints, and keeps them until the series is next written
+in place.  Every in-place write goes through ``_common``, which drops them, so
+grades are never stale; the only other writes to ``terms`` fill a new series
+before anyone reads it (the constructor, ``_like`` and ``engine._gather``).
+``add_product`` then tests the guard once per pair of grades: each field holds
+at most its bound, so the sum of two low fields fits in the fields and their
+guard bits and never carries into the variable slots, and the guard test on
+``la + lb`` is the test on ``ka + kb`` for every pair of keys in the two
+grades.  The inner loop is only the key sum and the dict update.
 
 ``Monomial`` and ``Fraction`` stay the types at the API edge: the constructor
 takes ``{Monomial: Fraction}``, and ``coefficient``, ``monomials`` and
@@ -32,9 +46,10 @@ takes ``{Monomial: Fraction}``, and ``coefficient``, ``monomials`` and
 Monomial order.  Scalar factors may be ``Fraction``s or ints.
 
 Every operator returns a new series and leaves its operands alone, so a series
-can be cached and shared.  The exceptions are ``add_scaled`` and
-``add_product``, which update their receiver in place; call them only on a
-series the caller has just created and not yet handed out.
+can be cached and shared.  The exceptions are ``add_scaled``,
+``add_times_var`` and ``add_product``, which update their receiver in place;
+call them only on a series the caller has just created and not yet handed
+out.
 """
 
 from __future__ import annotations
@@ -163,15 +178,17 @@ class TruncatedSeries:
     ``terms`` maps packed monomial keys (see ``Packing``) to nonzero integer
     numerators over the one positive denominator ``den``: the coefficient of
     key ``k`` is ``terms[k] / den``.  Every stored key is admitted by the
-    policy; ``den`` need not be in lowest terms.
+    policy; ``den`` need not be in lowest terms.  ``_grades`` is None or the
+    terms grouped by low field (see ``_grouped``).
     """
 
-    __slots__ = ("terms", "den", "policy")
+    __slots__ = ("terms", "den", "policy", "_grades")
 
     def __init__(self, policy: TruncationPolicy, terms: dict[Monomial, Fraction] | None = None):
         self.policy = policy
         self.terms: dict[int, int] = {}
         self.den = 1
+        self._grades: list[tuple[int, list[int], list[int]]] | None = None
         if terms:
             encode = policy.packing.encode
             kept = [(encode(mon), Fraction(coeff)) for mon, coeff in terms.items()
@@ -194,7 +211,7 @@ class TruncatedSeries:
         return cls(policy, {mon: 1})
 
     def _check(self, other: "TruncatedSeries") -> None:
-        if self.policy != other.policy:
+        if self.policy is not other.policy and self.policy != other.policy:
             raise PolicyMismatch("series policies differ")
 
     def _like(self, terms: dict[int, int], den: int) -> "TruncatedSeries":
@@ -206,7 +223,9 @@ class TruncatedSeries:
         """Make ``self.den`` a multiple of ``den``; return ``self.den // den``.
 
         The numerators are rescaled only when the denominator has to grow.
+        Every in-place write starts here, so this is where the grades go stale.
         """
+        self._grades = None
         if not self.terms:
             self.den = den
             return 1
@@ -280,11 +299,39 @@ class TruncatedSeries:
                     del terms[key]
         return self
 
+    def _grouped(self) -> list[tuple[int, list[int], list[int]]]:
+        """The terms grouped by low field, as (low, keys, numerators).
+
+        ``low`` is the key's bits below ``Packing.var_shift``: the total
+        exponent and the degree fields.  The lists share the dict's ints.
+        Built on first use and kept until the next in-place write.
+        """
+        grades = self._grades
+        if grades is None:
+            low_mask = (1 << self.policy.packing.var_shift) - 1
+            groups: dict[int, tuple[list[int], list[int]]] = {}
+            for key, num in self.terms.items():
+                low = key & low_mask
+                group = groups.get(low)
+                if group is None:
+                    groups[low] = ([key], [num])
+                else:
+                    group[0].append(key)
+                    group[1].append(num)
+            grades = self._grades = [(low, keys, nums)
+                                     for low, (keys, nums) in groups.items()]
+        return grades
+
     def add_product(self, a: "TruncatedSeries", b: "TruncatedSeries",
                     factor: Fraction | int = 1) -> "TruncatedSeries":
         """In place: self += factor * a * b, dropping what the policy does not admit.
 
-        Returns self.  ``a`` and ``b`` are read only.
+        Returns self.  ``a`` and ``b`` are read only, apart from the grades
+        each builds and keeps on first use (see ``_grouped``).  The kernel
+        walks pairs of grades and skips a pair when ``la + lb`` fails the
+        guard test, which is exact (see the module docstring); for a pair it
+        keeps, every key sum ``ka + kb`` is admitted, so the inner loop tests
+        nothing.
         """
         self._check(a)
         self._check(b)
@@ -296,34 +343,65 @@ class TruncatedSeries:
             b = alias if b is self else b
         mult = self._common(a.den * b.den * factor.denominator) * factor.numerator
         packing = self.policy.packing
-        total_mask, add, guard = packing.total_mask, packing.add, packing.guard
-        kmax = self.policy.max_insertions
-        # Bucket one factor by total exponent so oversize pairs are skipped early.
-        buckets: dict[int, list[tuple[int, int]]] = {}
-        for kb, nb in b.terms.items():
-            buckets.setdefault(kb & total_mask, []).append((kb, nb))
-        by_total = sorted(buckets.items())
+        add, guard = packing.add, packing.guard
+        b_grades = b._grouped()
         terms = self.terms
         get = terms.get
-        for ka, na in a.terms.items():
-            room = kmax - (ka & total_mask)
-            na *= mult
-            for tb, bucket in by_total:
-                if tb > room:
-                    break
-                for kb, nb in bucket:
-                    key = ka + kb
-                    if (key + add) & guard:
-                        continue
-                    old = get(key)
-                    if old is None:
-                        terms[key] = na * nb
-                    else:
-                        acc = old + na * nb
-                        if acc:
-                            terms[key] = acc
+        for la, keys_a, nums_a in a._grouped():
+            scaled = None
+            for lb, keys_b, nums_b in b_grades:
+                if (la + lb + add) & guard:
+                    continue
+                if scaled is None:
+                    scaled = nums_a if mult == 1 else [na * mult for na in nums_a]
+                pairs_b = list(zip(keys_b, nums_b))
+                for ka, na in zip(keys_a, scaled):
+                    for kb, nb in pairs_b:
+                        key = ka + kb
+                        old = get(key)
+                        if old is None:
+                            terms[key] = na * nb
                         else:
-                            del terms[key]
+                            acc = old + na * nb
+                            if acc:
+                                terms[key] = acc
+                            else:
+                                del terms[key]
+        return self
+
+    def add_times_var(self, other: "TruncatedSeries", v: VarId,
+                      factor: Fraction | int = 1) -> "TruncatedSeries":
+        """In place: self += factor * t_v * other, dropping what the policy does not admit.
+
+        Returns self.  Each key of ``other`` is lifted by the key of t_v; a
+        lifted key is admitted exactly when adding ``Packing.add`` to it sets
+        no guard bit, as for a product.
+        """
+        self._check(other)
+        if not factor or not other.terms or v.level > self.policy.max_level:
+            return self
+        if other is self:  # the rescale in _common would change other too
+            other = self._like(dict(self.terms), self.den)
+        mult = self._common(other.den * factor.denominator) * factor.numerator
+        packing = self.policy.packing
+        unit, guard = packing.unit(v), packing.guard
+        lift = unit + packing.add
+        terms = self.terms
+        get = terms.get
+        for key, num in other.terms.items():
+            if (key + lift) & guard:
+                continue
+            key += unit
+            num *= mult
+            old = get(key)
+            if old is None:
+                terms[key] = num
+            else:
+                num += old
+                if num:
+                    terms[key] = num
+                else:
+                    del terms[key]
         return self
 
     def __neg__(self) -> "TruncatedSeries":
@@ -350,14 +428,7 @@ class TruncatedSeries:
 
     def times_var(self, v: VarId) -> "TruncatedSeries":
         """Multiply by the variable t_v; overflowing monomials are discarded."""
-        policy = self.policy
-        if v.level > policy.max_level:
-            return TruncatedSeries(policy)
-        packing = policy.packing
-        unit, guard = packing.unit(v), packing.guard
-        lift = unit + packing.add
-        return self._like({key + unit: num for key, num in self.terms.items()
-                           if not (key + lift) & guard}, self.den)
+        return TruncatedSeries(self.policy).add_times_var(self, v)
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

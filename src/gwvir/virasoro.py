@@ -277,8 +277,7 @@ def add_ttilde(acc: TruncatedSeries, src: VarId, series: TruncatedSeries,
     plus -coeff * series when src is the dilaton variable t^1_1.  ``acc`` must
     be a series the caller has just created; it is returned.
     """
-    if src.level <= acc.policy.max_level:
-        acc.add_scaled(series.times_var(src), coeff)
+    acc.add_times_var(series, src, coeff)
     if src == DILATON_VAR:
         acc.add_scaled(series, -coeff)
     return acc

@@ -41,16 +41,18 @@ def variables(policy: TruncationPolicy, extra_level: int = 0):
 
 
 @st.composite
-def monomials(draw, policy: TruncationPolicy) -> Monomial:
-    """A monomial the policy admits."""
-    budget = draw(st.integers(0, policy.max_insertions))
+def monomials(draw, policy: TruncationPolicy, at_caps: bool = False) -> Monomial:
+    """A monomial the policy admits; with ``at_caps``, one at the total cap K
+    and at every degree cap."""
+    budget = policy.max_insertions if at_caps else draw(st.integers(0, policy.max_insertions))
     exps: dict[VarId, int] = {}
     while budget:
         e = draw(st.integers(1, budget))
         v = draw(variables(policy))
         exps[v] = exps.get(v, 0) + e
         budget -= e
-    degree = tuple(draw(st.integers(0, d)) for d in policy.max_degree)
+    degree = policy.max_degree if at_caps else tuple(
+        draw(st.integers(0, d)) for d in policy.max_degree)
     return monomial(exps.items(), degree)
 
 
@@ -66,6 +68,13 @@ def factors():
 
 def term_dicts(policy: TruncationPolicy):
     return st.dictionaries(monomials(policy), coefficients(), max_size=8)
+
+
+def capped_term_dicts(policy: TruncationPolicy):
+    """Term dicts that always hold some monomials at the caps."""
+    return st.builds(lambda a, b: {**a, **b}, term_dicts(policy),
+                     st.dictionaries(monomials(policy, at_caps=True), coefficients(),
+                                     min_size=1, max_size=3))
 
 
 def truncated(policy: TruncationPolicy, terms: dict[Monomial, Fraction]) -> dict:
@@ -90,6 +99,11 @@ def reference_add(a: dict, b: dict, factor) -> dict:
     for mon, coeff in b.items():
         out[mon] = out.get(mon, Fraction(0)) + factor * coeff
     return out
+
+
+def reference_times_var(policy, a: dict, v: VarId) -> dict:
+    unit = Monomial(((v, 1),), (0,) * len(policy.max_degree))
+    return truncated(policy, {monomial_mul(m, unit): c for m, c in a.items()})
 
 
 def reference_product(policy, a: dict, b: dict) -> dict:
@@ -135,9 +149,7 @@ def test_times_var_and_derive_match_reference(data):
     terms = data.draw(term_dicts(policy))
     v = data.draw(variables(policy, extra_level=1))
     series = TruncatedSeries(policy, terms)
-    zero = (0,) * len(policy.max_degree)
-    lifted = truncated(policy, {monomial_mul(m, Monomial(((v, 1),), zero)): c
-                                for m, c in terms.items()})
+    lifted = reference_times_var(policy, terms, v)
     assert decoded(series.times_var(v)) == expected(lifted)
     assert series.times_var(v) == TruncatedSeries(policy, lifted)
     derived = {}
@@ -218,3 +230,66 @@ def test_equality_and_coefficients_over_unreduced_denominators(data):
         assert TruncatedSeries(policy, changed) != round_trip
     for difference in (series - series, round_trip - series):
         assert difference.is_zero() and difference.terms == {}
+
+
+@SETTINGS
+@given(st.data())
+def test_add_times_var_matches_reference(data):
+    policy = data.draw(policies())
+    a, c = data.draw(capped_term_dicts(policy)), data.draw(term_dicts(policy))
+    v = data.draw(variables(policy, extra_level=1))
+    factor = data.draw(factors())
+    acc = TruncatedSeries(policy, c)
+    assert acc.add_times_var(TruncatedSeries(policy, a), v, factor) is acc
+    expect = reference_add(c, reference_times_var(policy, a, v), factor)
+    assert decoded(acc) == expected(expect)
+    # Aliased: acc += factor * t_v * acc reads acc as it was before the call.
+    expect = reference_add(expect, reference_times_var(policy, expect, v), factor)
+    acc.add_times_var(acc, v, factor)
+    assert decoded(acc) == expected(expect)
+    assert acc == TruncatedSeries(policy, expect)
+
+
+@SETTINGS
+@given(st.data())
+def test_operand_changed_in_place_after_a_product(data):
+    """A product operand written in place, then used again, is read as it is now."""
+    policy = data.draw(policies())
+    a = data.draw(capped_term_dicts(policy))
+    b, c, d = (data.draw(term_dicts(policy)) for _ in range(3))
+    sa, sb = TruncatedSeries(policy, a), TruncatedSeries(policy, b)
+    sc, sd = TruncatedSeries(policy, c), TruncatedSeries(policy, d)
+    assert decoded(series_mul(sa, sb)) == expected(reference_product(policy, a, b))
+    for _ in range(data.draw(st.integers(1, 3))):
+        write = data.draw(st.sampled_from(("add_scaled", "add_product",
+                                           "add_times_var", "rescale")))
+        factor = data.draw(factors())
+        if write == "add_scaled":
+            sa.add_scaled(sc, factor)
+        elif write == "add_product":
+            sa.add_product(sc, sd, factor)
+        elif write == "add_times_var":
+            sa.add_times_var(sc, data.draw(variables(policy)), factor)
+        else:  # the numerators change, the value does not
+            grow = data.draw(st.integers(2, 12))
+            sa._common(sa.den * grow)
+        now = dict(sa.monomials())
+        assert decoded(series_mul(sa, sb)) == expected(reference_product(policy, now, b))
+        assert decoded(series_mul(sb, sa)) == expected(reference_product(policy, b, now))
+
+
+@SETTINGS
+@given(st.data())
+def test_add_product_with_the_receiver_as_operand(data):
+    policy = data.draw(policies())
+    x, c = data.draw(term_dicts(policy)), data.draw(capped_term_dicts(policy))
+    f, g = data.draw(factors()), data.draw(factors())
+    sx, acc = TruncatedSeries(policy, x), TruncatedSeries(policy, c)
+    series_mul(acc, sx)  # acc has been an operand before it is written
+    expect = reference_add(c, reference_product(policy, c, c), f)
+    assert acc.add_product(acc, acc, f) is acc
+    assert decoded(acc) == expected(expect)
+    expect = reference_add(expect, reference_product(policy, x, expect), g)
+    acc.add_product(sx, acc, g)
+    assert decoded(acc) == expected(expect)
+    assert acc == TruncatedSeries(policy, expect)
