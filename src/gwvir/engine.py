@@ -20,14 +20,19 @@ Canonical keys make the memo cache order-independent.
 
 TRR and WDVV are one genus-0 splitting, sum <X S1 O_s>_A1 eta^{sr}
 <O_r Y S2>_A2 over the splits of the spectators S and the degree A, and both
-build their dimension-admissible terms through one helper, ``_splittings``.
-What it needs of the target (the class weights q_a - 1, the raised index
+walk its dimension-admissible part through one helper, ``_splittings``.  It
+yields rows: a first key plus what its partner keys need.  The reducer sums
+a TRR key's rows as they are walked; it reads each first key before any of
+its partners and builds no partner key behind a first key whose value is
+0.  ``trr_reduce`` and ``wdvv_reduce`` write the rows out as term lists, and
+the reducer requests sub-keys in exactly their terms' order.  What the
+helper needs of the target (the class weights q_a - 1, the raised index
 with its partners grouped by weight, the degree splits grouped by c1
 pairing, and the split tables: each spectator multiset's splits with their
 binomials and weights) is built once per target (``TargetSpace.class_weight``,
 ``raised_table``, ``degree_splits``, ``spectator_splits``).
-A miss sums its terms in integers, one numerator over one lcm denominator,
-and makes a single Fraction.
+A miss sums its products in integers through ``_add``, one numerator over
+one lcm denominator, and makes a single Fraction.
 """
 
 from __future__ import annotations
@@ -126,9 +131,10 @@ class InvariantCache:
         # Publish-once: a key's value is stored once and never replaced.  One
         # engine reduces each key once, but two engines given the same cache,
         # or threads calling one engine (there is no lock), can each reduce a
-        # key before either publishes it; the later value must agree.
+        # key before either publishes it; the later value must agree.  When
+        # setdefault returns ``value`` itself, it has just stored it.
         existing = self.entries.setdefault(key, value)
-        if existing != value:
+        if existing is not value and existing != value:
             raise CacheMismatch(f"conflicting values for {key}")
         return existing
 
@@ -410,20 +416,32 @@ def _lowering_terms(ts: TargetSpace, ins: Insertions, deg: Degree, divisor_cls: 
     return terms
 
 
+# One row of a genus-0 splitting: key1 = <first S1 O_s>_A1 and what its partner
+# keys <O_r second S2>_A2 need: the sorted halves (S2 + second), sigma's
+# partners rho (with eta^{sigma rho}) of the one weight that balances them, the
+# spectator binomial and A2.
+SplitRow = tuple[CorrelatorKey, Insertions, tuple[tuple[VarId, int | Fraction], ...], int, Degree]
+
+
 def _splittings(ts: TargetSpace, first: Insertions, second: Insertions,
-                spectators: Insertions, deg: Degree
-                ) -> list[tuple[int | Fraction, CorrelatorKey, CorrelatorKey]]:
-    """The admissible terms of sum <first S1 O_s>_A1 eta^{sr} <O_r second S2>_A2.
+                spectators: Insertions, deg: Degree) -> Iterator[SplitRow]:
+    """The admissible rows of sum <first S1 O_s>_A1 eta^{sr} <O_r second S2>_A2.
 
     This is the genus-0 splitting that TRR and WDVV both sum.  It runs over
     the splits S1 + S2 of the sorted ``spectators`` (each with its
     multiplicity binomial), A1 + A2 of ``deg``, and the sigma, rho with
-    eta^{sigma rho} nonzero.  Returns (eta^{sigma rho} * binomial, key1,
-    key2) for the terms whose two keys are both dimension-admissible (the
-    others vanish by the selection rule).  A coefficient is an ``int`` when
-    it is integral.
+    eta^{sigma rho} nonzero, keeping only the terms whose two keys are both
+    dimension-admissible (the others vanish by the selection rule).  It
+    yields them as rows: a row (key1, halves, partners, ways, deg2) stands
+    for the terms (eta^{sigma rho} * ways, key1, key2) of each (rho,
+    eta^{sigma rho}) in ``partners``, in that order, where key2 is
+    ``halves`` with rho put in its sorted place (``_partner_key``), at
+    degree ``deg2``.  ``_terms`` writes them out; the reducer reads key1
+    first and builds a partner key only when key1 is not 0.  The reducer
+    evaluates sub-keys between rows, which is safe because the target
+    tables this walk holds are only ever added to, never changed.
 
-    The terms are found by weight.  For each spectator split and each sigma,
+    The rows are found by weight.  For each spectator split and each sigma,
     the first key's weight fixes c1 . A1, so only the degree splits with that
     pairing are visited.  Those splits share c1 . A2, which fixes the weight
     the partner rho must have: the partners of that weight are one lookup in
@@ -431,12 +449,11 @@ def _splittings(ts: TargetSpace, first: Insertions, second: Insertions,
     raised index grouped by weight and the degree splits are the target's
     tables, built once per target.
 
-    Both keys come out canonical.  The first key's insertions are sorted once
-    per (spectator split, sigma), from ``left + first`` built once per split.
-    The second key's halves ``right + second`` are sorted already when the
-    sorted ``second`` sorts after every spectator, as the split table's
-    ``right`` is a sorted sub-multiset of them; otherwise they are sorted
-    once per split.  The partner rho goes into its place by ``bisect``.
+    Both keys are canonical.  The first key's insertions are sorted once per
+    (spectator split, sigma), from ``left + first`` built once per split.
+    The halves ``right + second`` are sorted already when the sorted
+    ``second`` sorts after every spectator, as the split table's ``right`` is
+    a sorted sub-multiset of them; otherwise they are sorted once per split.
     """
     w = ts.class_weight
     # Balances of the two keys before the new primaries are added.
@@ -447,8 +464,7 @@ def _splittings(ts: TargetSpace, first: Insertions, second: Insertions,
         base2 += m + w[a]
     ordered = not spectators or spectators[-1] <= second[0]
     by_pairing, raised = ts.degree_splits(deg), ts.raised_table
-    new, insert = tuple.__new__, bisect.bisect
-    out: list[tuple[int | Fraction, CorrelatorKey, CorrelatorKey]] = []
+    new = tuple.__new__
     for left, right, ways, w_left, w_right in ts.spectator_splits(spectators):
         bal1 = base1 + w_left
         bal2 = base2 + w_right
@@ -464,12 +480,34 @@ def _splittings(ts: TargetSpace, first: Insertions, second: Insertions,
                 continue
             ins1 = tuple(sorted(left_first + (var_s,)))
             for deg1, deg2 in splits:
-                key1 = new(CorrelatorKey, (ins1, deg1))
-                for var_r, eta_inv in partners:
-                    at = insert(halves, var_r)
-                    out.append((eta_inv * ways, key1,
-                                new(CorrelatorKey, (halves[:at] + (var_r,) + halves[at:], deg2))))
-    return out
+                yield new(CorrelatorKey, (ins1, deg1)), halves, partners, ways, deg2
+
+
+def _partner_key(halves: Insertions, var_r: VarId, deg2: Degree) -> CorrelatorKey:
+    """The canonical key of ``halves`` with ``var_r`` in its sorted place, at ``deg2``."""
+    at = bisect.bisect(halves, var_r)
+    return tuple.__new__(CorrelatorKey, (halves[:at] + (var_r,) + halves[at:], deg2))
+
+
+def _terms(rows: Iterable[SplitRow]) -> list[tuple[int | Fraction, CorrelatorKey, CorrelatorKey]]:
+    """The terms (eta^{sigma rho} * binomial, key1, key2) of ``_splittings``' rows, in order.
+
+    A coefficient is an ``int`` when it is integral.
+    """
+    return [(eta_inv * ways, key1, _partner_key(halves, var_r, deg2))
+            for key1, halves, partners, ways, deg2 in rows for var_r, eta_inv in partners]
+
+
+def _trr_rows(ts: TargetSpace, key: CorrelatorKey, chosen: int) -> Iterator[SplitRow]:
+    """The rows of TRR on ``key``'s insertion ``chosen``; ``trr_reduce`` says which."""
+    ins, deg = key
+    if len(ins) < 3:
+        raise NotApplicable("TRR needs at least 3 insertions")
+    m, alpha = ins[chosen]
+    if m <= 0:
+        raise NotApplicable("chosen insertion must have positive level")
+    rest = ins[:chosen] + ins[chosen + 1:]
+    return _splittings(ts, (VarId(m - 1, alpha),), rest[-2:], rest[:-2], deg)
 
 
 def trr_reduce(ts: TargetSpace, key: CorrelatorKey, chosen: int
@@ -480,17 +518,12 @@ def trr_reduce(ts: TargetSpace, key: CorrelatorKey, chosen: int
     factor; the two canonically largest remaining insertions stay in the
     second factor; spectators are distributed over both factors with
     multiplicity binomials, the degree splits, and eta^{-1} contracts the two
-    new primary insertions.  The terms are ``_splittings``': only those whose
-    two keys are both dimension-admissible, both keys canonical.
+    new primary insertions.  The terms are ``_splittings``' rows written out
+    by ``_terms``: only those whose two keys are both dimension-admissible,
+    both keys canonical.  The reducer sums the same rows without writing
+    them out.
     """
-    ins, deg = key
-    if len(ins) < 3:
-        raise NotApplicable("TRR needs at least 3 insertions")
-    m, alpha = ins[chosen]
-    if m <= 0:
-        raise NotApplicable("chosen insertion must have positive level")
-    rest = ins[:chosen] + ins[chosen + 1:]
-    return _splittings(ts, (VarId(m - 1, alpha),), rest[-2:], rest[:-2], deg)
+    return _terms(_trr_rows(ts, key, chosen))
 
 
 def wdvv_reduce(ts: TargetSpace, key: CorrelatorKey
@@ -505,8 +538,10 @@ def wdvv_reduce(ts: TargetSpace, key: CorrelatorKey
     <D c S1 O_e>_A1 eta^{ef} <O_f gamma' d S2>_A2, and ``key`` is the term
     with A1 = 0 and S1 empty.  Returns (terms, own): ``key`` is the sum of
     coeff * <key1> (* <key2>) over the terms, divided by own.  Each side's
-    terms are ``_splittings``': only dimension-admissible ones, both keys
-    canonical.
+    terms are ``_splittings``' rows written out by ``_terms``: only
+    dimension-admissible ones, both keys canonical.  The terms are a list,
+    so that the descent check below refuses a key before any sub-key is
+    evaluated.
 
     A degree-0 factor is evaluated in place.  Its term's other key is ``key``
     (the coefficient goes into own) or must have fewer non-divisor
@@ -531,7 +566,7 @@ def wdvv_reduce(ts: TargetSpace, key: CorrelatorKey
     # The left side's terms move over with sign -1, the right side's with +1.
     for sign, first, second in ((-1, (div, prime), (d, c)),
                                 (1, (div, c), tuple(sorted((prime, d))))):
-        for coeff, key1, key2 in _splittings(ts, first, second, spectators, deg):
+        for coeff, key1, key2 in _terms(_splittings(ts, first, second, spectators, deg)):
             coeff *= sign
             if any(key1.degree) and any(key2.degree):
                 out.append((coeff, key1, key2))
@@ -546,6 +581,18 @@ def wdvv_reduce(ts: TargetSpace, key: CorrelatorKey
     if stuck or not own:
         raise TargetUnsupported(f"WDVV does not reduce {key} on {ts.name}")
     return out, own
+
+
+def _add(num: int, den: int, n: int, d: int) -> tuple[int, int]:
+    """num / den + n / d, over the lcm of the two denominators.
+
+    The reducer's one accumulation: a miss sums its products in integers and
+    makes a single Fraction at the end.
+    """
+    if den % d:
+        lcm = math.lcm(den, d)
+        return num * (lcm // den) + n * (lcm // d), lcm
+    return num + n * (den // d), den
 
 
 class Engine:
@@ -622,9 +669,13 @@ class Engine:
         Yields each admissible sub-key whose value is not cached yet and
         receives that value back; returns the key's value.  The rules build
         their sub-keys canonical, so each is looked up in the cache as built.
-        ``trr_reduce`` and ``wdvv_reduce`` return admissible terms only; the
-        one-key terms (the divisor lift's, and WDVV's with a degree-0 factor)
-        go through ``dimension_admissible``.
+        A TRR key is summed by ``_trr_sum`` over ``_splittings``' rows as they
+        are walked; the divisor lift and WDVV give term lists, summed here.
+        Either way the sub-keys are requested in the order of the rule's
+        terms (``trr_reduce``'s for TRR), each key1 before its key2, and a
+        key2 only when its key1 is not 0.  The one-key terms (the divisor
+        lift's, and WDVV's with a degree-0 factor) go through
+        ``dimension_admissible``.
         """
         ins, deg = key
         if not any(deg):
@@ -635,8 +686,9 @@ class Engine:
             terms = [(1, lifted, None)] + [(-c, k, None) for k, c in lowering]
         elif ins[-1].level:  # canonical: the last insertion has the top level
             # TRR on the first insertion of the top level
-            terms = trr_reduce(self.ts, key, bisect.bisect_left(ins, (ins[-1].level,)))
-            scale = 1
+            rows = _trr_rows(self.ts, key, bisect.bisect_left(ins, (ins[-1].level,)))
+            num, den = yield from self._trr_sum(rows)
+            return Fraction(num, den)
         else:
             # All primary: strip the divisors, <key> = factor * <stripped>,
             # down to a seed, a unit (the string equation gives 0) or WDVV.
@@ -662,7 +714,7 @@ class Engine:
         for coeff, key1, key2 in terms:
             v = entries.get(key1)
             if v is None:
-                # A term with a second key (TRR, WDVV) is admissible.
+                # A term with a second key (WDVV) is admissible.
                 admissible = key2 is not None or dimension_admissible(ts, key1)
                 v = (yield key1) if admissible else _ZERO
             n = v.numerator
@@ -679,12 +731,40 @@ class Engine:
                     continue
                 n *= m
                 d *= v.denominator
-            if den % d:
-                lcm = math.lcm(den, d)
-                num *= lcm // den
-                den = lcm
-            num += n * (den // d)
+            num, den = _add(num, den, n, d)
         return Fraction(num * scale.denominator, den * scale.numerator)
+
+    def _trr_sum(self, rows: Iterable[SplitRow]
+                 ) -> Generator[CorrelatorKey, Fraction, tuple[int, int]]:
+        """Sum of eta^{sigma rho} * ways * <key1> * <key2> over TRR's rows, as num, den.
+
+        Each row's key1 is read first, and yielded if it is not cached.  When
+        it is 0 the row is skipped: its partner keys are neither built nor
+        read.  Otherwise each partner key2 is built and read in turn.  That is
+        the order in which a sum over ``trr_reduce``'s terms reads them.  Every
+        key of a row is admissible.
+        """
+        entries = self.cache.entries
+        num, den = 0, 1
+        for key1, halves, partners, ways, deg2 in rows:
+            v = entries.get(key1)
+            if v is None:
+                v = yield key1
+            n1 = v.numerator
+            if not n1:
+                continue
+            n1 *= ways
+            d1 = v.denominator
+            for var_r, eta_inv in partners:
+                key2 = _partner_key(halves, var_r, deg2)
+                v = entries.get(key2)
+                if v is None:
+                    v = yield key2
+                n = v.numerator
+                if n:
+                    num, den = _add(num, den, n1 * n * eta_inv.numerator,
+                                    d1 * v.denominator * eta_inv.denominator)
+        return num, den
 
     # -- generating functions ------------------------------------------------
 

@@ -92,15 +92,54 @@ def _complement_sums(b: Fraction, levels: range) -> tuple[Fraction, ...]:
     That is the z^j coefficient of prod_l (z + b + l), at index j.  With b =
     p/q the product is expanded once, in integers, as prod_l (z + p + l q),
     whose z^j coefficient is q^(len(levels) - j) times the sum.  Memoised,
-    so that ``coeff_A`` and ``coeff_B`` read one expansion for every j: an
-    operator asks for each (b, levels) at every j in turn.
+    so that ``coeff_A`` reads one expansion for every j: an operator asks
+    for each (b, levels) at every j in turn.
     """
     p, q = b.numerator, b.denominator
     coeffs = [1]  # of z^0, z^1, ...
     for l in levels:
-        c = p + l * q
-        coeffs = [c * x + y for x, y in zip(coeffs + [0], [0] + coeffs)]
-    size = len(levels)
+        coeffs = _times_linear(coeffs, p + l * q)
+    return _over_powers(coeffs, q)
+
+
+@functools.lru_cache(maxsize=64)
+def _shifted_complement_sums(b: Fraction, n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """``_complement_sums(b, range(-k - 1, n - k))`` for k = 0..n-1, at index k.
+
+    These are coeff_B's sums.  From k - 1 to k the level n - k leaves the
+    range and -k - 1 joins it, so each k's integer expansion is the previous
+    one divided exactly by z + p + (n - k) q and multiplied by
+    z + p - (k + 1) q: O(n) work per k rather than a fresh O(n^2) product.
+    Memoised per (b, n), so that ``coeff_B`` reads one table for every j, k.
+    """
+    p, q = b.numerator, b.denominator
+    coeffs = [1]
+    for l in range(-1, n):
+        coeffs = _times_linear(coeffs, p + l * q)
+    sums = [_over_powers(coeffs, q)]
+    for k in range(1, n):
+        coeffs = _times_linear(_over_linear(coeffs, p + (n - k) * q), p - (k + 1) * q)
+        sums.append(_over_powers(coeffs, q))
+    return tuple(sums)
+
+
+def _times_linear(coeffs: list[int], c: int) -> list[int]:
+    """The z^0, z^1, ... coefficients of (z + c) times the polynomial ``coeffs``."""
+    return [c * x + y for x, y in zip(coeffs + [0], [0] + coeffs)]
+
+
+def _over_linear(coeffs: list[int], c: int) -> list[int]:
+    """The polynomial ``coeffs`` divided by z + c, which must divide it exactly."""
+    quotient = [0] * (len(coeffs) - 1)
+    carry = 0
+    for j in range(len(coeffs) - 1, 0, -1):
+        carry = quotient[j - 1] = coeffs[j] - c * carry
+    return quotient
+
+
+def _over_powers(coeffs: list[int], q: int) -> tuple[Fraction, ...]:
+    """coeffs[j] / q^(degree - j) for each j: the sums of b = p/q from their integer form."""
+    size = len(coeffs) - 1
     return tuple(Fraction(x, q ** (size - j)) for j, x in enumerate(coeffs))
 
 
@@ -115,7 +154,7 @@ def coeff_B(b: Fraction, j: int, k: int, n: int) -> Fraction:
     """(-1)^{k+1} times the complement-product sum over {-k-1, ..., n-k-1}."""
     if j < 0 or j > n - 1 or k < 0 or k > n - j - 1:
         raise IndexOutOfRange(f"coeff_B index out of range: j={j}, k={k}, n={n}")
-    total = _complement_sums(b, range(-k - 1, n - k))[j]
+    total = _shifted_complement_sums(b, n)[k][j]
     return total if (k + 1) % 2 == 0 else -total
 
 
@@ -221,7 +260,7 @@ def build_operator(ts: TargetSpace, n: int, max_level: int) -> VirasoroOperator:
         linear = linear_field(
             ts, tuple(lambda x, j=j: coeff_A(x, j, 0, n) for j in range(n + 2)),
             n, max_level)
-        # k outside j: coeff_B's one expansion per (b, k) serves every j.
+        # coeff_B's one table per (b, n) serves every j and k.
         for a in range(1, N + 1):
             b = ts.b[a - 1]
             for k in range(n):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -224,6 +225,36 @@ def test_cache_workflow(tmp_path, monkeypatch):
     assert code == 0  # idempotent
     code, _, _ = go("cache", "verify", "--target", "P1")
     assert code == 3  # verify with no cache present
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _file_target(name):
+    return ["--target", str(DATA / f"{name}.json"), "--table", str(DATA / f"{name}_seeds.jsonl")]
+
+
+@pytest.mark.parametrize("target,policy,sha256", [
+    (["--target", "P2"], ("6", "5", "3"),
+     "47e152081d95cb8ffd85db3b497dc8955e8cc9e83057c330289195790b037d93"),
+    (_file_target("P3"), ("4", "3", "2"),
+     "f382b5525ba36538e50ed95568973a1e8d8e89a01bce1eec83a7697f2c0014df"),
+    (_file_target("P1xP1"), ("4", "3", "2"),
+     "cb97efafaea829a4c740a69b0579e811e40cdb476b2159b92a6c8bfc801b3881"),
+], ids=["P2", "P3", "P1xP1"])
+def test_cache_warm_writes_recorded_bytes(target, policy, sha256, tmp_path, monkeypatch):
+    """A cold ``cache warm`` publishes exactly the recorded keys and values.
+
+    The digests were recorded from the reducer that summed TRR over written-out
+    term lists; a change to which sub-keys the reduction requests, or to any
+    value, changes the file.
+    """
+    monkeypatch.setenv("GW_CACHE_DIR", str(tmp_path))
+    k, m, d = policy
+    code, _, _ = go("cache", "warm", *target, "--insertions", k, "--level", m, "--degree", d)
+    assert code == 0
+    (path,) = tmp_path.glob("*.jsonl")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 def test_cache_fingerprint_conflict(tmp_path, monkeypatch):

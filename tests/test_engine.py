@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -21,6 +22,7 @@ from gwvir.engine import (CorrelatorKey, Engine, InvariantCache, PrimaryBackend,
                           trr_reduce, wdvv_reduce, _walk_t_monomials, _weight)
 from gwvir.errors import (CacheMismatch, NotApplicable, ParseError, TargetUnsupported,
                           ValidationError)
+from gwvir.identities import IDENTITY_TAGS, IdentityContext, verify_identity
 from gwvir.rationals import format_rational, parse_rational
 from gwvir.series import Monomial, TruncatedSeries, TruncationPolicy, VarId
 from gwvir.target import _degree_box, load_target, preset
@@ -560,6 +562,97 @@ def test_cold_pass_keeps_every_key_canonical():
                     assert _canonical(key1) and _canonical(key2)
                     terms += 1
     assert terms > 100
+
+
+def _recording_reduce(monkeypatch):
+    """Patch ``Engine._reduce`` to record each frame's requested sub-keys, in order."""
+    requests, reduce = {}, Engine._reduce
+
+    def recording(self, key):
+        asked = requests[key] = []
+        steps, value = reduce(self, key), None
+        while True:
+            try:
+                sub = steps.send(value)
+            except StopIteration as done:
+                return done.value
+            asked.append(sub)
+            value = yield sub
+
+    monkeypatch.setattr(Engine, "_reduce", recording)
+    return requests
+
+
+@pytest.mark.parametrize("name,policy", [
+    ("P2", TruncationPolicy(5, 3, (2,))),
+    # Rank 2: several degree splits share one pairing.
+    ("P1xP1", TruncationPolicy(4, 2, (1, 1))),
+    # Rational eta^{-1}: -1 and 1/2.
+    ("P2-rational-eta", TruncationPolicy(4, 3, (2,))),
+    # Two partners rho of one weight for sigma = H1 and H2, with eta^{-1} in thirds.
+    ("P1xP1-mixed-eta", TruncationPolicy(4, 2, (1, 1))),
+])
+def test_reducer_sums_the_terms_of_trr_reduce(name, policy, monkeypatch):
+    """Each TRR key's value is the sum over ``trr_reduce``'s terms, read as a term list would.
+
+    The reducer sums ``_splittings``' rows without writing the terms out.
+    A term's key1 is read first and its key2 only when key1 is not 0, so the
+    keys a frame requests are a subsequence of that reading order: none is
+    a key2 behind a zero key1.  The targets with a changed eta keep their
+    seeds; the sums hold whatever the values are.
+    """
+    if name == "P2-rational-eta":
+        # P2's seed <pt pt>_1 = 1, which the preset gets by its name.
+        ts = _p2_rational_eta()
+        backend = PrimaryBackend({CorrelatorKey((VarId(0, 3),) * 2, (1,)): Fraction(1)})
+        assert {Fraction(-1), Fraction(1, 2)} <= set(itertools.chain(*ts.eta_inv))
+    elif name == "P1xP1-mixed-eta":
+        ts, backend = _seeded("P1xP1")
+        eta = tuple(tuple(map(Fraction, row))
+                    for row in ((0, 0, 0, 1), (0, 2, 1, 0), (0, 1, 2, 0), (1, 0, 0, 0)))
+        ts = dataclasses.replace(ts, name=name, eta=eta)
+        assert any(len(group) > 1 for _, _, groups in ts.raised_table
+                   for group in groups.values())
+    else:
+        ts, backend = _seeded(name)
+    requests = _recording_reduce(monkeypatch)
+    engine = Engine(ts, backend)
+    for key in engine.admissible_keys(policy):
+        engine.invariant(key)
+    entries = engine.cache.entries
+    trr_keys = skipped = 0
+    for key, asked in requests.items():
+        ins, deg = key
+        if not any(deg) or len(ins) < 3 or not ins[-1].level:
+            continue
+        chosen = min(i for i, v in enumerate(ins) if v.level == ins[-1].level)
+        total, reads = Fraction(0), []
+        for c, key1, key2 in trr_reduce(ts, key, chosen):
+            reads.append(key1)
+            if entries[key1]:
+                reads.append(key2)
+                total += c * entries[key1] * entries[key2]
+            else:
+                skipped += 1
+        assert entries[key] == total
+        it = iter(reads)
+        assert all(sub in it for sub in asked), key
+        trr_keys += 1
+    assert trr_keys >= 100 and skipped >= 100
+
+
+def test_cold_registry_cache_is_recorded_bytes(tmp_path):
+    """All 31 tags on one context publish the keys and values the term-list reducer did."""
+    engine = Engine(preset("P2"))
+    policy = TruncationPolicy(3, 2, (1,))
+    ctx = IdentityContext(engine, policy)
+    for tag in IDENTITY_TAGS:
+        assert all(f.status == "pass" for f in verify_identity(engine, tag, policy, ctx=ctx))
+    path = tmp_path / "registry.jsonl"
+    engine.cache.save(str(path))
+    assert len(engine.cache.entries) == 715
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "0be2d13df76f648a67d42124eeca83f8f59d3c04b466955ba78848d86446ee3d")
 
 
 def test_cache_round_trip(tmp_path, p2_engine):

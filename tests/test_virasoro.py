@@ -11,10 +11,10 @@ from gwvir.identities import IDENTITY_TAGS, IdentityContext, verify_identity
 from gwvir.errors import (IndexOutOfRange, PolicyTooTight, UnknownIdentity,
                           UnsupportedIndex)
 from gwvir.series import TruncatedSeries, TruncationPolicy, VarId, series_mul
-from gwvir.target import load_target, preset
+from gwvir.target import load_target, preset, preset_names
 from gwvir.virasoro import (CLOSED_A, CorrContext, VirasoroOperator, _complement_sums,
-                            _residual, apply_operator, bracket, build_operator,
-                            check_shift_relations, coeff_A, coeff_B,
+                            _residual, _shifted_complement_sums, apply_operator, bracket,
+                            build_operator, check_shift_relations, coeff_A, coeff_B,
                             combine_fields, commutator_residual, dilaton_field,
                             euler_field, linear_field, psi, psi_tilde, string_field)
 
@@ -76,8 +76,9 @@ def test_coeff_functions_match_subset_sums():
 
 
 def test_coeff_functions_read_one_expansion_per_levels():
-    # Queried in a shuffled order, each (b, levels) is expanded once and every
-    # j read from it; an int b and the equal Fraction share one expansion.
+    # Queried in a shuffled order, each (b, levels) of coeff_A is expanded
+    # once and each (b, n) of coeff_B once, and every j and k read from it;
+    # an int b and the equal Fraction share one expansion.
     queries = [(coeff_A, b, j, m, n, range(m, m + n + 1), 1)
                for b in (Fraction(0), 2, Fraction(-5, 3)) for n in range(1, 5)
                for m in range(3) for j in range(n + 2)]
@@ -86,10 +87,41 @@ def test_coeff_functions_read_one_expansion_per_levels():
                 for j in range(n) for k in range(n - j)]
     random.Random(4).shuffle(queries)
     _complement_sums.cache_clear()
+    _shifted_complement_sums.cache_clear()
     for coeff, b, j, x, n, levels, sign in queries:
         assert coeff(b, j, x, n) == sign * complement_product_sum(Fraction(b), levels, j)
-    distinct = {(Fraction(b), levels) for _, b, _, _, _, levels, _ in queries}
+    distinct = {(Fraction(b), levels) for coeff, b, _, _, _, levels, _ in queries
+                if coeff is coeff_A}
     assert _complement_sums.cache_info().misses == len(distinct)
+    distinct = {(Fraction(b), n) for coeff, b, _, _, n, _, _ in queries if coeff is coeff_B}
+    assert _shifted_complement_sums.cache_info().misses == len(distinct)
+
+
+PRESET_BS = sorted({b for name in preset_names() for b in preset(name).b})
+
+
+@pytest.mark.parametrize("b", PRESET_BS, ids=str)
+def test_coeff_functions_match_subset_sums_up_to_n_40(b):
+    """coeff_A and coeff_B at every n <= 40, on each b a preset has.
+
+    coeff_B's sums for each k come from the previous k's by one exact division
+    and one multiplication.  Each k's whole expansion must equal a fresh
+    product over its levels.  The subset-by-subset oracle checks j = 0, and
+    j = 1 at every tenth n, for coeff_B at the first k, the first derived
+    one, a middle one and the last.
+    """
+    for n in range(1, 41):
+        size = n + 1
+        oracle_js = (0, 1) if n % 10 == 0 else (0,)
+        for j in oracle_js:
+            assert coeff_A(b, j, 0, n) == complement_product_sum(b, range(size), j)
+        for k in range(n):
+            levels = range(-k - 1, n - k)
+            sign, fresh = (-1) ** (k + 1), _complement_sums(b, levels)
+            for j in range(n - k):
+                assert coeff_B(b, j, k, n) == sign * fresh[j]
+                if j in oracle_js and k in (0, 1, n // 2, n - 1):
+                    assert coeff_B(b, j, k, n) == sign * complement_product_sum(b, levels, j)
 
 
 @pytest.mark.parametrize("name", ["P1", "P2"])
