@@ -247,9 +247,12 @@ def _cmd_invariant(args) -> RunReport:
     ts = _load_target(args.target)
     policy = _policy_from_args(args, ts)
     key = parse_key(args.key, ts.novikov_rank, ts.classes)
-    value = _make_engine(args, ts).invariant(key)
-    detail = {"key": args.key, "value": format_rational(value),
-              "admissible": eng.dimension_admissible(ts, key)}
+    # The engine is built (and its cache read) whatever the key; it takes
+    # only admissible keys, and an inadmissible one is 0 by the selection rule.
+    engine = _make_engine(args, ts)
+    admissible = eng.dimension_admissible(ts, key)
+    value = format_rational(engine.invariant(key)) if admissible else "0"
+    detail = {"key": args.key, "value": value, "admissible": admissible}
     return RunReport("invariant", ts.fingerprint, _policy_dict(policy), "pass", [detail])
 
 

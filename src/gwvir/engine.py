@@ -1,22 +1,25 @@
 """Genus-0 descendent invariants by exact reduction with a memo cache.
 
 A correlator key is a canonically sorted multiset of insertions tau_m(O_alpha)
-plus a Novikov degree vector.  The master evaluator looks a key up in the
-cache as given and canonicalises it only on a miss that is not canonical
-already; a missing key is reduced to base data in a fixed order:
+plus a Novikov degree vector.  Keys from outside enter through one boundary:
+``make_key`` builds them canonical (``cli.parse_key`` goes through it), and
+the caller tests ``dimension_admissible`` before it asks the engine, as
+``gw invariant`` does; an inadmissible key is 0 by the selection rule.  Inside,
+the master evaluator trusts its key: a canonical, admissible key is looked up
+in the cache as given, and a missing one is reduced to base data in a fixed
+order:
 
-  1. dimension filter, 2. degree zero -> closed form, 3. fewer than 3
-  insertions -> divisor lift, 4. any positive level -> TRR on the first
-  maximal-level insertion (only the dimension-admissible terms), 5.
-  all-primary -> identity insertions kill the key at nonzero degree,
-  divisor insertions strip off, and the rest is a seed of the backend's
-  table or reduces by WDVV.
+  1. degree zero -> closed form, 2. fewer than 3 insertions -> divisor lift,
+  3. any positive level -> TRR on the first maximal-level insertion (only
+  the dimension-admissible terms), 4. all-primary -> identity insertions
+  kill the key at nonzero degree, divisor insertions strip off, and the rest
+  is a seed of the backend's table or reduces by WDVV.
 
 Each step strictly decreases (total level, insertion deficit below 3, degree,
 non-divisor insertions) lexicographically, so the reduction terminates; it
 runs on an explicit work stack rather than by recursion, so deep keys do not
-hit the recursion limit.
-Canonical keys make the memo cache order-independent.
+hit the recursion limit.  Every rule builds its sub-keys canonical and keeps
+only admissible ones, so canonical keys make the memo cache order-independent.
 
 TRR and WDVV are one genus-0 splitting, sum <X S1 O_s>_A1 eta^{sr}
 <O_r Y S2>_A2 over the splits of the spectators S and the degree A, and both
@@ -24,7 +27,7 @@ walk its dimension-admissible part through one helper, ``_splittings``.  It
 yields rows: a first key plus what its partner keys need.  The reducer sums
 a TRR key's rows as they are walked; it reads each first key before any of
 its partners and builds no partner key behind a first key whose value is
-0.  ``trr_reduce`` and ``wdvv_reduce`` write the rows out as term lists, and
+0.  ``_terms`` writes the rows out as term lists (``wdvv_reduce``'s), and
 the reducer requests sub-keys in exactly their terms' order.  What the
 helper needs of the target (the class weights q_a - 1, the raised index
 with its partners grouped by weight, the degree splits grouped by c1
@@ -66,20 +69,13 @@ class CorrelatorKey(NamedTuple):
 
 
 def make_key(insertions: Iterable[tuple[int, int]], degree: Iterable[int]) -> CorrelatorKey:
-    """Canonical key: insertions sorted by (level, class index)."""
+    """Canonical key: insertions sorted by (level, class index).
+
+    The one constructor for keys from outside the engine; ``Engine.invariant``
+    takes only keys built canonical like this.
+    """
     ins = tuple(sorted(VarId(m, a) for m, a in insertions))
     return CorrelatorKey(ins, tuple(degree))
-
-
-def _is_canonical(key: CorrelatorKey) -> bool:
-    """Whether ``key`` is as ``make_key`` builds it.
-
-    That is a tuple of ``VarId``s in non-decreasing order and a tuple degree.
-    """
-    ins, deg = key
-    return (ins.__class__ is tuple and deg.__class__ is tuple
-            and all(v.__class__ is VarId for v in ins)
-            and all(map(operator.le, ins, ins[1:])))
 
 
 def dimension_admissible(ts: TargetSpace, key: CorrelatorKey) -> bool:
@@ -499,7 +495,14 @@ def _terms(rows: Iterable[SplitRow]) -> list[tuple[int | Fraction, CorrelatorKey
 
 
 def _trr_rows(ts: TargetSpace, key: CorrelatorKey, chosen: int) -> Iterator[SplitRow]:
-    """The rows of TRR on ``key``'s insertion ``chosen``; ``trr_reduce`` says which."""
+    """The rows of TRR on ``key``'s insertion ``chosen`` (a positive level).
+
+    The chosen insertion tau_m loses one level and lands in the first factor;
+    the two canonically largest remaining insertions stay in the second
+    factor; spectators are distributed over both factors with multiplicity
+    binomials, the degree splits, and eta^{-1} contracts the two new primary
+    insertions.
+    """
     ins, deg = key
     if len(ins) < 3:
         raise NotApplicable("TRR needs at least 3 insertions")
@@ -508,22 +511,6 @@ def _trr_rows(ts: TargetSpace, key: CorrelatorKey, chosen: int) -> Iterator[Spli
         raise NotApplicable("chosen insertion must have positive level")
     rest = ins[:chosen] + ins[chosen + 1:]
     return _splittings(ts, (VarId(m - 1, alpha),), rest[-2:], rest[:-2], deg)
-
-
-def trr_reduce(ts: TargetSpace, key: CorrelatorKey, chosen: int
-               ) -> list[tuple[int | Fraction, CorrelatorKey, CorrelatorKey]]:
-    """Genus-0 topological recursion relation at coefficient level.
-
-    The chosen insertion tau_m (m > 0) loses one level and lands in the first
-    factor; the two canonically largest remaining insertions stay in the
-    second factor; spectators are distributed over both factors with
-    multiplicity binomials, the degree splits, and eta^{-1} contracts the two
-    new primary insertions.  The terms are ``_splittings``' rows written out
-    by ``_terms``: only those whose two keys are both dimension-admissible,
-    both keys canonical.  The reducer sums the same rows without writing
-    them out.
-    """
-    return _terms(_trr_rows(ts, key, chosen))
 
 
 def wdvv_reduce(ts: TargetSpace, key: CorrelatorKey
@@ -615,30 +602,19 @@ class Engine:
     def invariant(self, key: CorrelatorKey) -> Fraction:
         """Exact value of ``key``; a cache miss is reduced and published.
 
-        The key is looked up as given.  Only a miss that is not canonical
-        (unsorted, plain pairs or lists) is rebuilt by ``make_key``'s rule and
-        looked up again; a canonical miss, such as every key
-        ``admissible_keys`` builds, goes on to the dimension filter as it is
-        and is published as passed in.  A miss is reduced by ``_evaluate``'s
-        work stack, not by recursion, so no key runs into the interpreter's
-        recursion limit.
+        Precondition: ``key`` is canonical, as ``make_key`` builds it, and
+        dimension-admissible.  Every key the engine builds itself is (the
+        rules' sub-keys, ``admissible_keys``, the series walks), so the key is
+        one cache lookup and is not checked again; a key from outside is
+        checked where it enters (``make_key``, ``cli.parse_key``, and
+        ``dimension_admissible`` before the call).  A miss is reduced by
+        ``_evaluate``'s work stack, not by recursion, so no key runs into the
+        interpreter's recursion limit.
         """
-        entries = self.cache.entries
-        try:
-            cached = entries.get(key)
-        except TypeError:  # unhashable parts, e.g. lists: canonicalise first
-            cached = None
-        if cached is not None:
-            return cached
-        if not _is_canonical(key):
-            key = CorrelatorKey(tuple(sorted(VarId(*v) for v in key.insertions)),
-                                tuple(key.degree))
-            cached = entries.get(key)
-            if cached is not None:
-                return cached
-        if not dimension_admissible(self.ts, key):
-            return _ZERO
-        return self._evaluate(key)
+        value = self.cache.entries.get(key)
+        if value is None:
+            value = self._evaluate(key)
+        return value
 
     def _evaluate(self, key: CorrelatorKey) -> Fraction:
         """Reduce a missing key depth-first with an explicit stack of steps.
@@ -672,7 +648,7 @@ class Engine:
         A TRR key is summed by ``_trr_sum`` over ``_splittings``' rows as they
         are walked; the divisor lift and WDVV give term lists, summed here.
         Either way the sub-keys are requested in the order of the rule's
-        terms (``trr_reduce``'s for TRR), each key1 before its key2, and a
+        terms (``_terms`` of the TRR rows), each key1 before its key2, and a
         key2 only when its key1 is not 0.  The one-key terms (the divisor
         lift's, and WDVV's with a degree-0 factor) go through
         ``dimension_admissible``.
@@ -741,7 +717,7 @@ class Engine:
         Each row's key1 is read first, and yielded if it is not cached.  When
         it is 0 the row is skipped: its partner keys are neither built nor
         read.  Otherwise each partner key2 is built and read in turn.  That is
-        the order in which a sum over ``trr_reduce``'s terms reads them.  Every
+        the order in which a sum over the rows' ``_terms`` reads them.  Every
         key of a row is admissible.
         """
         entries = self.cache.entries
@@ -891,12 +867,12 @@ class Engine:
         monomials too heavy for any degree under the cap.
         """
         by_weight = self.ts.degrees_by_weight(policy.max_degree)
-        keys = []
+        keys, new = [], tuple.__new__
         for weight, _, ins, _ in _walk_t_monomials(policy, self.ts, max(by_weight)):
             for deg in by_weight.get(weight, ()):
                 if not any(deg) and len(ins) < 3:
                     continue
-                keys.append(CorrelatorKey(ins, deg))
+                keys.append(new(CorrelatorKey, (ins, deg)))
         return keys
 
 

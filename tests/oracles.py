@@ -10,14 +10,16 @@ monomials, the reference the packed series keys are checked against.
 ``operator_action`` applies a Virasoro operator to a polynomial term by term,
 the reference the closed-form commutator bracket is checked against.
 ``divisor_reduce`` is the forward divisor equation, a second route to a value
-the engine reaches only by the inverse one.
+the engine reaches only by the inverse one.  ``trr_reduce`` writes the
+engine's TRR rows out as a term list, the reference the row-summing reducer
+and the full TRR expansion are checked against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from gwvir.engine import CorrelatorKey, _lowering_terms
+from gwvir.engine import CorrelatorKey, _lowering_terms, _terms, _trr_rows
 from gwvir.errors import NotApplicable
 from gwvir.series import Monomial, TruncatedSeries, VarId, series_derive
 
@@ -46,6 +48,18 @@ def divisor_reduce(ts, key: CorrelatorKey, divisor_cls: int
     at = ins.index(div)
     rest = ins[:at] + ins[at + 1:]
     return [(CorrelatorKey(rest, deg), pairing)] + _lowering_terms(ts, rest, deg, divisor_cls)
+
+
+def trr_reduce(ts, key: CorrelatorKey, chosen: int
+               ) -> list[tuple[int | Fraction, CorrelatorKey, CorrelatorKey]]:
+    """Genus-0 topological recursion relation at coefficient level.
+
+    The terms (eta^{sigma rho} * binomial, key1, key2) of TRR on ``key``'s
+    insertion ``chosen``: the engine's ``_trr_rows`` written out by
+    ``_terms``, only those whose two keys are both dimension-admissible, both
+    keys canonical.  The reducer sums the same rows without writing them out.
+    """
+    return _terms(_trr_rows(ts, key, chosen))
 
 
 def point_string_oracle(levels: tuple[int, ...], _memo: dict = {}) -> Fraction:

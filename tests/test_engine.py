@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -16,10 +17,11 @@ from pathlib import Path
 import pytest
 
 from gwvir import engine as engine_module
+from gwvir.cli import run
 from gwvir.engine import (CorrelatorKey, Engine, InvariantCache, PrimaryBackend,
                           degree_zero_value, dilaton_reduce, dimension_admissible,
                           divisor_lift, load_table_backend, make_key, string_reduce,
-                          trr_reduce, wdvv_reduce, _walk_t_monomials, _weight)
+                          wdvv_reduce, _walk_t_monomials, _weight)
 from gwvir.errors import (CacheMismatch, NotApplicable, ParseError, TargetUnsupported,
                           ValidationError)
 from gwvir.identities import IDENTITY_TAGS, IdentityContext, verify_identity
@@ -27,7 +29,7 @@ from gwvir.rationals import format_rational, parse_rational
 from gwvir.series import Monomial, TruncatedSeries, TruncationPolicy, VarId
 from gwvir.target import _degree_box, load_target, preset
 
-from oracles import divisor_reduce, point_string_oracle, wdvv_associativity_nd
+from oracles import divisor_reduce, point_string_oracle, trr_reduce, wdvv_associativity_nd
 
 
 def closed_form_point(levels):
@@ -90,8 +92,13 @@ def test_dimension_examples(p2_engine, point_engine):
 
 
 def test_dimension_vanishing(p2_engine):
-    assert p2_engine.invariant(make_key([(0, 3)], (1,))) == 0
-    assert p2_engine.invariant(make_key([(0, 2), (0, 3)], (2,))) == 0
+    """An inadmissible key is 0 at the boundary; the engine is never asked for it."""
+    for text, key in (("deg=1;ins=(0,3)", make_key([(0, 3)], (1,))),
+                      ("deg=2;ins=(0,2)(0,3)", make_key([(0, 2), (0, 3)], (2,)))):
+        assert not dimension_admissible(p2_engine.ts, key)
+        code, report = run(["invariant", "--target", "P2", "--key", text], out=io.StringIO())
+        assert code == 0
+        assert report.details[0]["value"] == "0" and report.details[0]["admissible"] is False
 
 
 # --- base cases -----------------------------------------------------------------
@@ -517,9 +524,10 @@ def test_confluence_p2(p2_engine):
 
 def test_permutation_invariance(p2_engine):
     rng = random.Random(41)
-    ins = [(0, 2), (1, 3), (0, 3), (2, 1)]
+    ins = [(0, 2), (0, 2), (1, 2), (0, 3)]
     deg = (1,)
     reference = p2_engine.invariant(make_key(ins, deg))
+    assert reference == 1
     for _ in range(5):
         rng.shuffle(ins)
         assert p2_engine.invariant(make_key(ins, deg)) == reference
@@ -531,17 +539,27 @@ def _canonical(key):
             and all(type(v) is VarId for v in ins) and list(ins) == sorted(ins))
 
 
-def test_invariant_canonicalises_non_canonical_misses():
+def test_make_key_canonicalises_outside_keys():
+    """Unsorted, plain-pair and list keys enter through ``make_key``, canonical."""
     ins, deg = [(3, 3), (0, 2), (1, 2), (0, 3), (0, 1)], (2,)
-    expect = Engine(preset("P2")).invariant(make_key(ins, deg))
-    assert expect == 3
     for key in (CorrelatorKey(tuple(VarId(*v) for v in ins), deg),  # unsorted
                 CorrelatorKey(tuple(sorted(ins)), deg),  # sorted plain pairs
                 CorrelatorKey([list(v) for v in ins], list(deg))):  # lists
+        canonical = make_key(key.insertions, key.degree)
+        assert _canonical(canonical) and canonical == make_key(ins, deg)
         engine = Engine(preset("P2"))
-        assert engine.invariant(key) == expect
-        assert make_key(ins, deg) in engine.cache.entries
+        assert engine.invariant(canonical) == 3
         assert all(_canonical(k) for k in engine.cache.entries)
+
+
+def _assert_trusted(engine):
+    """Every key the engine published is canonical and dimension-admissible.
+
+    ``Engine.invariant`` checks neither; it trusts the keys the engine builds.
+    """
+    ts, entries = engine.ts, engine.cache.entries
+    assert entries
+    assert all(_canonical(k) and dimension_admissible(ts, k) for k in entries)
 
 
 def test_cold_pass_keeps_every_key_canonical():
@@ -553,7 +571,7 @@ def test_cold_pass_keeps_every_key_canonical():
     assert any(k is keys[-1] for k in engine.cache.entries)
     for key in keys:
         engine.invariant(key)
-    assert all(_canonical(k) for k in engine.cache.entries)
+    _assert_trusted(engine)
     terms = 0
     for key in keys:
         for chosen, (m, _) in enumerate(key.insertions):
@@ -562,6 +580,20 @@ def test_cold_pass_keeps_every_key_canonical():
                     assert _canonical(key1) and _canonical(key2)
                     terms += 1
     assert terms > 100
+    # The series walks: all 31 tags on one context.
+    registry = Engine(ts)
+    policy = TruncationPolicy(3, 2, (1,))
+    ctx = IdentityContext(registry, policy)
+    for tag in IDENTITY_TAGS:
+        assert all(f.status == "pass" for f in verify_identity(registry, tag, policy, ctx=ctx))
+    _assert_trusted(registry)
+    # The file targets with their seed tables: rank 2 and dimension 3.
+    for name in ("P1xP1", "P3"):
+        file_ts, backend = _seeded(name)
+        engine = Engine(file_ts, backend)
+        for key in engine.admissible_keys(TruncationPolicy(4, 3, (2,) * file_ts.novikov_rank)):
+            engine.invariant(key)
+        _assert_trusted(engine)
 
 
 def _recording_reduce(monkeypatch):
@@ -928,15 +960,16 @@ def test_table_backend():
              make_key([(0, 3)] * 8, (3,)): Fraction(12)}
     engine = Engine(p2, PrimaryBackend(table))
     assert engine.invariant(make_key([(0, 3)] * 8, (3,))) == 12
-    assert engine.invariant(make_key([(1, 3), (0, 3), (0, 3)], (1,))) == \
-        p2_reference_value()
+    reference = p2_reference_value()
+    assert reference != 0
+    assert engine.invariant(make_key([(1, 3), (0, 3), (0, 3), (0, 3)], (2,))) == reference
     missing = Engine(p2, PrimaryBackend({}))
     with pytest.raises(TargetUnsupported):
         missing.invariant(make_key([(0, 3), (0, 3)], (1,)))
 
 
 def p2_reference_value():
-    return Engine(preset("P2")).invariant(make_key([(1, 3), (0, 3), (0, 3)], (1,)))
+    return Engine(preset("P2")).invariant(make_key([(1, 3), (0, 3), (0, 3), (0, 3)], (2,)))
 
 
 def test_table_backend_rejects_descendents():
