@@ -649,9 +649,14 @@ class Engine:
         are walked; the divisor lift and WDVV give term lists, summed here.
         Either way the sub-keys are requested in the order of the rule's
         terms (``_terms`` of the TRR rows), each key1 before its key2, and a
-        key2 only when its key1 is not 0.  The one-key terms (the divisor
-        lift's, and WDVV's with a degree-0 factor) go through
-        ``dimension_admissible``.
+        key2 only when its key1 is not 0.
+
+        Every sub-key of a target that passed validation is admissible, so
+        none is checked here.  The lifted key adds a divisor slot, of weight
+        q - 1 = 0.  A lowered slot tau_{m-1}(O_g) weighs what tau_m(O_a) did,
+        since the cup grading puts kappa_{D a}^g at q_g = q_a + 1 only.
+        WDVV's keys, one or two to a term, are ``_splittings``' rows, which
+        keep only admissible keys.
         """
         ins, deg = key
         if not any(deg):
@@ -685,14 +690,12 @@ class Engine:
             else:
                 return factor * table[key]
         # sum of coeff * <key1> (* <key2>) as num / den in integers
-        ts, entries = self.ts, self.cache.entries
+        entries = self.cache.entries
         num, den = 0, 1
         for coeff, key1, key2 in terms:
             v = entries.get(key1)
             if v is None:
-                # A term with a second key (WDVV) is admissible.
-                admissible = key2 is not None or dimension_admissible(ts, key1)
-                v = (yield key1) if admissible else _ZERO
+                v = yield key1
             n = v.numerator
             if not n:
                 continue

