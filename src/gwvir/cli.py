@@ -135,9 +135,10 @@ def _cache_path(ts: target.TargetSpace) -> Path:
     return _cache_dir() / f"{ts.fingerprint}.jsonl"
 
 
-def _backend(args) -> eng.PrimaryBackend | None:
-    """The seed table ``--table`` names; None leaves the target's own seeds."""
-    return eng.load_table_backend(args.table) if args.table else None
+def _backend(args, ts: target.TargetSpace) -> eng.PrimaryBackend | None:
+    """The seed table ``--table`` names, checked against ``ts``; None leaves
+    the target's own seeds."""
+    return eng.load_table_backend(args.table, ts) if args.table else None
 
 
 def _make_engine(args, ts: target.TargetSpace) -> eng.Engine:
@@ -145,7 +146,7 @@ def _make_engine(args, ts: target.TargetSpace) -> eng.Engine:
     path = _cache_path(ts)
     if path.exists():
         cache = eng.InvariantCache.load(str(path), ts.fingerprint, ts)
-    return eng.Engine(ts, _backend(args), cache)
+    return eng.Engine(ts, _backend(args, ts), cache)
 
 
 def _add_common(p: argparse.ArgumentParser, with_policy=True, with_target=True):
@@ -369,7 +370,7 @@ def _cmd_cache(args) -> RunReport:
         return RunReport("cache clear", ts.fingerprint, {}, "pass",
                          [{"removed": existed}])
     if args.action == "warm":
-        engine = eng.Engine(ts, _backend(args))
+        engine = eng.Engine(ts, _backend(args, ts))
         keys = engine.admissible_keys(policy)
         for key in keys:
             engine.invariant(key)
@@ -383,7 +384,7 @@ def _cmd_cache(args) -> RunReport:
     if not path.exists():
         raise errors.CacheMismatch(f"no cache file at {path}")
     cache = eng.InvariantCache.load(str(path), ts.fingerprint, ts)
-    cold = eng.Engine(ts, _backend(args))
+    cold = eng.Engine(ts, _backend(args, ts))
     sample = sorted(cache.entries)[::1 if args.full else 20]
     bad = []
     for key in sample:

@@ -170,10 +170,11 @@ class InvariantCache:
              ts: TargetSpace | None = None) -> "InvariantCache":
         """Read a cache file; a malformed header or record is a CacheMismatch.
 
-        So is a key that appears twice, which ``save`` never writes.  Given
-        the target, a record whose key is not a dimension-admissible key of it
-        is a CacheMismatch too: such a key is 0 and never cached, and the
-        reduction never asks for it.
+        So is a key that appears twice, which ``save`` never writes, and a
+        later header naming another fingerprint.  Given the target, a record
+        whose key is not a dimension-admissible key of it is a CacheMismatch
+        too: such a key is 0 and never cached, and the reduction never asks
+        for it.
         """
         with open(path, encoding="utf-8") as fh:
             try:
@@ -186,34 +187,43 @@ class InvariantCache:
                     f"cache fingerprint {fingerprint!r} does not match target {expected_fingerprint!r}"
                 )
             try:
-                entries = _read_records(fh, ts)
+                entries = _read_records(fh, ts, fingerprint)
             except (ValueError, KeyError, TypeError, ParseError) as exc:
                 raise CacheMismatch(f"bad record in cache {path}: {exc}") from exc
         return cls(fingerprint, entries)
 
 
-# One record exactly as ``InvariantCache.save`` writes it: no whitespace, the
-# keys in the order deg, ins, val, integers with no sign or leading zero, and
-# one optional newline.  Groups: the degree text ("1,0"), the insertions text
-# ("[0,2],[1,3]") and the value text.  Compiled with re.ASCII: no part of it
-# matches a non-ASCII character, which the json path refuses in a number.
-_INT = r"(?:0|[1-9][0-9]*)"
+# One record in the layout ``InvariantCache.save`` writes, matched loosely: no
+# whitespace, the keys in the order deg, ins, val, and one optional newline.
+# Groups: the degree text ("1,0"), the insertions text inside the outer
+# brackets ("0,2],[1,3"; None when the list is empty) and the value text.
+# The match checks only which characters appear where.  ``_read_records``
+# checks each distinct degree and slot text against the grammar ``save``
+# writes (``_DEGREE_RE``, ``_SLOT_RE``: integers with no sign or leading zero,
+# a slot a pair of them) once per file, and a line with a text that fails goes
+# to the ``json`` decoder.  The classes hold only ASCII digits, so no part of
+# a match is a non-ASCII digit, which the json path refuses in a number.
 _RECORD_RE = re.compile(
-    rf'\{{"deg":\[((?:{_INT}(?:,{_INT})*)?)\],'
-    rf'"ins":\[((?:\[{_INT},{_INT}\](?:,\[{_INT},{_INT}\])*)?)\],'
-    rf'"val":"([-/0-9]*)"\}}\n?', re.ASCII)
+    r'\{"deg":\[([0-9,]*)\],"ins":\[(?:\[([0-9,\[\]]*)\])?\],"val":"([-/0-9]*)"\}\n?')
+_INT = r"(?:0|[1-9][0-9]*)"
+_DEGREE_RE = re.compile(rf"(?:{_INT}(?:,{_INT})*)?")
+_SLOT_RE = re.compile(rf"{_INT},{_INT}")
 
 
-def _read_records(lines: Iterable[str], ts: TargetSpace | None = None
-                  ) -> dict[CorrelatorKey, Fraction]:
-    """Parse cache-format records, skipping blank lines and a header.
+def _read_records(lines: Iterable[str], ts: TargetSpace | None = None,
+                  fingerprint: str | None = None) -> dict[CorrelatorKey, Fraction]:
+    """Parse cache-format records, skipping blank lines and headers.
 
-    A line in exactly the layout ``save`` writes (``_RECORD_RE``) is read from
-    its own text: each distinct slot text such as ``0,2`` and each degree text
-    is parsed once per file.  Any other line (another spacing or key order,
-    CRLF, extra keys, the header, bad input) goes to the ``json`` decoder.
-    Both paths end in the same checks, so a record is accepted or refused
-    alike whichever path reads it.
+    A line ``_RECORD_RE`` matches loosely is read from its own text.  The
+    first time the file shows a degree text or a slot text such as ``0,2``,
+    that text is checked against the grammar ``save`` writes (integers with
+    no sign or leading zero) and parsed; each distinct value text is parsed
+    once, too, and later lines look all three up.  A line with a text that
+    fails the grammar goes to the ``json`` decoder, as does any other line
+    (another spacing or key order, CRLF, extra keys, a header, bad input).
+    So the text path reads exactly the lines in ``save``'s layout, and both
+    paths end in the same checks: a record is accepted or refused alike
+    whichever path reads it.
 
     Keys come out canonical; equal insertions share one ``VarId`` and equal
     value strings one parsed ``Fraction``.  Levels, classes and degrees must
@@ -222,51 +232,69 @@ def _read_records(lines: Iterable[str], ts: TargetSpace | None = None
     its insertions) is a ValueError: ``save`` writes each key once.  Given the
     target, a record whose key is not a dimension-admissible key of it (a
     negative level or degree, a class or degree length the target lacks, or
-    the wrong weight) is a ValueError as it is read.
+    the wrong weight) is a ValueError as it is read.  A header is a decoded
+    line holding ``fingerprint``; given ``fingerprint``, a header naming
+    another one is a ValueError, and without it (a table file) every header
+    is skipped.
     """
     match, new = _RECORD_RE.fullmatch, tuple.__new__
+    degree_ok, slot_ok = _DEGREE_RE.fullmatch, _SLOT_RE.fullmatch
     entries: dict[CorrelatorKey, Fraction] = {}
     vids: dict[tuple[int, int], VarId] = {}
     vals: dict[str, Fraction] = {}
-    # The text path's memos: slot text -> VarId and degree text -> degree.
+    # The text path's memos of texts that passed the grammar: slot text ->
+    # VarId and degree text -> degree.
     slot_vids: dict[str, VarId] = {}
     degrees: dict[str, Degree] = {}
-    # Given the target: the weight m + q_a - 1 of each interned slot, and the
-    # weight that a key of each degree read must have.
-    weights: dict[VarId, int] = {}
+    # Given the target: the weight m + q_a - 1 of each interned slot (None for
+    # a slot the target lacks), and the weight a key of each degree must have.
+    weights: dict[VarId, int | None] = {}
     balances: dict[Degree, int] = {}
+    # The per-line lookups, bound once.
+    get_degree, get_value = degrees.get, vals.get
+    get_balance, get_weight = balances.get, weights.__getitem__
 
     def intern(m: int, a: int) -> VarId:
         vid = vids.get((m, a))
         if vid is None:
             vid = vids[m, a] = VarId(m, a)
             if ts is not None:
-                if m < 0 or a not in ts.class_weight:
-                    raise ValueError(f"insertion {[m, a]} is not a slot of {ts.name}")
-                weights[vid] = m + ts.class_weight[a]
+                wa = ts.class_weight.get(a)
+                weights[vid] = m + wa if m >= 0 and wa is not None else None
         return vid
+
+    def read_slots(slots: list[str]) -> list[VarId] | None:
+        """A line's slots; None if a new slot text fails the grammar."""
+        for slot in slots:
+            if slot not in slot_vids:
+                if slot_ok(slot) is None:
+                    return None
+                m, a = slot.split(",")
+                slot_vids[slot] = intern(int(m), int(a))
+        return [slot_vids[slot] for slot in slots]
 
     for line in lines:
         rec = match(line)
         if rec is not None:
             deg_text, ins_text, text = rec.groups()
-            deg = degrees.get(deg_text)
-            if deg is None:
+            deg = get_degree(deg_text)
+            if deg is None and degree_ok(deg_text):
                 deg = degrees[deg_text] = tuple(map(int, deg_text.split(","))) if deg_text else ()
-            slots = ins_text[1:-1].split("],[") if ins_text else ()
+            slots = ins_text.split("],[") if ins_text is not None else ()
             try:
                 ins = [slot_vids[slot] for slot in slots]
             except KeyError:  # a slot text not seen before in this file
-                for slot in slots:
-                    if slot not in slot_vids:
-                        m, a = slot.split(",")
-                        slot_vids[slot] = intern(int(m), int(a))
-                ins = [slot_vids[slot] for slot in slots]
-        else:
+                ins = read_slots(slots)
+            if deg is None or ins is None:
+                rec = None  # outside save's grammar: the json decoder reads the line
+        if rec is None:
             if not line or line.isspace():
                 continue
             rec = decode_json(line)
             if "fingerprint" in rec:
+                if fingerprint is not None and rec["fingerprint"] != fingerprint:
+                    raise ValueError(f"a later header names fingerprint {rec['fingerprint']!r},"
+                                     f" not {fingerprint!r}")
                 continue
             ins = []
             for m, a in rec["ins"]:
@@ -282,14 +310,18 @@ def _read_records(lines: Iterable[str], ts: TargetSpace | None = None
         ins.sort()
         key = new(CorrelatorKey, (tuple(ins), deg))
         if ts is not None:
-            balance = balances.get(deg)
+            balance = get_balance(deg)
             if balance is None:
                 if len(deg) != ts.novikov_rank or any(d < 0 for d in deg):
-                    raise ValueError(f"degree {list(deg)} is not a degree of {ts.name}")
+                    raise ValueError(f"{key}: degree {list(deg)} is not a degree of {ts.name}")
                 balance = balances[deg] = ts.degree_weight(deg)
-            if sum(map(weights.__getitem__, ins)) != balance:
+            try:
+                weight = sum(map(get_weight, ins))
+            except TypeError:  # a slot the target lacks
+                weight = None
+            if weight != balance:
                 raise ValueError(f"{key} is not an admissible key of {ts.name}")
-        value = vals.get(text)
+        value = get_value(text)
         if value is None:
             value = vals[text] = parse_rational(text)
         size = len(entries)
@@ -299,13 +331,18 @@ def _read_records(lines: Iterable[str], ts: TargetSpace | None = None
     return entries
 
 
-def load_table_backend(path: str) -> PrimaryBackend:
-    """Read primary invariants in the cache record format (no header required)."""
+def load_table_backend(path: str, ts: TargetSpace) -> PrimaryBackend:
+    """Read primary invariants of ``ts`` in the cache record format (no header required).
+
+    A seed whose key is not a dimension-admissible key of the target is a
+    ParseError, as a cache record would be a CacheMismatch: the reduction would
+    never ask for it.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
-            table = _read_records(fh)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ParseError(f"table file {path} is not in the cache record format: {exc}") from exc
+            table = _read_records(fh, ts)
+        except (ValueError, KeyError, TypeError, ParseError) as exc:
+            raise ParseError(f"table file {path} is not a seed table of {ts.name}: {exc}") from exc
     return PrimaryBackend(table)
 
 

@@ -364,6 +364,21 @@ def test_table_backend_ingestion(tmp_path):
     assert code == 0 and report.details[0]["value"] == "1"
 
 
+@pytest.mark.parametrize("seed, slot", [
+    ('{"deg":[1],"ins":[[0,9],[0,3]],"val":"7"}', "VarId(level=0, cls=9)"),  # a class P2 lacks
+    ('{"deg":[1],"ins":[[0,2],[0,3]],"val":"7"}', "VarId(level=0, cls=2)"),  # weight 1, not 2
+])
+def test_table_seed_off_the_target_is_usage_error(tmp_path, seed, slot):
+    # A seed the target cannot have would never be asked for: refused, not kept.
+    table = tmp_path / "t.jsonl"
+    table.write_text(seed + "\n")
+    code, report, text = go("invariant", "--target", "P2", "--table", str(table),
+                            "--key", "deg=1;ins=(0,3)(0,3)")
+    assert code == 2 and report is None
+    assert f"table file {table} " in text
+    assert slot in text and "degree=(1,)" in text and "Traceback" not in text
+
+
 def test_psi_families_flag():
     code, report, _ = go("psi", "--target", "P1", "--n", "1", "--insertions", "3",
                          "--level", "2", "--degree", "1", "--families",

@@ -746,12 +746,17 @@ def test_cache_save_writes_json_dumps_text(tmp_path, monkeypatch, name):
     assert decoded == [expect[0] + "\n"]
 
 
-def _read_alone(line, ts):
-    """The entries ``_read_records`` reads from ``line`` alone, or its error's class."""
+def _read_lines(lines, ts):
+    """The entries ``_read_records`` reads from ``lines``, or its error's class."""
     try:
-        return engine_module._read_records([line], ts)
+        return engine_module._read_records(lines, ts)
     except (ValueError, KeyError, TypeError, ParseError) as exc:
         return exc.__class__
+
+
+def _read_alone(line, ts):
+    """The entries ``_read_records`` reads from ``line`` alone, or its error's class."""
+    return _read_lines([line], ts)
 
 
 def test_text_and_json_read_paths_agree(monkeypatch):
@@ -789,6 +794,91 @@ def test_text_and_json_read_paths_agree(monkeypatch):
         assert a == b, line
     assert any(isinstance(r, dict) and r for row in normal for r in row)
     assert any(r is ValueError for row in normal for r in row)
+
+
+def _saved_records(name, policy):
+    """The records ``save`` writes for a cold pass over ``policy`` on ``name``."""
+    engine = Engine(preset(name))
+    for key in engine.admissible_keys(policy):
+        engine.invariant(key)
+    return [{"deg": list(key.degree), "ins": [list(v) for v in key.insertions],
+             "val": format_rational(value)} for key, value in sorted(engine.cache.entries.items())]
+
+
+# Lines in save's layout made to fail its grammar: a leading-zero or signed
+# degree, an empty degree item, a stray or a missing bracket, an empty slot, a
+# leading-zero level and a slot of three integers.
+_OFF_GRAMMAR = [(r'"deg":\[[0-9,]*\]', '"deg":[01]'), (r'"deg":\[[0-9,]*\]', '"deg":[-0]'),
+                (r'"deg":\[', '"deg":[,'), (r'\]\],"val"', ']]],"val"'),
+                (r'"ins":\[\[', '"ins":[1'), (r'"ins":\[', '"ins":[[],'),
+                (r'"ins":\[\[', '"ins":[[00'), (r'"ins":\[\[([0-9]+),', r'"ins":[[\1,0,')]
+
+
+def test_text_and_json_read_paths_agree_on_whole_files(monkeypatch):
+    """Whole files read alike with the text path on and forced off.
+
+    The text path checks each distinct degree and slot text once per file, so
+    agreement must hold across lines, not only for a line alone.  The files
+    interleave lines in save's layout, lines in other JSON layouts and lines
+    in save's layout that fail its grammar (one bad slot text on many lines,
+    too); each must read to the same entries or the same class of error.
+    """
+    layouts = [{"sort_keys": True, "separators": (",", ":")},
+               {"sort_keys": True, "separators": (", ", ": ")}, {}]
+    files = []
+    for name, policy in (("point", TruncationPolicy(8, 5, ())),
+                         ("P2", TruncationPolicy(4, 2, (2,)))):
+        records = _saved_records(name, policy)
+        assert len(records) > 10
+        rng = random.Random(name)
+        for trial in range(12):
+            rng.shuffle(records)
+            lines = ['{"fingerprint": "x"}\n'] + [
+                json.dumps(rec, **layouts[i % 3 if trial % 2 else i % 2]) + "\n"
+                for i, rec in enumerate(records)]
+            files.append(lines)
+            for pattern, repl in _OFF_GRAMMAR:
+                bad = list(lines)
+                i = rng.choice([i for i, line in enumerate(lines)
+                                if line.startswith('{"deg":[') and re.search(pattern, line)])
+                bad[i] = re.sub(pattern, repl, bad[i], count=1)
+                assert bad[i] != lines[i]
+                files.append(bad)
+        # One slot text made bad on every line that has it.
+        common = Counter(m for line in lines for m in re.findall(r"\[[0-9]+,[0-9]+\]", line))
+        slot, count = common.most_common(1)[0]
+        assert count > 5
+        files.append([line.replace(slot, slot.replace(",", ",0"))  # "[0,2]" -> "[0,02]"
+                      for line in lines])
+    targets = (None, preset("point"), preset("P2"))
+    normal = [[_read_lines(lines, ts) for ts in targets] for lines in files]
+    monkeypatch.setattr(engine_module, "_RECORD_RE", re.compile(r"(?!)"))
+    forced = [[_read_lines(lines, ts) for ts in targets] for lines in files]
+    for lines, a, b in zip(files, normal, forced):
+        assert a == b, lines
+    results = [r for row in normal for r in row]
+    assert sum(isinstance(r, dict) and len(r) > 10 for r in results) >= 4
+    assert ValueError in results
+
+
+def test_cache_load_refuses_a_later_header_of_another_target(tmp_path):
+    p2 = preset("P2")
+    header = '{"fingerprint": "%s"}\n' % p2.fingerprint
+    good = '{"deg":[1],"ins":[[0,3],[0,3]],"val":"1"}\n'
+    appended = '{"deg":[1],"ins":[[0,2],[0,3],[0,3]],"val":"99"}\n'
+    path = tmp_path / "cache.jsonl"
+    path.write_text(header + good + header + appended)  # a repeated header is skipped
+    for ts in (None, p2):
+        assert InvariantCache.load(str(path), p2.fingerprint, ts).entries[
+            make_key([(0, 2), (0, 3), (0, 3)], (1,))] == 99
+    path.write_text(header + good + '{"fingerprint": "another-target"}\n' + appended)
+    for ts in (None, p2):
+        with pytest.raises(CacheMismatch, match="another-target"):
+            InvariantCache.load(str(path), p2.fingerprint, ts)
+    # A seed table's headers are optional and name no target it is held to.
+    table = tmp_path / "table.jsonl"
+    table.write_text('{"fingerprint": "another-target"}\n' + good)
+    assert load_table_backend(str(table), p2).table == {make_key([(0, 3), (0, 3)], (1,)): 1}
 
 
 def test_cache_save_is_atomic(tmp_path, monkeypatch):
@@ -912,7 +1002,7 @@ def test_repeated_key_is_a_corrupt_cache(tmp_path, first, second):
     table = tmp_path / "table.jsonl"
     table.write_text(body)
     with pytest.raises(ParseError, match="twice"):
-        load_table_backend(str(table))
+        load_table_backend(str(table), p1)
 
 
 def test_cache_determinism_cold_runs(tmp_path):
@@ -1101,8 +1191,8 @@ def test_correlation_series_match_brute_force(name):
 def _seeded(name):
     """A target and its backend: the file targets come with their seed tables."""
     if name in ("P1xP1", "P3"):
-        return (load_target((DATA / f"{name}.json").read_text(encoding="utf-8")),
-                load_table_backend(str(DATA / f"{name}_seeds.jsonl")))
+        ts = load_target((DATA / f"{name}.json").read_text(encoding="utf-8"))
+        return ts, load_table_backend(str(DATA / f"{name}_seeds.jsonl"), ts)
     return preset(name), None
 
 

@@ -284,8 +284,8 @@ def test_psi_higher_n_on_p1(p1_engine):
 def test_rank_two_end_to_end_on_p1xp1():
     # Three seeds, <pt>_(1,0) = <pt>_(0,1) = <pt pt pt>_(1,1) = 1, and the
     # reduction give every primary under the cap (1, 1).
-    seeds = load_table_backend(str(DATA / "P1xP1_seeds.jsonl")).table
     ts = _target("P1xP1")
+    seeds = load_table_backend(str(DATA / "P1xP1_seeds.jsonl"), ts).table
     engine = Engine(ts, PrimaryBackend(seeds))
     policy = TruncationPolicy(4, 3, (1, 1))
     for n in (1, 2, 3):
@@ -304,8 +304,9 @@ def test_rank_two_end_to_end_on_p1xp1():
 def test_p1xp1_primaries_from_the_two_degree_one_seeds():
     # WDVV from <pt>_(1,0) = <pt>_(0,1) = 1 alone: the third seed and the
     # counts of rational curves of bidegree (a, b) through 2a + 2b - 1 points.
-    seeds = load_table_backend(str(DATA / "P1xP1_seeds.jsonl")).table
-    engine = Engine(_target("P1xP1"),
+    ts = _target("P1xP1")
+    seeds = load_table_backend(str(DATA / "P1xP1_seeds.jsonl"), ts).table
+    engine = Engine(ts,
                     PrimaryBackend({k: v for k, v in seeds.items() if sum(k.degree) == 1}))
     for (a, b), count in {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 12, (2, 3): 96,
                           (3, 3): 3510}.items():
@@ -315,7 +316,7 @@ def test_p1xp1_primaries_from_the_two_degree_one_seeds():
 def test_p3_file_target_from_one_seed():
     # Classes 1, H, H^2, pt; the one seed is the line through two points.
     ts = load_target((DATA / "P3.json").read_text(encoding="utf-8"))
-    seeds = load_table_backend(str(DATA / "P3_seeds.jsonl")).table
+    seeds = load_table_backend(str(DATA / "P3_seeds.jsonl"), ts).table
     engine = Engine(ts, PrimaryBackend(seeds))
     line, pt = (0, 3), (0, 4)  # H^2 is the class of a line
     anchors = [
