@@ -35,7 +35,10 @@ pairing, and the split tables: each spectator multiset's splits with their
 binomials and weights) is built once per target (``TargetSpace.class_weight``,
 ``raised_table``, ``degree_splits``, ``spectator_splits``).
 A miss sums its products in integers through ``_add``, one numerator over
-one lcm denominator, and makes a single Fraction.
+one lcm denominator, and makes its value once, through ``rationals.exact``:
+an ``int`` when it is integral (most values are), else a ``Fraction``.  Every
+value the reducer publishes and every value a cache file or seed table loads
+is made by that one rule, and none is a ``float``: no ``/`` sees two ints.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from typing import Generator, Iterable, Iterator, NamedTuple
 
 from .errors import (CacheMismatch, NotApplicable, ParseError, TargetUnsupported,
                      ValidationError)
-from .rationals import format_rational, parse_rational
+from .rationals import exact, format_rational, parse_rational
 from .series import TruncatedSeries, TruncationPolicy, VarId
 from .target import Degree, TargetSpace, decode_json
 
@@ -98,7 +101,7 @@ def dimension_admissible(ts: TargetSpace, key: CorrelatorKey) -> bool:
 class PrimaryBackend:
     """The seed table of all-primary invariants the reduction starts from."""
 
-    table: dict[CorrelatorKey, Fraction]
+    table: dict[CorrelatorKey, int | Fraction]
 
     def __post_init__(self):
         for key in self.table:
@@ -108,22 +111,23 @@ class PrimaryBackend:
 
 # The presets' seeds: the line itself on P1 and the line through two points on
 # P2.  The point needs none, since every key of it has degree 0.
-_PRESET_SEEDS = {"P1": {CorrelatorKey((), (1,)): _ONE},
-                 "P2": {CorrelatorKey((VarId(0, 3),) * 2, (1,)): _ONE}}
+_PRESET_SEEDS = {"P1": {CorrelatorKey((), (1,)): 1},
+                 "P2": {CorrelatorKey((VarId(0, 3),) * 2, (1,)): 1}}
 
 
 class InvariantCache:
     """Memoized invariant values, bound to one target fingerprint."""
 
-    def __init__(self, fingerprint: str, entries: dict[CorrelatorKey, Fraction] | None = None):
+    def __init__(self, fingerprint: str,
+                 entries: dict[CorrelatorKey, int | Fraction] | None = None):
         self.fingerprint = fingerprint
-        self.entries: dict[CorrelatorKey, Fraction] = dict(entries or {})
+        self.entries: dict[CorrelatorKey, int | Fraction] = dict(entries or {})
 
     @classmethod
     def for_target(cls, ts: TargetSpace) -> "InvariantCache":
         return cls(ts.fingerprint)
 
-    def publish(self, key: CorrelatorKey, value: Fraction) -> Fraction:
+    def publish(self, key: CorrelatorKey, value: int | Fraction) -> int | Fraction:
         # Publish-once: a key's value is stored once and never replaced.  One
         # engine reduces each key once, but two engines given the same cache,
         # or threads calling one engine (there is no lock), can each reduce a
@@ -211,7 +215,7 @@ _SLOT_RE = re.compile(rf"{_INT},{_INT}")
 
 
 def _read_records(lines: Iterable[str], ts: TargetSpace | None = None,
-                  fingerprint: str | None = None) -> dict[CorrelatorKey, Fraction]:
+                  fingerprint: str | None = None) -> dict[CorrelatorKey, int | Fraction]:
     """Parse cache-format records, skipping blank lines and headers.
 
     A line ``_RECORD_RE`` matches loosely is read from its own text.  The
@@ -226,22 +230,24 @@ def _read_records(lines: Iterable[str], ts: TargetSpace | None = None,
     whichever path reads it.
 
     Keys come out canonical; equal insertions share one ``VarId`` and equal
-    value strings one parsed ``Fraction``.  Levels, classes and degrees must
-    be JSON integers, the only values ``save`` writes there (with ``str``,
-    which would write ``true`` as ``True``).  A key read twice (after sorting
-    its insertions) is a ValueError: ``save`` writes each key once.  Given the
-    target, a record whose key is not a dimension-admissible key of it (a
-    negative level or degree, a class or degree length the target lacks, or
-    the wrong weight) is a ValueError as it is read.  A header is a decoded
+    value strings one value, made by ``rationals.exact`` as the reducer makes
+    its values: an ``int`` when integral, else a ``Fraction``.  Levels,
+    classes and degrees must be JSON integers, the only values ``save`` writes
+    there (with ``str``, which would write ``true`` as ``True``).  A key read
+    twice (after sorting its insertions) is a ValueError: ``save`` writes
+    each key once.  Given the target, a record whose key is not a
+    dimension-admissible key of it (a negative level or degree, a class or
+    degree length the target lacks, or the wrong weight) is a ValueError as
+    it is read.  A header is a decoded
     line holding ``fingerprint``; given ``fingerprint``, a header naming
     another one is a ValueError, and without it (a table file) every header
     is skipped.
     """
     match, new = _RECORD_RE.fullmatch, tuple.__new__
     degree_ok, slot_ok = _DEGREE_RE.fullmatch, _SLOT_RE.fullmatch
-    entries: dict[CorrelatorKey, Fraction] = {}
+    entries: dict[CorrelatorKey, int | Fraction] = {}
     vids: dict[tuple[int, int], VarId] = {}
-    vals: dict[str, Fraction] = {}
+    vals: dict[str, int | Fraction] = {}
     # The text path's memos of texts that passed the grammar: slot text ->
     # VarId and degree text -> degree.
     slot_vids: dict[str, VarId] = {}
@@ -323,7 +329,8 @@ def _read_records(lines: Iterable[str], ts: TargetSpace | None = None,
                 raise ValueError(f"{key} is not an admissible key of {ts.name}")
         value = get_value(text)
         if value is None:
-            value = vals[text] = parse_rational(text)
+            value = parse_rational(text)
+            value = vals[text] = exact(value.numerator, value.denominator)
         size = len(entries)
         entries[key] = value
         if len(entries) == size:
@@ -350,21 +357,22 @@ def load_table_backend(path: str, ts: TargetSpace) -> PrimaryBackend:
 # Reduction rules (exposed individually; the master evaluator wires them up).
 # ---------------------------------------------------------------------------
 
-def degree_zero_value(ts: TargetSpace, key: CorrelatorKey) -> Fraction:
+def degree_zero_value(ts: TargetSpace, key: CorrelatorKey) -> int | Fraction:
     """Constant-map invariant: psi-class multinomial times a classical integral."""
     ins, deg = key
     if any(deg):
         raise NotApplicable("degree_zero_value needs degree 0")
     k = len(ins)
     if k < 3:
-        return _ZERO
+        return 0
     total_level = sum(m for m, _ in ins)
     if total_level != k - 3:
-        return _ZERO
-    coeff = Fraction(math.factorial(k - 3))
+        return 0
+    den = 1
     for m, _ in ins:
-        coeff /= math.factorial(m)
-    return coeff * ts.classical_integral(tuple(a for _, a in ins))
+        den *= math.factorial(m)
+    integral = ts.classical_integral(tuple(a for _, a in ins))
+    return exact(math.factorial(k - 3) * integral.numerator, den * integral.denominator)
 
 
 def string_reduce(ts: TargetSpace, key: CorrelatorKey
@@ -611,7 +619,7 @@ def _add(num: int, den: int, n: int, d: int) -> tuple[int, int]:
     """num / den + n / d, over the lcm of the two denominators.
 
     The reducer's one accumulation: a miss sums its products in integers and
-    makes a single Fraction at the end.
+    makes its value once at the end, with ``rationals.exact``.
     """
     if den % d:
         lcm = math.lcm(den, d)
@@ -636,8 +644,11 @@ class Engine:
 
     # -- scalar invariants -------------------------------------------------
 
-    def invariant(self, key: CorrelatorKey) -> Fraction:
+    def invariant(self, key: CorrelatorKey) -> int | Fraction:
         """Exact value of ``key``; a cache miss is reduced and published.
+
+        The value is an ``int`` when it is integral and a ``Fraction``
+        otherwise (``rationals.exact``).
 
         Precondition: ``key`` is canonical, as ``make_key`` builds it, and
         dimension-admissible.  Every key the engine builds itself is (the
@@ -653,7 +664,7 @@ class Engine:
             value = self._evaluate(key)
         return value
 
-    def _evaluate(self, key: CorrelatorKey) -> Fraction:
+    def _evaluate(self, key: CorrelatorKey) -> int | Fraction:
         """Reduce a missing key depth-first with an explicit stack of steps.
 
         Each frame is a ``_reduce`` generator.  A frame that yields a sub-key
@@ -676,7 +687,8 @@ class Engine:
                 stack.append((sub, self._reduce(sub)))
                 value = None
 
-    def _reduce(self, key: CorrelatorKey) -> Generator[CorrelatorKey, Fraction, Fraction]:
+    def _reduce(self, key: CorrelatorKey
+                ) -> Generator[CorrelatorKey, int | Fraction, int | Fraction]:
         """Reduction steps of one admissible key, run as a frame of ``_evaluate``.
 
         Yields each admissible sub-key whose value is not cached yet and
@@ -706,26 +718,27 @@ class Engine:
             # TRR on the first insertion of the top level
             rows = _trr_rows(self.ts, key, bisect.bisect_left(ins, (ins[-1].level,)))
             num, den = yield from self._trr_sum(rows)
-            return Fraction(num, den)
+            return exact(num, den)
         else:
             # All primary: strip the divisors, <key> = factor * <stripped>,
             # down to a seed, a unit (the string equation gives 0) or WDVV.
             pairing, table, factor = dict(self.ts.divisors), self.backend.table, 1
             while key not in table:
                 if VarId(0, 1) in ins:
-                    return _ZERO
+                    return 0
                 at = next((i for i, v in enumerate(ins) if v.cls in pairing), None)
                 if at is None:
                     terms, own = wdvv_reduce(self.ts, key)
-                    scale = own / factor
+                    scale = Fraction(own, factor)  # not own / factor: exact for an int own
                     break
                 factor *= sum(map(operator.mul, pairing[ins[at].cls], deg))
                 if not factor:
-                    return _ZERO
+                    return 0
                 ins = ins[:at] + ins[at + 1:]
                 key = CorrelatorKey(ins, deg)
             else:
-                return factor * table[key]
+                seed = table[key]
+                return exact(factor * seed.numerator, seed.denominator)
         # sum of coeff * <key1> (* <key2>) as num / den in integers
         entries = self.cache.entries
         num, den = 0, 1
@@ -748,10 +761,10 @@ class Engine:
                 n *= m
                 d *= v.denominator
             num, den = _add(num, den, n, d)
-        return Fraction(num * scale.denominator, den * scale.numerator)
+        return exact(num * scale.denominator, den * scale.numerator)
 
     def _trr_sum(self, rows: Iterable[SplitRow]
-                 ) -> Generator[CorrelatorKey, Fraction, tuple[int, int]]:
+                 ) -> Generator[CorrelatorKey, int | Fraction, tuple[int, int]]:
         """Sum of eta^{sigma rho} * ways * <key1> * <key2> over TRR's rows, as num, den.
 
         Each row's key1 is read first, and yielded if it is not cached.  When

@@ -1,9 +1,13 @@
 """Exact rational values and their canonical text form.
 
-Rationals are stdlib ``fractions.Fraction`` throughout: arbitrary precision,
-always in lowest terms with positive denominator.  The wire format is the
-decimal string ``p/q`` (or just ``p`` when q = 1), no whitespace; round trips
-are bit-exact.
+Rationals are stdlib ``fractions.Fraction``: arbitrary precision, always in
+lowest terms with positive denominator.  An exact invariant value is the one
+exception: ``exact`` makes it an ``int`` when it is integral (most of them
+are) and a ``Fraction`` otherwise.  Both have ``numerator`` and
+``denominator``, and an integral value then costs one ``divmod`` to make and
+no Python-level property to read.  ``parse_rational`` still returns a
+``Fraction``.  The wire format is the decimal string ``p/q`` (or just ``p``
+when q = 1), no whitespace; round trips are bit-exact.
 
 Python refuses to convert an integer of more than 4,300 decimal digits to or
 from a string (``sys.get_int_max_str_digits``).  Rather than raise that
@@ -46,8 +50,18 @@ def _decimal_to_int(text: str) -> int:
     return _decimal_to_int(text[:-k]) * 10 ** k + _decimal_to_int(text[-k:])
 
 
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction as ``p/q`` or ``p`` (lowest terms, no spaces)."""
+def exact(num: int, den: int) -> int | Fraction:
+    """num / den as an ``int`` when it is integral, else as a ``Fraction``.
+
+    The one rule for exact invariant values: equal to ``Fraction(num, den)``
+    for a ``den`` of either sign, and never a ``float``.
+    """
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+def format_rational(value: int | Fraction) -> str:
+    """Render a Fraction or an int as ``p/q`` or ``p`` (lowest terms, no spaces)."""
     if value.denominator == 1:
         return _int_to_decimal(value.numerator)
     return f"{_int_to_decimal(value.numerator)}/{_int_to_decimal(value.denominator)}"

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .errors import IndexOutOfRange, ParseError, UnknownPreset, ValidationError
-from .rationals import format_rational, parse_rational
+from .rationals import exact, format_rational, parse_rational
 from .series import VarId
 
 _ZERO = Fraction(0)
@@ -150,7 +150,8 @@ class TargetSpace:
         Built from ``raised``, the partners rho of each sigma grouped by their
         weight q_rho - 1 in ``raised`` order, so TRR and WDVV find the
         partners that balance a key with one dict lookup.  eta^{sigma rho} is an
-        ``int`` when integral, so products with it stay in integers.
+        ``int`` when integral (``rationals.exact``), so products with it stay
+        in integers.
         """
         w = self.class_weight
         table = []
@@ -158,7 +159,7 @@ class TargetSpace:
             groups: dict[int, tuple[tuple[VarId, int | Fraction], ...]] = {}
             for rho, c in self.raised(sigma):
                 groups[w[rho]] = groups.get(w[rho], ()) + (
-                    (VarId(0, rho), c.numerator if c.denominator == 1 else c),)
+                    (VarId(0, rho), exact(c.numerator, c.denominator)),)
             table.append((VarId(0, sigma), w[sigma], groups))
         return tuple(table)
 

@@ -25,7 +25,7 @@ from gwvir.engine import (CorrelatorKey, Engine, InvariantCache, PrimaryBackend,
 from gwvir.errors import (CacheMismatch, NotApplicable, ParseError, TargetUnsupported,
                           ValidationError)
 from gwvir.identities import IDENTITY_TAGS, IdentityContext, verify_identity
-from gwvir.rationals import format_rational, parse_rational
+from gwvir.rationals import exact, format_rational, parse_rational
 from gwvir.series import Monomial, TruncatedSeries, TruncationPolicy, VarId
 from gwvir.target import _degree_box, load_target, preset
 
@@ -703,6 +703,110 @@ def test_cache_round_trip_past_int_str_digit_limit(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache.save(str(path))
     assert InvariantCache.load(str(path), cache.fingerprint).entries == {key: huge}
+
+
+@pytest.mark.parametrize("den", [-7, -3, -1, 1, 3, 7])
+@pytest.mark.parametrize("num", [-42, -10, -1, 0, 1, 10, 42, 3 ** 80, -(3 ** 80) - 1])
+def test_exact_is_an_int_exactly_when_integral(num, den):
+    value = exact(num, den)
+    assert value == Fraction(num, den)
+    assert type(value) is (int if num % den == 0 else Fraction)
+
+
+def _assert_exact_types(values):
+    """Each value is an ``int`` when integral and a ``Fraction`` otherwise.
+
+    Never a ``float`` or a ``bool``.  Returns how many of each there are.
+    """
+    kinds = Counter()
+    for v in values:
+        assert type(v) in (int, Fraction), (v, type(v))
+        assert type(v) is (int if v.denominator == 1 else Fraction), v
+        kinds[type(v)] += 1
+    return kinds
+
+
+@pytest.mark.parametrize("name,policy", [
+    # Degree 0, divisor lifts and TRR; the preset seed is an int.
+    ("P2", TruncationPolicy(5, 3, (2,))),
+    # eta^{-1} holds -1 and 1/2, so lifts and TRR sums meet Fractions; its
+    # seed is passed in as a Fraction.
+    ("P2-rational-eta", TruncationPolicy(4, 3, (2,))),
+    # Seed tables read from file, stripped divisors and WDVV (own / factor).
+    ("P1xP1", TruncationPolicy(4, 3, (2, 2))),
+    ("P3", TruncationPolicy(4, 3, (2,))),
+])
+def test_published_values_are_ints_when_integral(tmp_path, monkeypatch, name, policy):
+    """Every value the reducer publishes, loads or seeds follows ``exact``'s rule."""
+    ts, backend = _seeded(name) if name in ("P1xP1", "P3") else (_target(name), None)
+    if name == "P2-rational-eta":
+        backend = PrimaryBackend({make_key([(0, 3), (0, 3)], (1,)): Fraction(1)})
+    rules = Counter()
+    for rule in ("degree_zero_value", "divisor_lift", "_trr_rows", "wdvv_reduce"):
+        def counted(*args, _rule=rule, _f=getattr(engine_module, rule)):
+            rules[_rule] += 1
+            return _f(*args)
+        monkeypatch.setattr(engine_module, rule, counted)
+    engine = Engine(ts, backend)
+    if name != "P2-rational-eta":
+        _assert_exact_types(engine.backend.table.values())
+    for key in engine.admissible_keys(policy):
+        engine.invariant(key)
+    expected = {"degree_zero_value", "divisor_lift", "_trr_rows"}
+    if name in ("P1xP1", "P3"):
+        expected.add("wdvv_reduce")
+    assert expected <= set(rules)
+    kinds = _assert_exact_types(engine.cache.entries.values())
+    assert kinds[int] and kinds[Fraction]
+    path = tmp_path / "cache.jsonl"
+    engine.cache.save(str(path))
+    loaded = InvariantCache.load(str(path), ts.fingerprint, ts).entries
+    assert loaded == engine.cache.entries
+    assert _assert_exact_types(loaded.values()) == kinds
+
+
+def test_seed_values_are_ints_when_integral(tmp_path):
+    p2 = preset("P2")
+    table = tmp_path / "seeds.jsonl"
+    table.write_text('{"deg":[1],"ins":[[0,3],[0,3]],"val":"2/2"}\n'
+                     '{"deg":[2],"ins":[[0,3],[0,3],[0,3],[0,3],[0,3]],"val":"-3/2"}\n')
+    seeds = load_table_backend(str(table), p2).table
+    assert _assert_exact_types(seeds.values()) == {int: 1, Fraction: 1}
+    # A seed passed in as a Fraction is published by the same rule.
+    key = make_key([(0, 3), (0, 3)], (1,))
+    engine = Engine(p2, PrimaryBackend({key: Fraction(1)}))
+    assert type(engine.invariant(make_key([(0, 2), (0, 3), (0, 3)], (1,)))) is int
+    _assert_exact_types(engine.cache.entries.values())
+
+
+def test_library_caller_breaking_the_key_precondition_is_refused_on_load(tmp_path):
+    """An inadmissible key passed to ``Engine.invariant`` is published, then refused.
+
+    ``Engine.invariant`` trusts its key.  A library caller that skips
+    ``dimension_admissible`` can store the key (here <1 pt>_1, weight 0
+    where degree 1 needs 2), and ``InvariantCache.load`` with the target
+    names it as a ``CacheMismatch``.  The idiom tests first.
+    """
+    p2 = preset("P2")
+    key = make_key([(0, 1), (0, 3)], (1,))
+    assert not dimension_admissible(p2, key)
+    engine = Engine(p2)
+    assert engine.invariant(key) == 0
+    assert key in engine.cache.entries
+    path = tmp_path / "cache.jsonl"
+    engine.cache.save(str(path))
+    assert key in InvariantCache.load(str(path), p2.fingerprint).entries  # unchecked
+    with pytest.raises(CacheMismatch, match="not an admissible key"):
+        InvariantCache.load(str(path), p2.fingerprint, p2)
+    # make_key, then dimension_admissible, then invariant.
+    idiom = Engine(p2)
+    for ins, deg in (([(0, 1), (0, 3)], (1,)), ([(0, 3)], (1,)), ([(0, 3), (0, 3)], (1,))):
+        key = make_key(ins, deg)
+        if dimension_admissible(p2, key):
+            idiom.invariant(key)
+    idiom.cache.save(str(path))
+    loaded = InvariantCache.load(str(path), p2.fingerprint, p2).entries
+    assert loaded == idiom.cache.entries and loaded[make_key([(0, 3), (0, 3)], (1,))] == 1
 
 
 @pytest.mark.parametrize("name", ["point", "P1", "P2", "P1xP1"])
