@@ -343,8 +343,7 @@ def _cmd_identities(args) -> RunReport:
             raise errors.UnknownIdentity(f"unknown identity tags: {', '.join(unknown)}")
     engine = _make_engine(args, ts)
     shared = identities.IdentityContext(engine, policy)
-    results = [identities.verify_identity(engine, tag, policy, ctx=shared)
-               for tag in tags]
+    results = [identities.verify_identity(shared, tag) for tag in tags]
     details = []
     outcome = "pass"
     for tag, findings in zip(tags, results):

@@ -24,11 +24,12 @@ only admissible ones, so canonical keys make the memo cache order-independent.
 TRR and WDVV are one genus-0 splitting, sum <X S1 O_s>_A1 eta^{sr}
 <O_r Y S2>_A2 over the splits of the spectators S and the degree A, and both
 walk its dimension-admissible part through one helper, ``_splittings``.  It
-yields rows: a first key plus what its partner keys need.  The reducer sums
-a TRR key's rows as they are walked; it reads each first key before any of
-its partners and builds no partner key behind a first key whose value is
-0.  ``_terms`` writes the rows out as term lists (``wdvv_reduce``'s), and
-the reducer requests sub-keys in exactly their terms' order.  What the
+yields rows: a first key plus what its partner keys need.  Every rule hands
+the reducer rows of that one shape (``SplitRow``): the divisor lift and
+WDVV's degree-0 terms give single-key rows, which have no partners.  One
+loop sums every rule's rows: it reads each first key before any of its
+partners and builds no partner key behind a first key whose value is 0,
+and it requests sub-keys in exactly that order.  What the
 helper needs of the target (the class weights q_a - 1, the raised index
 with its partners grouped by weight, the degree splits grouped by c1
 pairing, and the split tables: each spectator multiset's splits with their
@@ -148,19 +149,19 @@ class InvariantCache:
         # Each record is the text json.dumps(..., sort_keys=True,
         # separators=(",", ":")) gives for {"ins", "deg", "val"}, the layout
         # _RECORD_RE reads.  Each distinct slot and degree is formatted once.
+        # The records are written line by line, so the file's text is never
+        # held whole.
         entries = self.entries
         slots = {v: "[%s,%s]" % v for v in {v for ins, _ in entries for v in ins}}
         degrees = {deg: ",".join(map(str, deg)) for deg in {deg for _, deg in entries}}
-        lines = [json.dumps({"fingerprint": self.fingerprint}, sort_keys=True)]
-        for key in sorted(entries):
-            ins, deg = key
-            lines.append(f'{{"deg":[{degrees[deg]}],'
-                         f'"ins":[{",".join(map(slots.__getitem__, ins))}],'
-                         f'"val":"{format_rational(entries[key])}"}}')
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
+                fh.write(json.dumps({"fingerprint": self.fingerprint}, sort_keys=True) + "\n")
+                fh.writelines(f'{{"deg":[{degrees[key.degree]}],'
+                              f'"ins":[{",".join(map(slots.__getitem__, key.insertions))}],'
+                              f'"val":"{format_rational(entries[key])}"}}\n'
+                              for key in sorted(entries))
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -457,11 +458,15 @@ def _lowering_terms(ts: TargetSpace, ins: Insertions, deg: Degree, divisor_cls: 
     return terms
 
 
-# One row of a genus-0 splitting: key1 = <first S1 O_s>_A1 and what its partner
-# keys <O_r second S2>_A2 need: the sorted halves (S2 + second), sigma's
-# partners rho (with eta^{sigma rho}) of the one weight that balances them, the
-# spectator binomial and A2.
-SplitRow = tuple[CorrelatorKey, Insertions, tuple[tuple[VarId, int | Fraction], ...], int, Degree]
+# One row of a reduction sum, the shape every rule hands the reducer.  A row of
+# a genus-0 splitting is key1 = <first S1 O_s>_A1 and what its partner keys
+# <O_r second S2>_A2 need: the sorted halves (S2 + second), sigma's partners
+# rho (with eta^{sigma rho}) of the one weight that balances them, the
+# coefficient ``ways`` (the spectator binomial, times WDVV's sign) and A2; it
+# stands for the terms eta^{sigma rho} * ways * <key1> * <key2>.  A single-key
+# row (key1, None, None, ways, None) stands for the one term ways * <key1>.
+SplitRow = tuple[CorrelatorKey, Insertions | None,
+                 tuple[tuple[VarId, int | Fraction], ...] | None, int | Fraction, Degree | None]
 
 
 def _splittings(ts: TargetSpace, first: Insertions, second: Insertions,
@@ -474,13 +479,13 @@ def _splittings(ts: TargetSpace, first: Insertions, second: Insertions,
     eta^{sigma rho} nonzero, keeping only the terms whose two keys are both
     dimension-admissible (the others vanish by the selection rule).  It
     yields them as rows: a row (key1, halves, partners, ways, deg2) stands
-    for the terms (eta^{sigma rho} * ways, key1, key2) of each (rho,
+    for the terms eta^{sigma rho} * ways * <key1> * <key2> of each (rho,
     eta^{sigma rho}) in ``partners``, in that order, where key2 is
     ``halves`` with rho put in its sorted place (``_partner_key``), at
-    degree ``deg2``.  ``_terms`` writes them out; the reducer reads key1
-    first and builds a partner key only when key1 is not 0.  The reducer
-    evaluates sub-keys between rows, which is safe because the target
-    tables this walk holds are only ever added to, never changed.
+    degree ``deg2``.  The reducer reads key1 first and builds a partner key
+    only when key1 is not 0.  It evaluates sub-keys between TRR's rows as
+    they are walked, which is safe because the target tables this walk
+    holds are only ever added to, never changed.
 
     The rows are found by weight.  For each spectator split and each sigma,
     the first key's weight fixes c1 . A1, so only the degree splits with that
@@ -530,15 +535,6 @@ def _partner_key(halves: Insertions, var_r: VarId, deg2: Degree) -> CorrelatorKe
     return tuple.__new__(CorrelatorKey, (halves[:at] + (var_r,) + halves[at:], deg2))
 
 
-def _terms(rows: Iterable[SplitRow]) -> list[tuple[int | Fraction, CorrelatorKey, CorrelatorKey]]:
-    """The terms (eta^{sigma rho} * binomial, key1, key2) of ``_splittings``' rows, in order.
-
-    A coefficient is an ``int`` when it is integral.
-    """
-    return [(eta_inv * ways, key1, _partner_key(halves, var_r, deg2))
-            for key1, halves, partners, ways, deg2 in rows for var_r, eta_inv in partners]
-
-
 def _trr_rows(ts: TargetSpace, key: CorrelatorKey, chosen: int) -> Iterator[SplitRow]:
     """The rows of TRR on ``key``'s insertion ``chosen`` (a positive level).
 
@@ -558,9 +554,7 @@ def _trr_rows(ts: TargetSpace, key: CorrelatorKey, chosen: int) -> Iterator[Spli
     return _splittings(ts, (VarId(m - 1, alpha),), rest[-2:], rest[:-2], deg)
 
 
-def wdvv_reduce(ts: TargetSpace, key: CorrelatorKey
-                ) -> tuple[list[tuple[int | Fraction, CorrelatorKey, CorrelatorKey | None]],
-                           Fraction]:
+def wdvv_reduce(ts: TargetSpace, key: CorrelatorKey) -> tuple[list[SplitRow], Fraction]:
     """WDVV at coefficient level for an all-primary key with no divisor or unit.
 
     The key's first insertion that is a single class D gamma' (D a listed
@@ -568,18 +562,19 @@ def wdvv_reduce(ts: TargetSpace, key: CorrelatorKey
     insertions and S the rest.  Summed over the splits S1 + S2 of S and
     A1 + A2 of the degree, <D gamma' S1 O_e>_A1 eta^{ef} <O_f c d S2>_A2 =
     <D c S1 O_e>_A1 eta^{ef} <O_f gamma' d S2>_A2, and ``key`` is the term
-    with A1 = 0 and S1 empty.  Returns (terms, own): ``key`` is the sum of
-    coeff * <key1> (* <key2>) over the terms, divided by own.  Each side's
-    terms are ``_splittings``' rows written out by ``_terms``: only
-    dimension-admissible ones, both keys canonical.  The terms are a list,
-    so that the descent check below refuses a key before any sub-key is
-    evaluated.
+    with A1 = 0 and S1 empty.  Returns (rows, own): ``key`` is the sum of
+    the rows' terms (``SplitRow``) divided by own.  The rows are each
+    side's ``_splittings`` rows, signed: only dimension-admissible terms,
+    every key canonical.  They are a list, so that the descent check below
+    refuses a key before any sub-key is evaluated.
 
-    A degree-0 factor is evaluated in place.  Its term's other key is ``key``
-    (the coefficient goes into own) or must have fewer non-divisor
-    insertions; a term with two keys lowers the degree of both.  So the
-    reduction descends, and TargetUnsupported says when it cannot: no
-    insertion splits, a term does not descend, or own is 0.
+    A row whose two keys both have nonzero degree passes through.  A row
+    with a degree-0 factor is expanded one partner at a time, and the
+    factor is evaluated in place: the term's other key is ``key`` (the
+    coefficient goes into own) or becomes a single-key row, and must have
+    fewer non-divisor insertions; a term with two keys lowers the degree of
+    both.  So the reduction descends, and TargetUnsupported says when it
+    cannot: no insertion splits, a term does not descend, or own is 0.
     """
     ins, deg = key
     if not any(deg) or any(m for m, _ in ins):
@@ -594,25 +589,27 @@ def wdvv_reduce(ts: TargetSpace, key: CorrelatorKey
     rest = ins[:chosen] + ins[chosen + 1:]
     spectators, (d, c) = rest[:-2], rest[-2:]
     free = sum(a not in divisors for _, a in ins)
-    own, stuck, out = _ZERO, False, []
+    own, stuck, rows = _ZERO, False, []
     # The left side's terms move over with sign -1, the right side's with +1.
     for sign, first, second in ((-1, (div, prime), (d, c)),
                                 (1, (div, c), tuple(sorted((prime, d))))):
-        for coeff, key1, key2 in _terms(_splittings(ts, first, second, spectators, deg)):
-            coeff *= sign
-            if any(key1.degree) and any(key2.degree):
-                out.append((coeff, key1, key2))
+        for key1, halves, partners, ways, deg2 in _splittings(ts, first, second, spectators, deg):
+            ways *= sign
+            if any(key1.degree) and any(deg2):
+                rows.append((key1, halves, partners, ways, deg2))
                 continue
-            zero, other = (key1, key2) if any(key2.degree) else (key2, key1)
-            coeff *= degree_zero_value(ts, zero)
-            if other == key:
-                own -= coeff
-            elif coeff:
-                out.append((coeff, other, None))
-                stuck |= sum(a not in divisors for _, a in other.insertions) >= free
+            for var_r, eta_inv in partners:
+                key2 = _partner_key(halves, var_r, deg2)
+                zero, other = (key1, key2) if any(deg2) else (key2, key1)
+                coeff = eta_inv * ways * degree_zero_value(ts, zero)
+                if other == key:
+                    own -= coeff
+                elif coeff:
+                    rows.append((other, None, None, coeff, None))
+                    stuck |= sum(a not in divisors for _, a in other.insertions) >= free
     if stuck or not own:
         raise TargetUnsupported(f"WDVV does not reduce {key} on {ts.name}")
-    return out, own
+    return rows, own
 
 
 def _add(num: int, den: int, n: int, d: int) -> tuple[int, int]:
@@ -694,18 +691,22 @@ class Engine:
         Yields each admissible sub-key whose value is not cached yet and
         receives that value back; returns the key's value.  The rules build
         their sub-keys canonical, so each is looked up in the cache as built.
-        A TRR key is summed by ``_trr_sum`` over ``_splittings``' rows as they
-        are walked; the divisor lift and WDVV give term lists, summed here.
-        Either way the sub-keys are requested in the order of the rule's
-        terms (``_terms`` of the TRR rows), each key1 before its key2, and a
-        key2 only when its key1 is not 0.
+        Each rule gives rows (``SplitRow``) and a scale, and one loop sums
+        the rows: the key's value is their sum divided by the scale.  TRR's
+        rows are summed as ``_splittings`` walks them; the divisor lift's
+        and WDVV's are lists.  A row's key1 is read first, and yielded if it
+        is not cached.  When it is 0 the row is skipped: its partner keys are
+        neither built nor read.  Otherwise each partner key2 is built and
+        read in turn.  So the sub-keys are requested in the order of the
+        rows' terms, each key1 before its key2, and a key2 only when its
+        key1 is not 0.
 
         Every sub-key of a target that passed validation is admissible, so
         none is checked here.  The lifted key adds a divisor slot, of weight
         q - 1 = 0.  A lowered slot tau_{m-1}(O_g) weighs what tau_m(O_a) did,
         since the cup grading puts kappa_{D a}^g at q_g = q_a + 1 only.
-        WDVV's keys, one or two to a term, are ``_splittings``' rows, which
-        keep only admissible keys.
+        TRR's and WDVV's keys come from ``_splittings``' rows, which keep
+        only admissible keys.
         """
         ins, deg = key
         if not any(deg):
@@ -713,12 +714,11 @@ class Engine:
         if len(ins) < 3:
             # <key> = (<lifted> - sum kappa <lowered>) / pairing
             lifted, lowering, scale = divisor_lift(self.ts, key)
-            terms = [(1, lifted, None)] + [(-c, k, None) for k, c in lowering]
+            rows = [(lifted, None, None, 1, None)] + [(k, None, None, -c, None) for k, c in lowering]
         elif ins[-1].level:  # canonical: the last insertion has the top level
             # TRR on the first insertion of the top level
             rows = _trr_rows(self.ts, key, bisect.bisect_left(ins, (ins[-1].level,)))
-            num, den = yield from self._trr_sum(rows)
-            return exact(num, den)
+            scale = 1
         else:
             # All primary: strip the divisors, <key> = factor * <stripped>,
             # down to a seed, a unit (the string equation gives 0) or WDVV.
@@ -728,7 +728,7 @@ class Engine:
                     return 0
                 at = next((i for i, v in enumerate(ins) if v.cls in pairing), None)
                 if at is None:
-                    terms, own = wdvv_reduce(self.ts, key)
+                    rows, own = wdvv_reduce(self.ts, key)
                     scale = Fraction(own, factor)  # not own / factor: exact for an int own
                     break
                 factor *= sum(map(operator.mul, pairing[ins[at].cls], deg))
@@ -739,40 +739,7 @@ class Engine:
             else:
                 seed = table[key]
                 return exact(factor * seed.numerator, seed.denominator)
-        # sum of coeff * <key1> (* <key2>) as num / den in integers
-        entries = self.cache.entries
-        num, den = 0, 1
-        for coeff, key1, key2 in terms:
-            v = entries.get(key1)
-            if v is None:
-                v = yield key1
-            n = v.numerator
-            if not n:
-                continue
-            n *= coeff.numerator
-            d = coeff.denominator * v.denominator
-            if key2 is not None:
-                v = entries.get(key2)
-                if v is None:
-                    v = yield key2
-                m = v.numerator
-                if not m:
-                    continue
-                n *= m
-                d *= v.denominator
-            num, den = _add(num, den, n, d)
-        return exact(num * scale.denominator, den * scale.numerator)
-
-    def _trr_sum(self, rows: Iterable[SplitRow]
-                 ) -> Generator[CorrelatorKey, int | Fraction, tuple[int, int]]:
-        """Sum of eta^{sigma rho} * ways * <key1> * <key2> over TRR's rows, as num, den.
-
-        Each row's key1 is read first, and yielded if it is not cached.  When
-        it is 0 the row is skipped: its partner keys are neither built nor
-        read.  Otherwise each partner key2 is built and read in turn.  That is
-        the order in which a sum over the rows' ``_terms`` reads them.  Every
-        key of a row is admissible.
-        """
+        # The sum of the rows' terms, as num / den in integers.
         entries = self.cache.entries
         num, den = 0, 1
         for key1, halves, partners, ways, deg2 in rows:
@@ -782,8 +749,11 @@ class Engine:
             n1 = v.numerator
             if not n1:
                 continue
-            n1 *= ways
-            d1 = v.denominator
+            n1 *= ways.numerator
+            d1 = v.denominator * ways.denominator
+            if partners is None:
+                num, den = _add(num, den, n1, d1)
+                continue
             for var_r, eta_inv in partners:
                 key2 = _partner_key(halves, var_r, deg2)
                 v = entries.get(key2)
@@ -793,7 +763,7 @@ class Engine:
                 if n:
                     num, den = _add(num, den, n1 * n * eta_inv.numerator,
                                     d1 * v.denominator * eta_inv.denominator)
-        return num, den
+        return exact(num * scale.denominator, den * scale.numerator)
 
     # -- generating functions ------------------------------------------------
 

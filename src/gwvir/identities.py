@@ -15,8 +15,8 @@ it.  Vector-field slots inside double brackets are tensor
 contractions: the field expands into its ttilde-weighted sum of derivative
 slots under the same policy.
 
-``verify_identity`` evaluates both lists on one shared context and compares
-them exactly, reporting per-tuple pass/fail with the first failing
+``verify_identity`` evaluates both lists on the context it is given (tags
+verified together share one) and compares them exactly, reporting per-tuple pass/fail with the first failing
 coefficient.  The products a tag names live until that tag ends; every
 other factor lives as long as the context.
 """
@@ -36,8 +36,7 @@ from .rationals import format_rational
 # every module that imports it, and its self-test expects this one.
 from .series import Monomial, TruncatedSeries, TruncationPolicy, series_mul  # noqa: F401
 from .target import row
-from .virasoro import (CLOSED_A, CorrContext, apply_operator, build_operator, coeff_A,
-                       coeff_B, _as_engine)
+from .virasoro import CLOSED_A, CorrContext, apply_operator, build_operator, coeff_A, coeff_B
 
 ONE = ("one",)
 
@@ -511,13 +510,14 @@ REGISTRY: dict[str, Checker] = {
 IDENTITY_TAGS = tuple(REGISTRY)
 
 
-def verify_identity(ts_or_engine, tag: str, policy: TruncationPolicy,
-                    ctx: IdentityContext | None = None) -> list[IdentityFinding]:
-    """Evaluate one tagged identity over all index tuples; exact comparison."""
+def verify_identity(ctx: IdentityContext, tag: str) -> list[IdentityFinding]:
+    """Evaluate one tagged identity over all index tuples of ``ctx``; exact comparison.
+
+    The context holds the engine and the policy; tags verified on one
+    context share its correlation series.
+    """
     if tag not in REGISTRY:
         raise UnknownIdentity(f"unknown identity tag {tag!r}")
-    if ctx is None:
-        ctx = IdentityContext(_as_engine(ts_or_engine), policy)
     findings: list[IdentityFinding] = []
     try:
         for indices, lhs_terms, rhs_terms in REGISTRY[tag](ctx):

@@ -10,16 +10,18 @@ monomials, the reference the packed series keys are checked against.
 ``operator_action`` applies a Virasoro operator to a polynomial term by term,
 the reference the closed-form commutator bracket is checked against.
 ``divisor_reduce`` is the forward divisor equation, a second route to a value
-the engine reaches only by the inverse one.  ``trr_reduce`` writes the
-engine's TRR rows out as a term list, the reference the row-summing reducer
-and the full TRR expansion are checked against.
+the engine reaches only by the inverse one.  ``written_out`` writes the rows
+the engine's rules hand the reducer out as a term list, and ``trr_reduce``
+is TRR's rows written out: the references the row-summing reducer, the full
+TRR expansion and the full WDVV expansion are checked against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
-from gwvir.engine import CorrelatorKey, _lowering_terms, _terms, _trr_rows
+from gwvir.engine import CorrelatorKey, SplitRow, _lowering_terms, _trr_rows
 from gwvir.errors import NotApplicable
 from gwvir.series import Monomial, TruncatedSeries, VarId, series_derive
 
@@ -50,16 +52,37 @@ def divisor_reduce(ts, key: CorrelatorKey, divisor_cls: int
     return [(CorrelatorKey(rest, deg), pairing)] + _lowering_terms(ts, rest, deg, divisor_cls)
 
 
+def written_out(rows: Iterable[SplitRow]
+                ) -> list[tuple[int | Fraction, CorrelatorKey, CorrelatorKey | None]]:
+    """The terms (coeff, key1, key2) the engine's rows stand for, in order.
+
+    A row (key1, halves, partners, ways, deg2) gives the term
+    (eta^{sigma rho} * ways, key1, key2) of each (rho, eta^{sigma rho}) in
+    ``partners``, key2 being ``halves`` and rho sorted together at ``deg2``;
+    a single-key row (partners None) gives (ways, key1, None).  Each term is
+    coeff * <key1> (* <key2>).
+    """
+    terms = []
+    for key1, halves, partners, ways, deg2 in rows:
+        if partners is None:
+            terms.append((ways, key1, None))
+        else:
+            terms.extend((eta_inv * ways, key1,
+                          CorrelatorKey(tuple(sorted(halves + (var_r,))), deg2))
+                         for var_r, eta_inv in partners)
+    return terms
+
+
 def trr_reduce(ts, key: CorrelatorKey, chosen: int
                ) -> list[tuple[int | Fraction, CorrelatorKey, CorrelatorKey]]:
     """Genus-0 topological recursion relation at coefficient level.
 
     The terms (eta^{sigma rho} * binomial, key1, key2) of TRR on ``key``'s
-    insertion ``chosen``: the engine's ``_trr_rows`` written out by
-    ``_terms``, only those whose two keys are both dimension-admissible, both
-    keys canonical.  The reducer sums the same rows without writing them out.
+    insertion ``chosen``: the engine's ``_trr_rows`` written out, only those
+    whose two keys are both dimension-admissible, both keys canonical.  The
+    reducer sums the same rows without writing them out.
     """
-    return _terms(_trr_rows(ts, key, chosen))
+    return written_out(_trr_rows(ts, key, chosen))
 
 
 def point_string_oracle(levels: tuple[int, ...], _memo: dict = {}) -> Fraction:

@@ -93,7 +93,7 @@ def test_criterion_05_generic_vs_closed_form(point_engine, p1_engine, p2_engine)
         policy = TruncationPolicy(3, 2, (1,) * ts.novikov_rank)
         ctx = IdentityContext(engine, policy)
         for tag in ("PsiClosedForm1", "PsiClosedForm2"):
-            findings = verify_identity(engine, tag, policy, ctx=ctx)
+            findings = verify_identity(ctx, tag)
             assert all(f.status == "pass" for f in findings), (ts.name, tag)
         assert build_operator(ts, 1, 3).classical == ts.chern_power_eta(2)
         assert build_operator(ts, 2, 3).classical == ts.chern_power_eta(3)
@@ -130,7 +130,7 @@ def test_criterion_08_identity_registry(point_engine, p2_engine):
         policy = TruncationPolicy(4, 3, (2,) * engine.ts.novikov_rank)
         ctx = IdentityContext(engine, policy)
         for tag in IDENTITY_TAGS:
-            findings = verify_identity(engine, tag, policy, ctx=ctx)
+            findings = verify_identity(ctx, tag)
             bad = [f for f in findings if f.status != "pass"]
             assert not bad, (engine.ts.name, tag, bad[:2])
     _report(8, f"identity registry ({len(IDENTITY_TAGS)} tags) on point and P2",
@@ -161,7 +161,7 @@ def test_criterion_09_falsifiability():
     c1 = [list(r) for r in preset("P2").c1_mat]
     c1[0][1] = Fraction(4)
     bad_c = _perturbed_p2(c1_mat=tuple(tuple(r) for r in c1))
-    findings = verify_identity(Engine(bad_c), "FRR", policy)
+    findings = verify_identity(IdentityContext(Engine(bad_c), policy), "FRR")
     located = [f for f in findings if f.status == "fail" and f.monomial]
     assert located
     # (c) poison one cached invariant (a string-determined entry, not the

@@ -27,9 +27,10 @@ from gwvir.errors import (CacheMismatch, NotApplicable, ParseError, TargetUnsupp
 from gwvir.identities import IDENTITY_TAGS, IdentityContext, verify_identity
 from gwvir.rationals import exact, format_rational, parse_rational
 from gwvir.series import Monomial, TruncatedSeries, TruncationPolicy, VarId
-from gwvir.target import _degree_box, load_target, preset
+from gwvir.target import _degree_box, load_target, preset, validate_target
 
-from oracles import divisor_reduce, point_string_oracle, trr_reduce, wdvv_associativity_nd
+from oracles import (divisor_reduce, point_string_oracle, trr_reduce, wdvv_associativity_nd,
+                     written_out)
 
 
 def closed_form_point(levels):
@@ -221,7 +222,8 @@ def test_divisor_reduce_examples(p2_engine, p1_engine):
 def test_wdvv_reduce_examples(p2_engine):
     p2 = p2_engine.ts
     key = _nd_key(2)  # <pt^5>_2, split as H . H
-    terms, own = wdvv_reduce(p2, key)
+    rows, own = wdvv_reduce(p2, key)
+    terms = written_out(rows)
     assert own == 1
     total = sum(c * p2_engine.invariant(k1) * (p2_engine.invariant(k2) if k2 else 1)
                 for c, k1, k2 in terms)
@@ -447,8 +449,8 @@ def test_wdvv_reduce_is_full_expansion_filtered(name, cap):
                 if not any(deg) or key in table or not dimension_admissible(ts, key):
                     continue
                 terms, own = _wdvv_full_expansion(ts, key)
-                got, got_own = wdvv_reduce(ts, key)
-                assert Counter(got) == Counter(terms)
+                rows, got_own = wdvv_reduce(ts, key)
+                assert Counter(written_out(rows)) == Counter(terms)
                 assert got_own == own
                 checked += 1
                 # The right side's second slots (g', d) sort before a spectator:
@@ -585,7 +587,7 @@ def test_cold_pass_keeps_every_key_canonical():
     policy = TruncationPolicy(3, 2, (1,))
     ctx = IdentityContext(registry, policy)
     for tag in IDENTITY_TAGS:
-        assert all(f.status == "pass" for f in verify_identity(registry, tag, policy, ctx=ctx))
+        assert all(f.status == "pass" for f in verify_identity(ctx, tag))
     _assert_trusted(registry)
     # The file targets with their seed tables: rank 2 and dimension 3.
     for name in ("P1xP1", "P3"):
@@ -615,7 +617,8 @@ def _recording_reduce(monkeypatch):
     return requests
 
 
-@pytest.mark.parametrize("name,policy", [
+# The targets the reducer's sums are checked on, with their policies.
+_REDUCER_TARGETS = [
     ("P2", TruncationPolicy(5, 3, (2,))),
     # Rank 2: several degree splits share one pairing.
     ("P1xP1", TruncationPolicy(4, 2, (1, 1))),
@@ -623,30 +626,64 @@ def _recording_reduce(monkeypatch):
     ("P2-rational-eta", TruncationPolicy(4, 3, (2,))),
     # Two partners rho of one weight for sigma = H1 and H2, with eta^{-1} in thirds.
     ("P1xP1-mixed-eta", TruncationPolicy(4, 2, (1, 1))),
-])
-def test_reducer_sums_the_terms_of_trr_reduce(name, policy, monkeypatch):
-    """Each TRR key's value is the sum over ``trr_reduce``'s terms, read as a term list would.
+    # Halves in the cup: the lift's kappa and WDVV's single-key rows are fractions.
+    ("P3-half-H2", TruncationPolicy(4, 3, (2,))),
+]
 
-    The reducer sums ``_splittings``' rows without writing the terms out.
-    A term's key1 is read first and its key2 only when key1 is not 0, so the
-    keys a frame requests are a subsequence of that reading order: none is
-    a key2 behind a zero key1.  The targets with a changed eta keep their
-    seeds; the sums hold whatever the values are.
+
+def _p3_half_h2():
+    """P3 in the basis 1, H, H^2/2, pt, with P3's seed table.
+
+    H.H = 2 (H^2/2) and H.(H^2/2) = pt/2, so kappa and eta are not integral.
+    """
+    ts, backend = _seeded("P3")
+    half = Fraction(1, 2)
+    ts = dataclasses.replace(
+        ts, name="P3-half-H2",
+        eta=tuple(tuple(map(Fraction, row))
+                  for row in ((0, 0, 0, 1), (0, 0, half, 0), (0, half, 0, 0), (1, 0, 0, 0))),
+        cup={**ts.cup, (2, 2, 3): Fraction(2), (2, 3, 4): half, (3, 2, 4): half},
+        c1_mat=tuple(tuple(map(Fraction, row))
+                     for row in ((0, 4, 0, 0), (0, 0, 8, 0), (0, 0, 0, 2), (0, 0, 0, 0))))
+    validate_target(ts)
+    return ts, backend
+
+
+def _reducer_target(name):
+    """(target, backend) of a ``_REDUCER_TARGETS`` name.
+
+    The targets with a changed eta keep their seeds; the reducer's sums hold
+    whatever the values are.
     """
     if name == "P2-rational-eta":
         # P2's seed <pt pt>_1 = 1, which the preset gets by its name.
         ts = _p2_rational_eta()
         backend = PrimaryBackend({CorrelatorKey((VarId(0, 3),) * 2, (1,)): Fraction(1)})
         assert {Fraction(-1), Fraction(1, 2)} <= set(itertools.chain(*ts.eta_inv))
-    elif name == "P1xP1-mixed-eta":
+        return ts, backend
+    if name == "P1xP1-mixed-eta":
         ts, backend = _seeded("P1xP1")
         eta = tuple(tuple(map(Fraction, row))
                     for row in ((0, 0, 0, 1), (0, 2, 1, 0), (0, 1, 2, 0), (1, 0, 0, 0)))
         ts = dataclasses.replace(ts, name=name, eta=eta)
         assert any(len(group) > 1 for _, _, groups in ts.raised_table
                    for group in groups.values())
-    else:
-        ts, backend = _seeded(name)
+        return ts, backend
+    if name == "P3-half-H2":
+        return _p3_half_h2()
+    return _seeded(name)
+
+
+@pytest.mark.parametrize("name,policy", _REDUCER_TARGETS)
+def test_reducer_sums_the_terms_of_trr_reduce(name, policy, monkeypatch):
+    """Each TRR key's value is the sum over ``trr_reduce``'s terms, read as a term list would.
+
+    The reducer sums ``_splittings``' rows without writing the terms out.
+    A term's key1 is read first and its key2 only when key1 is not 0, so the
+    keys a frame requests are a subsequence of that reading order: none is
+    a key2 behind a zero key1.
+    """
+    ts, backend = _reducer_target(name)
     requests = _recording_reduce(monkeypatch)
     engine = Engine(ts, backend)
     for key in engine.admissible_keys(policy):
@@ -673,13 +710,92 @@ def test_reducer_sums_the_terms_of_trr_reduce(name, policy, monkeypatch):
     assert trr_keys >= 100 and skipped >= 100
 
 
+@pytest.mark.parametrize("name,policy", _REDUCER_TARGETS)
+def test_reducer_sums_the_terms_of_the_lift_and_wdvv(name, policy, monkeypatch):
+    """Each lift and WDVV key's value is the sum of its terms, read as a term list would.
+
+    A lift key's terms are <lifted> and -kappa <lowered>, over the pairing
+    (``divisor_lift``).  A WDVV key's are ``wdvv_reduce``'s rows on the key
+    with its divisors stripped, written out by the oracle, over own, times
+    the stripped divisors' pairings.  As for TRR, the keys a frame requests
+    are a subsequence of the terms' reading order: key1 first, and no key2
+    behind a zero key1.
+    """
+    ts, backend = _reducer_target(name)
+    requests = _recording_reduce(monkeypatch)
+    # wdvv_reduce runs at the start of its frame, before any sub-key's frame,
+    # so the frame that calls it is the last key recorded.
+    stripped = {}
+
+    def recorded(ts, key):
+        stripped[next(reversed(requests))] = key
+        return wdvv_reduce(ts, key)
+
+    monkeypatch.setattr(engine_module, "wdvv_reduce", recorded)
+    engine = Engine(ts, backend)
+    # All-primary keys up to degree 3 reach WDVV more often than the policy's.
+    primary = TruncationPolicy(8, 0, (3,) * ts.novikov_rank)
+    for key in engine.admissible_keys(policy) + engine.admissible_keys(primary):
+        engine.invariant(key)
+    entries, pairing = engine.cache.entries, dict(ts.divisors)
+    checked = Counter()
+    for key, asked in requests.items():
+        ins, deg = key
+        if not any(deg):
+            continue
+        if len(ins) < 3:
+            lifted, lowering, scale = divisor_lift(ts, key)
+            rule, terms = "lift", [(1, lifted, None)] + [(-c, k, None) for k, c in lowering]
+        elif key in stripped:
+            rows, own = wdvv_reduce(ts, stripped[key])
+            divisors = Counter(ins) - Counter(stripped[key].insertions)
+            factor = math.prod(sum(p * d for p, d in zip(pairing[v.cls], deg))
+                               for v in divisors.elements())
+            rule, terms, scale = "wdvv", written_out(rows), Fraction(own, factor)
+        else:
+            continue
+        total, reads = Fraction(0), []
+        for c, key1, key2 in terms:
+            reads.append(key1)
+            if not entries[key1]:
+                checked[rule, "zero key1"] += 1
+            elif key2 is None:
+                total += c * entries[key1]
+            else:
+                reads.append(key2)
+                total += c * entries[key1] * entries[key2]
+        assert entries[key] == total / scale, key
+        it = iter(reads)
+        assert all(sub in it for sub in asked), key
+        checked[rule] += 1
+    assert checked["lift"] >= 20 and checked["wdvv"] >= 5, checked
+    assert checked["lift", "zero key1"] >= 5 and checked["wdvv", "zero key1"] >= 5, checked
+
+
+def test_rescaled_basis_rescales_the_values():
+    """On P3 in the basis 1, H, H^2/2, pt each H^2/2 slot halves P3's value.
+
+    The rescaled target's lift and WDVV rows have fractional coefficients
+    where P3's are integers, so this checks that the reducer keeps their
+    denominators.
+    """
+    p3, p3_backend = _seeded("P3")
+    half, half_backend = _p3_half_h2()
+    p3_engine, half_engine = Engine(p3, p3_backend), Engine(half, half_backend)
+    keys = half_engine.admissible_keys(TruncationPolicy(4, 3, (2,)))
+    for key in keys + half_engine.admissible_keys(TruncationPolicy(8, 0, (3,))):
+        slots = sum(v.cls == 3 for v in key.insertions)
+        assert half_engine.invariant(key) == Fraction(p3_engine.invariant(key), 2 ** slots), key
+    assert any(not isinstance(v, int) for v in half_engine.cache.entries.values())
+
+
 def test_cold_registry_cache_is_recorded_bytes(tmp_path):
     """All 31 tags on one context publish the keys and values the term-list reducer did."""
     engine = Engine(preset("P2"))
     policy = TruncationPolicy(3, 2, (1,))
     ctx = IdentityContext(engine, policy)
     for tag in IDENTITY_TAGS:
-        assert all(f.status == "pass" for f in verify_identity(engine, tag, policy, ctx=ctx))
+        assert all(f.status == "pass" for f in verify_identity(ctx, tag))
     path = tmp_path / "registry.jsonl"
     engine.cache.save(str(path))
     assert len(engine.cache.entries) == 715

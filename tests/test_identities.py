@@ -35,14 +35,15 @@ def test_registry_covers_every_tag_once():
 
 def test_unknown_identity():
     with pytest.raises(UnknownIdentity):
-        verify_identity(preset("point"), "NoSuchLemma", TruncationPolicy(2, 1, ()))
+        verify_identity(IdentityContext(Engine(preset("point")), TruncationPolicy(2, 1, ())),
+                        "NoSuchLemma")
 
 
 def test_full_registry_on_point(point_engine):
     policy = TruncationPolicy(4, 3, ())
     ctx = IdentityContext(point_engine, policy)
     for tag in IDENTITY_TAGS:
-        findings = verify_identity(point_engine, tag, policy, ctx=ctx)
+        findings = verify_identity(ctx, tag)
         assert findings, tag
         bad = [f for f in findings if f.status != "pass"]
         assert not bad, f"{tag}: {bad[:2]}"
@@ -54,7 +55,7 @@ def test_selected_tags_on_p1(p1_engine):
     policy = TruncationPolicy(3, 2, (2,))
     ctx = IdentityContext(p1_engine, policy)
     for tag in IDENTITY_TAGS:
-        findings = verify_identity(p1_engine, tag, policy, ctx=ctx)
+        findings = verify_identity(ctx, tag)
         assert all(f.status == "pass" for f in findings), tag
 
 
@@ -63,7 +64,7 @@ def test_selected_tags_on_p2_small(p2_engine):
     ctx = IdentityContext(p2_engine, policy)
     for tag in ("TRR", "GenWDVV", "FRR", "StringRec", "XXCorr", "QF1", "QF2",
                 "WDVVRight", "L1Corr", "QuadRel_ii", "Tilde1Corr"):
-        findings = verify_identity(p2_engine, tag, policy, ctx=ctx)
+        findings = verify_identity(ctx, tag)
         assert all(f.status == "pass" for f in findings), tag
 
 
@@ -78,7 +79,7 @@ def test_corrupted_c_matrix_located():
     engine = Engine(bad)
     policy = TruncationPolicy(3, 2, (1,))
     ctx = IdentityContext(engine, policy)
-    findings = verify_identity(engine, "FRR", policy, ctx=ctx)
+    findings = verify_identity(ctx, "FRR")
     bad_findings = [f for f in findings if f.status == "fail"]
     assert bad_findings
     first = bad_findings[0]
@@ -86,7 +87,7 @@ def test_corrupted_c_matrix_located():
     # SWDVV stays green here by construction: contracting the generalized WDVV
     # tensor with any vector-field coefficients yields it identically, so it
     # cannot see the Chern matrix.  The quasi-homogeneity family does.
-    swdvv = verify_identity(engine, "SWDVV", policy, ctx=ctx)
+    swdvv = verify_identity(ctx, "SWDVV")
     assert all(f.status == "pass" for f in swdvv)
 
 
@@ -119,12 +120,12 @@ def test_products_live_for_one_tag(p2_engine, monkeypatch):
     # GenWDVV builds each distinct off-diagonal splitting once, and drops it
     # when the tag ends: the next tag builds it again.
     for runs in (1, 2):
-        assert all(f.status == "pass" for f in verify_identity(p2_engine, "GenWDVV", policy, ctx=ctx))
+        assert all(f.status == "pass" for f in verify_identity(ctx, "GenWDVV"))
         assert not ctx.products
         assert pairs.keys() == splittings and set(pairs.values()) == {runs}
     # FRR builds one inner sum over mu of two-factor terms per (m, a, nu),
     # shared by every (n, b), and drops it when the tag ends.
-    assert all(f.status == "pass" for f in verify_identity(p2_engine, "FRR", policy, ctx=ctx))
+    assert all(f.status == "pass" for f in verify_identity(ctx, "FRR"))
     assert not ctx.products
     inner = [terms for terms in sums if all(len(term) == 3 for term in terms)]
     assert len(inner) == len(ctx.levels()) * len(ctx.classes()) ** 2
@@ -156,14 +157,14 @@ def test_rewritten_tags_stay_falsifiable(perturbed):
     policy = TruncationPolicy(3, 2, (1,))
     ctx = IdentityContext(engine, policy)
     for tag in _FALSIFIABLE[perturbed]:
-        located = [f for f in verify_identity(engine, tag, policy, ctx=ctx)
+        located = [f for f in verify_identity(ctx, tag)
                    if f.status == "fail" and f.monomial and f.lhs != f.rhs]
         assert located, (perturbed, tag)
 
 
 def test_findings_report_shape(point_engine):
     policy = TruncationPolicy(3, 2, ())
-    findings = verify_identity(point_engine, "TRR", policy)
+    findings = verify_identity(IdentityContext(point_engine, policy), "TRR")
     for f in findings:
         assert f.tag == "TRR"
         assert f.status == "pass" and f.monomial is None

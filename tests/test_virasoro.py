@@ -295,7 +295,7 @@ def test_rank_two_end_to_end_on_p1xp1():
     small = TruncationPolicy(3, 2, (1, 1))
     ctx = IdentityContext(engine, small)
     for tag in IDENTITY_TAGS:
-        assert all(f.status == "pass" for f in verify_identity(engine, tag, small, ctx=ctx))
+        assert all(f.status == "pass" for f in verify_identity(ctx, tag))
     for key in seeds:
         wrong = Engine(ts, PrimaryBackend({**seeds, key: Fraction(2)}))
         assert not psi(wrong, 1, policy).is_zero()
@@ -530,7 +530,7 @@ def test_shared_context_series_stay_exact_after_registry():
     engine = Engine(preset("P2"))
     ctx = IdentityContext(engine, policy)
     for tag in IDENTITY_TAGS:
-        assert all(f.status == "pass" for f in verify_identity(engine, tag, policy, ctx=ctx))
+        assert all(f.status == "pass" for f in verify_identity(ctx, tag))
     # Every kind the registry names outside the products lives in the memo.
     assert {spec[0] for spec in ctx.series} == {
         *SLOTS_AT, "classical", "one", "t", "ttilde", "psi_generic", "psi_closed",
