@@ -3,7 +3,8 @@
 Subcommands: targets list|show|validate, invariant, nd, free-energy, psi,
 psi-tilde, commutator, central-condition, identities, cache.  Every command
 accepts ``--format text|structured`` and emits a RunReport; exit codes are
-0 = pass, 1 = verification fail, 2 = usage or parse error, 3 = engine error.
+0 = pass, 1 = verification fail, 2 = usage or parse error (any value the
+command refuses before engine work), 3 = engine error.
 Policies default to K=4, M=3, D=2 so a bare invocation finishes in seconds.
 """
 
@@ -71,8 +72,26 @@ def _series_details(series: TruncatedSeries) -> list:
             for mon, c in series.items_sorted()]
 
 
-_KEY_RE = re.compile(r"^deg=([0-9,]*);ins=((?:\(\d+,\d+\))*)$")
-_INS_RE = re.compile(r"\((\d+),(\d+)\)")
+_KEY_RE = re.compile(r"deg=([0-9,]*);ins=((?:\([0-9]+,[0-9]+\))*)")
+_INS_RE = re.compile(r"\(([0-9]+),([0-9]+)\)")
+_ASCII_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _ascii_int(text: str) -> int:
+    """An integer in ASCII digits with an optional sign, else a ``ParseError``.
+
+    The one reading of every integer the CLI takes: the ``type`` of each
+    integer flag, and the parts of ``--degree`` and of a key.  ``int`` alone
+    also reads other scripts' digits (an Arabic-Indic two as 2), spaces and
+    underscores, which the cache grammar refuses, and raises ``ValueError``
+    on more digits than it converts.
+    """
+    if _ASCII_INT_RE.fullmatch(text) is None:
+        raise errors.ParseError(f"{text!r} is not an integer in ASCII digits")
+    try:
+        return int(text)
+    except ValueError as exc:  # more digits than int converts
+        raise errors.ParseError(f"integer {text[:20]}... is too long: {exc}") from None
 
 
 def parse_key(text: str, rank: int, classes: int | None = None) -> eng.CorrelatorKey:
@@ -81,14 +100,14 @@ def parse_key(text: str, rank: int, classes: int | None = None) -> eng.Correlato
     Given the target's class count, a class index alpha outside 1..classes is
     a ``ParseError``; ``gw invariant`` always gives it.
     """
-    m = _KEY_RE.match(text)
+    m = _KEY_RE.fullmatch(text)
     if m is None:
         raise errors.ParseError(f"bad key syntax: {text!r}")
     deg_part = m.group(1)
-    deg = tuple(int(x) for x in deg_part.split(",")) if deg_part else ()
+    deg = tuple(map(_ascii_int, deg_part.split(","))) if deg_part else ()
     if len(deg) != rank:
         raise errors.ParseError(f"degree has {len(deg)} components, target has rank {rank}")
-    ins = [(int(a), int(b)) for a, b in _INS_RE.findall(m.group(2))]
+    ins = [(_ascii_int(a), _ascii_int(b)) for a, b in _INS_RE.findall(m.group(2))]
     bad = [a for _, a in ins if classes is not None and not 1 <= a <= classes]
     if bad:
         raise errors.ParseError(f"class index {bad[0]} not in [1, {classes}]")
@@ -110,9 +129,9 @@ def _policy_from_args(args, ts: target.TargetSpace) -> TruncationPolicy:
         degs = (2,) * r
     else:
         try:
-            parts = [int(x) for x in str(args.degree).split(",")]
-        except ValueError as exc:
-            raise errors.ParseError(f"--degree: {exc}") from exc
+            parts = [_ascii_int(x) for x in args.degree.split(",")]
+        except errors.ParseError as exc:
+            raise errors.ParseError(f"--degree: {exc}") from None
         if len(parts) == 1:
             degs = tuple(parts * r)
         elif len(parts) == r:
@@ -154,9 +173,9 @@ def _add_common(p: argparse.ArgumentParser, with_policy=True, with_target=True):
         p.add_argument("--target", required=True,
                        help="preset name (point, P1, P2) or target file path")
     if with_policy:
-        p.add_argument("--insertions", type=int, default=4,
+        p.add_argument("--insertions", type=_ascii_int, default=4,
                        help="total t-exponent bound K (default 4)")
-        p.add_argument("--level", type=int, default=3,
+        p.add_argument("--level", type=_ascii_int, default=3,
                        help="descendent level bound M (default 3)")
         p.add_argument("--degree", default=None,
                        help="Novikov degree cap(s), comma separated (default 2)")
@@ -184,7 +203,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("nd", help="table of plane-curve counts N_d")
     p.set_defaults(handler=_cmd_nd)
     _add_common(p, with_policy=False)
-    p.add_argument("--max", type=int, default=6, dest="max_d")
+    p.add_argument("--max", type=_ascii_int, default=6, dest="max_d")
 
     p = sub.add_parser("free-energy", help="truncated genus-0 free energy table")
     p.set_defaults(handler=_cmd_free_energy)
@@ -193,20 +212,20 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("psi", help="genus-0 L_n constraint residual")
     p.set_defaults(handler=functools.partial(_cmd_psi, tilde=False))
     _add_common(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
     p.add_argument("--families", action="store_true",
                    help="also report derivative families and shift relations")
 
     p = sub.add_parser("psi-tilde", help="auxiliary constraint residual")
     p.set_defaults(handler=functools.partial(_cmd_psi, tilde=True))
     _add_common(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
 
     p = sub.add_parser("commutator", help="Virasoro commutation relation check")
     p.set_defaults(handler=_cmd_commutator)
     _add_common(p)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=_ascii_int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
 
     p = sub.add_parser("central-condition", help="central charge condition check")
     p.set_defaults(handler=_cmd_central)
@@ -281,13 +300,14 @@ def _cmd_free_energy(args) -> RunReport:
 def _cmd_psi(args, tilde: bool) -> RunReport:
     ts = _load_target(args.target)
     policy = _policy_from_args(args, ts)
+    name, defined = ("psi-tilde", "n in {1, 2}") if tilde else ("psi", "n >= 1")
+    if args.n < 1 or tilde and args.n > 2:
+        raise errors.ParseError(f"{name} is defined for {defined}, not n = {args.n}")
     engine = _make_engine(args, ts)
     if tilde:
         series = virasoro.psi_tilde(engine, args.n, policy)
-        name = "psi-tilde"
     else:
         series = virasoro.psi(engine, args.n, policy)
-        name = "psi"
     details = _series_details(series)
     outcome = "pass" if series.is_zero() else "fail"
     if not tilde and args.families:

@@ -24,17 +24,18 @@ only admissible ones, so canonical keys make the memo cache order-independent.
 TRR and WDVV are one genus-0 splitting, sum <X S1 O_s>_A1 eta^{sr}
 <O_r Y S2>_A2 over the splits of the spectators S and the degree A, and both
 walk its dimension-admissible part through one helper, ``_splittings``.  It
-yields rows: a first key plus what its partner keys need.  Every rule hands
-the reducer rows of that one shape (``SplitRow``): the divisor lift and
-WDVV's degree-0 terms give single-key rows, which have no partners.  One
-loop sums every rule's rows: it reads each first key before any of its
-partners and builds no partner key behind a first key whose value is 0,
-and it requests sub-keys in exactly that order.  What the
-helper needs of the target (the class weights q_a - 1, the raised index
-with its partners grouped by weight, the degree splits grouped by c1
-pairing, and the split tables: each spectator multiset's splits with their
-binomials and weights) is built once per target (``TargetSpace.class_weight``,
-``raised_table``, ``degree_splits``, ``spectator_splits``).
+returns rows: a first key plus what its partner keys need.  Every rule hands
+the reducer a list of rows of that one shape (``SplitRow``): the divisor
+lift and WDVV's degree-0 terms give single-key rows, which have no
+partners.  One loop sums every rule's rows: it reads each first key before
+any of its partners and builds no partner key behind a first key whose
+value is 0, and it requests sub-keys in exactly that order.  What the
+helper needs of the target (the class weights q_a - 1, each spectator
+multiset's splits with their binomials and weights, and per degree the
+split table: the sigmas, degree splits and partners rho that balance a
+pair of keys) is built once per target (``TargetSpace.class_weight``,
+``spectator_splits``, ``split_table``), so the helper does one table
+lookup per spectator split.
 A miss sums its products in integers through ``_add``, one numerator over
 one lcm denominator, and makes its value once, through ``rationals.exact``:
 an ``int`` when it is integral (most values are), else a ``Fraction``.  Every
@@ -59,7 +60,7 @@ from .errors import (CacheMismatch, NotApplicable, ParseError, TargetUnsupported
                      ValidationError)
 from .rationals import exact, format_rational, parse_rational
 from .series import TruncatedSeries, TruncationPolicy, VarId
-from .target import Degree, TargetSpace, decode_json
+from .target import Degree, Partners, TargetSpace, decode_json
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -458,19 +459,19 @@ def _lowering_terms(ts: TargetSpace, ins: Insertions, deg: Degree, divisor_cls: 
     return terms
 
 
-# One row of a reduction sum, the shape every rule hands the reducer.  A row of
-# a genus-0 splitting is key1 = <first S1 O_s>_A1 and what its partner keys
-# <O_r second S2>_A2 need: the sorted halves (S2 + second), sigma's partners
-# rho (with eta^{sigma rho}) of the one weight that balances them, the
-# coefficient ``ways`` (the spectator binomial, times WDVV's sign) and A2; it
-# stands for the terms eta^{sigma rho} * ways * <key1> * <key2>.  A single-key
-# row (key1, None, None, ways, None) stands for the one term ways * <key1>.
-SplitRow = tuple[CorrelatorKey, Insertions | None,
-                 tuple[tuple[VarId, int | Fraction], ...] | None, int | Fraction, Degree | None]
+# One row of a reduction sum: every rule hands the reducer a list of rows of
+# this shape.  A row of a genus-0 splitting is key1 = <first S1 O_s>_A1 and
+# what its partner keys <O_r second S2>_A2 need: the sorted halves
+# (S2 + second), sigma's partners rho (with eta^{sigma rho}) of the one
+# weight that balances them, the coefficient ``ways`` (the spectator
+# binomial, times WDVV's sign) and A2; it stands for the terms
+# eta^{sigma rho} * ways * <key1> * <key2>.  A single-key row
+# (key1, None, None, ways, None) stands for the one term ways * <key1>.
+SplitRow = tuple[CorrelatorKey, Insertions | None, Partners | None, int | Fraction, Degree | None]
 
 
 def _splittings(ts: TargetSpace, first: Insertions, second: Insertions,
-                spectators: Insertions, deg: Degree) -> Iterator[SplitRow]:
+                spectators: Insertions, deg: Degree) -> list[SplitRow]:
     """The admissible rows of sum <first S1 O_s>_A1 eta^{sr} <O_r second S2>_A2.
 
     This is the genus-0 splitting that TRR and WDVV both sum.  It runs over
@@ -478,22 +479,21 @@ def _splittings(ts: TargetSpace, first: Insertions, second: Insertions,
     multiplicity binomial), A1 + A2 of ``deg``, and the sigma, rho with
     eta^{sigma rho} nonzero, keeping only the terms whose two keys are both
     dimension-admissible (the others vanish by the selection rule).  It
-    yields them as rows: a row (key1, halves, partners, ways, deg2) stands
-    for the terms eta^{sigma rho} * ways * <key1> * <key2> of each (rho,
-    eta^{sigma rho}) in ``partners``, in that order, where key2 is
-    ``halves`` with rho put in its sorted place (``_partner_key``), at
+    returns them as a list of rows: a row (key1, halves, partners, ways,
+    deg2) stands for the terms eta^{sigma rho} * ways * <key1> * <key2> of
+    each (rho, eta^{sigma rho}) in ``partners``, in that order, where key2
+    is ``halves`` with rho put in its sorted place (``_partner_key``), at
     degree ``deg2``.  The reducer reads key1 first and builds a partner key
-    only when key1 is not 0.  It evaluates sub-keys between TRR's rows as
-    they are walked, which is safe because the target tables this walk
-    holds are only ever added to, never changed.
+    only when key1 is not 0.
 
-    The rows are found by weight.  For each spectator split and each sigma,
-    the first key's weight fixes c1 . A1, so only the degree splits with that
-    pairing are visited.  Those splits share c1 . A2, which fixes the weight
-    the partner rho must have: the partners of that weight are one lookup in
-    sigma's raised-index row.  The spectator splits with their weights, the
-    raised index grouped by weight and the degree splits are the target's
-    tables, built once per target.
+    The rows are found by weight, with one table lookup per spectator split.
+    The split's weights give the balances of both keys before sigma and rho
+    are added, and the pair of balances is one entry of the degree's split
+    table (``TargetSpace.split_table``): the sigmas whose first key it
+    balances, each with the degree splits of the pairing c1 . A1 that needs
+    and the partners rho that balance the second key, in sigma order.  The
+    spectator splits with their weights and the split tables are the
+    target's, built once per target.
 
     Both keys are canonical.  The first key's insertions are sorted once per
     (spectator split, sigma), from ``left + first`` built once per split.
@@ -509,33 +509,33 @@ def _splittings(ts: TargetSpace, first: Insertions, second: Insertions,
     for m, a in second:
         base2 += m + w[a]
     ordered = not spectators or spectators[-1] <= second[0]
-    by_pairing, raised = ts.degree_splits(deg), ts.raised_table
-    new = tuple.__new__
+    hits_of, new = ts.split_table(deg).get, tuple.__new__
+    rows: list[SplitRow] = []
+    append = rows.append
     for left, right, ways, w_left, w_right in ts.spectator_splits(spectators):
-        bal1 = base1 + w_left
-        bal2 = base2 + w_right
+        hits = hits_of((base1 + w_left, base2 + w_right))
+        if hits is None:
+            continue
         left_first = left + first
         halves = right + second if ordered else tuple(sorted(right + second))
-        for var_s, w_s, groups in raised:
-            bucket = by_pairing.get(bal1 + w_s)
-            if bucket is None:
-                continue
-            p2, splits = bucket
-            partners = groups.get(p2 - bal2)
-            if not partners:
-                continue
+        for var_s, splits, partners in hits:
             ins1 = tuple(sorted(left_first + (var_s,)))
             for deg1, deg2 in splits:
-                yield new(CorrelatorKey, (ins1, deg1)), halves, partners, ways, deg2
+                append((new(CorrelatorKey, (ins1, deg1)), halves, partners, ways, deg2))
+    return rows
 
 
 def _partner_key(halves: Insertions, var_r: VarId, deg2: Degree) -> CorrelatorKey:
-    """The canonical key of ``halves`` with ``var_r`` in its sorted place, at ``deg2``."""
+    """The canonical key of ``halves`` with ``var_r`` in its sorted place, at ``deg2``.
+
+    ``wdvv_reduce`` builds its degree-0 terms' partner keys with it; the
+    reducer's sum loop inlines the same construction.
+    """
     at = bisect.bisect(halves, var_r)
     return tuple.__new__(CorrelatorKey, (halves[:at] + (var_r,) + halves[at:], deg2))
 
 
-def _trr_rows(ts: TargetSpace, key: CorrelatorKey, chosen: int) -> Iterator[SplitRow]:
+def _trr_rows(ts: TargetSpace, key: CorrelatorKey, chosen: int) -> list[SplitRow]:
     """The rows of TRR on ``key``'s insertion ``chosen`` (a positive level).
 
     The chosen insertion tau_m loses one level and lands in the first factor;
@@ -565,8 +565,8 @@ def wdvv_reduce(ts: TargetSpace, key: CorrelatorKey) -> tuple[list[SplitRow], Fr
     with A1 = 0 and S1 empty.  Returns (rows, own): ``key`` is the sum of
     the rows' terms (``SplitRow``) divided by own.  The rows are each
     side's ``_splittings`` rows, signed: only dimension-admissible terms,
-    every key canonical.  They are a list, so that the descent check below
-    refuses a key before any sub-key is evaluated.
+    every key canonical.  Both sides' rows are walked in full here, so the
+    descent check below refuses a key before any sub-key is evaluated.
 
     A row whose two keys both have nonzero degree passes through.  A row
     with a degree-0 factor is expanded one partner at a time, and the
@@ -691,15 +691,16 @@ class Engine:
         Yields each admissible sub-key whose value is not cached yet and
         receives that value back; returns the key's value.  The rules build
         their sub-keys canonical, so each is looked up in the cache as built.
-        Each rule gives rows (``SplitRow``) and a scale, and one loop sums
-        the rows: the key's value is their sum divided by the scale.  TRR's
-        rows are summed as ``_splittings`` walks them; the divisor lift's
-        and WDVV's are lists.  A row's key1 is read first, and yielded if it
-        is not cached.  When it is 0 the row is skipped: its partner keys are
-        neither built nor read.  Otherwise each partner key2 is built and
-        read in turn.  So the sub-keys are requested in the order of the
-        rows' terms, each key1 before its key2, and a key2 only when its
-        key1 is not 0.
+        Each rule gives a list of rows (``SplitRow``) and a scale, and one
+        loop sums the rows: the key's value is their sum divided by the
+        scale.  TRR's rows are ``_splittings``' list, found with one split
+        table lookup per spectator split; the divisor lift's and WDVV's are
+        lists too.  A row's key1 is read first, and yielded if it is not
+        cached.  When it is 0 the row is skipped: its partner keys are
+        neither built nor read.  Otherwise each partner key2 is built in
+        place, as ``_partner_key`` builds it, and read in turn.  So the
+        sub-keys are requested in the order of the rows' terms, each key1
+        before its key2, and a key2 only when its key1 is not 0.
 
         Every sub-key of a target that passed validation is admissible, so
         none is checked here.  The lifted key adds a divisor slot, of weight
@@ -740,7 +741,7 @@ class Engine:
                 seed = table[key]
                 return exact(factor * seed.numerator, seed.denominator)
         # The sum of the rows' terms, as num / den in integers.
-        entries = self.cache.entries
+        entries, insert, new = self.cache.entries, bisect.bisect_right, tuple.__new__
         num, den = 0, 1
         for key1, halves, partners, ways, deg2 in rows:
             v = entries.get(key1)
@@ -755,7 +756,8 @@ class Engine:
                 num, den = _add(num, den, n1, d1)
                 continue
             for var_r, eta_inv in partners:
-                key2 = _partner_key(halves, var_r, deg2)
+                at = insert(halves, var_r)
+                key2 = new(CorrelatorKey, (halves[:at] + (var_r,) + halves[at:], deg2))
                 v = entries.get(key2)
                 if v is None:
                     v = yield key2

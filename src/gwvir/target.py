@@ -28,10 +28,14 @@ _ONE = Fraction(1)
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Degree = tuple[int, ...]
-# (c1 . deg1 -> (c1 . deg2, [(deg1, deg2), ...])) over the splits deg = deg1 + deg2
-DegreeSplits = dict[int, tuple[int, list[tuple[Degree, Degree]]]]
+# ((tau_0(O_rho), eta^{sigma rho}), ...): a sigma's partners rho of one weight
+Partners = tuple[tuple[VarId, int | Fraction], ...]
 # (tau_0(O_sigma), its weight, {weight of rho: ((tau_0(O_rho), eta^{sigma rho}), ...)})
-RaisedRow = tuple[VarId, int, dict[int, tuple[tuple[VarId, int | Fraction], ...]]]
+RaisedRow = tuple[VarId, int, dict[int, Partners]]
+# (tau_0(O_sigma), the splits (deg1, deg2) of one c1 . deg1, sigma's partners of one weight)
+SplitHit = tuple[VarId, list[tuple[Degree, Degree]], Partners]
+# (balance of key1 before sigma, balance of key2 before rho) -> its hits, in sigma order
+SplitTable = dict[tuple[int, int], list[SplitHit]]
 # (left, right, multiplicity binomial, weight of left, weight of right)
 SpectatorSplit = tuple[tuple[VarId, ...], tuple[VarId, ...], int, int, int]
 
@@ -148,15 +152,15 @@ class TargetSpace:
         """One row per sigma: the raised index as the genus-0 splitting contracts it.
 
         Built from ``raised``, the partners rho of each sigma grouped by their
-        weight q_rho - 1 in ``raised`` order, so TRR and WDVV find the
-        partners that balance a key with one dict lookup.  eta^{sigma rho} is an
+        weight q_rho - 1 in ``raised`` order, the groups ``split_table``
+        files under the balance they complete.  eta^{sigma rho} is an
         ``int`` when integral (``rationals.exact``), so products with it stay
         in integers.
         """
         w = self.class_weight
         table = []
         for sigma in range(1, self.classes + 1):
-            groups: dict[int, tuple[tuple[VarId, int | Fraction], ...]] = {}
+            groups: dict[int, Partners] = {}
             for rho, c in self.raised(sigma):
                 groups[w[rho]] = groups.get(w[rho], ()) + (
                     (VarId(0, rho), exact(c.numerator, c.denominator)),)
@@ -186,26 +190,41 @@ class TargetSpace:
     def _degrees_by_weight(self) -> dict[Degree, dict[int, list[Degree]]]:
         return {}
 
-    def degree_splits(self, deg: Degree) -> DegreeSplits:
-        """The splits deg = deg1 + deg2 grouped by c1 . deg1, with their shared c1 . deg2.
+    def split_table(self, deg: Degree) -> SplitTable:
+        """The genus-0 splitting at degree ``deg``, keyed by the balances of its two keys.
 
-        Memoised per degree for the life of the target; the reduction asks only
-        for degrees inside the box of the keys it reduces.
+        A key's balance before a slot is 3 - dim plus the weight of its other
+        slots, so <X S1 O_sigma>_A1 is dimension-admissible exactly when its
+        balance before sigma plus q_sigma - 1 is c1 . A1, and <O_rho Y S2>_A2
+        when its balance before rho plus q_rho - 1 is c1 . A2.  So the two
+        balances fix, for each sigma, c1 . A1 and the weight rho must have.
+        The entry of (balance of key1, balance of key2) lists the hits
+        (tau_0(O_sigma), the splits deg = A1 + A2 of that pairing in
+        ``_degree_box`` order, sigma's partners rho of that weight) in
+        ``raised_table`` order, at most one per sigma; a pair with no hit has
+        no entry.  ``_splittings`` looks up one entry per spectator split.
+        Memoised per degree for the life of the target; the reduction asks
+        only for degrees inside the box of the keys it reduces.
         """
-        splits = self._degree_splits.get(deg)
-        if splits is None:
+        table = self._split_tables.get(deg)
+        if table is None:
             c1 = self.c1_deg
             total = sum(d * c for d, c in zip(deg, c1))
-            splits = {}
+            by_pairing: dict[int, list[tuple[Degree, Degree]]] = {}
             for deg1 in _degree_box(deg):
-                p1 = sum(d * c for d, c in zip(deg1, c1))
-                splits.setdefault(p1, (total - p1, []))[1].append(
+                by_pairing.setdefault(sum(d * c for d, c in zip(deg1, c1)), []).append(
                     (deg1, tuple(d - a for d, a in zip(deg, deg1))))
-            self._degree_splits[deg] = splits
-        return splits
+            table = {}
+            for var_s, w_s, groups in self.raised_table:
+                for p1, splits in by_pairing.items():
+                    for w_r, partners in groups.items():
+                        table.setdefault((p1 - w_s, total - p1 - w_r), []).append(
+                            (var_s, splits, partners))
+            self._split_tables[deg] = table
+        return table
 
     @cached_property
-    def _degree_splits(self) -> dict[Degree, DegreeSplits]:
+    def _split_tables(self) -> dict[Degree, SplitTable]:
         return {}
 
     def spectator_splits(self, spectators: tuple[VarId, ...]) -> tuple[SpectatorSplit, ...]:
@@ -502,6 +521,9 @@ def load_target(text: str) -> TargetSpace:
     missing = required - doc.keys()
     if missing:
         raise ParseError(f"target file missing fields: {', '.join(sorted(missing))}")
+    name = doc["name"]
+    if not isinstance(name, str):
+        raise ParseError(f"name must be a string, not {json.dumps(name)}")
     try:
         n = _int(doc["classes"], "classes")
         cup: dict[tuple[int, int, int], Fraction] = {}
@@ -511,7 +533,7 @@ def load_target(text: str) -> TargetSpace:
             if value != 0:
                 cup[tuple(_int(i, "cup index") for i in (a, b, g))] = value
         ts = TargetSpace(
-            name=str(doc["name"]),
+            name=name,
             classes=n,
             complex_dim=_int(doc["complex_dim"], "complex_dim"),
             q=tuple(_int(x, "q") for x in doc["q"]),

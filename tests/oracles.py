@@ -14,10 +14,14 @@ the engine reaches only by the inverse one.  ``written_out`` writes the rows
 the engine's rules hand the reducer out as a term list, and ``trr_reduce``
 is TRR's rows written out: the references the row-summing reducer, the full
 TRR expansion and the full WDVV expansion are checked against.
+``split_table_terms`` lists the genus-0 splitting's (sigma, degree split,
+rho) triples by brute force, the reference each degree's split table is
+checked against.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable
 
@@ -83,6 +87,33 @@ def trr_reduce(ts, key: CorrelatorKey, chosen: int
     reducer sums the same rows without writing them out.
     """
     return written_out(_trr_rows(ts, key, chosen))
+
+
+def split_table_terms(ts, deg: tuple[int, ...]) -> dict[tuple[int, int], list[tuple]]:
+    """The terms of the genus-0 splitting at degree ``deg``, by brute force.
+
+    Every (tau_0(O_sigma), deg1, deg2, tau_0(O_rho), eta^{sigma rho}) with
+    deg1 + deg2 = deg and eta^{sigma rho} nonzero, filed under the balances
+    (c1 . deg1 - (q_sigma - 1), c1 . deg2 - (q_rho - 1)) that make both keys
+    admissible.  Each list is in sigma order, then deg1 with its first
+    coordinate fastest, then rho order.
+    """
+    def pairing(d):
+        return sum(x * c for x, c in zip(d, ts.c1_deg))
+
+    degrees = sorted(itertools.product(*(range(d + 1) for d in deg)), key=lambda d: d[::-1])
+    terms: dict[tuple[int, int], list[tuple]] = {}
+    for sigma in range(1, ts.classes + 1):
+        for deg1 in degrees:
+            deg2 = tuple(d - a for d, a in zip(deg, deg1))
+            for rho in range(1, ts.classes + 1):
+                eta_inv = ts.eta_inv[sigma - 1][rho - 1]
+                if eta_inv:
+                    balances = (pairing(deg1) - ts.q[sigma - 1] + 1,
+                                pairing(deg2) - ts.q[rho - 1] + 1)
+                    terms.setdefault(balances, []).append(
+                        (VarId(0, sigma), deg1, deg2, VarId(0, rho), eta_inv))
+    return terms
 
 
 def point_string_oracle(levels: tuple[int, ...], _memo: dict = {}) -> Fraction:

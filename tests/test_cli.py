@@ -55,6 +55,8 @@ def test_invariant_key_syntax():
         parse_key("ins=(0,1);deg=", 0)
     with pytest.raises(ParseError):
         parse_key("deg=1;ins=(0,1)", 0)
+    with pytest.raises(ParseError):  # "$" would match before a final newline
+        parse_key("deg=1;ins=(0,3)(0,3)\n", 1)
 
 
 def test_invariant_command():
@@ -390,6 +392,65 @@ def test_psi_families_flag():
 def test_negative_policy_bound_is_usage_error():
     code, report, text = go("psi", "--target", "P2", "--n", "1", "--insertions", "-1")
     assert code == 2 and report is None and "policy bounds" in text
+
+
+_HUGE = "1" + "0" * 5000  # more digits than int converts
+
+
+@pytest.mark.parametrize("argv", [
+    # Arabic-Indic digits: int() reads each as its ASCII digit.
+    ("invariant", "--target", "P2", "--key", "deg=1;ins=(٣,3)(0,3)"),
+    ("invariant", "--target", "P2", "--key", "deg=1;ins=(0,٣)(0,3)"),
+    ("invariant", "--target", "P2", "--key", "deg=١;ins=(0,3)(0,3)"),
+    ("invariant", "--target", "P2", "--key", "deg=1;ins=(0,3)(0,3)", "--degree", "٢"),
+    ("psi", "--target", "P1xP1", "--n", "1", "--degree", "1,٢"),
+    ("psi", "--target", "P2", "--n", "١"),
+    ("psi", "--target", "P2", "--n", "1", "--level", "٢"),
+    ("psi", "--target", "P2", "--n", "1", "--insertions", "٣"),
+    ("psi-tilde", "--target", "P2", "--n", "١"),
+    ("nd", "--target", "P2", "--max", "٢"),
+    ("commutator", "--target", "P2", "--m", "١", "--n", "1", "--level", "4"),
+    # What int() also reads: spaces and underscores.
+    ("psi", "--target", "P2", "--n", " 1"),
+    ("psi", "--target", "P2", "--n", "1", "--degree", "1_0"),
+    # What int() raises on: an empty degree part and too many digits.
+    ("invariant", "--target", "P2", "--key", "deg=1,;ins=(0,3)(0,3)"),
+    ("invariant", "--target", "P2", "--key", f"deg=1;ins=({_HUGE},3)"),
+    ("psi", "--target", "P2", "--n", "1", "--degree", _HUGE),
+    ("psi", "--target", "P2", "--n", _HUGE),
+])
+def test_integers_are_ascii_digits_only(argv):
+    """Every integer in a key or a flag is ASCII digits with an optional sign."""
+    argv = tuple(str(Path(__file__).parent / "data" / "P1xP1.json") if a == "P1xP1" else a
+                 for a in argv)
+    code, report, text = go(*argv)
+    assert code == 2 and report is None and text.startswith("error: "), text
+    assert "Traceback" not in text and len(text) < 300
+
+
+@pytest.mark.parametrize("command, n, defined", [
+    ("psi", "0", "n >= 1"), ("psi", "-1", "n >= 1"),
+    ("psi-tilde", "0", "n in {1, 2}"), ("psi-tilde", "3", "n in {1, 2}"),
+])
+def test_index_outside_the_command_is_usage_error(command, n, defined, tmp_path, monkeypatch):
+    """An n the command does not define is refused before the engine is built."""
+    # The cache is read when the engine is built: a corrupt one would exit 3.
+    monkeypatch.setenv("GW_CACHE_DIR", str(tmp_path))
+    (tmp_path / f"{preset('P2').fingerprint}.jsonl").write_text("not json\n")
+    code, report, text = go(command, "--target", "P2", "--n", n)
+    assert code == 2 and report is None
+    assert f"{command} is defined for {defined}, not n = {n}" in text
+
+
+@pytest.mark.parametrize("name", [{"a": 1}, ["P2"], 2, None, True])
+def test_target_name_must_be_a_string(name, tmp_path):
+    doc = json.loads(serialize_target(preset("P2")))
+    doc["name"] = name
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(doc))
+    code, report, text = go("targets", "validate", "--target", str(path))
+    assert code == 2 and report is None
+    assert f"name must be a string, not {json.dumps(name)}" in text
 
 
 def test_corrupt_cache_header_is_engine_error(tmp_path, monkeypatch):

@@ -29,8 +29,8 @@ from gwvir.rationals import exact, format_rational, parse_rational
 from gwvir.series import Monomial, TruncatedSeries, TruncationPolicy, VarId
 from gwvir.target import _degree_box, load_target, preset, validate_target
 
-from oracles import (divisor_reduce, point_string_oracle, trr_reduce, wdvv_associativity_nd,
-                     written_out)
+from oracles import (divisor_reduce, point_string_oracle, split_table_terms, trr_reduce,
+                     wdvv_associativity_nd, written_out)
 
 
 def closed_form_point(levels):
@@ -672,6 +672,31 @@ def _reducer_target(name):
     if name == "P3-half-H2":
         return _p3_half_h2()
     return _seeded(name)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _REDUCER_TARGETS] + ["P3"])
+def test_split_table_is_the_splitting_written_out(name):
+    """Each degree's split table lists the brute-force splitting's terms, in order.
+
+    Written out, an entry's hits (sigma, degree splits, partners) give the
+    terms (sigma, deg1, deg2, rho, eta^{sigma rho}) of its pair of balances,
+    at most one hit per sigma.  TRR's rows, which ``_splittings`` builds from
+    the table, are a list.
+    """
+    ts, _ = _reducer_target(name)
+    for deg in _degree_box((3,) if ts.novikov_rank == 1 else (2, 2)):
+        table = ts.split_table(deg)
+        written = {balances: [(var_s, deg1, deg2, var_r, eta_inv)
+                              for var_s, splits, partners in hits
+                              for deg1, deg2 in splits for var_r, eta_inv in partners]
+                   for balances, hits in table.items()}
+        assert written == split_table_terms(ts, deg), deg
+        assert all(len({var_s for var_s, _, _ in hits}) == len(hits) for hits in table.values())
+        assert ts.split_table(deg) is table
+    keys = Engine(ts).admissible_keys(TruncationPolicy(4, 2, (1,) * ts.novikov_rank))
+    rows = [engine_module._trr_rows(ts, key, len(key.insertions) - 1) for key in keys
+            if len(key.insertions) >= 3 and key.insertions[-1].level]
+    assert all(type(r) is list for r in rows) and sum(map(len, rows)) > 10
 
 
 @pytest.mark.parametrize("name,policy", _REDUCER_TARGETS)
