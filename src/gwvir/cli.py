@@ -55,9 +55,16 @@ class RunReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
+class _HelpRequested(Exception):
+    """-h or --help: carries the help text, which ``run`` writes to its ``out``."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); raise instead
         raise errors.ParseError(message)
+
+    def print_help(self, file=None):  # argparse would print and sys.exit(0)
+        raise _HelpRequested(self.format_help())
 
 
 def _policy_dict(policy: TruncationPolicy | None) -> dict:
@@ -184,65 +191,99 @@ def _add_common(p: argparse.ArgumentParser, with_policy=True, with_target=True):
     p.add_argument("--format", choices=("text", "structured"), default="text")
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="gw", description=__doc__)
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("targets", help="list, show, or validate targets")
+def _targets_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_targets)
     p.add_argument("action", choices=("list", "show", "validate"))
     p.add_argument("--target", default=None)
     p.add_argument("--format", choices=("text", "structured"), default="text")
 
-    p = sub.add_parser("invariant", help="one descendent invariant, exactly")
+
+def _invariant_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_invariant)
     _add_common(p)
     p.add_argument("--key", required=True,
                    help="deg=a1,..,ar;ins=(m,alpha)(m,alpha)...")
 
-    p = sub.add_parser("nd", help="table of plane-curve counts N_d")
+
+def _nd_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_nd)
     _add_common(p, with_policy=False)
     p.add_argument("--max", type=_ascii_int, default=6, dest="max_d")
 
-    p = sub.add_parser("free-energy", help="truncated genus-0 free energy table")
+
+def _free_energy_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_free_energy)
     _add_common(p)
 
-    p = sub.add_parser("psi", help="genus-0 L_n constraint residual")
+
+def _psi_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=functools.partial(_cmd_psi, tilde=False))
     _add_common(p)
     p.add_argument("--n", type=_ascii_int, required=True)
     p.add_argument("--families", action="store_true",
                    help="also report derivative families and shift relations")
 
-    p = sub.add_parser("psi-tilde", help="auxiliary constraint residual")
+
+def _psi_tilde_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=functools.partial(_cmd_psi, tilde=True))
     _add_common(p)
     p.add_argument("--n", type=_ascii_int, required=True)
 
-    p = sub.add_parser("commutator", help="Virasoro commutation relation check")
+
+def _commutator_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_commutator)
     _add_common(p)
     p.add_argument("--m", type=_ascii_int, required=True)
     p.add_argument("--n", type=_ascii_int, required=True)
 
-    p = sub.add_parser("central-condition", help="central charge condition check")
+
+def _central_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_central)
     _add_common(p, with_policy=False)
 
-    p = sub.add_parser("identities", help="run the identity registry")
+
+def _identities_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_identities)
     _add_common(p)
     p.add_argument("--tags", default=None, help="comma-separated identity tags")
     p.add_argument("--all", action="store_true", dest="all_tags")
 
-    p = sub.add_parser("cache", help="manage the invariant cache")
+
+def _cache_args(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_cache)
     p.add_argument("action", choices=("warm", "verify", "clear"))
     p.add_argument("--full", action="store_true",
                    help="verify: recompute every entry, not every 20th")
     _add_common(p)
+
+
+# name -> (help, the function that adds its arguments and handler), in help order
+_SUBCOMMANDS = {
+    "targets": ("list, show, or validate targets", _targets_args),
+    "invariant": ("one descendent invariant, exactly", _invariant_args),
+    "nd": ("table of plane-curve counts N_d", _nd_args),
+    "free-energy": ("truncated genus-0 free energy table", _free_energy_args),
+    "psi": ("genus-0 L_n constraint residual", _psi_args),
+    "psi-tilde": ("auxiliary constraint residual", _psi_tilde_args),
+    "commutator": ("Virasoro commutation relation check", _commutator_args),
+    "central-condition": ("central charge condition check", _central_args),
+    "identities": ("run the identity registry", _identities_args),
+    "cache": ("manage the invariant cache", _cache_args),
+}
+
+
+def _build_parser(cmd: str | None) -> _Parser:
+    """The parser of ``gw``, with the subcommand ``cmd`` only when it names one.
+
+    Otherwise (None, an option or an unknown name) it has every subcommand.
+    A subcommand parses, errs and prints help alike either way: its prog is
+    ``gw <cmd>`` whatever its siblings, and an error is its message alone.
+    """
+    parser = _Parser(prog="gw", description=__doc__)
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    for name in [cmd] if cmd in _SUBCOMMANDS else _SUBCOMMANDS:
+        help_text, add_arguments = _SUBCOMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -437,17 +478,22 @@ def _render(report: RunReport, fmt: str) -> str:
 def run(argv: list[str], out=None) -> tuple[int, RunReport | None]:
     """Execute one subcommand; returns (exit code, report).
 
+    The report is None for a usage error and for ``-h``, whose help text goes
+    to ``out`` with exit code 0.
+
     A reader that closes ``out`` before the report is written leaves the exit
     code as the verdict gives it.
     """
     out = out if out is not None else sys.stdout
     started = time.monotonic()
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv else None)
     fmt = "text"
     try:
         args = parser.parse_args(argv)
         fmt = args.format
         report = args.handler(args)
+    except _HelpRequested as help_request:
+        code, report, text = EXIT_PASS, None, help_request.args[0]
     except (errors.ParseError, errors.ValidationError, errors.UnknownPreset,
             errors.UnknownIdentity) as exc:
         code, report, text = EXIT_USAGE, None, f"error: {exc}\n"

@@ -637,7 +637,8 @@ class Engine:
         elif cache.fingerprint != ts.fingerprint:
             raise CacheMismatch("cache fingerprint does not match the active target")
         self.cache = cache
-        self._indexes: dict[TruncationPolicy, list[tuple[int, list[_PolicyEntry]]]] = {}
+        # policy -> (weight bound, its monomials of weight <= bound, grouped by weight)
+        self._indexes: dict[TruncationPolicy, tuple[int, list[tuple[int, list[_PolicyEntry]]]]] = {}
 
     # -- scalar invariants -------------------------------------------------
 
@@ -769,15 +770,21 @@ class Engine:
 
     # -- generating functions ------------------------------------------------
 
-    def _policy_index(self, policy: TruncationPolicy) -> list[tuple[int, list[_PolicyEntry]]]:
-        """The policy's t-monomials grouped by weight, built once per policy."""
-        index = self._indexes.get(policy)
-        if index is None:
+    def _policy_index(self, policy: TruncationPolicy, bound: int
+                      ) -> list[tuple[int, list[_PolicyEntry]]]:
+        """The policy's t-monomials of weight <= ``bound``, grouped by weight in walk order.
+
+        One index per policy: a call with a larger bound than the memoised
+        one rebuilds it with that bound; a smaller bound reads it as it is.
+        """
+        memo = self._indexes.get(policy)
+        if memo is None or memo[0] < bound:
             groups: dict[int, list[_PolicyEntry]] = {}
-            for weight, tkey, ins, fact in _walk_t_monomials(policy, self.ts):
-                groups.setdefault(weight, []).append((tkey, ins, fact))
-            index = self._indexes[policy] = list(groups.items())
-        return index
+            for weight, tkey, ins, fact in _walk_t_monomials(policy, self.ts, bound):
+                if weight <= bound:
+                    groups.setdefault(weight, []).append((tkey, ins, fact))
+            memo = self._indexes[policy] = (bound, list(groups.items()))
+        return memo[1]
 
     def correlation_series(self, fixed: Iterable[tuple[int, int]],
                            policy: TruncationPolicy) -> TruncatedSeries:
@@ -788,7 +795,8 @@ class Engine:
         any truncation loss.  A weight group of the policy's monomials whose
         balance admits no degree under the cap is skipped whole.  For every
         single slot of the policy at once, ``gradient_series`` reads each key
-        once instead of once per slot it holds.
+        once instead of once per slot it holds.  Only monomials of weight up
+        to the heaviest degree's weight less ``fixed``'s can have a degree.
         """
         fixed_ins = tuple(sorted(VarId(m, a) for m, a in fixed))
         base = _weight(self.ts, fixed_ins)
@@ -798,7 +806,7 @@ class Engine:
         # (key, numerator, denominator) of each coefficient value / prod e!
         found: list[tuple[int, int, int]] = []
         append = found.append
-        for weight, entries in self._policy_index(policy):
+        for weight, entries in self._policy_index(policy, max(by_weight) - base):
             degrees = [(deg, degree_key(deg)) for deg in by_weight.get(base + weight, ())]
             if not degrees:
                 continue
@@ -830,7 +838,8 @@ class Engine:
         of e, into <<tau_u>> at e - u + v, whose packed key is ``tkey +
         unit(v) - unit(u)`` and whose factorial is e! (e_v + 1) / e_u.  So
         each pair (monomial, slot) is covered exactly once, from its key's
-        largest slot.
+        largest slot.  A monomial e is read only if some e + v can have a
+        degree: its weight is at most the heaviest degree's less the lightest v's.
         """
         ts, packing = self.ts, policy.packing
         w, degree_key = ts.class_weight, packing.degree_key
@@ -840,7 +849,8 @@ class Engine:
         # (key, numerator, denominator) of each coefficient of each <<tau_v>>
         found: dict[VarId, list[tuple[int, int, int]]] = {v: [] for v in varids}
         invariant, new = self.invariant, tuple.__new__
-        for weight, entries in self._policy_index(policy):
+        bound = max(by_weight) - min(v.level + w[v.cls] for v in varids)
+        for weight, entries in self._policy_index(policy, bound):
             # (v, unit(v), found[v], [(deg, packed deg), ...]) of each v whose
             # e + v has a degree under the cap
             reads = []

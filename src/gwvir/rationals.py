@@ -1,9 +1,9 @@
 """Exact rational values and their canonical text form.
 
 Rationals are stdlib ``fractions.Fraction``: arbitrary precision, always in
-lowest terms with positive denominator.  An exact invariant value is the one
-exception: ``exact`` makes it an ``int`` when it is integral (most of them
-are) and a ``Fraction`` otherwise.  Both have ``numerator`` and
+lowest terms with positive denominator.  Exact invariant values and target
+table entries are the exception: ``exact`` makes each an ``int`` when it is
+integral (most of them are) and a ``Fraction`` otherwise.  Both have ``numerator`` and
 ``denominator``, and an integral value then costs one ``divmod`` to make and
 no Python-level property to read.  ``parse_rational`` still returns a
 ``Fraction``.  The wire format is the decimal string ``p/q`` (or just ``p``
@@ -58,6 +58,11 @@ def exact(num: int, den: int) -> int | Fraction:
     """
     q, r = divmod(num, den)
     return Fraction(num, den) if r else q
+
+
+def exact_value(value: int | Fraction) -> int | Fraction:
+    """``value`` by the rule of ``exact``: an ``int`` when integral, else a ``Fraction``."""
+    return exact(value.numerator, value.denominator)
 
 
 def format_rational(value: int | Fraction) -> str:

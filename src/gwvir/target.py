@@ -5,8 +5,8 @@ dimension d, grading q_alpha (half real dimension of each class), the
 intersection form eta, the classical cup structure constants kappa, the matrix
 C of cup multiplication by the first Chern class, the Novikov lattice data,
 and the two integral scalars chi(V) and int c1 wedge c_{d-1} consumed by the
-central condition.  All entries are exact rationals; class indices are 1-based
-everywhere in the public API.
+central condition.  Every entry is an int when integral, else a Fraction
+(``rationals.exact``); class indices are 1-based everywhere in the public API.
 """
 
 from __future__ import annotations
@@ -20,13 +20,10 @@ from functools import cached_property
 from typing import Iterator
 
 from .errors import IndexOutOfRange, ParseError, UnknownPreset, ValidationError
-from .rationals import exact, format_rational, parse_rational
+from .rationals import exact, exact_value, format_rational, parse_rational
 from .series import VarId
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-Matrix = tuple[tuple[Fraction, ...], ...]
+Matrix = tuple[tuple[int | Fraction, ...], ...]
 Degree = tuple[int, ...]
 # ((tau_0(O_rho), eta^{sigma rho}), ...): a sigma's partners rho of one weight
 Partners = tuple[tuple[VarId, int | Fraction], ...]
@@ -40,7 +37,7 @@ SplitTable = dict[tuple[int, int], list[SplitHit]]
 SpectatorSplit = tuple[tuple[VarId, ...], tuple[VarId, ...], int, int, int]
 
 
-def row(matrix: Matrix, a: int) -> list[tuple[int, Fraction]]:
+def row(matrix: Matrix, a: int) -> list[tuple[int, int | Fraction]]:
     """The nonzero entries (s, M_{a s}) of row a, classes 1-based."""
     return [(s, c) for s, c in enumerate(matrix[a - 1], 1) if c]
 
@@ -52,61 +49,70 @@ class TargetSpace:
     complex_dim: int
     q: tuple[int, ...]
     eta: Matrix
-    cup: dict[tuple[int, int, int], Fraction]
+    cup: dict[tuple[int, int, int], int | Fraction]
     c1_mat: Matrix
     novikov_rank: int = 0
     c1_deg: tuple[int, ...] = ()
     divisors: tuple[tuple[int, tuple[int, ...]], ...] = ()
     euler_char: int = 0
-    c1_cdm1: Fraction = Fraction(0)
+    c1_cdm1: int | Fraction = 0
 
-    def b_value(self, alpha: int) -> Fraction:
+    def __post_init__(self):
+        """Store each given table's entries by ``rationals.exact``, as derived tables are."""
+        setattr_ = object.__setattr__
+        setattr_(self, "eta", _exact_matrix(self.eta))
+        setattr_(self, "cup", {k: exact_value(v) for k, v in self.cup.items()})
+        setattr_(self, "c1_mat", _exact_matrix(self.c1_mat))
+        setattr_(self, "c1_cdm1", exact_value(self.c1_cdm1))
+
+    def b_value(self, alpha: int) -> int | Fraction:
         if not 1 <= alpha <= self.classes:
             raise IndexOutOfRange(f"class index {alpha} not in [1, {self.classes}]")
-        return Fraction(self.q[alpha - 1]) - Fraction(self.complex_dim - 1, 2)
+        return exact(2 * self.q[alpha - 1] - self.complex_dim + 1, 2)
 
     @cached_property
-    def b(self) -> tuple[Fraction, ...]:
+    def b(self) -> tuple[int | Fraction, ...]:
         return tuple(self.b_value(a) for a in range(1, self.classes + 1))
 
     @cached_property
     def eta_inv(self) -> Matrix:
         return _invert(self.eta)
 
-    def cup_entry(self, a: int, b: int, g: int) -> Fraction:
-        return self.cup.get((a, b, g), _ZERO)
+    def cup_entry(self, a: int, b: int, g: int) -> int | Fraction:
+        return self.cup.get((a, b, g), 0)
 
     @cached_property
-    def _cup_rows(self) -> dict[tuple[int, int], list[tuple[int, Fraction]]]:
+    def _cup_rows(self) -> dict[tuple[int, int], list[tuple[int, int | Fraction]]]:
         """(a, b) -> the nonzero (g, kappa_{ab}^g) in g order: the cup as sparse rows."""
-        rows: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+        rows: dict[tuple[int, int], list[tuple[int, int | Fraction]]] = {}
         for (a, b, g), k in sorted(self.cup.items()):
             if k:
                 rows.setdefault((a, b), []).append((g, k))
         return rows
 
-    def cup_product(self, vec: dict[int, Fraction], cls: int) -> dict[int, Fraction]:
+    def cup_product(self, vec: dict[int, int | Fraction], cls: int
+                    ) -> dict[int, int | Fraction]:
         """Multiply a cohomology vector (class -> coeff) by the class ``cls``."""
-        out: dict[int, Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         rows = self._cup_rows
         for a, coeff in vec.items():
             for g, k in rows.get((a, cls), ()):
-                acc = out.get(g, _ZERO) + coeff * k
+                acc = out.get(g, 0) + coeff * k
                 if acc:
                     out[g] = acc
                 else:
                     out.pop(g, None)
         return out
 
-    def classical_integral(self, classes: tuple[int, ...]) -> Fraction:
+    def classical_integral(self, classes: tuple[int, ...]) -> int | Fraction:
         """Exact integral over V of the cup product of the listed classes."""
-        vec = {1: Fraction(1)}
+        vec = {1: 1}
         for cls in classes:
             vec = self.cup_product(vec, cls)
             if not vec:
-                return Fraction(0)
+                return 0
         # int O_g = eta_{g,1} since O_1 is the unit.
-        return sum((c * self.eta[g - 1][0] for g, c in vec.items()), Fraction(0))
+        return sum(c * self.eta[g - 1][0] for g, c in vec.items())
 
     def chern_power(self, j: int) -> Matrix:
         if j < 0:
@@ -134,7 +140,7 @@ class TargetSpace:
     def _chern_powers_eta(self) -> dict[int, Matrix]:
         return {}
 
-    def raised(self, sigma: int) -> list[tuple[int, Fraction]]:
+    def raised(self, sigma: int) -> list[tuple[int, int | Fraction]]:
         """Nonzero pairs (rho, eta^{sigma rho}) realizing the raised index."""
         return row(self.eta_inv, sigma)
 
@@ -153,17 +159,14 @@ class TargetSpace:
 
         Built from ``raised``, the partners rho of each sigma grouped by their
         weight q_rho - 1 in ``raised`` order, the groups ``split_table``
-        files under the balance they complete.  eta^{sigma rho} is an
-        ``int`` when integral (``rationals.exact``), so products with it stay
-        in integers.
+        files under the balance they complete.
         """
         w = self.class_weight
         table = []
         for sigma in range(1, self.classes + 1):
             groups: dict[int, Partners] = {}
             for rho, c in self.raised(sigma):
-                groups[w[rho]] = groups.get(w[rho], ()) + (
-                    (VarId(0, rho), exact(c.numerator, c.denominator)),)
+                groups[w[rho]] = groups.get(w[rho], ()) + ((VarId(0, rho), c),)
             table.append((VarId(0, sigma), w[sigma], groups))
         return tuple(table)
 
@@ -286,16 +289,19 @@ def _sub_multisets(counts: list[tuple[VarId, int]]
                    ways * math.comb(mult, take))
 
 
+def _exact_matrix(rows) -> Matrix:
+    """The rows as a Matrix whose entries are ints when integral, else Fractions."""
+    return tuple(tuple(map(exact_value, r)) for r in rows)
+
+
 def _identity(n: int) -> Matrix:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
-        for i in range(n)
-    )
+    return _exact_matrix((sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+                         for i in range(n))
 
 
 def _invert(m: Matrix) -> Matrix:
@@ -313,7 +319,7 @@ def _invert(m: Matrix) -> Matrix:
             if r != col and aug[r][col]:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    return _exact_matrix(row[n:] for row in aug)
 
 
 def validate_target(ts: TargetSpace) -> None:
@@ -335,11 +341,11 @@ def validate_target(ts: TargetSpace) -> None:
                 raise ValidationError("eta not symmetric")
             if ts.eta[i][j] != 0 and ts.q[i] + ts.q[j] != d:
                 raise ValidationError("eta grading")
-    _invert(ts.eta)  # raises "eta not nondegenerate"
+    ts.eta_inv  # raises "eta not nondegenerate"; built once, kept for the engine
     # O_1 is the unit of the classical ring.
     for b in range(1, n + 1):
         for g in range(1, n + 1):
-            if ts.cup_entry(1, b, g) != Fraction(int(b == g)):
+            if ts.cup_entry(1, b, g) != int(b == g):
                 raise ValidationError("cup identity")
     for (a, b, g), v in ts.cup.items():
         if v == 0:
@@ -352,7 +358,7 @@ def validate_target(ts: TargetSpace) -> None:
             raise ValidationError("cup grading")
     # Associativity as (a b) g = (b g) a, the cup being commutative by now.
     classes = range(1, n + 1)
-    prod = {(a, b): ts.cup_product({a: _ONE}, b) for a in classes for b in classes}
+    prod = {(a, b): ts.cup_product({a: 1}, b) for a in classes for b in classes}
     for (a, b), ab in prod.items():
         for g in classes:
             if ts.cup_product(ab, g) != ts.cup_product(prod[b, g], a):
@@ -395,7 +401,7 @@ def _shift_matrix(n: int, cup: dict, divisor_cls: int, multiple: int) -> Matrix:
     """Matrix of cup multiplication by ``multiple * O_divisor`` in the basis."""
     rows = []
     for a in range(1, n + 1):
-        row = [Fraction(0)] * n
+        row = [0] * n
         for g in range(1, n + 1):
             k = cup.get((a, divisor_cls, g))
             if k:
@@ -405,39 +411,39 @@ def _shift_matrix(n: int, cup: dict, divisor_cls: int, multiple: int) -> Matrix:
 
 
 def _preset_point() -> TargetSpace:
-    eta = ((Fraction(1),),)
-    cup = {(1, 1, 1): Fraction(1)}
+    eta = ((1,),)
+    cup = {(1, 1, 1): 1}
     return TargetSpace(
         name="point", classes=1, complex_dim=0, q=(0,), eta=eta, cup=cup,
-        c1_mat=((Fraction(0),),), novikov_rank=0, c1_deg=(), divisors=(),
-        euler_char=1, c1_cdm1=Fraction(0),
+        c1_mat=((0,),), novikov_rank=0, c1_deg=(), divisors=(),
+        euler_char=1, c1_cdm1=0,
     )
 
 
 def _preset_p1() -> TargetSpace:
-    eta = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
-    cup = {(1, 1, 1): Fraction(1), (1, 2, 2): Fraction(1), (2, 1, 2): Fraction(1)}
+    eta = ((0, 1), (1, 0))
+    cup = {(1, 1, 1): 1, (1, 2, 2): 1, (2, 1, 2): 1}
     c1 = _shift_matrix(2, cup, 2, 2)  # c1(P^1) = 2H
     return TargetSpace(
         name="P1", classes=2, complex_dim=1, q=(0, 1), eta=eta, cup=cup,
         c1_mat=c1, novikov_rank=1, c1_deg=(2,), divisors=((2, (1,)),),
-        euler_char=2, c1_cdm1=Fraction(2),
+        euler_char=2, c1_cdm1=2,
     )
 
 
 def _preset_p2() -> TargetSpace:
-    eta = tuple(tuple(Fraction(int(i + j == 2)) for j in range(3)) for i in range(3))
+    eta = tuple(tuple(int(i + j == 2) for j in range(3)) for i in range(3))
     cup = {
-        (1, 1, 1): Fraction(1),
-        (1, 2, 2): Fraction(1), (2, 1, 2): Fraction(1),
-        (1, 3, 3): Fraction(1), (3, 1, 3): Fraction(1),
-        (2, 2, 3): Fraction(1),
+        (1, 1, 1): 1,
+        (1, 2, 2): 1, (2, 1, 2): 1,
+        (1, 3, 3): 1, (3, 1, 3): 1,
+        (2, 2, 3): 1,
     }
     c1 = _shift_matrix(3, cup, 2, 3)  # c1(P^2) = 3H
     return TargetSpace(
         name="P2", classes=3, complex_dim=2, q=(0, 1, 2), eta=eta, cup=cup,
         c1_mat=c1, novikov_rank=1, c1_deg=(3,), divisors=((2, (1,)),),
-        euler_char=3, c1_cdm1=Fraction(9),
+        euler_char=3, c1_cdm1=9,
     )
 
 

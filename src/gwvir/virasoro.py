@@ -31,6 +31,7 @@ from fractions import Fraction
 
 from .engine import Engine
 from .errors import IndexOutOfRange, PolicyTooTight, UnknownIdentity, UnsupportedIndex
+from .rationals import exact_value
 from .series import (Monomial, TruncatedSeries, TruncationPolicy, VarId,
                      series_derive, series_mul)
 from .target import Matrix, TargetSpace, row
@@ -165,7 +166,8 @@ def linear_field(ts: TargetSpace, coeffs: tuple[Callable[[Fraction], Fraction], 
     Every linear vector field of the operator calculus has this shape.  Source
     levels run over 0..max(max_level, 1): ttilde^1_1 = t^1_1 - 1 carries the
     dilaton shift even when t_1 is truncated away.  Zero coefficients and
-    negative destination levels are dropped; the result is sorted.
+    negative destination levels are dropped; the result is sorted.  A
+    coefficient is an int when integral, else a Fraction (``rationals.exact``).
     """
     N = ts.classes
     terms: list[LinearTerm] = []
@@ -178,7 +180,7 @@ def linear_field(ts: TargetSpace, coeffs: tuple[Callable[[Fraction], Fraction], 
                 if not coeff:
                     continue
                 row = ts.chern_power(j)[a - 1]
-                terms.extend((VarId(m, a), VarId(level, be), coeff * row[be - 1])
+                terms.extend((VarId(m, a), VarId(level, be), exact_value(coeff * row[be - 1]))
                              for be in range(1, N + 1) if row[be - 1])
     return tuple(sorted(terms))
 

@@ -5,14 +5,19 @@ import io
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import gwvir
+from gwvir import cli
 from gwvir.cli import parse_key, run
 from gwvir.engine import InvariantCache, make_key
 from gwvir.errors import ParseError
@@ -566,3 +571,138 @@ def test_main_keeps_the_verdict_when_the_reader_closes_early(tmp_path):
         proc.wait()
     assert b"Traceback" not in stderr
     assert stderr == b""
+
+
+# --- help, and one subcommand's parser --------------------------------------------
+
+SUBCOMMANDS = ("targets", "invariant", "nd", "free-energy", "psi", "psi-tilde",
+               "commutator", "central-condition", "identities", "cache")
+
+
+def _with_full_parser(argv):
+    """``go`` with the parser of every subcommand, whatever argv[0] names."""
+    build = cli._build_parser
+    with mock.patch.object(cli, "_build_parser", lambda cmd: build(None)):
+        return go(*argv)
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("-h",)] + [(c, "--help") for c in SUBCOMMANDS])
+def test_help_is_written_to_out_and_returned(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, report, text = go(*argv)
+    assert (code, report) == (0, None)
+    assert text.startswith("usage: gw" + (f" {argv[0]}" if argv[0] in SUBCOMMANDS else ""))
+    assert capsys.readouterr() == ("", "")
+    assert _with_full_parser(argv) == (0, None, text)
+
+
+def test_main_prints_help_and_exits_zero(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(Path(gwvir.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "gwvir.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, go("--help")[2], "")
+
+
+@pytest.mark.parametrize("argv", [(), ("bogus",), ("--format", "text", "psi"),
+                                  ("psi", "--bogus"), ("psi", "--target", "P2")])
+def test_usage_errors_match_the_full_parser(argv):
+    code, report, text = go(*argv)
+    assert code == 2 and report is None and text.startswith("error: ")
+    assert _with_full_parser(argv) == (code, report, text)
+
+
+# --- the CLI contract, property-tested ---------------------------------------------
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property test below is skipped
+    st = None
+
+if st is not None:
+    _DATA = Path(__file__).parent / "data"
+    _TARGETS = ["point", "P1", "P2", str(_DATA / "P3.json")]
+
+    def _values(valid, refused):
+        """Mostly ``valid`` values; one draw in eight is one the CLI refuses."""
+        return st.integers(0, 7).flatmap(lambda i: st.sampled_from(refused if i == 0 else valid))
+
+    # Tiny policies (K <= 2, M <= 1, D <= 1) mixed with values the CLI refuses.
+    _K = _values(["0", "1", "2"], ["-1", "x", "٢"])
+    _M = _values(["0", "1"], ["-1", "1.0"])
+    _D = _values(["0", "1"], ["1,1", "", "-1"])
+    _N = _values(["1", "2"], ["-1", "0", "3", "x"])
+    _MN = _values(["-1", "0"], ["-2", "1", "x"])
+    _KEYS = _values(["deg=1;ins=(0,3)(0,3)", "deg=1;ins=(0,3)", "deg=0;ins=(0,2)(0,2)(0,3)",
+                     "deg=;ins=(0,1)(0,1)(0,1)"],
+                    ["deg=1;ins=(0,9)", "deg=1;ins=(0,3", "deg=1,;ins="])
+    _TAGS = _values(["StringEq", "TRR,QF1", "DilatonCorr2"], ["Bogus", "", "StringEq,Bogus"])
+
+    def _pair(flag, values):
+        return st.tuples(st.just(flag), values).map(list)
+
+    def _flag(flag):
+        return st.just([flag])
+
+    _POLICY = [_pair("--insertions", _K), _pair("--level", _M), _pair("--degree", _D)]
+    # Per subcommand: its positionals, then option groups that may come in any order.
+    _GRAMMAR = {
+        "targets": ([_values(["list", "show", "validate"], ["bogus"])], []),
+        "invariant": ([], [*_POLICY, _pair("--key", _KEYS)]),
+        "nd": ([], [_pair("--max", _values(["1", "2"], ["0", "x"]))]),
+        "free-energy": ([], _POLICY),
+        "psi": ([], [*_POLICY, _pair("--n", _N), _flag("--families")]),
+        "psi-tilde": ([], [*_POLICY, _pair("--n", _N)]),
+        "commutator": ([], [*_POLICY, _pair("--m", _MN), _pair("--n", _MN)]),
+        "central-condition": ([], []),
+        "identities": ([], [*_POLICY, _pair("--tags", _TAGS), _flag("--all")]),
+        "cache": ([_values(["warm", "verify", "clear"], ["bogus"])],
+                  [*_POLICY, _flag("--full")]),
+    }
+
+    @st.composite
+    def _argvs(draw):
+        cmd = draw(st.sampled_from(SUBCOMMANDS))
+        positionals, options = _GRAMMAR[cmd]
+        # (in how many draws of ten the group comes, the group); a required
+        # option is left out now and then too.
+        groups = [(9, _pair("--target", _values(_TARGETS, ["nowhere.json"]))),
+                  (5, _pair("--format", _values(["text", "structured"], ["json"]))),
+                  (1, _pair("--table", st.just(str(_DATA / "P3_seeds.jsonl")))),
+                  (1, _flag("--bogus")), (1, _flag("-h")), *((9, g) for g in options)]
+        chosen = draw(st.permutations([draw(g) for tenths, g in groups
+                                       if draw(st.integers(0, 9)) < tenths]))
+        return [cmd, *(draw(p) for p in positionals), *(a for g in chosen for a in g)]
+
+    def _format(argv):
+        at = max((i for i, a in enumerate(argv) if a == "--format"), default=None)
+        return "text" if at is None else argv[at + 1]
+
+    def _no_clock(result):
+        code, report, text = result
+        return code, re.sub(r'"wall_time_ms": [0-9]+', "", text)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(_argvs())
+    def test_cli_contract_on_drawn_arguments(argv):
+        """Every drawn argument list ends in a documented exit code, alike under both parsers."""
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = os.path.join(tmp, "cache")
+            with mock.patch.dict(os.environ, {"GW_CACHE_DIR": cache}):
+                one = go(*argv)
+                shutil.rmtree(cache, ignore_errors=True)
+                full = _with_full_parser(argv)
+        code, report, text = one
+        assert code in (0, 1, 2, 3), (argv, code)
+        if report is None:
+            assert code == 2 and text.startswith("error: ") or code == 0 and "-h" in argv
+        else:
+            assert code == {"pass": 0, "fail": 1, "error": 3}[report.outcome], (argv, text)
+            if _format(argv) == "structured":
+                assert json.loads(text) == report.to_dict()
+        assert "Traceback" not in text
+        assert _no_clock(one) == _no_clock(full), argv
+else:
+    def test_cli_contract_on_drawn_arguments():
+        pytest.skip("hypothesis is not installed")

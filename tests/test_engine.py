@@ -1491,3 +1491,25 @@ def test_gradient_series_reads_each_key_once(name, monkeypatch):
     assert set(read) == set(one_by_one)
     assert len(read) < len(one_by_one)
     assert len(engine.cache.entries) == published
+
+
+def test_policy_index_is_bounded_by_weight_whatever_the_order_of_asks():
+    """One index per policy, rebuilt when a series needs a heavier bound."""
+    ts, policy = preset("P2"), TruncationPolicy(4, 3, (2,))
+    pair = ((0, 1), (0, 1))  # base weight -2: needs a bound above the gradient's
+    ahead, behind = Engine(ts), Engine(ts)
+    grads = ahead.gradient_series(policy)
+    assert ahead._indexes[policy][0] == 6  # max degree weight 5, lightest slot -1
+    series = [ahead.correlation_series(pair, policy), ahead.free_energy(policy)]
+    assert ahead._indexes[policy][0] == 7
+    assert behind.free_energy(policy) == series[1]
+    assert behind.correlation_series(pair, policy) == series[0]
+    again = behind.gradient_series(policy)
+    assert list(again) == list(grads) and all(again[v] == grads[v] for v in grads)
+    for engine in (ahead, behind):
+        bound, groups = engine._indexes[policy]
+        expect = {}
+        for weight, tkey, ins, fact in _walk_t_monomials(policy, ts):
+            if weight <= bound:
+                expect.setdefault(weight, []).append((tkey, ins, fact))
+        assert bound == 7 and groups == list(expect.items())

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from gwvir.cli import run
 from gwvir.errors import IndexOutOfRange, ParseError, UnknownPreset, ValidationError
 from gwvir.target import (TargetSpace, load_target, preset, preset_names,
                           serialize_target, validate_target)
+from gwvir.virasoro import NAMED_FIELDS, linear_field
 
 
 def test_preset_names():
@@ -195,3 +200,40 @@ def test_classical_integral():
     assert p2.classical_integral((2, 2, 2)) == 0   # H^3 = 0
     assert p2.classical_integral((1, 3)) == 1      # int pt
     assert p2.classical_integral((2,)) == 0        # int H over a surface
+
+
+# Each target's fingerprint and the sha256 of its ``gw targets show --format
+# structured`` less the wall_time_ms line: how a table's entries are typed
+# must not change what is serialized.
+PINNED = {
+    "point": ("0df20135e210469594d466d22634922e54c48d0a6f72a6243fe44a7cf0fe7375",
+              "906661e7a64c988a1da6d0e105aa357ac04b678a5b143bca766438fc798cdab1"),
+    "P1": ("f17023278ae0e3e5c52ac2566984c8800db089600ced599d3f948f783347b7fb",
+           "5482e414bac98f386236f2f7861f13fd3eaafecccb753f283e12810b665bfa31"),
+    "P2": ("36fbc72e7ff94c0df2e13739a37175960548ba81664ef7d7b2c86d232efe6adc",
+           "0f534454ddce2f6f7f72f1b38dbf9c5a16630daf2aeeba30049e2c0896243fd7"),
+    "P3": ("cfd72fdc6ddddab96e94a5bd461d51a1a753ad593d33bbf5b97c8c8dd6bdb9f1",
+           "6b1c1fe90b96791871476226b44c2b77fdc6219e6a3a001fadbe192829e727a2"),
+    "P1xP1": ("1f9b82108196240ff2a43152e1be4578352f5d495d108bddbcc5a27cc93eb150",
+              "52af4ff06a2bdc124a2916b7278c342d32959af14a973a2db8154fc0402b779a"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_tables_are_exact_and_serialize_as_pinned(name):
+    """Every entry is an int when integral and a Fraction otherwise, never a float."""
+    spec = name if name in preset_names() else str(Path(__file__).parent / "data" / f"{name}.json")
+    ts = preset(name) if name in preset_names() else load_target(Path(spec).read_text("utf-8"))
+    matrices = [ts.eta, ts.c1_mat, ts.eta_inv, (ts.b,)]
+    matrices += [ts.chern_power(j) for j in range(3)] + [ts.chern_power_eta(j) for j in range(3)]
+    entries = [x for m in matrices for r in m for x in r] + [*ts.cup.values(), ts.c1_cdm1]
+    entries += [c for coeffs, top in NAMED_FIELDS.values()
+                for _, _, c in linear_field(ts, coeffs, top, 3)]
+    assert entries and [x for x in entries if type(x) is not int and (
+        type(x) is not Fraction or x.denominator == 1)] == []
+    fingerprint, shown = PINNED[name]
+    assert ts.fingerprint == fingerprint
+    out = io.StringIO()
+    assert run(["targets", "show", "--target", spec, "--format", "structured"], out=out)[0] == 0
+    text = "".join(line for line in out.getvalue().splitlines(True) if '"wall_time_ms"' not in line)
+    assert hashlib.sha256(text.encode()).hexdigest() == shown
