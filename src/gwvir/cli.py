@@ -319,7 +319,7 @@ def _cmd_invariant(args) -> RunReport:
 
 def _cmd_nd(args) -> RunReport:
     ts = _load_target(args.target)
-    if ts.name != "P2":
+    if target.projective_dim(ts) != 2:
         raise errors.ParseError("nd tabulates plane curve counts; use --target P2")
     if args.max_d < 1:
         raise errors.ParseError("--max must be >= 1")

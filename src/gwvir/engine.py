@@ -15,6 +15,10 @@ order:
   kill the key at nonzero degree, divisor insertions strip off, and the rest
   is a seed of the backend's table or reduces by WDVV.
 
+With no backend given, the table is every P^n's one seed <pt pt>_1 = 1 when
+the target is ``projective_space(n)`` in full content (``projective_dim``),
+and empty otherwise.
+
 Each step strictly decreases (total level, insertion deficit below 3, degree,
 non-divisor insertions) lexicographically, so the reduction terminates; it
 runs on an explicit work stack rather than by recursion, so deep keys do not
@@ -60,7 +64,7 @@ from .errors import (CacheMismatch, NotApplicable, ParseError, TargetUnsupported
                      ValidationError)
 from .rationals import exact, format_rational, parse_rational
 from .series import TruncatedSeries, TruncationPolicy, VarId
-from .target import Degree, Partners, TargetSpace, decode_json
+from .target import Degree, Partners, TargetSpace, decode_json, projective_dim
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -109,12 +113,6 @@ class PrimaryBackend:
         for key in self.table:
             if any(m != 0 for m, _ in key.insertions):
                 raise ValidationError("table backend key not primary")
-
-
-# The presets' seeds: the line itself on P1 and the line through two points on
-# P2.  The point needs none, since every key of it has degree 0.
-_PRESET_SEEDS = {"P1": {CorrelatorKey((), (1,)): 1},
-                 "P2": {CorrelatorKey((VarId(0, 3),) * 2, (1,)): 1}}
 
 
 class InvariantCache:
@@ -630,8 +628,13 @@ class Engine:
     def __init__(self, ts: TargetSpace, backend: PrimaryBackend | None = None,
                  cache: InvariantCache | None = None):
         self.ts = ts
-        self.backend = (backend if backend is not None
-                        else PrimaryBackend(dict(_PRESET_SEEDS.get(ts.name, {}))))
+        if backend is None:
+            # P^n's one seed <pt pt>_1 = 1, the line through two points, when
+            # ts is projective_space(n) in full content; no seed otherwise.
+            # The point needs none, since every key of it has degree 0.
+            n = projective_dim(ts)
+            backend = PrimaryBackend({CorrelatorKey((VarId(0, n + 1),) * 2, (1,)): 1} if n else {})
+        self.backend = backend
         if cache is None:
             cache = InvariantCache.for_target(ts)
         elif cache.fingerprint != ts.fingerprint:

@@ -7,10 +7,15 @@ C of cup multiplication by the first Chern class, the Novikov lattice data,
 and the two integral scalars chi(V) and int c1 wedge c_{d-1} consumed by the
 central condition.  Every entry is an int when integral, else a Fraction
 (``rationals.exact``); class indices are 1-based everywhere in the public API.
+
+One rule, ``projective_space(n)``, builds P^n; the presets are n = 0, 1, 2.
+``projective_dim`` tells a target that is some P^n by its full serialized
+content (its fingerprint), never by its name alone.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -397,64 +402,50 @@ def validate_target(ts: TargetSpace) -> None:
             raise ValidationError("no divisor pairs with Novikov generator")
 
 
-def _shift_matrix(n: int, cup: dict, divisor_cls: int, multiple: int) -> Matrix:
-    """Matrix of cup multiplication by ``multiple * O_divisor`` in the basis."""
-    rows = []
-    for a in range(1, n + 1):
-        row = [0] * n
-        for g in range(1, n + 1):
-            k = cup.get((a, divisor_cls, g))
-            if k:
-                row[g - 1] = k * multiple
-        rows.append(tuple(row))
-    return tuple(rows)
+def projective_space(n: int) -> TargetSpace:
+    """P^n: classes H^0..H^n, H^i cup H^j = H^(i+j), c1 = (n+1)H, divisor H.
 
-
-def _preset_point() -> TargetSpace:
-    eta = ((1,),)
-    cup = {(1, 1, 1): 1}
+    The point is n = 0, with Novikov rank 0.  chi = n + 1, and
+    int c1 c_(n-1) = (n+1) C(n+1, 2), since c(P^n) = (1 + H)^(n+1).
+    """
+    r = range(n + 1)
     return TargetSpace(
-        name="point", classes=1, complex_dim=0, q=(0,), eta=eta, cup=cup,
-        c1_mat=((0,),), novikov_rank=0, c1_deg=(), divisors=(),
-        euler_char=1, c1_cdm1=0,
+        name=f"P{n}" if n else "point", classes=n + 1, complex_dim=n, q=tuple(r),
+        eta=tuple(tuple(int(i + j == n) for j in r) for i in r),
+        cup={(i + 1, j + 1, i + j + 1): 1 for i in r for j in r if i + j <= n},
+        c1_mat=tuple(tuple((n + 1) * int(j == i + 1) for j in r) for i in r),
+        novikov_rank=int(n > 0), c1_deg=(n + 1,) if n else (),
+        divisors=((2, (1,)),) if n else (),
+        euler_char=n + 1, c1_cdm1=(n + 1) * math.comb(n + 1, 2),
     )
 
 
-def _preset_p1() -> TargetSpace:
-    eta = ((0, 1), (1, 0))
-    cup = {(1, 1, 1): 1, (1, 2, 2): 1, (2, 1, 2): 1}
-    c1 = _shift_matrix(2, cup, 2, 2)  # c1(P^1) = 2H
-    return TargetSpace(
-        name="P1", classes=2, complex_dim=1, q=(0, 1), eta=eta, cup=cup,
-        c1_mat=c1, novikov_rank=1, c1_deg=(2,), divisors=((2, (1,)),),
-        euler_char=2, c1_cdm1=2,
-    )
+@functools.cache
+def _projective_fingerprint(n: int) -> str:
+    return projective_space(n).fingerprint
 
 
-def _preset_p2() -> TargetSpace:
-    eta = tuple(tuple(int(i + j == 2) for j in range(3)) for i in range(3))
-    cup = {
-        (1, 1, 1): 1,
-        (1, 2, 2): 1, (2, 1, 2): 1,
-        (1, 3, 3): 1, (3, 1, 3): 1,
-        (2, 2, 3): 1,
-    }
-    c1 = _shift_matrix(3, cup, 2, 3)  # c1(P^2) = 3H
-    return TargetSpace(
-        name="P2", classes=3, complex_dim=2, q=(0, 1, 2), eta=eta, cup=cup,
-        c1_mat=c1, novikov_rank=1, c1_deg=(3,), divisors=((2, (1,)),),
-        euler_char=3, c1_cdm1=9,
-    )
+def projective_dim(ts: TargetSpace) -> int | None:
+    """The n for which ``ts`` is ``projective_space(n)``, else None.
+
+    The test is the fingerprint, the target's full serialized content, so a
+    P^n in another basis or under another name is not one.  Only a target
+    with complex_dim + 1 classes is compared, so no P^n larger than the
+    target itself is ever built.
+    """
+    n = ts.complex_dim
+    if ts.classes == n + 1 and ts.fingerprint == _projective_fingerprint(n):
+        return n
+    return None
 
 
-_PRESETS = {"point": _preset_point, "P1": _preset_p1, "P2": _preset_p2}
+_PRESETS = {"point": 0, "P1": 1, "P2": 2}
 
 
 def preset(name: str) -> TargetSpace:
-    try:
-        ts = _PRESETS[name]()
-    except KeyError:
+    if name not in _PRESETS:
         raise UnknownPreset(f"unknown preset {name!r} (have: {', '.join(sorted(_PRESETS))})")
+    ts = projective_space(_PRESETS[name])
     validate_target(ts)
     return ts
 

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 
-from gwvir.engine import Engine, make_key
+from gwvir.engine import Engine, PrimaryBackend, make_key
 from gwvir.identities import IDENTITY_TAGS, IdentityContext, verify_identity
 from gwvir.series import TruncationPolicy
 from gwvir.target import preset
@@ -137,6 +137,11 @@ def test_criterion_08_identity_registry(point_engine, p2_engine):
             started, 900.0)
 
 
+# P2's seed <pt pt>_1 = 1.  A perturbed P2 is not P2, so an Engine gives it no
+# seed unless it is handed this one.
+_P2_SEED = PrimaryBackend({make_key([(0, 3)] * 2, (1,)): 1})
+
+
 def _perturbed_p2(**changes):
     base = preset("P2")
     fields = dict(name="P2", classes=3, complex_dim=2, q=base.q, eta=base.eta,
@@ -153,7 +158,7 @@ def test_criterion_09_falsifiability():
     eta = [list(r) for r in preset("P2").eta]
     eta[0][0] = Fraction(1)
     bad_eta = _perturbed_p2(eta=tuple(tuple(r) for r in eta))
-    residual = psi(Engine(bad_eta), 1, policy)
+    residual = psi(Engine(bad_eta, _P2_SEED), 1, policy)
     assert not residual.is_zero()
     mon, coeff = residual.items_sorted()[0]
     assert coeff != 0
@@ -161,7 +166,7 @@ def test_criterion_09_falsifiability():
     c1 = [list(r) for r in preset("P2").c1_mat]
     c1[0][1] = Fraction(4)
     bad_c = _perturbed_p2(c1_mat=tuple(tuple(r) for r in c1))
-    findings = verify_identity(IdentityContext(Engine(bad_c), policy), "FRR")
+    findings = verify_identity(IdentityContext(Engine(bad_c, _P2_SEED), policy), "FRR")
     located = [f for f in findings if f.status == "fail" and f.monomial]
     assert located
     # (c) poison one cached invariant (a string-determined entry, not the

@@ -22,7 +22,7 @@ from gwvir.cli import parse_key, run
 from gwvir.engine import InvariantCache, make_key
 from gwvir.errors import ParseError
 from gwvir.rationals import format_rational
-from gwvir.target import preset, serialize_target
+from gwvir.target import load_target, preset, serialize_target
 
 
 def go(*argv, env=None, monkeypatch=None, tmp_path=None):
@@ -357,6 +357,29 @@ def test_key_wdvv_cannot_reduce_is_engine_error(tmp_path):
                             "--key", "deg=1;ins=(0,4)(0,4)(0,4)")
     assert code == 3 and report.outcome == "error"
     assert "TargetUnsupported" in text and "Traceback" not in text
+
+
+def test_p2_in_another_basis_named_p2_is_not_p2(tmp_path):
+    # P2 in the basis 1, H, H^2/2 under the name "P2": valid, but not P2's
+    # content, so it gets neither P2's seed <pt pt>_1 = 1 nor `gw nd`.  Its
+    # own seed is <H^2/2 H^2/2>_1 = 1/4.
+    doc = json.loads(serialize_target(preset("P2")))
+    doc.update(eta=[["0", "0", "1/2"], ["0", "1", "0"], ["1/2", "0", "0"]],
+               cup=[[1, 1, 1, "1"], [1, 2, 2, "1"], [1, 3, 3, "1"], [2, 1, 2, "1"],
+                    [2, 2, 3, "2"], [3, 1, 3, "1"]],
+               c1_mat=[["0", "3", "0"], ["0", "0", "6"], ["0", "0", "0"]])
+    assert doc["name"] == "P2"
+    path = tmp_path / "P2.json"
+    path.write_text(json.dumps(doc))
+    load_target(path.read_text())  # validates
+    code, report, text = go("invariant", "--target", str(path), "--key", "deg=1;ins=(0,3)(0,3)")
+    assert code == 3 and report.outcome == "error" and "TargetUnsupported" in text
+    assert go("nd", "--target", str(path), "--max", "3")[0] == 2
+    table = tmp_path / "seed.jsonl"
+    table.write_text('{"deg":[1],"ins":[[0,3],[0,3]],"val":"1/4"}\n')
+    code, report, _ = go("invariant", "--target", str(path), "--table", str(table),
+                         "--key", "deg=2;ins=" + "(0,3)" * 5)
+    assert code == 0 and report.details[0]["value"] == "1/32"
 
 
 def test_table_backend_ingestion(tmp_path):

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from gwvir import engine as engine_module
+from gwvir import target as target_module
 from gwvir.cli import run
 from gwvir.engine import (CorrelatorKey, Engine, InvariantCache, PrimaryBackend,
                           degree_zero_value, dilaton_reduce, dimension_admissible,
@@ -27,7 +28,7 @@ from gwvir.errors import (CacheMismatch, NotApplicable, ParseError, TargetUnsupp
 from gwvir.identities import IDENTITY_TAGS, IdentityContext, verify_identity
 from gwvir.rationals import exact, format_rational, parse_rational
 from gwvir.series import Monomial, TruncatedSeries, TruncationPolicy, VarId
-from gwvir.target import _degree_box, load_target, preset, validate_target
+from gwvir.target import TargetSpace, _degree_box, load_target, preset, validate_target
 
 from oracles import (divisor_reduce, point_string_oracle, split_table_terms, trr_reduce,
                      wdvv_associativity_nd, written_out)
@@ -656,7 +657,7 @@ def _reducer_target(name):
     whatever the values are.
     """
     if name == "P2-rational-eta":
-        # P2's seed <pt pt>_1 = 1, which the preset gets by its name.
+        # P2's seed <pt pt>_1 = 1, which only P2's own content gets by default.
         ts = _p2_rational_eta()
         backend = PrimaryBackend({CorrelatorKey((VarId(0, 3),) * 2, (1,)): Fraction(1)})
         assert {Fraction(-1), Fraction(1, 2)} <= set(itertools.chain(*ts.eta_inv))
@@ -812,6 +813,30 @@ def test_rescaled_basis_rescales_the_values():
         slots = sum(v.cls == 3 for v in key.insertions)
         assert half_engine.invariant(key) == Fraction(p3_engine.invariant(key), 2 ** slots), key
     assert any(not isinstance(v, int) for v in half_engine.cache.entries.values())
+
+
+def test_p3_file_target_gets_p3s_seed_by_its_content():
+    """tests/data/P3.json is projective_space(3), so the Engine seeds it unasked."""
+    ts, backend = _seeded("P3")
+    by_content, by_table = Engine(ts), Engine(ts, backend)
+    assert by_content.backend.table == backend.table
+    keys = by_table.admissible_keys(TruncationPolicy(3, 2, (2,)))
+    assert keys and [by_content.invariant(k) for k in keys] == [by_table.invariant(k) for k in keys]
+
+
+def test_engine_builds_no_space_a_target_cannot_be(monkeypatch):
+    """A target with classes != complex_dim + 1 is compared with no P^n.
+
+    Else this valid two-class target would have the Engine build a space of
+    a million classes to compare it with.
+    """
+    d = 10 ** 6
+    ts = TargetSpace(name="two-class", classes=2, complex_dim=d, q=(0, d), eta=((0, 1), (1, 0)),
+                     cup={(1, 1, 1): 1, (1, 2, 2): 1, (2, 1, 2): 1}, c1_mat=((0, 0), (0, 0)))
+    validate_target(ts)
+    monkeypatch.setattr(target_module, "projective_space",
+                        lambda n: pytest.fail(f"built P{n} to compare with a two-class target"))
+    assert Engine(ts).backend.table == {}
 
 
 def test_cold_registry_cache_is_recorded_bytes(tmp_path):

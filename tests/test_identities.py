@@ -16,7 +16,7 @@ from gwvir.series import TruncationPolicy
 from gwvir.target import preset
 from gwvir.virasoro import CorrContext
 
-from test_acceptance import _perturbed_p2
+from test_acceptance import _P2_SEED, _perturbed_p2
 
 
 def test_registry_covers_every_tag_once():
@@ -76,7 +76,7 @@ def test_corrupted_c_matrix_located():
                      cup=base.cup, c1_mat=tuple(tuple(r) for r in c1),
                      novikov_rank=1, c1_deg=(3,), divisors=base.divisors,
                      euler_char=3, c1_cdm1=base.c1_cdm1)
-    engine = Engine(bad)
+    engine = Engine(bad, _P2_SEED)
     policy = TruncationPolicy(3, 2, (1,))
     ctx = IdentityContext(engine, policy)
     findings = verify_identity(ctx, "FRR")
@@ -153,7 +153,7 @@ def test_rewritten_tags_stay_falsifiable(perturbed):
         c1 = [list(r) for r in preset("P2").c1_mat]
         c1[0][1] = Fraction(4)
         ts = _perturbed_p2(c1_mat=tuple(tuple(r) for r in c1))
-    engine = Engine(ts)
+    engine = Engine(ts, _P2_SEED)
     policy = TruncationPolicy(3, 2, (1,))
     ctx = IdentityContext(engine, policy)
     for tag in _FALSIFIABLE[perturbed]:

@@ -11,8 +11,8 @@ import pytest
 
 from gwvir.cli import run
 from gwvir.errors import IndexOutOfRange, ParseError, UnknownPreset, ValidationError
-from gwvir.target import (TargetSpace, load_target, preset, preset_names,
-                          serialize_target, validate_target)
+from gwvir.target import (TargetSpace, load_target, preset, preset_names, projective_dim,
+                          projective_space, serialize_target, validate_target)
 from gwvir.virasoro import NAMED_FIELDS, linear_field
 
 
@@ -20,6 +20,36 @@ def test_preset_names():
     assert preset_names() == ["P1", "P2", "point"]
     with pytest.raises(UnknownPreset):
         preset("P3")
+
+
+def test_projective_space_is_every_preset_and_p3_and_p4():
+    """One rule builds the point, P1, P2, tests/data/P3.json and a hand-written P4."""
+    p3 = load_target((Path(__file__).parent / "data" / "P3.json").read_text("utf-8"))
+    targets = [preset("point"), preset("P1"), preset("P2"), p3]
+    assert [projective_space(n).fingerprint for n in range(4)] == [
+        ts.fingerprint for ts in targets]
+    assert [projective_dim(ts) for ts in targets] == [0, 1, 2, 3]
+    # The P4 document of test_cli.test_key_wdvv_cannot_reduce_is_engine_error.
+    n = 4
+    doc = {"name": "P4", "classes": n + 1, "complex_dim": n, "q": list(range(n + 1)),
+           "eta": [[str(int(i + j == n)) for j in range(n + 1)] for i in range(n + 1)],
+           "cup": [[i + 1, j + 1, i + j + 1, "1"]
+                   for i in range(n + 1) for j in range(n + 1) if i + j <= n],
+           "c1_mat": [[str(5 * int(j == i + 1)) for j in range(n + 1)] for i in range(n + 1)],
+           "novikov_rank": 1, "c1_deg": [5], "divisors": [[2, [1]]],
+           "euler_char": 5, "c1_cdm1": "50"}
+    assert json.loads(serialize_target(projective_space(4))) == doc
+    for n in range(7):
+        ts = projective_space(n)
+        validate_target(ts)
+        assert ts.central_condition()[2]
+
+
+def test_projective_dim_goes_by_content_not_name():
+    p2 = preset("P2")
+    assert projective_dim(dataclasses.replace(p2, name="custom-surface")) is None
+    assert projective_dim(dataclasses.replace(p2, euler_char=4)) is None
+    assert projective_dim(dataclasses.replace(preset("P1"), name="P2")) is None
 
 
 def test_preset_shapes():

@@ -20,6 +20,7 @@ from gwvir.virasoro import (CLOSED_A, CorrContext, VirasoroOperator, _complement
 
 from oracles import (complement_product_sum, gamma_ratio_A, gamma_ratio_B, linear_field_oracle,
                      operator_action)
+from test_acceptance import _P2_SEED
 from test_engine import DATA, _target
 
 
@@ -350,7 +351,7 @@ def test_perturbed_eta_detected():
                      eta=tuple(tuple(r) for r in eta), cup=base.cup,
                      c1_mat=base.c1_mat, novikov_rank=1, c1_deg=(3,),
                      divisors=base.divisors, euler_char=3, c1_cdm1=base.c1_cdm1)
-    series = CorrContext(Engine(bad), TruncationPolicy(3, 2, (1,))).psi_generic(1)
+    series = CorrContext(Engine(bad, _P2_SEED), TruncationPolicy(3, 2, (1,))).psi_generic(1)
     assert not series.is_zero()
 
 
