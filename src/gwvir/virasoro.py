@@ -146,7 +146,7 @@ def _over_powers(coeffs: list[int], q: int) -> tuple[Fraction, ...]:
 
 def coeff_A(b: Fraction, j: int, m: int, n: int) -> Fraction:
     """Sum over size-j subsets S of {m, ..., m+n} of prod_{l not in S} (b + l)."""
-    if n < 1 or m < 0 or j < 0 or j > n + 1:
+    if n < -1 or m < 0 or j < 0 or j > n + 1:
         raise IndexOutOfRange(f"coeff_A index out of range: j={j}, m={m}, n={n}")
     return _complement_sums(b, range(m, m + n + 1))[j]
 
@@ -227,55 +227,32 @@ def combine_fields(*pieces: tuple[tuple[LinearTerm, ...], Fraction]) -> tuple[Li
 
 
 def build_operator(ts: TargetSpace, n: int, max_level: int) -> VirasoroOperator:
-    """Assemble L_n exactly; linear terms come from ``linear_field``."""
+    """Assemble L_n exactly, for every n >= -1 by the one A/B formula.
+
+    The linear part comes from ``linear_field``; the quadratic part is empty
+    below n = 1; only L_0 has a constant, the right side of the central
+    condition.
+    """
     if n < -1:
         raise UnsupportedIndex("operators below L_{-1} are out of scope")
-    N = ts.classes
-    quadratic: dict[tuple[VarId, VarId], Fraction] = {}
-
-    def add_quadratic(u: VarId, v: VarId, coeff: Fraction) -> None:
-        if coeff:
-            key = (u, v) if u <= v else (v, u)
-            acc = quadratic.get(key, _ZERO) + coeff
-            if acc:
-                quadratic[key] = acc
-            else:
-                quadratic.pop(key, None)
-
-    constant = _ZERO
-    if n == -1:
-        linear = linear_field(ts, (lambda x: _ONE,), -1, max_level)
-        classical = ts.eta
-    elif n == 0:
-        linear = linear_field(ts, (lambda x: x, lambda x: _ONE), 0, max_level)
-        classical = ts.chern_power_eta(1)
-        constant = (Fraction(3 - ts.complex_dim, 2) * ts.euler_char - ts.c1_cdm1) / 24
-    else:
-        # coeff_A(b, j, m, n) == coeff_A(m + b, j, 0, n): shift l -> l - m.
-        linear = linear_field(
-            ts, tuple(lambda x, j=j: coeff_A(x, j, 0, n) for j in range(n + 2)),
-            n, max_level)
-        # coeff_B's one table per (b, n) serves every j and k.
-        for a in range(1, N + 1):
-            b = ts.b[a - 1]
-            for k in range(n):
-                for j in range(n - k):
-                    cj = ts.chern_power(j)
-                    coeff = coeff_B(b, j, k, n)
-                    for be in range(1, N + 1):
-                        cjab = cj[a - 1][be - 1]
-                        if not cjab:
-                            continue
-                        for g, eta_inv in ts.raised(a):
-                            add_quadratic(VarId(k, g), VarId(n - k - 1 - j, be),
-                                          coeff * cjab * eta_inv)
-        classical = ts.chern_power_eta(n + 1)
-
+    # coeff_A(b, j, m, n) == coeff_A(m + b, j, 0, n): shift l -> l - m.
+    linear = linear_field(
+        ts, tuple(lambda x, j=j: coeff_A(x, j, 0, n) for j in range(n + 2)), n, max_level)
+    # coeff_B's one table per (b, n) serves every j and k.
+    quadratic: list[QuadraticTerm] = []
+    for a, b in enumerate(ts.b, 1):
+        for k in range(n):
+            for j in range(n - k):
+                coeff = coeff_B(b, j, k, n)
+                for be, cjab in row(ts.chern_power(j), a):
+                    for g, eta_inv in ts.raised(a):
+                        u, v = sorted((VarId(k, g), VarId(n - k - 1 - j, be)))
+                        quadratic.append((u, v, coeff * cjab * eta_inv))
     return VirasoroOperator(
         linear,
-        tuple((u, v, c) for (u, v), c in sorted(quadratic.items())),
-        classical,
-        constant,
+        combine_fields((quadratic, _ONE)),
+        ts.chern_power_eta(n + 1),
+        ts.central_condition()[1] if n == 0 else _ZERO,
     )
 
 
@@ -295,11 +272,7 @@ def _classical_series(matrix: Matrix, policy: TruncationPolicy) -> TruncatedSeri
             else:
                 u, v = sorted((VarId(0, a), VarId(0, b)))
                 mon = Monomial(((u, 1), (v, 1)), zero_deg)
-            acc = terms.get(mon, _ZERO) + half * q
-            if acc:
-                terms[mon] = acc
-            else:
-                terms.pop(mon, None)
+            terms[mon] = terms.get(mon, _ZERO) + half * q
     return TruncatedSeries(policy, terms)
 
 
@@ -570,17 +543,17 @@ class CorrContext:
         return self.evaluate(terms)
 
 
-def psi(ts_or_engine, n: int, policy: TruncationPolicy) -> TruncatedSeries:
+def psi(engine: Engine, n: int, policy: TruncationPolicy) -> TruncatedSeries:
     """Genus-0 L_n constraint residual Psi_{0,n} as a truncated series.
 
-    For n in {1, 2} the series is assembled both from the generic operator and
-    from the hand-expanded closed form; the two must agree exactly.
+    For n in ``CLOSED_A`` the series is assembled both from the generic
+    operator and from the hand-expanded closed form; the two must agree exactly.
     """
     if n < 1:
         raise UnsupportedIndex("psi is defined for n >= 1")
-    ctx = CorrContext(_as_engine(ts_or_engine), policy)
+    ctx = CorrContext(engine, policy)
     generic = ctx.psi_generic(n)
-    if n in (1, 2):
+    if n in CLOSED_A:
         closed = ctx.psi_closed(n)
         if closed != generic:
             diff = closed - generic
@@ -590,15 +563,11 @@ def psi(ts_or_engine, n: int, policy: TruncationPolicy) -> TruncatedSeries:
     return generic
 
 
-def _as_engine(ts_or_engine) -> Engine:
-    return ts_or_engine if isinstance(ts_or_engine, Engine) else Engine(ts_or_engine)
-
-
-def psi_tilde(ts_or_engine, n: int, policy: TruncationPolicy) -> TruncatedSeries:
+def psi_tilde(engine: Engine, n: int, policy: TruncationPolicy) -> TruncatedSeries:
     """Auxiliary constraint residuals: Psi~_{0,1} and Psi~_{0,2}."""
     if n not in (1, 2):
         raise UnsupportedIndex("psi_tilde is defined for n in {1, 2}")
-    ctx = CorrContext(_as_engine(ts_or_engine), policy)
+    ctx = CorrContext(engine, policy)
     ts = ctx.ts
     half = Fraction(1, 2)
     terms = [(1, ("field_series", f"PsiTilde{n}"))]

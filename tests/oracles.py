@@ -16,12 +16,15 @@ is TRR's rows written out: the references the row-summing reducer, the full
 TRR expansion and the full WDVV expansion are checked against.
 ``split_table_terms`` lists the genus-0 splitting's (sigma, degree split,
 rho) triples by brute force, the reference each degree's split table is
-checked against.
+checked against.  ``j_function_one_point`` reads the one-point descendants
+of products of projective spaces off Givental's J-function, with no step of
+the reducer's.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -221,6 +224,29 @@ def gamma_ratio_B(b: Fraction, j: int, m: int, n: int) -> Fraction:
             term /= b + l
         total += term
     return prefactor * total
+
+
+def j_function_one_point(dims: tuple[int, ...], degree: tuple[int, ...]
+                         ) -> dict[tuple[int, ...], Fraction]:
+    """One-point descendants of P^{n_1} x ... x P^{n_r} from the J-function.
+
+    For each exponent vector j with j_i <= n_i, the value is
+
+        <tau_k(phi_a)>_d = prod_i [h^{j_i}] prod_{m=1..d_i} (1 + h/m)^{-(n_i+1)} / (d_i!)^{n_i+1},
+
+    where phi_a is the class dual to prod_i H_i^{j_i} and k = sum_i (n_i+1) d_i
+    + |j| - 2 (Givental, alg-geom/9603021): the z^{-k-2} part of z / prod_i
+    prod_m (H_i + m z)^{n_i+1}.  Returns {j: value}.
+    """
+    factors = []
+    for n, d in zip(dims, degree):
+        series = [Fraction(1)] + [Fraction(0)] * n  # of h^0..h^n
+        for m in range(1, d + 1):
+            step = [Fraction((-1) ** i * math.comb(n + i, i), m ** i) for i in range(n + 1)]
+            series = [sum(series[i] * step[j - i] for i in range(j + 1)) for j in range(n + 1)]
+        factors.append([c / math.factorial(d) ** (n + 1) for c in series])
+    return {js: math.prod((f[j] for f, j in zip(factors, js)), start=Fraction(1))
+            for js in itertools.product(*(range(n + 1) for n in dims))}
 
 
 def complement_product_sum(b: Fraction, levels: range, j: int) -> Fraction:

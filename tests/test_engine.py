@@ -30,8 +30,8 @@ from gwvir.rationals import exact, format_rational, parse_rational
 from gwvir.series import Monomial, TruncatedSeries, TruncationPolicy, VarId
 from gwvir.target import TargetSpace, _degree_box, load_target, preset, validate_target
 
-from oracles import (divisor_reduce, point_string_oracle, split_table_terms, trr_reduce,
-                     wdvv_associativity_nd, written_out)
+from oracles import (divisor_reduce, j_function_one_point, point_string_oracle,
+                     split_table_terms, trr_reduce, wdvv_associativity_nd, written_out)
 
 
 def closed_form_point(levels):
@@ -822,6 +822,39 @@ def test_p3_file_target_gets_p3s_seed_by_its_content():
     assert by_content.backend.table == backend.table
     keys = by_table.admissible_keys(TruncationPolicy(3, 2, (2,)))
     assert keys and [by_content.invariant(k) for k in keys] == [by_table.invariant(k) for k in keys]
+
+
+# name -> (the P^n factors, top degree, the class dual to prod_i H_i^{j_i} by j,
+# keys checked).  P3 is the file target with no table: its seed comes by content.
+J_FUNCTION_TARGETS = {
+    "P1": ((1,), (8,), {(0,): 2, (1,): 1}, 16),
+    "P2": ((2,), (14,), {(0,): 3, (1,): 2, (2,): 1}, 42),
+    "P3": ((3,), (8,), {(0,): 4, (1,): 3, (2,): 2, (3,): 1}, 32),
+    "P1xP1": ((1, 1), (4, 4), {(0, 0): 4, (1, 0): 3, (0, 1): 2, (1, 1): 1}, 96),
+}
+
+
+@pytest.mark.parametrize("name", sorted(J_FUNCTION_TARGETS))
+def test_one_point_descendants_match_the_j_function(name):
+    # An oracle that shares no step with the reducer: every one-point key
+    # goes through the divisor lift, TRR and WDVV down to the seed.
+    dims, top, dual, count = J_FUNCTION_TARGETS[name]
+    if name == "P1xP1":
+        ts = _p1xp1()
+        engine = Engine(ts, load_table_backend(str(DATA / "P1xP1_seeds.jsonl"), ts))
+    elif name == "P3":
+        engine = Engine(load_target((DATA / "P3.json").read_text(encoding="utf-8")))
+    else:
+        engine = Engine(preset(name))
+    checked = 0
+    for degree in _degree_box(top):
+        if not any(degree):
+            continue
+        for js, value in j_function_one_point(dims, degree).items():
+            level = sum((n + 1) * d for n, d in zip(dims, degree)) + sum(js) - 2
+            assert engine.invariant(make_key([(level, dual[js])], degree)) == value, (degree, js)
+            checked += 1
+    assert checked == count
 
 
 def test_engine_builds_no_space_a_target_cannot_be(monkeypatch):

@@ -64,8 +64,9 @@ def test_coeff_functions_match_gamma_ratios():
 
 def test_coeff_functions_match_subset_sums():
     # Integer b too: the subset sums, unlike the Gamma ratios, take any b.
+    # From n = -1: L_-1 and L_0 read the empty and the one-level windows.
     for b in (Fraction(0), Fraction(1, 2), Fraction(-3, 2), Fraction(2)):
-        for n in range(1, 6):
+        for n in range(-1, 6):
             for j in range(n + 2):
                 for m in range(5):
                     assert coeff_A(b, j, m, n) == complement_product_sum(
@@ -151,6 +152,8 @@ def test_coeff_index_errors():
         coeff_A(Fraction(1, 2), 3, 0, 1)
     with pytest.raises(IndexOutOfRange):
         coeff_A(Fraction(1, 2), 0, -1, 1)
+    with pytest.raises(IndexOutOfRange):
+        coeff_A(Fraction(1, 2), 0, 0, -2)
     with pytest.raises(IndexOutOfRange):
         coeff_B(Fraction(1, 2), 1, 0, 1)
     with pytest.raises(IndexOutOfRange):
@@ -391,11 +394,13 @@ def test_shift_relations_flag_violations(p2_engine):
 # --- commutators ------------------------------------------------------------------
 
 def test_commutators_all_presets():
-    for name in ("point", "P1", "P2"):
-        ts = preset(name)
+    # Every L_n comes from one formula, so m, n = -1 and 0 check it too.
+    targets = [preset(name) for name in ("point", "P1", "P2")]
+    targets += [load_target((DATA / "P3.json").read_text(encoding="utf-8")), _target("P1xP1")]
+    for ts in targets:
         degs = (0,) * ts.novikov_rank
-        for m in (1, 2, 3):
-            for n in (1, 2, 3):
+        for m in range(-1, 4):
+            for n in range(-1, 4):
                 policy = TruncationPolicy(2, m + n + 2, degs)
                 assert commutator_residual(ts, m, n, policy).is_empty()
 
