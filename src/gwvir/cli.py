@@ -6,6 +6,10 @@ accepts ``--format text|structured`` and emits a RunReport; exit codes are
 0 = pass, 1 = verification fail, 2 = usage or parse error (any value the
 command refuses before engine work), 3 = engine error.
 Policies default to K=4, M=3, D=2 so a bare invocation finishes in seconds.
+
+A command runs with Python's cyclic garbage collector paused (see ``run``):
+its tables hold no reference cycles, so the collector's passes over them
+find nothing to free.  The pause is process-wide for the call.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import json
 import os
 import re
@@ -483,8 +488,25 @@ def run(argv: list[str], out=None) -> tuple[int, RunReport | None]:
 
     A reader that closes ``out`` before the report is written leaves the exit
     code as the verdict gives it.
+
+    The command runs with Python's cyclic garbage collector paused, and
+    ``run`` leaves it on or off as it found it, on every exit.  What a command
+    builds (keys, the monomial index, series, cache tables) holds no
+    reference cycles, so reference counting frees it all when the command
+    returns; the collector would only rescan those tables, finding nothing.
+    The pause is process-wide for the call, so ``run`` is not meant to be
+    called from several threads at once.
     """
-    out = out if out is not None else sys.stdout
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv, out if out is not None else sys.stdout)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _run(argv: list[str], out) -> tuple[int, RunReport | None]:
     started = time.monotonic()
     parser = _build_parser(argv[0] if argv else None)
     fmt = "text"

@@ -1,9 +1,22 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from gwvir.engine import Engine
 from gwvir.target import preset
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # HYPOTHESIS_PROFILE=ci gives the CLI contract tests, which take their
+    # draw count from the active profile, ten times the default 100 draws.
+    settings.register_profile("ci", max_examples=1000)
+    if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+        settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -16,9 +16,12 @@ is TRR's rows written out: the references the row-summing reducer, the full
 TRR expansion and the full WDVV expansion are checked against.
 ``split_table_terms`` lists the genus-0 splitting's (sigma, degree split,
 rho) triples by brute force, the reference each degree's split table is
-checked against.  ``j_function_one_point`` reads the one-point descendants
-of products of projective spaces off Givental's J-function, with no step of
-the reducer's.
+checked against.  ``j_function_one_point`` and ``j_function_two_point``
+read the one-point descendants of products of projective spaces, and the
+two-point descendants of P^n with a primary H^j, off Givental's J-function,
+with no step of the reducer's.  ``schubert_degree_one`` gives P^n's
+degree-1 primary invariants as Schubert numbers on the Grassmannian of
+lines, by the Pieri rule.
 """
 
 from __future__ import annotations
@@ -238,15 +241,63 @@ def j_function_one_point(dims: tuple[int, ...], degree: tuple[int, ...]
     + |j| - 2 (Givental, alg-geom/9603021): the z^{-k-2} part of z / prod_i
     prod_m (H_i + m z)^{n_i+1}.  Returns {j: value}.
     """
-    factors = []
-    for n, d in zip(dims, degree):
-        series = [Fraction(1)] + [Fraction(0)] * n  # of h^0..h^n
-        for m in range(1, d + 1):
-            step = [Fraction((-1) ** i * math.comb(n + i, i), m ** i) for i in range(n + 1)]
-            series = [sum(series[i] * step[j - i] for i in range(j + 1)) for j in range(n + 1)]
-        factors.append([c / math.factorial(d) ** (n + 1) for c in series])
+    factors = [_j_factor(n, d) for n, d in zip(dims, degree)]
     return {js: math.prod((f[j] for f, j in zip(factors, js)), start=Fraction(1))
             for js in itertools.product(*(range(n + 1) for n in dims))}
+
+
+def j_function_two_point(n: int, d: int, j: int) -> dict[int, Fraction]:
+    """Two-point descendants <tau_k(phi_a) tau_0(H^j)>_d of P^n, 0 <= j <= n, d >= 1.
+
+    With phi_a = H^(a-1) and phi^a = H^(n+1-a), modulo H^(n+1),
+
+        sum_{k,a} z^(-k-1) <tau_k(phi_a) tau_0(H^j)>_d phi^a
+            = (H + d z)^j / prod_{m=1..d} (H + m z)^(n+1),
+
+    so the value with phi^a = H^h is [h^h] (h + d)^j prod_{m=1..d} (h + m)^-(n+1),
+    at k = (n+1) d + h - 1 - j (Givental, alg-geom/9603021; j = 0 is the
+    one-point series over z, by the string equation).  Returns {h: value}.
+    """
+    factor = _j_factor(n, d)
+    shift = [math.comb(j, i) * d ** (j - i) for i in range(j + 1)]  # (h + d)^j
+    return {h: sum(shift[i] * factor[h - i] for i in range(min(h, j) + 1))
+            for h in range(n + 1)}
+
+
+def _j_factor(n: int, d: int) -> list[Fraction]:
+    """The coefficients of h^0..h^n in prod_{m=1..d} (h + m)^-(n+1)."""
+    series = [Fraction(1)] + [Fraction(0)] * n
+    for m in range(1, d + 1):
+        step = [Fraction((-1) ** i * math.comb(n + i, i), m ** i) for i in range(n + 1)]
+        series = [sum(series[i] * step[j - i] for i in range(j + 1)) for j in range(n + 1)]
+    return [c / math.factorial(d) ** (n + 1) for c in series]
+
+
+def schubert_degree_one(n: int, exponents: Iterable[int]) -> int:
+    """<H^(a_1) ... H^(a_k)>_1 on P^n as the Schubert number int prod sigma_(a_i - 1).
+
+    Lines of P^n form the Grassmannian G(2, n+1); the lines meeting a
+    general linear space of codimension a make the special Schubert class
+    sigma_(a-1), so the degree-1 primary invariant is the integral of their
+    product.  sigma_(-1) = 0 (a unit insertion), and sigma_p = 0 for
+    p > n - 1.  Products go by the Pieri rule, sigma_p sigma_(l1, l2) = the
+    sum of sigma_(m1, m2) with m1 + m2 = l1 + l2 + p, l1 <= m1 <= n - 1 and
+    l2 <= m2 <= l1; the integral is the coefficient of sigma_(n-1, n-1).
+    """
+    top = n - 1
+    classes = {(0, 0): 1}
+    for a in exponents:
+        p = a - 1
+        if p < 0:
+            return 0
+        product: dict[tuple[int, int], int] = {}
+        for (l1, l2), c in classes.items():
+            for m1 in range(l1, top + 1):
+                m2 = l1 + l2 + p - m1
+                if l2 <= m2 <= l1:
+                    product[m1, m2] = product.get((m1, m2), 0) + c
+        classes = product
+    return classes.get((top, top), 0)
 
 
 def complement_product_sum(b: Fraction, levels: range, j: int) -> Fraction:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import json
@@ -635,6 +636,74 @@ def test_usage_errors_match_the_full_parser(argv):
     assert _with_full_parser(argv) == (code, report, text)
 
 
+# --- the cyclic collector is paused for a command ----------------------------------
+
+
+def _exit_paths(tmp_path):
+    """(exit code, argv) for each code ``run`` returns, and ``-h``; files go under tmp_path."""
+    doc = json.loads(serialize_target(preset("P2")))
+    doc["euler_char"] = 99  # L_0's constant is off, so [L_-1, L_1] = -2 L_0 fails
+    off = tmp_path / "P2c.json"
+    off.write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / f"{preset('P1').fingerprint}.jsonl").write_text("{not json\n")
+    return [(0, ("central-condition", "--target", "P2")),
+            (1, ("commutator", "--target", str(off), "--m", "-1", "--n", "1",
+                 "--level", "4", "--degree", "0")),
+            (2, ("psi", "--target", "P2", "--n", "0")),
+            (3, ("invariant", "--target", "P1", "--key", "deg=1;ins=(0,2)(0,2)")),
+            (0, ("-h",))]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_pauses_the_collector_and_leaves_it_as_it_found_it(enabled, tmp_path, monkeypatch):
+    """Off during the command; after it, on or off as before, on every way out."""
+    monkeypatch.setenv("GW_CACHE_DIR", str(tmp_path))
+    seen = []
+
+    def crash(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("a handler that crashes")
+
+    was_enabled = gc.isenabled()
+    try:
+        for code, argv in _exit_paths(tmp_path):
+            gc.enable() if enabled else gc.disable()
+            assert go(*argv)[0] == code and gc.isenabled() is enabled, argv
+        gc.enable() if enabled else gc.disable()
+        with mock.patch.object(cli, "_cmd_central", crash), pytest.raises(RuntimeError):
+            go("central-condition", "--target", "P2")
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert seen == [False]
+
+
+def test_cyclic_garbage_of_a_command_does_not_grow_with_the_policy(tmp_path, monkeypatch):
+    """Keys, the monomial index and series hold no reference cycles.
+
+    With the collector paused for a command, a cycle made per key or per
+    term would pile up until the next collection; the cycles a command
+    leaves (its argument parser's) are as many at K=4 as at K=2.  The
+    collector stays off from the command to the count, or the first
+    allocation after ``run`` could collect them.
+    """
+    monkeypatch.setenv("GW_CACHE_DIR", str(tmp_path))
+
+    def garbage(k, m, d):
+        gc.disable()
+        try:
+            code, _, _ = go("identities", "--target", "P2", "--all", "--insertions", str(k),
+                            "--level", str(m), "--degree", str(d))
+            assert code == 0
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    garbage(2, 1, 1)  # warm-up: first-use tables of the target and the modules
+    small = garbage(2, 1, 1)
+    assert garbage(4, 3, 2) <= small
+
+
 # --- the CLI contract, property-tested ---------------------------------------------
 
 try:
@@ -706,7 +775,7 @@ if st is not None:
         code, report, text = result
         return code, re.sub(r'"wall_time_ms": [0-9]+', "", text)
 
-    @settings(max_examples=100, deadline=None, database=None)
+    @settings(deadline=None, database=None)
     @given(_argvs())
     def test_cli_contract_on_drawn_arguments(argv):
         """Every drawn argument list ends in a documented exit code, alike under both parsers."""
@@ -726,6 +795,111 @@ if st is not None:
                 assert json.loads(text) == report.to_dict()
         assert "Traceback" not in text
         assert _no_clock(one) == _no_clock(full), argv
+        assert gc.isenabled()
+
+    # --- the same contract over target files: mutations of the shipped ones --------
+
+    _DOCS = {name: json.loads((_DATA / f"{name}.json").read_text(encoding="utf-8"))
+             for name in ("P3", "P1xP1")}
+    # Raw JSON put where a value was: an integer Python will not convert
+    # (more than 4,300 digits), and nesting too deep for the decoder.
+    _RAW = {"huge": "1" + "0" * 4400, "deep": "[" * 100_000 + "]" * 100_000}
+    _PLACEHOLDER = "@raw@"
+
+    def _paths(value, at=()):
+        """The path of every value inside ``value``, containers and scalars alike."""
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in items:
+            yield at + (key,)
+            if isinstance(child, (dict, list)):
+                yield from _paths(child, at + (key,))
+
+    def _get(doc, path):
+        for key in path:
+            doc = doc[key]
+        return doc
+
+    def _put(doc, path, value):
+        _get(doc, path[:-1])[path[-1]] = value
+
+    def _non_ascii(value):
+        """``value``'s text with each ASCII digit an Arabic-Indic one (a JSON string)."""
+        return str(value).translate({ord("0") + i: 0x660 + i for i in range(10)})
+
+    @st.composite
+    def _mutated_targets(draw):
+        """(name, target file text): a shipped target with one mutation, or none."""
+        name = draw(st.sampled_from(sorted(_DOCS)))
+        doc = json.loads(json.dumps(_DOCS[name]))
+        kind = draw(st.sampled_from(["none", "drop", "retype", "shape", "asymmetric",
+                                     "non-ascii", "huge", "deep"]))
+        paths = list(_paths(doc))
+        if kind == "drop":
+            del doc[draw(st.sampled_from(sorted(doc)))]
+        elif kind == "retype":
+            # A value of another JSON type, none of which reads as a number.
+            path = draw(st.sampled_from(paths))
+            old = _get(doc, path)
+            _put(doc, path, draw(st.sampled_from(
+                [v for v in (None, True, "x", [], {}) if type(v) is not type(old)])))
+        elif kind == "shape":
+            rows = doc[draw(st.sampled_from(["eta", "c1_mat"]))]
+            row = draw(st.integers(0, len(rows) - 1))
+            change = draw(st.sampled_from(["drop row", "add row", "drop entry", "add entry"]))
+            if change == "drop row":
+                del rows[row]
+            elif change == "add row":
+                rows.append(list(rows[row]))
+            elif change == "drop entry":
+                del rows[row][-1]
+            else:
+                rows[row].append("0")
+        elif kind == "asymmetric":
+            i, j = draw(st.sampled_from([(i, j) for i in range(4) for j in range(4) if i != j]))
+            doc["eta"][i][j] = "5"
+        elif kind == "non-ascii":
+            path = draw(st.sampled_from([p for p in paths if re.search(
+                "[0-9]", str(_get(doc, p))) and not isinstance(_get(doc, p), (dict, list))]))
+            _put(doc, path, _non_ascii(_get(doc, path)))
+        elif kind in _RAW:
+            _put(doc, draw(st.sampled_from(paths)), _PLACEHOLDER)
+            return name, json.dumps(doc, indent=1).replace(json.dumps(_PLACEHOLDER), _RAW[kind])
+        return name, json.dumps(doc, indent=1)
+
+    _TARGET_COMMANDS = st.sampled_from([
+        ["targets", "validate"], ["targets", "show"],
+        ["invariant", "--key", "deg=1;ins=(0,4)(0,4)"], ["invariant", "--key", "deg=1,0;ins=(0,4)"],
+        ["psi", "--n", "1"]])
+
+    @settings(deadline=None, database=None)
+    @given(_mutated_targets(), _TARGET_COMMANDS, st.integers(0, 2),
+           st.sampled_from(["text", "structured"]))
+    def test_cli_contract_on_drawn_target_files(target, command, k, fmt):
+        """A mutated target file ends in exit 0, 2 or 3, never 1 and never a traceback."""
+        name, text = target
+        argv = [*command, "--format", fmt]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "target.json"
+            path.write_text(text, encoding="utf-8")
+            argv += ["--target", str(path)]
+            if command[0] != "targets":
+                argv += ["--insertions", str(k), "--level", "1", "--degree", "1"]
+                if name == "P1xP1":
+                    argv += ["--table", str(_DATA / "P1xP1_seeds.jsonl")]
+            with mock.patch.dict(os.environ, {"GW_CACHE_DIR": os.path.join(tmp, "cache")}):
+                code, report, out = go(*argv)
+        assert code in (0, 2, 3), (argv, out)
+        if report is None:
+            assert code == 2 and out.startswith("error: "), out
+        else:
+            assert code == {"pass": 0, "error": 3}[report.outcome], out
+            if fmt == "structured":
+                assert json.loads(out) == report.to_dict()
+        assert "Traceback" not in out
+        assert gc.isenabled()
 else:
     def test_cli_contract_on_drawn_arguments():
+        pytest.skip("hypothesis is not installed")
+
+    def test_cli_contract_on_drawn_target_files():
         pytest.skip("hypothesis is not installed")

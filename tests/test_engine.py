@@ -30,8 +30,9 @@ from gwvir.rationals import exact, format_rational, parse_rational
 from gwvir.series import Monomial, TruncatedSeries, TruncationPolicy, VarId
 from gwvir.target import TargetSpace, _degree_box, load_target, preset, validate_target
 
-from oracles import (divisor_reduce, j_function_one_point, point_string_oracle,
-                     split_table_terms, trr_reduce, wdvv_associativity_nd, written_out)
+from oracles import (divisor_reduce, j_function_one_point, j_function_two_point,
+                     point_string_oracle, schubert_degree_one, split_table_terms, trr_reduce,
+                     wdvv_associativity_nd, written_out)
 
 
 def closed_form_point(levels):
@@ -834,18 +835,22 @@ J_FUNCTION_TARGETS = {
 }
 
 
+def _oracle_engine(name):
+    """P1xP1 with its seed table, the P3 file target with none, or a preset."""
+    if name == "P1xP1":
+        ts = _p1xp1()
+        return Engine(ts, load_table_backend(str(DATA / "P1xP1_seeds.jsonl"), ts))
+    if name == "P3":
+        return Engine(load_target((DATA / "P3.json").read_text(encoding="utf-8")))
+    return Engine(preset(name))
+
+
 @pytest.mark.parametrize("name", sorted(J_FUNCTION_TARGETS))
 def test_one_point_descendants_match_the_j_function(name):
     # An oracle that shares no step with the reducer: every one-point key
     # goes through the divisor lift, TRR and WDVV down to the seed.
     dims, top, dual, count = J_FUNCTION_TARGETS[name]
-    if name == "P1xP1":
-        ts = _p1xp1()
-        engine = Engine(ts, load_table_backend(str(DATA / "P1xP1_seeds.jsonl"), ts))
-    elif name == "P3":
-        engine = Engine(load_target((DATA / "P3.json").read_text(encoding="utf-8")))
-    else:
-        engine = Engine(preset(name))
+    engine = _oracle_engine(name)
     checked = 0
     for degree in _degree_box(top):
         if not any(degree):
@@ -855,6 +860,67 @@ def test_one_point_descendants_match_the_j_function(name):
             assert engine.invariant(make_key([(level, dual[js])], degree)) == value, (degree, js)
             checked += 1
     assert checked == count
+
+
+def _two_point_disagreements(engine, n, top):
+    """The keys <tau_k(H^(n-h)) tau_0(H^j)>_d, 1 <= j <= n, d <= top, where the
+    engine and the J-function differ, and how many keys were compared."""
+    wrong, checked = [], 0
+    for d in range(1, top + 1):
+        for j in range(1, n + 1):
+            for h, value in j_function_two_point(n, d, j).items():
+                key = make_key([((n + 1) * d + h - 1 - j, n + 1 - h), (0, j + 1)], (d,))
+                if engine.invariant(key) != value:
+                    wrong.append(key)
+                checked += 1
+    return wrong, checked
+
+
+# name -> (n of P^n, top degree, keys checked).  P3 is the file target with no table.
+TWO_POINT_TARGETS = {"P1": (1, 8, 16), "P2": (2, 6, 36), "P3": (3, 4, 48)}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_POINT_TARGETS))
+def test_two_point_descendants_match_the_j_function(name):
+    """Every <tau_k(phi_a) tau_0(H^j)>_d, 1 <= j <= n, read off the J-function."""
+    n, top, count = TWO_POINT_TARGETS[name]
+    assert _two_point_disagreements(_oracle_engine(name), n, top) == ([], count)
+
+
+def _degree_one_primaries(engine, max_insertions):
+    policy = TruncationPolicy(max_insertions, 0, (1,))
+    return [key for key in engine.admissible_keys(policy) if key.degree == (1,)]
+
+
+# name -> (n of P^n, insertion bound, keys checked).  P3 is the file target with no table.
+SCHUBERT_TARGETS = {"P1": (1, 8, 9), "P2": (2, 8, 16), "P3": (3, 8, 44)}
+
+
+@pytest.mark.parametrize("name", sorted(SCHUBERT_TARGETS))
+def test_degree_one_primaries_are_schubert_numbers(name):
+    """<H^(a_1) ... H^(a_k)>_1 = int over G(2, n+1) of prod sigma_(a_i - 1), by Pieri."""
+    n, max_insertions, count = SCHUBERT_TARGETS[name]
+    engine = _oracle_engine(name)
+    keys = _degree_one_primaries(engine, max_insertions)
+    for key in keys:
+        expected = schubert_degree_one(n, [v.cls - 1 for v in key.insertions])
+        assert engine.invariant(key) == expected, key
+    assert len(keys) == count
+    if name == "P3":
+        assert engine.invariant(make_key([(0, 3)] * 4, (1,))) == 2
+
+
+def test_a_wrong_seed_breaks_the_two_point_and_schubert_checks():
+    """With P2's seed <pt pt>_1 at 2, a degree-d value is 2^d times P2's, so
+    every nonzero value the two oracles give disagrees."""
+    engine = Engine(preset("P2"), PrimaryBackend({make_key([(0, 3), (0, 3)], (1,)): 2}))
+    wrong, checked = _two_point_disagreements(engine, 2, 6)
+    assert len(wrong) == checked == 36
+    schubert = {key: schubert_degree_one(2, [v.cls - 1 for v in key.insertions])
+                for key in _degree_one_primaries(engine, 8)}
+    nonzero = [key for key, value in schubert.items() if value]
+    assert len(nonzero) == 7
+    assert [key for key, value in schubert.items() if engine.invariant(key) != value] == nonzero
 
 
 def test_engine_builds_no_space_a_target_cannot_be(monkeypatch):
