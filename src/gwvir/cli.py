@@ -23,7 +23,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import engine as eng
@@ -47,14 +47,7 @@ class RunReport:
     wall_time_ms: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "target": self.target,
-            "policy": self.policy,
-            "outcome": self.outcome,
-            "details": self.details,
-            "wall_time_ms": self.wall_time_ms,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -166,10 +159,10 @@ def _cache_path(ts: target.TargetSpace) -> Path:
     return _cache_dir() / f"{ts.fingerprint}.jsonl"
 
 
-def _backend(args, ts: target.TargetSpace) -> eng.PrimaryBackend | None:
+def _seeds(args, ts: target.TargetSpace) -> dict | None:
     """The seed table ``--table`` names, checked against ``ts``; None leaves
     the target's own seeds."""
-    return eng.load_table_backend(args.table, ts) if args.table else None
+    return eng.load_seeds(args.table, ts) if args.table else None
 
 
 def _make_engine(args, ts: target.TargetSpace) -> eng.Engine:
@@ -177,7 +170,7 @@ def _make_engine(args, ts: target.TargetSpace) -> eng.Engine:
     path = _cache_path(ts)
     if path.exists():
         cache = eng.InvariantCache.load(str(path), ts.fingerprint, ts)
-    return eng.Engine(ts, _backend(args, ts), cache)
+    return eng.Engine(ts, _seeds(args, ts), cache)
 
 
 def _add_common(p: argparse.ArgumentParser, with_policy=True, with_target=True):
@@ -435,7 +428,7 @@ def _cmd_cache(args) -> RunReport:
         return RunReport("cache clear", ts.fingerprint, {}, "pass",
                          [{"removed": existed}])
     if args.action == "warm":
-        engine = eng.Engine(ts, _backend(args, ts))
+        engine = eng.Engine(ts, _seeds(args, ts))
         keys = engine.admissible_keys(policy)
         for key in keys:
             engine.invariant(key)
@@ -449,7 +442,7 @@ def _cmd_cache(args) -> RunReport:
     if not path.exists():
         raise errors.CacheMismatch(f"no cache file at {path}")
     cache = eng.InvariantCache.load(str(path), ts.fingerprint, ts)
-    cold = eng.Engine(ts, _backend(args, ts))
+    cold = eng.Engine(ts, _seeds(args, ts))
     sample = sorted(cache.entries)[::1 if args.full else 20]
     bad = []
     for key in sample:

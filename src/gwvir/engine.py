@@ -13,17 +13,21 @@ order:
   3. any positive level -> TRR on the first maximal-level insertion (only
   the dimension-admissible terms), 4. all-primary -> identity insertions
   kill the key at nonzero degree, divisor insertions strip off, and the rest
-  is a seed of the backend's table or reduces by WDVV.
+  is a seed or reduces by WDVV.
 
-With no backend given, the table is every P^n's one seed <pt pt>_1 = 1 when
-the target is ``projective_space(n)`` in full content (``projective_dim``),
-and empty otherwise.
+The seeds are a plain table of primary invariants.  With none given, it is
+every P^n's one seed <pt pt>_1 = 1 when the target is ``projective_space(n)``
+in full content (``projective_dim``), and empty otherwise.
 
 Each step strictly decreases (total level, insertion deficit below 3, degree,
-non-divisor insertions) lexicographically, so the reduction terminates; it
-runs on an explicit work stack rather than by recursion, so deep keys do not
-hit the recursion limit.  Every rule builds its sub-keys canonical and keeps
-only admissible ones, so canonical keys make the memo cache order-independent.
+rank) lexicographically, where an all-primary key's rank is (non-divisor
+insertions, -sum (q_a - 1)^2).  The rank is well-founded where it is
+compared: WDVV's degree-0 terms keep the degree and the number of
+insertions, so sum (q_a - 1) is fixed by the dimension constraint, and
+sum (q_a - 1)^2 is bounded.  So the reduction terminates; it runs on an
+explicit work stack rather than by recursion, so deep keys do not hit the
+recursion limit.  Every rule builds its sub-keys canonical and keeps only
+admissible ones, so canonical keys make the memo cache order-independent.
 
 TRR and WDVV are one genus-0 splitting, sum <X S1 O_s>_A1 eta^{sr}
 <O_r Y S2>_A2 over the splits of the spectators S and the degree A, and both
@@ -56,7 +60,6 @@ import math
 import operator
 import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Generator, Iterable, Iterator, NamedTuple
 
@@ -103,18 +106,6 @@ def dimension_admissible(ts: TargetSpace, key: CorrelatorKey) -> bool:
     return weight == ts.degree_weight(deg)
 
 
-@dataclass(frozen=True)
-class PrimaryBackend:
-    """The seed table of all-primary invariants the reduction starts from."""
-
-    table: dict[CorrelatorKey, int | Fraction]
-
-    def __post_init__(self):
-        for key in self.table:
-            if any(m != 0 for m, _ in key.insertions):
-                raise ValidationError("table backend key not primary")
-
-
 class InvariantCache:
     """Memoized invariant values, bound to one target fingerprint."""
 
@@ -122,10 +113,6 @@ class InvariantCache:
                  entries: dict[CorrelatorKey, int | Fraction] | None = None):
         self.fingerprint = fingerprint
         self.entries: dict[CorrelatorKey, int | Fraction] = dict(entries or {})
-
-    @classmethod
-    def for_target(cls, ts: TargetSpace) -> "InvariantCache":
-        return cls(ts.fingerprint)
 
     def publish(self, key: CorrelatorKey, value: int | Fraction) -> int | Fraction:
         # Publish-once: a key's value is stored once and never replaced.  One
@@ -338,7 +325,7 @@ def _read_records(lines: Iterable[str], ts: TargetSpace | None = None,
     return entries
 
 
-def load_table_backend(path: str, ts: TargetSpace) -> PrimaryBackend:
+def load_seeds(path: str, ts: TargetSpace) -> dict[CorrelatorKey, int | Fraction]:
     """Read primary invariants of ``ts`` in the cache record format (no header required).
 
     A seed whose key is not a dimension-admissible key of the target is a
@@ -350,7 +337,7 @@ def load_table_backend(path: str, ts: TargetSpace) -> PrimaryBackend:
             table = _read_records(fh, ts)
         except (ValueError, KeyError, TypeError, ParseError) as exc:
             raise ParseError(f"table file {path} is not a seed table of {ts.name}: {exc}") from exc
-    return PrimaryBackend(table)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +556,16 @@ def wdvv_reduce(ts: TargetSpace, key: CorrelatorKey) -> tuple[list[SplitRow], Fr
     A row whose two keys both have nonzero degree passes through.  A row
     with a degree-0 factor is expanded one partner at a time, and the
     factor is evaluated in place: the term's other key is ``key`` (the
-    coefficient goes into own) or becomes a single-key row, and must have
-    fewer non-divisor insertions; a term with two keys lowers the degree of
-    both.  So the reduction descends, and TargetUnsupported says when it
-    cannot: no insertion splits, a term does not descend, or own is 0.
+    coefficient goes into own) or becomes a single-key row, and must have a
+    lower rank than ``key``; a term with two keys lowers the degree of both.
+    The rank of a key is (non-divisor insertions, -sum (q_a - 1)^2), compared
+    lexicographically, and it is well-founded on the single-key rows.  A
+    degree-0 factor of primaries is nonzero only with three insertions, so
+    the other key keeps ``key``'s degree and number of insertions, and so,
+    by the dimension constraint, its sum (q_a - 1).  Its sum (q_a - 1)^2 can
+    then only grow a bounded number of times, since the target has finitely
+    many classes.  So the reduction descends, and TargetUnsupported says when
+    it cannot: no insertion splits, a term does not descend, or own is 0.
     """
     ins, deg = key
     if not any(deg) or any(m for m, _ in ins):
@@ -586,7 +579,12 @@ def wdvv_reduce(ts: TargetSpace, key: CorrelatorKey) -> tuple[list[SplitRow], Fr
     chosen, div, prime = split
     rest = ins[:chosen] + ins[chosen + 1:]
     spectators, (d, c) = rest[:-2], rest[-2:]
-    free = sum(a not in divisors for _, a in ins)
+    w = ts.class_weight
+
+    def rank(slots: Insertions) -> tuple[int, int]:
+        return sum(a not in divisors for _, a in slots), -sum(w[a] ** 2 for _, a in slots)
+
+    top = rank(ins)
     own, stuck, rows = _ZERO, False, []
     # The left side's terms move over with sign -1, the right side's with +1.
     for sign, first, second in ((-1, (div, prime), (d, c)),
@@ -604,7 +602,7 @@ def wdvv_reduce(ts: TargetSpace, key: CorrelatorKey) -> tuple[list[SplitRow], Fr
                     own -= coeff
                 elif coeff:
                     rows.append((other, None, None, coeff, None))
-                    stuck |= sum(a not in divisors for _, a in other.insertions) >= free
+                    stuck |= rank(other.insertions) >= top
     if stuck or not own:
         raise TargetUnsupported(f"WDVV does not reduce {key} on {ts.name}")
     return rows, own
@@ -623,20 +621,27 @@ def _add(num: int, den: int, n: int, d: int) -> tuple[int, int]:
 
 
 class Engine:
-    """Master evaluator bound to one target, backend, and cache."""
+    """Master evaluator bound to one target, its seed table and a cache.
 
-    def __init__(self, ts: TargetSpace, backend: PrimaryBackend | None = None,
+    ``seeds`` maps all-primary keys to their values; a key with a positive
+    level is a ValidationError.
+    """
+
+    def __init__(self, ts: TargetSpace, seeds: dict[CorrelatorKey, int | Fraction] | None = None,
                  cache: InvariantCache | None = None):
         self.ts = ts
-        if backend is None:
+        if seeds is None:
             # P^n's one seed <pt pt>_1 = 1, the line through two points, when
             # ts is projective_space(n) in full content; no seed otherwise.
             # The point needs none, since every key of it has degree 0.
             n = projective_dim(ts)
-            backend = PrimaryBackend({CorrelatorKey((VarId(0, n + 1),) * 2, (1,)): 1} if n else {})
-        self.backend = backend
+            seeds = {CorrelatorKey((VarId(0, n + 1),) * 2, (1,)): 1} if n else {}
+        for key in seeds:
+            if any(m for m, _ in key.insertions):
+                raise ValidationError(f"seed {key} is not primary")
+        self.seeds = seeds
         if cache is None:
-            cache = InvariantCache.for_target(ts)
+            cache = InvariantCache(ts.fingerprint)
         elif cache.fingerprint != ts.fingerprint:
             raise CacheMismatch("cache fingerprint does not match the active target")
         self.cache = cache
@@ -727,8 +732,8 @@ class Engine:
         else:
             # All primary: strip the divisors, <key> = factor * <stripped>,
             # down to a seed, a unit (the string equation gives 0) or WDVV.
-            pairing, table, factor = dict(self.ts.divisors), self.backend.table, 1
-            while key not in table:
+            pairing, seeds, factor = dict(self.ts.divisors), self.seeds, 1
+            while key not in seeds:
                 if VarId(0, 1) in ins:
                     return 0
                 at = next((i for i, v in enumerate(ins) if v.cls in pairing), None)
@@ -742,7 +747,7 @@ class Engine:
                 ins = ins[:at] + ins[at + 1:]
                 key = CorrelatorKey(ins, deg)
             else:
-                seed = table[key]
+                seed = seeds[key]
                 return exact(factor * seed.numerator, seed.denominator)
         # The sum of the rows' terms, as num / den in integers.
         entries, insert, new = self.cache.entries, bisect.bisect_right, tuple.__new__

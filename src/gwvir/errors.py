@@ -30,7 +30,7 @@ class NotApplicable(GWError):
 
 
 class TargetUnsupported(GWError):
-    """The reduction reached a primary invariant no backend can supply."""
+    """The reduction reached a primary invariant that no seed or rule supplies."""
 
 
 class CacheMismatch(GWError):

@@ -197,10 +197,6 @@ class TruncatedSeries:
             self.terms = {key: c.numerator * (den // c.denominator) for key, c in kept}
 
     @classmethod
-    def zero(cls, policy: TruncationPolicy) -> "TruncatedSeries":
-        return cls(policy)
-
-    @classmethod
     def constant(cls, policy: TruncationPolicy, value: Fraction | int) -> "TruncatedSeries":
         mon = Monomial((), (0,) * len(policy.max_degree))
         return cls(policy, {mon: value})

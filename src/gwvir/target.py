@@ -263,12 +263,11 @@ class TargetSpace:
         rhs = (Fraction(3 - self.complex_dim, 2) * self.euler_char - self.c1_cdm1) / 24
         return lhs, rhs, lhs == rhs
 
-    def serialize(self) -> str:
-        return json.dumps(_to_dict(self), sort_keys=True, separators=(",", ":"))
-
     @cached_property
     def fingerprint(self) -> str:
-        return hashlib.sha256(self.serialize().encode()).hexdigest()
+        """SHA-256 of the target's full content, serialized compactly with sorted keys."""
+        text = json.dumps(_to_dict(self), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _degree_box(cap: Degree) -> Iterator[Degree]:

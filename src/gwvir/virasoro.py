@@ -466,7 +466,7 @@ class CorrContext:
         time by ``Engine.correlation_series``.
         """
         if any(m < 0 for m, _ in slots):
-            return TruncatedSeries.zero(self.policy)
+            return TruncatedSeries(self.policy)
         if (len(slots) == 1 and slots[0][0] <= self.policy.max_level
                 and 1 <= slots[0][1] <= self.ts.classes):
             self.series.update((("corr", v), series) for v, series

@@ -19,7 +19,9 @@ rho) triples by brute force, the reference each degree's split table is
 checked against.  ``j_function_one_point`` and ``j_function_two_point``
 read the one-point descendants of products of projective spaces, and the
 two-point descendants of P^n with a primary H^j, off Givental's J-function,
-with no step of the reducer's.  ``schubert_degree_one`` gives P^n's
+with no step of the reducer's; ``two_descendants`` builds every two-point
+descendant of P^n from those through Givental's two-point function.
+``schubert_degree_one`` gives P^n's
 degree-1 primary invariants as Schubert numbers on the Grassmannian of
 lines, by the Pieri rule.
 """
@@ -262,6 +264,53 @@ def j_function_two_point(n: int, d: int, j: int) -> dict[int, Fraction]:
     shift = [math.comb(j, i) * d ** (j - i) for i in range(j + 1)]  # (h + d)^j
     return {h: sum(shift[i] * factor[h - i] for i in range(min(h, j) + 1))
             for h in range(n + 1)}
+
+
+def two_descendants(n: int, d: int) -> dict[tuple[tuple[int, int], tuple[int, int]], Fraction]:
+    """Every nonzero <tau_k(phi_a) tau_l(phi_b)>_d of P^n, d >= 1, from the S-operator.
+
+    At tau = 0, S(z)a = a + sum_e phi^e <a/(z - psi), phi_e>, the descendant
+    on a, and its entries <tau_k(H^i) tau_0(H^j)>_e are
+    ``j_function_two_point``'s.  Givental's two-point function V(z, w)(a, b)
+    = (a, b)/(z + w) + sum_{k,l} z^(-k-1) w^(-l-1) <tau_k(a) tau_l(b)> has
+    (z + w) V(z, w)(a, b) = (S(z)a, S(w)b) (alg-geom/9603021).  With x = 1/z
+    and y = 1/w, the q^d part of (S(z)a, S(w)b) is therefore x + y times
+    sum_{k,l} <tau_k(a) tau_l(b)>_d x^k y^l: the division, done one total
+    degree at a time, must be exact, and an ArithmeticError says it was
+    not.  Returns {((k, a), (l, b)): value} with phi_a = H^(a-1).
+    """
+    # e -> {(i, j): {k + 1: <tau_k(H^i) tau_0(H^j)>_e}}, S_e's entries by power of x
+    entries: dict[int, dict[tuple[int, int], dict[int, Fraction]]] = {}
+    for e in range(1, d + 1):
+        entries[e] = {}
+        for j in range(n + 1):
+            for h, value in j_function_two_point(n, e, j).items():
+                if value:
+                    entries[e].setdefault((n - h, j), {})[(n + 1) * e + h - j] = value
+    values = {}
+    for i, i2 in itertools.product(range(n + 1), repeat=2):
+        # The q^d part of (S(z)H^i, S(w)H^i2), by (power of x, power of y): S_d
+        # on one side with S_0 = 1 on the other, then S_d1 with S_(d-d1).
+        # phi^e = H^(n-j) for phi_e = H^j, and (H^(n-j), H^(n-j')) = [j + j' = n].
+        terms = [((kx, 0), v) for kx, v in entries[d].get((i, i2), {}).items()]
+        terms += [((0, ly), v) for ly, v in entries[d].get((i2, i), {}).items()]
+        terms += [((kx, ly), u * v) for d1, j in itertools.product(range(1, d), range(n + 1))
+                  for kx, u in entries[d1].get((i, j), {}).items()
+                  for ly, v in entries[d - d1].get((i2, n - j), {}).items()]
+        p: dict[tuple[int, int], Fraction] = {}
+        for power, c in terms:
+            p[power] = p.get(power, 0) + c
+        # (x + y) sum_m c_m x^m y^(N-1-m) has c_(m-1) + c_m at x^m y^(N-m), so
+        # c_m = p_m - c_(m-1), and the remainder is p_N - c_(N-1).
+        for total in {kx + ly for kx, ly in p}:
+            c = 0
+            for m in range(total):
+                c = p.get((m, total - m), 0) - c
+                if c:
+                    values[(m, i + 1), (total - 1 - m, i2 + 1)] = c
+            if p.get((total, 0), 0) != c:
+                raise ArithmeticError(f"x + y does not divide (S(z)H^{i}, S(w)H^{i2}) at q^{d}")
+    return values
 
 
 def _j_factor(n: int, d: int) -> list[Fraction]:

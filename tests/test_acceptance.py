@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 
-from gwvir.engine import Engine, PrimaryBackend, make_key
+from gwvir.engine import Engine, make_key
 from gwvir.identities import IDENTITY_TAGS, IdentityContext, verify_identity
 from gwvir.series import TruncationPolicy
 from gwvir.target import preset
@@ -139,7 +139,7 @@ def test_criterion_08_identity_registry(point_engine, p2_engine):
 
 # P2's seed <pt pt>_1 = 1.  A perturbed P2 is not P2, so an Engine gives it no
 # seed unless it is handed this one.
-_P2_SEED = PrimaryBackend({make_key([(0, 3)] * 2, (1,)): 1})
+_P2_SEED = {make_key([(0, 3)] * 2, (1,)): 1}
 
 
 def _perturbed_p2(**changes):

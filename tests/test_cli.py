@@ -326,7 +326,7 @@ def test_free_energy_command():
 
 
 def test_engine_error_exit_code(tmp_path):
-    # A valid non-preset target has no shipped backend: TargetUnsupported -> 3.
+    # A valid non-preset target has no seed: TargetUnsupported -> 3.
     doc = json.loads(serialize_target(preset("P2")))
     doc["name"] = "custom-surface"
     path = tmp_path / "custom.json"
@@ -338,32 +338,8 @@ def test_engine_error_exit_code(tmp_path):
     assert "TargetUnsupported" in text
 
 
-def test_key_wdvv_cannot_reduce_is_engine_error(tmp_path):
-    # P4: WDVV splits H^3 as H . H^2, and <H^3 H^3 H^3>_1 has a degree-0 term
-    # <H H^3 O_e> leaving <pt H^2 H^3>_1, as many non-divisor insertions at
-    # the same degree.  The descent guard refuses it instead of looping.
-    n = 4
-    doc = {"name": "P4", "classes": n + 1, "complex_dim": n, "q": list(range(n + 1)),
-           "eta": [[str(int(i + j == n)) for j in range(n + 1)] for i in range(n + 1)],
-           "cup": [[i + 1, j + 1, i + j + 1, "1"]
-                   for i in range(n + 1) for j in range(n + 1) if i + j <= n],
-           "c1_mat": [[str(5 * int(j == i + 1)) for j in range(n + 1)] for i in range(n + 1)],
-           "novikov_rank": 1, "c1_deg": [5], "divisors": [[2, [1]]],
-           "euler_char": 5, "c1_cdm1": "50"}
-    path = tmp_path / "P4.json"
-    path.write_text(json.dumps(doc))
-    table = tmp_path / "seeds.jsonl"
-    table.write_text('{"deg":[1],"ins":[[0,5],[0,5]],"val":"1"}\n')
-    code, report, text = go("invariant", "--target", str(path), "--table", str(table),
-                            "--key", "deg=1;ins=(0,4)(0,4)(0,4)")
-    assert code == 3 and report.outcome == "error"
-    assert "TargetUnsupported" in text and "Traceback" not in text
-
-
-def test_p2_in_another_basis_named_p2_is_not_p2(tmp_path):
-    # P2 in the basis 1, H, H^2/2 under the name "P2": valid, but not P2's
-    # content, so it gets neither P2's seed <pt pt>_1 = 1 nor `gw nd`.  Its
-    # own seed is <H^2/2 H^2/2>_1 = 1/4.
+def _p2_in_another_basis(tmp_path):
+    """P2 in the basis 1, H, H^2/2 under the name "P2", written to a file."""
     doc = json.loads(serialize_target(preset("P2")))
     doc.update(eta=[["0", "0", "1/2"], ["0", "1", "0"], ["1/2", "0", "0"]],
                cup=[[1, 1, 1, "1"], [1, 2, 2, "1"], [1, 3, 3, "1"], [2, 1, 2, "1"],
@@ -373,6 +349,24 @@ def test_p2_in_another_basis_named_p2_is_not_p2(tmp_path):
     path = tmp_path / "P2.json"
     path.write_text(json.dumps(doc))
     load_target(path.read_text())  # validates
+    return path
+
+
+def test_key_wdvv_cannot_reduce_is_engine_error(tmp_path):
+    # With no seed, <H^2/2 H^2/2>_1 lifts by the divisor and strips back to
+    # itself, and WDVV has no third insertion to split: TargetUnsupported,
+    # exit 3, no traceback.
+    code, report, text = go("invariant", "--target", str(_p2_in_another_basis(tmp_path)),
+                            "--key", "deg=1;ins=(0,3)(0,3)")
+    assert code == 3 and report.outcome == "error"
+    assert "TargetUnsupported" in text and "Traceback" not in text
+
+
+def test_p2_in_another_basis_named_p2_is_not_p2(tmp_path):
+    # P2 in the basis 1, H, H^2/2 under the name "P2": valid, but not P2's
+    # content, so it gets neither P2's seed <pt pt>_1 = 1 nor `gw nd`.  Its
+    # own seed is <H^2/2 H^2/2>_1 = 1/4.
+    path = _p2_in_another_basis(tmp_path)
     code, report, text = go("invariant", "--target", str(path), "--key", "deg=1;ins=(0,3)(0,3)")
     assert code == 3 and report.outcome == "error" and "TargetUnsupported" in text
     assert go("nd", "--target", str(path), "--max", "3")[0] == 2
@@ -393,6 +387,16 @@ def test_table_backend_ingestion(tmp_path):
     code, report, _ = go("invariant", "--target", str(path), "--table", str(table),
                          "--key", "deg=1;ins=(0,3)(0,3)")
     assert code == 0 and report.details[0]["value"] == "1"
+
+
+def test_descendant_seed_in_table_is_usage_error(tmp_path):
+    # <tau_1(pt)>_1 is an admissible key of P2, but a seed must be primary.
+    table = tmp_path / "t.jsonl"
+    table.write_text('{"deg":[1],"ins":[[1,3]],"val":"1"}\n')
+    code, report, text = go("invariant", "--target", "P2", "--table", str(table),
+                            "--key", "deg=1;ins=(0,3)(0,3)")
+    assert code == 2 and report is None
+    assert "not primary" in text and "Traceback" not in text
 
 
 @pytest.mark.parametrize("seed, slot", [

@@ -19,20 +19,20 @@ import pytest
 from gwvir import engine as engine_module
 from gwvir import target as target_module
 from gwvir.cli import run
-from gwvir.engine import (CorrelatorKey, Engine, InvariantCache, PrimaryBackend,
-                          degree_zero_value, dilaton_reduce, dimension_admissible,
-                          divisor_lift, load_table_backend, make_key, string_reduce,
-                          wdvv_reduce, _walk_t_monomials, _weight)
+from gwvir.engine import (CorrelatorKey, Engine, InvariantCache, degree_zero_value,
+                          dilaton_reduce, dimension_admissible, divisor_lift, load_seeds,
+                          make_key, string_reduce, wdvv_reduce, _walk_t_monomials, _weight)
 from gwvir.errors import (CacheMismatch, NotApplicable, ParseError, TargetUnsupported,
                           ValidationError)
 from gwvir.identities import IDENTITY_TAGS, IdentityContext, verify_identity
 from gwvir.rationals import exact, format_rational, parse_rational
 from gwvir.series import Monomial, TruncatedSeries, TruncationPolicy, VarId
-from gwvir.target import TargetSpace, _degree_box, load_target, preset, validate_target
+from gwvir.target import (TargetSpace, _degree_box, load_target, preset, projective_space,
+                          validate_target)
 
 from oracles import (divisor_reduce, j_function_one_point, j_function_two_point,
                      point_string_oracle, schubert_degree_one, split_table_terms, trr_reduce,
-                     wdvv_associativity_nd, written_out)
+                     two_descendants, wdvv_associativity_nd, written_out)
 
 
 def closed_form_point(levels):
@@ -236,7 +236,7 @@ def test_wdvv_reduce_examples(p2_engine):
     with pytest.raises(TargetUnsupported):
         wdvv_reduce(p2, _nd_key(1))  # two insertions
     with pytest.raises(TargetUnsupported):  # P1 without its seed <>_1
-        Engine(preset("P1"), PrimaryBackend({})).invariant(make_key([(0, 2)] * 3, (1,)))
+        Engine(preset("P1"), {}).invariant(make_key([(0, 2)] * 3, (1,)))
     # Without H . H = pt no insertion splits off a divisor.
     no_split = dataclasses.replace(p2, cup={k: v for k, v in p2.cup.items() if k != (2, 2, 3)})
     with pytest.raises(TargetUnsupported):
@@ -436,8 +436,8 @@ def _wdvv_full_expansion(ts, key):
 ])
 def test_wdvv_reduce_is_full_expansion_filtered(name, cap):
     """Every all-primary key the reduction hands to WDVV, against the written-out rule."""
-    ts, backend = _seeded(name) if name in ("P1xP1", "P3") else (_target(name), None)
-    table = Engine(ts, backend).backend.table
+    ts, seeds = _seeded(name) if name in ("P1xP1", "P3") else (_target(name), None)
+    table = Engine(ts, seeds).seeds
     divisors = {cls for cls, _ in ts.divisors}
     # The keys that reach WDVV: no unit or divisor insertion, at least three
     # insertions, nonzero degree and no seed.
@@ -593,8 +593,8 @@ def test_cold_pass_keeps_every_key_canonical():
     _assert_trusted(registry)
     # The file targets with their seed tables: rank 2 and dimension 3.
     for name in ("P1xP1", "P3"):
-        file_ts, backend = _seeded(name)
-        engine = Engine(file_ts, backend)
+        file_ts, seeds = _seeded(name)
+        engine = Engine(file_ts, seeds)
         for key in engine.admissible_keys(TruncationPolicy(4, 3, (2,) * file_ts.novikov_rank)):
             engine.invariant(key)
         _assert_trusted(engine)
@@ -638,7 +638,7 @@ def _p3_half_h2():
 
     H.H = 2 (H^2/2) and H.(H^2/2) = pt/2, so kappa and eta are not integral.
     """
-    ts, backend = _seeded("P3")
+    ts, seeds = _seeded("P3")
     half = Fraction(1, 2)
     ts = dataclasses.replace(
         ts, name="P3-half-H2",
@@ -648,11 +648,11 @@ def _p3_half_h2():
         c1_mat=tuple(tuple(map(Fraction, row))
                      for row in ((0, 4, 0, 0), (0, 0, 8, 0), (0, 0, 0, 2), (0, 0, 0, 0))))
     validate_target(ts)
-    return ts, backend
+    return ts, seeds
 
 
 def _reducer_target(name):
-    """(target, backend) of a ``_REDUCER_TARGETS`` name.
+    """(target, seeds) of a ``_REDUCER_TARGETS`` name.
 
     The targets with a changed eta keep their seeds; the reducer's sums hold
     whatever the values are.
@@ -660,17 +660,17 @@ def _reducer_target(name):
     if name == "P2-rational-eta":
         # P2's seed <pt pt>_1 = 1, which only P2's own content gets by default.
         ts = _p2_rational_eta()
-        backend = PrimaryBackend({CorrelatorKey((VarId(0, 3),) * 2, (1,)): Fraction(1)})
+        seeds = {CorrelatorKey((VarId(0, 3),) * 2, (1,)): Fraction(1)}
         assert {Fraction(-1), Fraction(1, 2)} <= set(itertools.chain(*ts.eta_inv))
-        return ts, backend
+        return ts, seeds
     if name == "P1xP1-mixed-eta":
-        ts, backend = _seeded("P1xP1")
+        ts, seeds = _seeded("P1xP1")
         eta = tuple(tuple(map(Fraction, row))
                     for row in ((0, 0, 0, 1), (0, 2, 1, 0), (0, 1, 2, 0), (1, 0, 0, 0)))
         ts = dataclasses.replace(ts, name=name, eta=eta)
         assert any(len(group) > 1 for _, _, groups in ts.raised_table
                    for group in groups.values())
-        return ts, backend
+        return ts, seeds
     if name == "P3-half-H2":
         return _p3_half_h2()
     return _seeded(name)
@@ -710,9 +710,9 @@ def test_reducer_sums_the_terms_of_trr_reduce(name, policy, monkeypatch):
     keys a frame requests are a subsequence of that reading order: none is
     a key2 behind a zero key1.
     """
-    ts, backend = _reducer_target(name)
+    ts, seeds = _reducer_target(name)
     requests = _recording_reduce(monkeypatch)
-    engine = Engine(ts, backend)
+    engine = Engine(ts, seeds)
     for key in engine.admissible_keys(policy):
         engine.invariant(key)
     entries = engine.cache.entries
@@ -748,7 +748,7 @@ def test_reducer_sums_the_terms_of_the_lift_and_wdvv(name, policy, monkeypatch):
     are a subsequence of the terms' reading order: key1 first, and no key2
     behind a zero key1.
     """
-    ts, backend = _reducer_target(name)
+    ts, seeds = _reducer_target(name)
     requests = _recording_reduce(monkeypatch)
     # wdvv_reduce runs at the start of its frame, before any sub-key's frame,
     # so the frame that calls it is the last key recorded.
@@ -759,7 +759,7 @@ def test_reducer_sums_the_terms_of_the_lift_and_wdvv(name, policy, monkeypatch):
         return wdvv_reduce(ts, key)
 
     monkeypatch.setattr(engine_module, "wdvv_reduce", recorded)
-    engine = Engine(ts, backend)
+    engine = Engine(ts, seeds)
     # All-primary keys up to degree 3 reach WDVV more often than the policy's.
     primary = TruncationPolicy(8, 0, (3,) * ts.novikov_rank)
     for key in engine.admissible_keys(policy) + engine.admissible_keys(primary):
@@ -806,9 +806,9 @@ def test_rescaled_basis_rescales_the_values():
     where P3's are integers, so this checks that the reducer keeps their
     denominators.
     """
-    p3, p3_backend = _seeded("P3")
-    half, half_backend = _p3_half_h2()
-    p3_engine, half_engine = Engine(p3, p3_backend), Engine(half, half_backend)
+    p3, p3_seeds = _seeded("P3")
+    half, half_seeds = _p3_half_h2()
+    p3_engine, half_engine = Engine(p3, p3_seeds), Engine(half, half_seeds)
     keys = half_engine.admissible_keys(TruncationPolicy(4, 3, (2,)))
     for key in keys + half_engine.admissible_keys(TruncationPolicy(8, 0, (3,))):
         slots = sum(v.cls == 3 for v in key.insertions)
@@ -818,9 +818,9 @@ def test_rescaled_basis_rescales_the_values():
 
 def test_p3_file_target_gets_p3s_seed_by_its_content():
     """tests/data/P3.json is projective_space(3), so the Engine seeds it unasked."""
-    ts, backend = _seeded("P3")
-    by_content, by_table = Engine(ts), Engine(ts, backend)
-    assert by_content.backend.table == backend.table
+    ts, seeds = _seeded("P3")
+    by_content, by_table = Engine(ts), Engine(ts, seeds)
+    assert by_content.seeds == seeds
     keys = by_table.admissible_keys(TruncationPolicy(3, 2, (2,)))
     assert keys and [by_content.invariant(k) for k in keys] == [by_table.invariant(k) for k in keys]
 
@@ -831,17 +831,22 @@ J_FUNCTION_TARGETS = {
     "P1": ((1,), (8,), {(0,): 2, (1,): 1}, 16),
     "P2": ((2,), (14,), {(0,): 3, (1,): 2, (2,): 1}, 42),
     "P3": ((3,), (8,), {(0,): 4, (1,): 3, (2,): 2, (3,): 1}, 32),
+    "P4": ((4,), (4,), {(j,): 5 - j for j in range(5)}, 20),
+    "P5": ((5,), (4,), {(j,): 6 - j for j in range(6)}, 24),
     "P1xP1": ((1, 1), (4, 4), {(0, 0): 4, (1, 0): 3, (0, 1): 2, (1, 1): 1}, 96),
 }
 
 
 def _oracle_engine(name):
-    """P1xP1 with its seed table, the P3 file target with none, or a preset."""
+    """P1xP1 with its seed table, the P3 file target with none, a preset, or
+    P4 and P5 as ``projective_space`` builds them."""
     if name == "P1xP1":
         ts = _p1xp1()
-        return Engine(ts, load_table_backend(str(DATA / "P1xP1_seeds.jsonl"), ts))
+        return Engine(ts, load_seeds(str(DATA / "P1xP1_seeds.jsonl"), ts))
     if name == "P3":
         return Engine(load_target((DATA / "P3.json").read_text(encoding="utf-8")))
+    if name in ("P4", "P5"):
+        return Engine(projective_space(int(name[1:])))
     return Engine(preset(name))
 
 
@@ -877,7 +882,8 @@ def _two_point_disagreements(engine, n, top):
 
 
 # name -> (n of P^n, top degree, keys checked).  P3 is the file target with no table.
-TWO_POINT_TARGETS = {"P1": (1, 8, 16), "P2": (2, 6, 36), "P3": (3, 4, 48)}
+TWO_POINT_TARGETS = {"P1": (1, 8, 16), "P2": (2, 6, 36), "P3": (3, 4, 48), "P4": (4, 4, 80),
+                     "P5": (5, 4, 120)}
 
 
 @pytest.mark.parametrize("name", sorted(TWO_POINT_TARGETS))
@@ -887,13 +893,48 @@ def test_two_point_descendants_match_the_j_function(name):
     assert _two_point_disagreements(_oracle_engine(name), n, top) == ([], count)
 
 
+def _two_descendant_disagreements(engine, n, top):
+    """The keys <tau_k(H^(a-1)) tau_l(H^(b-1))>_d, d <= top, where the engine and
+    ``two_descendants`` differ, and how many ordered pairs of slots were
+    compared.  Every value the oracle gives must fall on one of those pairs."""
+    wrong, checked = [], 0
+    for d in range(1, top + 1):
+        oracle = two_descendants(n, d)
+        admissible = set()
+        for a, b in itertools.product(range(1, n + 2), repeat=2):
+            levels = (n + 1) * (d + 1) - a - b  # k + l of an admissible key
+            for k in range(levels + 1):
+                slots = ((k, a), (levels - k, b))
+                admissible.add(slots)
+                key = make_key(slots, (d,))
+                if engine.invariant(key) != oracle.get(slots, 0):
+                    wrong.append(key)
+        assert set(oracle) <= admissible
+        checked += len(admissible)
+    return wrong, checked
+
+
+# name -> (n of P^n, ordered pairs of slots checked at d <= 3).  P3 is the file
+# target with no table.
+TWO_DESCENDANT_TARGETS = {"P1": (1, 48), "P2": (2, 162), "P3": (3, 384), "P4": (4, 750),
+                          "P5": (5, 1296)}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_DESCENDANT_TARGETS))
+def test_two_descendants_match_the_s_operator(name):
+    """Every <tau_k(phi_a) tau_l(phi_b)>_d, d <= 3, from Givental's two-point function."""
+    n, count = TWO_DESCENDANT_TARGETS[name]
+    assert _two_descendant_disagreements(_oracle_engine(name), n, 3) == ([], count)
+
+
 def _degree_one_primaries(engine, max_insertions):
     policy = TruncationPolicy(max_insertions, 0, (1,))
     return [key for key in engine.admissible_keys(policy) if key.degree == (1,)]
 
 
 # name -> (n of P^n, insertion bound, keys checked).  P3 is the file target with no table.
-SCHUBERT_TARGETS = {"P1": (1, 8, 9), "P2": (2, 8, 16), "P3": (3, 8, 44)}
+SCHUBERT_TARGETS = {"P1": (1, 8, 9), "P2": (2, 8, 16), "P3": (3, 8, 44), "P4": (4, 8, 94),
+                    "P5": (5, 8, 177)}
 
 
 @pytest.mark.parametrize("name", sorted(SCHUBERT_TARGETS))
@@ -912,10 +953,13 @@ def test_degree_one_primaries_are_schubert_numbers(name):
 
 def test_a_wrong_seed_breaks_the_two_point_and_schubert_checks():
     """With P2's seed <pt pt>_1 at 2, a degree-d value is 2^d times P2's, so
-    every nonzero value the two oracles give disagrees."""
-    engine = Engine(preset("P2"), PrimaryBackend({make_key([(0, 3), (0, 3)], (1,)): 2}))
+    every nonzero value the two-point, two-descendant and Schubert oracles
+    give disagrees."""
+    engine = Engine(preset("P2"), {make_key([(0, 3), (0, 3)], (1,)): 2})
     wrong, checked = _two_point_disagreements(engine, 2, 6)
     assert len(wrong) == checked == 36
+    wrong, checked = _two_descendant_disagreements(engine, 2, 3)
+    assert len(wrong) == checked == 162
     schubert = {key: schubert_degree_one(2, [v.cls - 1 for v in key.insertions])
                 for key in _degree_one_primaries(engine, 8)}
     nonzero = [key for key, value in schubert.items() if value]
@@ -935,7 +979,7 @@ def test_engine_builds_no_space_a_target_cannot_be(monkeypatch):
     validate_target(ts)
     monkeypatch.setattr(target_module, "projective_space",
                         lambda n: pytest.fail(f"built P{n} to compare with a two-class target"))
-    assert Engine(ts).backend.table == {}
+    assert Engine(ts).seeds == {}
 
 
 def test_cold_registry_cache_is_recorded_bytes(tmp_path):
@@ -1003,18 +1047,18 @@ def _assert_exact_types(values):
 ])
 def test_published_values_are_ints_when_integral(tmp_path, monkeypatch, name, policy):
     """Every value the reducer publishes, loads or seeds follows ``exact``'s rule."""
-    ts, backend = _seeded(name) if name in ("P1xP1", "P3") else (_target(name), None)
+    ts, seeds = _seeded(name) if name in ("P1xP1", "P3") else (_target(name), None)
     if name == "P2-rational-eta":
-        backend = PrimaryBackend({make_key([(0, 3), (0, 3)], (1,)): Fraction(1)})
+        seeds = {make_key([(0, 3), (0, 3)], (1,)): Fraction(1)}
     rules = Counter()
     for rule in ("degree_zero_value", "divisor_lift", "_trr_rows", "wdvv_reduce"):
         def counted(*args, _rule=rule, _f=getattr(engine_module, rule)):
             rules[_rule] += 1
             return _f(*args)
         monkeypatch.setattr(engine_module, rule, counted)
-    engine = Engine(ts, backend)
+    engine = Engine(ts, seeds)
     if name != "P2-rational-eta":
-        _assert_exact_types(engine.backend.table.values())
+        _assert_exact_types(engine.seeds.values())
     for key in engine.admissible_keys(policy):
         engine.invariant(key)
     expected = {"degree_zero_value", "divisor_lift", "_trr_rows"}
@@ -1035,11 +1079,11 @@ def test_seed_values_are_ints_when_integral(tmp_path):
     table = tmp_path / "seeds.jsonl"
     table.write_text('{"deg":[1],"ins":[[0,3],[0,3]],"val":"2/2"}\n'
                      '{"deg":[2],"ins":[[0,3],[0,3],[0,3],[0,3],[0,3]],"val":"-3/2"}\n')
-    seeds = load_table_backend(str(table), p2).table
+    seeds = load_seeds(str(table), p2)
     assert _assert_exact_types(seeds.values()) == {int: 1, Fraction: 1}
     # A seed passed in as a Fraction is published by the same rule.
     key = make_key([(0, 3), (0, 3)], (1,))
-    engine = Engine(p2, PrimaryBackend({key: Fraction(1)}))
+    engine = Engine(p2, {key: Fraction(1)})
     assert type(engine.invariant(make_key([(0, 2), (0, 3), (0, 3)], (1,)))) is int
     _assert_exact_types(engine.cache.entries.values())
 
@@ -1082,7 +1126,7 @@ def test_cache_save_writes_json_dumps_text(tmp_path, monkeypatch, name):
     decoder sees only the header.
     """
     ts = _target(name)
-    if name == "P1xP1":  # rank-2 degrees; the empty table backend cannot evaluate them
+    if name == "P1xP1":  # rank-2 degrees; an empty seed table cannot evaluate them
         entries = {make_key([(0, 4)], (1, 0)): Fraction(1),
                    make_key([(1, 2), (0, 2), (0, 3)], (0, 1)): Fraction(-3, 2),
                    make_key([(0, 4)] * 3, (1, 1)): Fraction(2)}
@@ -1247,7 +1291,7 @@ def test_cache_load_refuses_a_later_header_of_another_target(tmp_path):
     # A seed table's headers are optional and name no target it is held to.
     table = tmp_path / "table.jsonl"
     table.write_text('{"fingerprint": "another-target"}\n' + good)
-    assert load_table_backend(str(table), p2).table == {make_key([(0, 3), (0, 3)], (1,)): 1}
+    assert load_seeds(str(table), p2) == {make_key([(0, 3), (0, 3)], (1,)): 1}
 
 
 def test_cache_save_is_atomic(tmp_path, monkeypatch):
@@ -1371,7 +1415,7 @@ def test_repeated_key_is_a_corrupt_cache(tmp_path, first, second):
     table = tmp_path / "table.jsonl"
     table.write_text(body)
     with pytest.raises(ParseError, match="twice"):
-        load_table_backend(str(table), p1)
+        load_seeds(str(table), p1)
 
 
 def test_cache_determinism_cold_runs(tmp_path):
@@ -1389,7 +1433,7 @@ def test_cache_determinism_cold_runs(tmp_path):
 
 def test_cache_fingerprint_guard():
     with pytest.raises(CacheMismatch):
-        Engine(preset("P2"), cache=InvariantCache.for_target(preset("P1")))
+        Engine(preset("P2"), cache=InvariantCache(preset("P1").fingerprint))
 
 
 def test_concurrent_invariants():
@@ -1417,12 +1461,12 @@ def test_table_backend():
     table = {make_key([(0, 3)] * 2, (1,)): Fraction(1),
              make_key([(0, 3)] * 5, (2,)): Fraction(1),
              make_key([(0, 3)] * 8, (3,)): Fraction(12)}
-    engine = Engine(p2, PrimaryBackend(table))
+    engine = Engine(p2, table)
     assert engine.invariant(make_key([(0, 3)] * 8, (3,))) == 12
     reference = p2_reference_value()
     assert reference != 0
     assert engine.invariant(make_key([(1, 3), (0, 3), (0, 3), (0, 3)], (2,))) == reference
-    missing = Engine(p2, PrimaryBackend({}))
+    missing = Engine(p2, {})
     with pytest.raises(TargetUnsupported):
         missing.invariant(make_key([(0, 3), (0, 3)], (1,)))
 
@@ -1433,7 +1477,7 @@ def p2_reference_value():
 
 def test_table_backend_rejects_descendents():
     with pytest.raises(ValidationError):
-        PrimaryBackend({make_key([(1, 3)], (1,)): Fraction(1)})
+        Engine(preset("P2"), {make_key([(1, 3)], (1,)): Fraction(1)})
 
 
 # --- generating functions ---------------------------------------------------------
@@ -1558,10 +1602,10 @@ def test_correlation_series_match_brute_force(name):
 # --- every first derivative from one walk ---------------------------------------
 
 def _seeded(name):
-    """A target and its backend: the file targets come with their seed tables."""
+    """A target and its seeds: the file targets come with their seed tables."""
     if name in ("P1xP1", "P3"):
         ts = load_target((DATA / f"{name}.json").read_text(encoding="utf-8"))
-        return ts, load_table_backend(str(DATA / f"{name}_seeds.jsonl"), ts)
+        return ts, load_seeds(str(DATA / f"{name}_seeds.jsonl"), ts)
     return preset(name), None
 
 
@@ -1575,10 +1619,10 @@ GRADIENT_POLICIES = [(0, 2, 1), (1, 1, 1), (2, 0, 2), (2, 2, 0), (3, 2, 1)]
 
 @pytest.mark.parametrize("name", ["point", "P1", "P2", "P1xP1", "P3"])
 def test_gradient_series_matches_single_slot_series(name):
-    ts, backend = _seeded(name)
+    ts, seeds = _seeded(name)
     for k, m, d in GRADIENT_POLICIES:
         policy = TruncationPolicy(k, m, (d,) * ts.novikov_rank)
-        walked, one_by_one = Engine(ts, backend), Engine(ts, backend)
+        walked, one_by_one = Engine(ts, seeds), Engine(ts, seeds)
         grads = walked.gradient_series(policy)
         assert list(grads) == _variables(policy, ts)
         for v, series in grads.items():
@@ -1593,9 +1637,9 @@ def test_gradient_series_matches_single_slot_series(name):
 
 @pytest.mark.parametrize("name", ["P2", "P1xP1"])
 def test_gradient_series_reads_each_key_once(name, monkeypatch):
-    ts, backend = _seeded(name)
+    ts, seeds = _seeded(name)
     policy = TruncationPolicy(3, 2, (2,) * ts.novikov_rank)
-    engine = Engine(ts, backend)
+    engine = Engine(ts, seeds)
     engine.gradient_series(policy)
     published = len(engine.cache.entries)
     read, lookup = [], engine.invariant

@@ -91,7 +91,7 @@ def test_add_rationals():
 def test_add_identity():
     rng = random.Random(7)
     s = rand_series(rng)
-    assert s + TruncatedSeries.zero(POLICY) == s
+    assert s + TruncatedSeries(POLICY) == s
 
 
 def test_add_scaled_matches_add_and_scale():
@@ -100,12 +100,12 @@ def test_add_scaled_matches_add_and_scale():
         a, b = rand_series(rng), rand_series(rng)
         expect = a + b.scale(factor)
         b_before = dict(b.terms)
-        acc = TruncatedSeries.zero(POLICY) + a
+        acc = TruncatedSeries(POLICY) + a
         assert acc.add_scaled(b, factor) is acc
         assert acc == expect and b.terms == b_before
         assert 0 not in acc.terms.values()
     a = rand_series(rng)
-    acc = TruncatedSeries.zero(POLICY) + a
+    acc = TruncatedSeries(POLICY) + a
     assert acc.add_scaled(a, -1).is_zero()
 
 
@@ -118,11 +118,11 @@ def test_accumulate_into_an_operand():
         expect_scaled = s + s.scale(factor)
         expect_product = s + series_mul(s, s).scale(factor)
         expect_mixed = s + series_mul(s, var(POLICY, X)).scale(factor)
-        acc = s + TruncatedSeries.zero(POLICY)
+        acc = s + TruncatedSeries(POLICY)
         assert acc.add_scaled(acc, factor) == expect_scaled
-        acc = s + TruncatedSeries.zero(POLICY)
+        acc = s + TruncatedSeries(POLICY)
         assert acc.add_product(acc, acc, factor) == expect_product
-        acc = s + TruncatedSeries.zero(POLICY)
+        acc = s + TruncatedSeries(POLICY)
         assert acc.add_product(var(POLICY, X), acc, factor) == expect_mixed
 
 
@@ -154,11 +154,11 @@ def test_times_var_is_product_with_variable():
 def test_policy_mismatch():
     other = TruncationPolicy(3, 2, (2,))
     with pytest.raises(PolicyMismatch):
-        TruncatedSeries.zero(POLICY) + TruncatedSeries.zero(other)
+        TruncatedSeries(POLICY) + TruncatedSeries(other)
     with pytest.raises(PolicyMismatch):
-        TruncatedSeries.zero(POLICY).add_scaled(TruncatedSeries.zero(other), 1)
+        TruncatedSeries(POLICY).add_scaled(TruncatedSeries(other), 1)
     with pytest.raises(PolicyMismatch):
-        series_mul(TruncatedSeries.zero(POLICY), TruncatedSeries.zero(other))
+        series_mul(TruncatedSeries(POLICY), TruncatedSeries(other))
 
 
 def test_derive_spec_examples():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gwvir.engine import Engine, PrimaryBackend, load_table_backend, make_key
+from gwvir.engine import Engine, load_seeds, make_key
 from gwvir.identities import IDENTITY_TAGS, IdentityContext, verify_identity
 from gwvir.errors import (IndexOutOfRange, PolicyTooTight, UnknownIdentity,
                           UnsupportedIndex)
@@ -289,8 +289,8 @@ def test_rank_two_end_to_end_on_p1xp1():
     # Three seeds, <pt>_(1,0) = <pt>_(0,1) = <pt pt pt>_(1,1) = 1, and the
     # reduction give every primary under the cap (1, 1).
     ts = _target("P1xP1")
-    seeds = load_table_backend(str(DATA / "P1xP1_seeds.jsonl"), ts).table
-    engine = Engine(ts, PrimaryBackend(seeds))
+    seeds = load_seeds(str(DATA / "P1xP1_seeds.jsonl"), ts)
+    engine = Engine(ts, seeds)
     policy = TruncationPolicy(4, 3, (1, 1))
     for n in (1, 2, 3):
         assert psi(engine, n, policy).is_zero()
@@ -301,7 +301,7 @@ def test_rank_two_end_to_end_on_p1xp1():
     for tag in IDENTITY_TAGS:
         assert all(f.status == "pass" for f in verify_identity(ctx, tag))
     for key in seeds:
-        wrong = Engine(ts, PrimaryBackend({**seeds, key: Fraction(2)}))
+        wrong = Engine(ts, {**seeds, key: Fraction(2)})
         assert not psi(wrong, 1, policy).is_zero()
 
 
@@ -309,9 +309,9 @@ def test_p1xp1_primaries_from_the_two_degree_one_seeds():
     # WDVV from <pt>_(1,0) = <pt>_(0,1) = 1 alone: the third seed and the
     # counts of rational curves of bidegree (a, b) through 2a + 2b - 1 points.
     ts = _target("P1xP1")
-    seeds = load_table_backend(str(DATA / "P1xP1_seeds.jsonl"), ts).table
+    seeds = load_seeds(str(DATA / "P1xP1_seeds.jsonl"), ts)
     engine = Engine(ts,
-                    PrimaryBackend({k: v for k, v in seeds.items() if sum(k.degree) == 1}))
+                    {k: v for k, v in seeds.items() if sum(k.degree) == 1})
     for (a, b), count in {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 12, (2, 3): 96,
                           (3, 3): 3510}.items():
         assert engine.invariant(make_key([(0, 4)] * (2 * a + 2 * b - 1), (a, b))) == count
@@ -320,8 +320,8 @@ def test_p1xp1_primaries_from_the_two_degree_one_seeds():
 def test_p3_file_target_from_one_seed():
     # Classes 1, H, H^2, pt; the one seed is the line through two points.
     ts = load_target((DATA / "P3.json").read_text(encoding="utf-8"))
-    seeds = load_table_backend(str(DATA / "P3_seeds.jsonl"), ts).table
-    engine = Engine(ts, PrimaryBackend(seeds))
+    seeds = load_seeds(str(DATA / "P3_seeds.jsonl"), ts)
+    engine = Engine(ts, seeds)
     line, pt = (0, 3), (0, 4)  # H^2 is the class of a line
     anchors = [
         ([line] * 4, 1, 2),  # lines meeting 4 lines
@@ -339,10 +339,10 @@ def test_p3_file_target_from_one_seed():
     # degree d scales by 2^d and the constraints still hold.  A seed of 2 for
     # the four-point conic count, which is 0, breaks them.
     (seed,) = seeds
-    gauge = Engine(ts, PrimaryBackend({seed: Fraction(2)}))
+    gauge = Engine(ts, {seed: Fraction(2)})
     assert gauge.invariant(make_key([line] * 8, (2,))) == 4 * 92
     assert psi(gauge, 1, policy).is_zero()
-    wrong = Engine(ts, PrimaryBackend({**seeds, make_key([pt] * 4, (2,)): Fraction(2)}))
+    wrong = Engine(ts, {**seeds, make_key([pt] * 4, (2,)): Fraction(2)})
     assert not psi(wrong, 1, policy).is_zero()
 
 
