@@ -1,20 +1,25 @@
-"""Exception hierarchy shared by all gwvir modules."""
+"""Exception hierarchy shared by all gwvir modules.
+
+The class decides the CLI's exit code: a ``UsageError`` is input refused
+before any engine work (exit 2); every other ``GWError`` is an error of the
+engine's work (exit 3, with a report that names the class).
+"""
 
 
 class GWError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ParseError(GWError):
-    """Malformed input text (rationals, target files, CLI keys)."""
+class UsageError(GWError):
+    """Input refused before any engine work; the CLI exits 2."""
 
 
-class ValidationError(GWError):
+class ParseError(UsageError):
+    """Malformed input text, or a preset, identity tag or field name that does not exist."""
+
+
+class ValidationError(UsageError):
     """A target-space invariant is violated; message names the invariant."""
-
-
-class UnknownPreset(GWError):
-    pass
 
 
 class IndexOutOfRange(GWError):
@@ -39,10 +44,6 @@ class CacheMismatch(GWError):
 
 class PolicyTooTight(GWError):
     """The truncation policy cannot support the requested computation."""
-
-
-class UnknownIdentity(GWError):
-    pass
 
 
 class UnsupportedIndex(GWError):

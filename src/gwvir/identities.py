@@ -30,7 +30,7 @@ from itertools import product
 from typing import Callable, Iterator
 
 from .engine import Engine
-from .errors import UnknownIdentity
+from .errors import ParseError
 from .rationals import format_rational
 # ``series_mul`` is unused here, but the benchmark's tracer rebinds it in
 # every module that imports it, and its self-test expects this one.
@@ -517,7 +517,7 @@ def verify_identity(ctx: IdentityContext, tag: str) -> list[IdentityFinding]:
     context share its correlation series.
     """
     if tag not in REGISTRY:
-        raise UnknownIdentity(f"unknown identity tag {tag!r}")
+        raise ParseError(f"unknown identity tag {tag!r}")
     findings: list[IdentityFinding] = []
     try:
         for indices, lhs_terms, rhs_terms in REGISTRY[tag](ctx):

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
 
-from .errors import IndexOutOfRange, ParseError, UnknownPreset, ValidationError
+from .errors import IndexOutOfRange, ParseError, ValidationError
 from .rationals import exact, exact_value, format_rational, parse_rational
 from .series import VarId
 
@@ -443,7 +443,7 @@ _PRESETS = {"point": 0, "P1": 1, "P2": 2}
 
 def preset(name: str) -> TargetSpace:
     if name not in _PRESETS:
-        raise UnknownPreset(f"unknown preset {name!r} (have: {', '.join(sorted(_PRESETS))})")
+        raise ParseError(f"unknown preset {name!r} (have: {', '.join(sorted(_PRESETS))})")
     ts = projective_space(_PRESETS[name])
     validate_target(ts)
     return ts

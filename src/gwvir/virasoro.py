@@ -30,7 +30,7 @@ from typing import Callable
 from fractions import Fraction
 
 from .engine import Engine
-from .errors import IndexOutOfRange, PolicyTooTight, UnknownIdentity, UnsupportedIndex
+from .errors import IndexOutOfRange, ParseError, PolicyTooTight, UnsupportedIndex
 from .rationals import exact_value
 from .series import (Monomial, TruncatedSeries, TruncationPolicy, VarId,
                      series_derive, series_mul)
@@ -405,7 +405,7 @@ class CorrContext:
             elif name[:1] == "L" and name[1:].removeprefix("-").isdigit():
                 terms = build_operator(ts, int(name[1:]), M).linear
             else:
-                raise UnknownIdentity(f"unknown vector field {name!r}")
+                raise ParseError(f"unknown vector field {name!r}")
             self._fields[name] = terms
         return terms
 

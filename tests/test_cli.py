@@ -18,7 +18,7 @@ from unittest import mock
 import pytest
 
 import gwvir
-from gwvir import cli
+from gwvir import cli, errors
 from gwvir.cli import parse_key, run
 from gwvir.engine import InvariantCache, make_key
 from gwvir.errors import ParseError
@@ -336,6 +336,29 @@ def test_engine_error_exit_code(tmp_path):
     assert code == 3
     assert report is not None and report.outcome == "error"
     assert "TargetUnsupported" in text
+
+
+def _gw_error_classes(cls=errors.GWError):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _gw_error_classes(sub)
+
+
+@pytest.mark.parametrize("error", list(_gw_error_classes()), ids=lambda c: c.__name__)
+def test_exit_code_follows_the_error_family(error):
+    """A ``UsageError`` exits 2 with its message and no report; any other
+    ``GWError`` exits 3 with a report naming its class.  Neither escapes."""
+    def handler(args):
+        raise error("the message")
+
+    with mock.patch.object(cli, "_cmd_central", handler):
+        code, report, text = go("central-condition", "--target", "P2", "--format", "structured")
+    if issubclass(error, errors.UsageError):
+        assert (code, report, text) == (2, None, "error: the message\n")
+    else:
+        assert code == 3 and report.outcome == "error"
+        assert json.loads(text)["details"] == [{"error": error.__name__,
+                                                "message": "the message"}]
 
 
 def _p2_in_another_basis(tmp_path):

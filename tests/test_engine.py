@@ -927,6 +927,48 @@ def test_two_descendants_match_the_s_operator(name):
     assert _two_descendant_disagreements(_oracle_engine(name), n, 3) == ([], count)
 
 
+def _by_divisor_equation(ts, key, two_point):
+    """``key``'s value from the divisor equation on H, applied until two
+    insertions are left, each two-point value read from ``two_point``."""
+    if len(key.insertions) == 2:
+        return two_point.get(tuple((v.level, v.cls) for v in key.insertions), 0)
+    return sum(c * _by_divisor_equation(ts, sub, two_point)
+               for sub, c in divisor_reduce(ts, key, 2))
+
+
+# name -> (n of P^n, keys checked).  P3 is the file target with no table.
+MULTI_ROW_TRR_TARGETS = {"P1": (1, 36), "P2": (2, 48), "P3": (3, 60), "P4": (4, 64),
+                         "P5": (5, 68)}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_ROW_TRR_TARGETS))
+def test_two_descendants_with_divisors_match_the_divisor_equation(name, monkeypatch):
+    """Every admissible <tau_k(a) tau_l(b) H^j>_d, j in {1, 2}, k, l <= 3, d <= 3,
+    is the divisor equation applied to ``two_descendants``.  The engine's
+    reduction of these keys takes TRR sums of two or more rows, which no
+    two-point key reaches; the test checks that it meets such a sum, so that
+    it cannot go blind."""
+    n, count = MULTI_ROW_TRR_TARGETS[name]
+    engine = _oracle_engine(name)
+    ts, trr_rows, row_counts = engine.ts, engine_module._trr_rows, []
+
+    def counted(*args):
+        rows = trr_rows(*args)
+        row_counts.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(engine_module, "_trr_rows", counted)
+    keys = {make_key([(k, a), (l, b)] + [(0, 2)] * j, (d,))
+            for k, l in itertools.product(range(4), repeat=2)
+            for a, b in itertools.product(range(1, n + 2), repeat=2)
+            for j, d in itertools.product((1, 2), range(1, 4))}
+    keys = [key for key in keys if dimension_admissible(ts, key)]
+    oracles = {d: two_descendants(n, d) for d in range(1, 4)}
+    for key in keys:
+        assert engine.invariant(key) == _by_divisor_equation(ts, key, oracles[key.degree[0]]), key
+    assert len(keys) == count and max(row_counts) > 1
+
+
 def _degree_one_primaries(engine, max_insertions):
     policy = TruncationPolicy(max_insertions, 0, (1,))
     return [key for key in engine.admissible_keys(policy) if key.degree == (1,)]

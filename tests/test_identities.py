@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from gwvir.engine import Engine
-from gwvir.errors import UnknownIdentity
+from gwvir.errors import ParseError
 from gwvir.identities import (IDENTITY_TAGS, IdentityContext, REGISTRY,
                               render_monomial, verify_identity)
 from gwvir.rationals import format_rational
@@ -34,7 +34,7 @@ def test_registry_covers_every_tag_once():
 
 
 def test_unknown_identity():
-    with pytest.raises(UnknownIdentity):
+    with pytest.raises(ParseError):
         verify_identity(IdentityContext(Engine(preset("point")), TruncationPolicy(2, 1, ())),
                         "NoSuchLemma")
 

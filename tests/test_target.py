@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from gwvir.cli import run
-from gwvir.errors import IndexOutOfRange, ParseError, UnknownPreset, ValidationError
+from gwvir.errors import IndexOutOfRange, ParseError, ValidationError
 from gwvir.target import (TargetSpace, load_target, preset, preset_names, projective_dim,
                           projective_space, serialize_target, validate_target)
 from gwvir.virasoro import NAMED_FIELDS, linear_field
@@ -18,7 +18,7 @@ from gwvir.virasoro import NAMED_FIELDS, linear_field
 
 def test_preset_names():
     assert preset_names() == ["P1", "P2", "point"]
-    with pytest.raises(UnknownPreset):
+    with pytest.raises(ParseError):
         preset("P3")
 
 

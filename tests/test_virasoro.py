@@ -8,8 +8,7 @@ import pytest
 
 from gwvir.engine import Engine, load_seeds, make_key
 from gwvir.identities import IDENTITY_TAGS, IdentityContext, verify_identity
-from gwvir.errors import (IndexOutOfRange, PolicyTooTight, UnknownIdentity,
-                          UnsupportedIndex)
+from gwvir.errors import IndexOutOfRange, ParseError, PolicyTooTight, UnsupportedIndex
 from gwvir.series import TruncatedSeries, TruncationPolicy, VarId, series_mul
 from gwvir.target import load_target, preset, preset_names
 from gwvir.virasoro import (CLOSED_A, CorrContext, VirasoroOperator, _complement_sums,
@@ -585,5 +584,5 @@ def test_unsorted_spec_is_the_sorted_series(p2_engine, sorted_first):
         assert ctx.factor(specs[1]) is first
         assert ctx.series[specs[0]] is ctx.series[specs[1]]
     for name in ("Nope", "L", ("Nope", 1)):
-        with pytest.raises(UnknownIdentity):
+        with pytest.raises(ParseError):
             ctx.factor(("field_series", name, (0, 1)))
